@@ -103,16 +103,6 @@ class Histogram2D:
     def fall_centers(self) -> np.ndarray:
         return 0.5 * (self.fall_edges[:-1] + self.fall_edges[1:])
 
-    @property
-    def rise_axis(self) -> tuple[float, float, float]:
-        e = self.rise_edges
-        return float(e[0]), float(e[-1]), float(e[1] - e[0])
-
-    @property
-    def fall_axis(self) -> tuple[float, float, float]:
-        e = self.fall_edges
-        return float(e[0]), float(e[-1]), float(e[1] - e[0])
-
     def to_csv(self, path) -> None:
         """Dense grid CSV: first row fall-bin centers, first column rise-bin centers."""
         with open(Path(path), "w", encoding="utf-8") as f:
@@ -491,7 +481,9 @@ def crosstalk_matrix(components, boundaries) -> np.ndarray:
     rows = []
     for comp in components:
         cdf = np.array([0.5 + _voigt_cdf_from_center(comp, float(b)) for b in boundaries])
-        cum = np.concatenate([[0.0], np.clip(cdf, 0.0, 1.0), [1.0]])
+        # quadrature error can leave a far-tail CDF a rounding step below its
+        # predecessor; a CDF never decreases, and a cell must not go negative
+        cum = np.concatenate([[0.0], np.maximum.accumulate(np.clip(cdf, 0.0, 1.0)), [1.0]])
         rows.append(np.diff(cum))
     return np.vstack(rows)
 
@@ -546,37 +538,82 @@ def _golden_min(f, a: float, b: float, tol: float, evals: list):
 
 
 class _LabelledEvents:
-    """Detected events with fixed cluster labels from a well-separated projection."""
+    """Detected events with fixed cluster labels from a well-separated projection.
 
-    def __init__(self, rise, fall, labels, k):
+    ``rise`` and ``fall`` hold the per-event delays, which the mixture fit
+    uses.  ``labels`` holds one label per distinct (rise, fall) pair, in the
+    order of ``_distinct_pairs``; an event's label is the label of its pair.
+    Every per-label statistic is weighted by the pair multiplicities, so it
+    is the statistic of the events themselves.  Per label the mean delays
+    and their centred second moments are kept, from which the projected
+    moments at any angle follow in closed form.
+    """
+
+    def __init__(self, rise, fall, pairs, labels, k):
         self.rise = rise
         self.fall = fall
         self.labels = labels
         self.k = k
-        self.counts = np.bincount(labels, minlength=k).astype(float)
-        self.fractions = self.counts / labels.size
+        pair_rise, pair_fall, multiplicity = pairs
+        self.counts = np.bincount(labels, weights=multiplicity, minlength=k)
+        self.fractions = self.counts / rise.size
+
+        def per_label(values):
+            sums = np.bincount(labels, weights=multiplicity * values, minlength=k)
+            # an empty label has no moments (NaN), as an empty mean would
+            return np.divide(sums, self.counts, out=np.full(k, np.nan), where=self.counts > 0)
+
+        self._mean_rise = per_label(pair_rise)
+        self._mean_fall = per_label(pair_fall)
+        # centred: raw second moments would cancel at delays of ~2000 ps
+        d_rise = pair_rise - self._mean_rise[labels]
+        d_fall = pair_fall - self._mean_fall[labels]
+        self._var_rise = per_label(d_rise * d_rise)
+        self._var_fall = per_label(d_fall * d_fall)
+        self._cov = per_label(d_rise * d_fall)
 
     def moments(self, angle: float):
-        """Per-class mean and standard deviation of the projection at angle."""
-        c = self.rise * math.cos(angle) + self.fall * math.sin(angle)
-        s1 = np.bincount(self.labels, weights=c, minlength=self.k)
-        s2 = np.bincount(self.labels, weights=c * c, minlength=self.k)
-        mean = s1 / self.counts
-        var = np.maximum(s2 / self.counts - mean**2, 1e-9)
-        return mean, np.sqrt(var)
+        """Per-class mean and standard deviation of the projection at angle.
+
+        With c = cos(angle) and s = sin(angle), a class's projected mean is
+        c E[rise] + s E[fall] and its variance c^2 Var(rise) + s^2 Var(fall)
+        + 2 c s Cov(rise, fall), so a trial angle costs O(k), not O(N).
+        """
+        c, s = math.cos(angle), math.sin(angle)
+        mean = c * self._mean_rise + s * self._mean_fall
+        var = c * c * self._var_rise + s * s * self._var_fall + 2.0 * c * s * self._cov
+        return mean, np.sqrt(np.maximum(var, 1e-9))
 
 
 def _gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) -> float:
+    """Crossing of two weighted Gaussian densities between their centers
+    (c1 < c2), or the midpoint when they do not cross there.
+
+    Equating the log-densities at x = c1 + u gives A u^2 + B u + C = 0;
+    the roots come from the cancellation-free form q = -(B - sqrt(D)) / 2,
+    u = q / A or C / q, and with equal sigmas (A = 0) C / q is the root of
+    the linear equation.
+    """
+
     def diff(x):
         a = w1 / (s1 * _SQRT2PI) * math.exp(-0.5 * ((x - c1) / s1) ** 2)
         b = w2 / (s2 * _SQRT2PI) * math.exp(-0.5 * ((x - c2) / s2) ** 2)
         return a - b
 
-    a = c1 + 1e-9 * (c2 - c1)
-    b = c2 - 1e-9 * (c2 - c1)
+    gap = c2 - c1
+    a = c1 + 1e-9 * gap
+    b = c2 - 1e-9 * gap
     if diff(a) <= 0 or diff(b) >= 0:
         return 0.5 * (c1 + c2)
-    return brentq(diff, a, b)
+    # the sign change above guarantees one real root in (a, b)
+    quad_a = 0.5 * (1.0 / s2**2 - 1.0 / s1**2)
+    quad_b = -gap / s2**2
+    quad_c = math.log(w1 * s2 / (w2 * s1)) + 0.5 * (gap / s2) ** 2
+    q = 0.5 * (math.sqrt(max(quad_b * quad_b - 4.0 * quad_a * quad_c, 0.0)) - quad_b)
+    roots = [quad_c / q] if quad_a == 0.0 else [quad_c / q, q / quad_a]
+    # the other root, if any, lies outside (a, b), so farther from the middle
+    u = min(roots, key=lambda r: abs(r - 0.5 * gap))
+    return min(max(c1 + u, a), b)
 
 
 def _gaussian_offdiagonal(mean, sigma, weight) -> float:
@@ -595,7 +632,29 @@ def _gaussian_offdiagonal(mean, sigma, weight) -> float:
     return float(np.sum(rows * w[:, None]) - np.sum(np.diag(rows) * w))
 
 
-def _reference_scan(rise, fall, angles, bin_width, smoothing_sigma, min_prominence):
+def _distinct_pairs(rise, fall):
+    """Distinct (rise, fall) pairs, ascending by rise then fall, and how
+    many events share each: (pair_rise, pair_fall, multiplicity).
+
+    Exact for any float delays.  Paired delays sit on the 0.1 ps tag grid,
+    so a large sample has far fewer distinct pairs than events.
+    """
+    pairs, multiplicity = np.unique(rise + 1j * fall, return_counts=True)
+    return pairs.real.copy(), pairs.imag.copy(), multiplicity
+
+
+def _pair_histogram(coords, multiplicity, bin_width):
+    """(counts, centers) of histogram_1d for a sample given as distinct
+    coordinates with their multiplicities: the same bins, and the counts of
+    the expanded sample."""
+    edges = _padded_edges(coords, bin_width)
+    # the bin np.histogram picks on these edges: edges[i] <= x < edges[i + 1]
+    idx = np.searchsorted(edges, coords, side="right") - 1
+    counts = np.bincount(idx, weights=multiplicity, minlength=edges.size - 1)
+    return counts.astype(np.int64), 0.5 * (edges[:-1] + edges[1:])
+
+
+def _reference_scan(pairs, angles, bin_width, smoothing_sigma, min_prominence):
     """Score candidate angles by (resolved peak count, worst valley depth,
     concentration), lexicographically.
 
@@ -603,14 +662,17 @@ def _reference_scan(rise, fall, angles, bin_width, smoothing_sigma, min_prominen
     smaller of the two peak heights, measures how cleanly the projection can
     be split into labels.  Concentration sum(p^2) alone would be a trap: it
     is maximized by collapsing all clusters onto each other, which is
-    exactly the projection that destroys the labels.
+    exactly the projection that destroys the labels.  ``pairs`` is the
+    output of ``_distinct_pairs``; every score depends on the histogram
+    counts only, so it equals the score of the per-event projection.
     """
+    pair_rise, pair_fall, multiplicity = pairs
     n_peaks = np.zeros(angles.size, dtype=int)
     depth = np.zeros(angles.size)
     conc = np.zeros(angles.size)
     for i, theta in enumerate(angles):
-        coords = rise * math.cos(theta) + fall * math.sin(theta)
-        counts, _, _ = histogram_1d(coords, bin_width)
+        coords = pair_rise * math.cos(theta) + pair_fall * math.sin(theta)
+        counts, _ = _pair_histogram(coords, multiplicity, bin_width)
         idx, _, smoothed = _peak_indices_ranked(counts, smoothing_sigma, min_prominence)
         p = counts / counts.sum()
         n_peaks[i] = idx.size
@@ -624,17 +686,26 @@ def _reference_scan(rise, fall, angles, bin_width, smoothing_sigma, min_prominen
     return n_peaks, depth, conc
 
 
-def _label_events(rise, fall, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg):
+def _label_events(events, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg):
     """Pick a well-separated projection, split it at histogram valleys, and
-    label every event with its cluster index (ascending along that axis)."""
+    label every event with its cluster index (ascending along that axis).
+
+    Every calibration mode starts from this one labelling; it works on the
+    distinct (rise, fall) pairs, so the events are collapsed once and the
+    angle scan never projects them again.  Returns (_LabelledEvents,
+    reference angle).
+    """
+    rise, fall = _detected_arrays(events)
+    if rise.size == 0:
+        raise EmptySampleError("no detected events to calibrate")
+    pairs = _distinct_pairs(rise, fall)
+    pair_rise, pair_fall, multiplicity = pairs
     angles = np.deg2rad(np.arange(0.0, 180.0, grid_step_deg))
-    n_peaks, depth, conc = _reference_scan(
-        rise, fall, angles, bin_width, smoothing_sigma, min_prominence
-    )
+    n_peaks, depth, conc = _reference_scan(pairs, angles, bin_width, smoothing_sigma, min_prominence)
     order = np.lexsort((conc, depth, n_peaks))
     theta_ref = float(angles[order[-1]])
-    coords = rise * math.cos(theta_ref) + fall * math.sin(theta_ref)
-    counts, centers, _ = histogram_1d(coords, bin_width)
+    coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
+    counts, centers = _pair_histogram(coords, multiplicity, bin_width)
     idx, prom, smoothed = _peak_indices_ranked(counts, smoothing_sigma, min_prominence)
     if idx.size == 0:
         raise CalibrationError("no peaks found at the reference projection")
@@ -643,16 +714,18 @@ def _label_events(rise, fall, k, bin_width, smoothing_sigma, min_prominence, gri
     if idx.size > k:
         keep = np.sort(np.argsort(prom)[::-1][:k])
         idx = idx[keep]
-    peak_centers = _complete_centers(coords, centers[idx], k)
     if idx.size == k:
         valleys = []
         for a, b in zip(idx[:-1], idx[1:]):
             valleys.append(centers[a + int(np.argmin(smoothed[a : b + 1]))])
         cut = np.array(valleys)
     else:
+        # too few resolved peaks: split the most populated cells of the events
+        peak_centers = _complete_centers(np.repeat(coords, multiplicity), centers[idx], k)
         cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
-    labels = np.searchsorted(cut, coords)
-    return _LabelledEvents(rise, fall, labels, k), theta_ref
+    if rise.size < 50 * k:
+        raise InsufficientDataError(f"need at least {50 * k} detected events, got {rise.size}")
+    return _LabelledEvents(rise, fall, pairs, np.searchsorted(cut, coords), k), theta_ref
 
 
 def _orientation_flip(rise, coords, labels, k) -> bool:
@@ -716,36 +789,13 @@ def _report_summary(report: MixtureFitReport) -> dict:
     }
 
 
-def optimize_angle(
-    events,
-    k: int | None = None,
-    *,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    grid_step_deg: float = 2.0,
-    smoothing_sigma: float = 2.0,
-    min_prominence: float = 0.05,
-    detector: str | None = None,
-    window_ps: float | None = None,
-) -> AngleSearchResult:
-    """Search separating-line angles for minimal total off-diagonal crosstalk.
+def _angle_scan(labelled, grid_step_deg):
+    """Separating line of least Gaussian-moment crosstalk between the labels.
 
-    Events are labelled once at a well-separated reference projection; each
-    trial angle is then scored from the per-label Gaussian moments of its
-    projection, which keeps the scan cheap and deterministic.  The scan
-    covers a full grid on [0, pi) including the rising-only (0) and
-    falling-only (pi/2) axes, refines the best bracket by golden section,
-    and finishes with a full Voigt mixture fit at the winning angle.
+    Scores a grid on [0, pi) that includes the rising-only (0) and
+    falling-only (pi/2) axes, then refines the best bracket by golden
+    section.  Returns (line angle, objective diagnostics).
     """
-    rise, fall = _detected_arrays(events)
-    if rise.size == 0:
-        raise EmptySampleError("no detected events to calibrate")
-    labelled, theta_ref = _label_events(
-        rise, fall, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg
-    )
-    if rise.size < 50 * labelled.k:
-        raise InsufficientDataError(
-            f"need at least {50 * labelled.k} detected events, got {rise.size}"
-        )
     if np.any(labelled.counts < 5):
         raise CalibrationError("a cluster label has fewer than 5 events; reduce k or take more data")
 
@@ -767,28 +817,64 @@ def optimize_angle(
     theta_star, obj_star = evals[0]
 
     by_angle = dict((round(t, 12), v) for t, v in evals)
-    model, report = _finalize_model(
-        labelled,
-        theta_star,
-        OPTIMAL,
-        bin_width,
-        detector=detector,
-        window_ps=window_ps,
-        extra={
-            "objective_at_returned": obj_star,
-            "objective_at_zero": by_angle[round(0.0, 12)],
-            "objective_at_half_pi": by_angle[round(math.pi / 2, 12)],
-            "reference_angle": theta_ref,
-            "line_angle": theta_star,
-            "k": labelled.k,
-        },
-    )
+    return theta_star, {
+        "objective_at_returned": obj_star,
+        "objective_at_zero": by_angle[round(0.0, 12)],
+        "objective_at_half_pi": by_angle[round(math.pi / 2, 12)],
+    }
+
+
+def _calibrate(
+    events, modes, k, bin_width, grid_step_deg, smoothing_sigma, min_prominence, detector, window_ps
+):
+    """Label the events once, then fit every mode in ``modes`` from that one
+    labelling; returns {mode: (CalibrationModel, MixtureFitReport)}."""
+    labelled, theta_ref = _label_events(events, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg)
+    fits = {}
+    for mode in modes:
+        if mode == OPTIMAL:
+            theta, extra = _angle_scan(labelled, grid_step_deg)
+            extra.update(reference_angle=theta_ref, line_angle=theta, k=labelled.k)
+        else:
+            theta, extra = 0.0, {"reference_angle": theta_ref, "k": labelled.k}
+        fits[mode] = _finalize_model(
+            labelled, theta, mode, bin_width, detector=detector, window_ps=window_ps, extra=extra
+        )
+    return fits
+
+
+def optimize_angle(
+    events,
+    k: int | None = None,
+    *,
+    bin_width: float = DEFAULT_BIN_WIDTH,
+    grid_step_deg: float = 2.0,
+    smoothing_sigma: float = 2.0,
+    min_prominence: float = 0.05,
+    detector: str | None = None,
+    window_ps: float | None = None,
+) -> AngleSearchResult:
+    """Search separating-line angles for minimal total off-diagonal crosstalk.
+
+    Events are labelled once at a well-separated reference projection,
+    found by scanning the distinct (rise, fall) pairs with their
+    multiplicities.  Each trial angle is then scored from per-label
+    Gaussian moments, which follow in closed form from the label means and
+    (co)variances of rise and fall, so a trial costs O(k) and the scan is
+    deterministic.  The scan covers a full grid on [0, pi) including the
+    rising-only (0) and falling-only (pi/2) axes, refines the best bracket
+    by golden section, and finishes with a full Voigt mixture fit of the
+    events at the winning angle.
+    """
+    model, report = _calibrate(
+        events, (OPTIMAL,), k, bin_width, grid_step_deg, smoothing_sigma, min_prominence, detector, window_ps
+    )[OPTIMAL]
     return AngleSearchResult(
         angle=model.angle,
         components=model.components,
         boundaries=model.boundaries,
         crosstalk=model.crosstalk,
-        objective=obj_star,
+        objective=model.diagnostics["objective_at_returned"],
         fit_report=report,
         diagnostics=model.diagnostics,
         model=model,
@@ -916,36 +1002,11 @@ def calibrate_events(
     window_ps: float | None = None,
 ) -> CalibrationModel:
     """Build one CalibrationModel in the requested mode."""
-    if mode == OPTIMAL:
-        return optimize_angle(
-            events,
-            k,
-            bin_width=bin_width,
-            grid_step_deg=grid_step_deg,
-            smoothing_sigma=smoothing_sigma,
-            min_prominence=min_prominence,
-            detector=detector,
-            window_ps=window_ps,
-        ).model
-    if mode != RISING_ONLY:
+    if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    rise, fall = _detected_arrays(events)
-    if rise.size == 0:
-        raise EmptySampleError("no detected events to calibrate")
-    labelled, theta_ref = _label_events(
-        rise, fall, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg
-    )
-    if rise.size < 50 * labelled.k:
-        raise InsufficientDataError(f"need at least {50 * labelled.k} detected events, got {rise.size}")
-    model, _ = _finalize_model(
-        labelled,
-        0.0,
-        RISING_ONLY,
-        bin_width,
-        detector=detector,
-        window_ps=window_ps,
-        extra={"reference_angle": theta_ref, "k": labelled.k},
-    )
+    model, _ = _calibrate(
+        events, (mode,), k, bin_width, grid_step_deg, smoothing_sigma, min_prominence, detector, window_ps
+    )[mode]
     return model
 
 
@@ -960,36 +1021,14 @@ def calibrate_both(
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> dict:
-    """Rising-only and optimal-angle models sharing one component count so
-    their crosstalk matrices compare photon class by photon class."""
-    rise, fall = _detected_arrays(events)
-    if rise.size == 0:
-        raise EmptySampleError("no detected events to calibrate")
-    labelled, theta_ref = _label_events(
-        rise, fall, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg
+    """Rising-only and optimal-angle models from one labelling, so they
+    share one component count and their crosstalk matrices compare photon
+    class by photon class."""
+    fits = _calibrate(
+        events, (OPTIMAL, RISING_ONLY), k, bin_width, grid_step_deg, smoothing_sigma, min_prominence,
+        detector, window_ps,
     )
-    if rise.size < 50 * labelled.k:
-        raise InsufficientDataError(f"need at least {50 * labelled.k} detected events, got {rise.size}")
-    optimal = optimize_angle(
-        events,
-        labelled.k,
-        bin_width=bin_width,
-        grid_step_deg=grid_step_deg,
-        smoothing_sigma=smoothing_sigma,
-        min_prominence=min_prominence,
-        detector=detector,
-        window_ps=window_ps,
-    ).model
-    rising, _ = _finalize_model(
-        labelled,
-        0.0,
-        RISING_ONLY,
-        bin_width,
-        detector=detector,
-        window_ps=window_ps,
-        extra={"reference_angle": theta_ref, "k": labelled.k},
-    )
-    return {RISING_ONLY: rising, OPTIMAL: optimal}
+    return {RISING_ONLY: fits[RISING_ONLY][0], OPTIMAL: fits[OPTIMAL][0]}
 
 
 def total_offdiagonal(crosstalk: np.ndarray, weights=None) -> float:

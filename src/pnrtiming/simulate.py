@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np

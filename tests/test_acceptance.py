@@ -190,8 +190,12 @@ def test_criterion_5_crosstalk_matches_monte_carlo(report, models_100k):
         samples = comp.center + rng.normal(0.0, comp.sigma, n_i) + comp.gamma * rng.standard_cauchy(n_i)
         observed = np.bincount(classify(samples, model.boundaries), minlength=model.k)
         p = predicted[i]
-        sigma = np.sqrt(n_i * p * (1.0 - p))
+        # a rounding-negative p would make sigma NaN, and max() would then
+        # silently drop the whole row
+        q = np.clip(p, 0.0, 1.0)
+        sigma = np.sqrt(n_i * q * (1.0 - q))
         z = np.abs(observed - n_i * p) / np.maximum(sigma, 1.0)
+        assert np.all(np.isfinite(z)), f"non-finite z in row {i}: {z}"
         worst = max(worst, float(z.max()))
     report(5, worst < 3.0, f"max per-cell |z| = {worst:.2f} over {model.k}x{model.k} cells")
 

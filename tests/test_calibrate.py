@@ -6,11 +6,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.ndimage import gaussian_filter1d
+from scipy.optimize import brentq
+from scipy.signal import find_peaks as scipy_find_peaks
 from scipy.stats import norm
 
+import pnrtiming.calibrate as cal
 from pnrtiming import (
     VoigtComponent,
     build_histogram,
+    calibrate_both,
     calibrate_events,
     crosstalk_matrix,
     find_peaks,
@@ -184,6 +189,45 @@ def test_boundaries_need_at_least_two_components():
         optimize_boundaries([VoigtComponent(0.0, 1.0, 0.0, 1.0)])
 
 
+def gaussian_crossing_oracle(c1, s1, w1, c2, s2, w2):
+    """Crossing of two weighted Gaussian densities by root bracketing, with
+    the midpoint when they do not cross between the centers."""
+
+    def diff(x):
+        a = w1 / (s1 * math.sqrt(2 * math.pi)) * math.exp(-0.5 * ((x - c1) / s1) ** 2)
+        b = w2 / (s2 * math.sqrt(2 * math.pi)) * math.exp(-0.5 * ((x - c2) / s2) ** 2)
+        return a - b
+
+    a = c1 + 1e-9 * (c2 - c1)
+    b = c2 - 1e-9 * (c2 - c1)
+    if diff(a) <= 0 or diff(b) >= 0:
+        return 0.5 * (c1 + c2)
+    return brentq(diff, a, b)
+
+
+def test_gaussian_crossing_closed_form_matches_root_bracketing():
+    rng = np.random.default_rng(31)
+    fallbacks = 0
+    for i in range(600):
+        s1 = float(rng.uniform(0.5, 15.0))
+        # every third pair has equal widths: the crossing equation is linear
+        s2 = s1 if i % 3 == 0 else float(rng.uniform(0.5, 15.0))
+        # within 8 of the wider sigma, neither density underflows at the
+        # crossing, where the oracle would see a flat zero difference
+        c1 = float(rng.uniform(1000.0, 2500.0))
+        c2 = c1 + float(rng.uniform(0.1, 8.0)) * max(s1, s2)
+        w1, w2 = (float(v) for v in rng.uniform(0.01, 1.0, 2))
+        want = gaussian_crossing_oracle(c1, s1, w1, c2, s2, w2)
+        got = cal._gaussian_pair_boundary(c1, s1, w1, c2, s2, w2)
+        if want == 0.5 * (c1 + c2):
+            fallbacks += 1
+            assert got == want
+        else:
+            assert c1 < got < c2
+            assert got == pytest.approx(want, rel=0.0, abs=1e-9)
+    assert 0 < fallbacks < 300
+
+
 # ---------------------------------------------------------------- crosstalk
 
 def test_far_separated_components_give_identity():
@@ -253,6 +297,26 @@ def test_symmetric_pair_crosstalk_is_the_tail_integral():
     q = float(norm.sf(2.5, scale=1.3))
     mg = crosstalk_matrix(gauss, optimize_boundaries(gauss))
     np.testing.assert_allclose(mg, [[1 - q, q], [q, 1 - q]], atol=1e-9)
+
+
+def test_crosstalk_cells_never_go_negative():
+    # quadrature put the CDF of component 4 at boundary 4 one rounding step
+    # below its CDF at boundary 3, which made cell (4, 3) -1.1e-16
+    gamma = 4.248354255291589e-18
+    comps = [
+        VoigtComponent(1235.5577513071992, 1.3051450729978273, gamma, 0.11529526604160324),
+        VoigtComponent(1768.5137367650475, 1.3121156153807123, gamma, 0.19549670170709604),
+        VoigtComponent(1932.893225998985, 1.2987833936016844, gamma, 0.22722171966121563),
+        VoigtComponent(1994.2577825873225, 1.2966957828571397, gamma, 0.1939670463926024),
+        VoigtComponent(2018.7209355306168, 1.2995372962429679, gamma, 0.13100183829703435),
+        VoigtComponent(2028.9123548946102, 1.3202448147199584, gamma, 0.1370174279004483),
+    ]
+    bounds = [
+        1467.0629676377328, 1847.6176181361473, 1964.7822123538817, 2006.5185015515997, 2023.7714703163886
+    ]
+    m = crosstalk_matrix(comps, bounds)
+    assert m.min() >= 0.0
+    np.testing.assert_allclose(m.sum(axis=1), np.ones(6), rtol=0.0, atol=1e-12)
 
 
 def test_classify_ties_go_to_the_lower_class():
@@ -438,6 +502,111 @@ def test_angle_search_rejects_empty_and_tiny_samples():
     rng = np.random.default_rng(2)
     with pytest.raises((InsufficientDataError, CalibrationError)):
         optimize_angle((rng.normal(0, 1, 30), rng.normal(5, 1, 30)))
+
+
+def per_event_labelling(rise, fall, k):
+    """Reference scan and labelling, at the default calibration settings,
+    that project and histogram every event at every angle; returns
+    (n_peaks, depth, conc, theta_ref, labels)."""
+
+    def ranked_peaks(counts):
+        smoothed = gaussian_filter1d(counts.astype(float), 2.0)
+        idx, props = scipy_find_peaks(smoothed, prominence=0.05 * max(smoothed.max(), 1e-12))
+        return idx, props["prominences"], smoothed
+
+    angles = np.deg2rad(np.arange(0.0, 180.0, 2.0))
+    n_peaks = np.zeros(angles.size, dtype=int)
+    depth = np.zeros(angles.size)
+    conc = np.zeros(angles.size)
+    for i, theta in enumerate(angles):
+        counts, _, _ = histogram_1d(rise * math.cos(theta) + fall * math.sin(theta), 0.5)
+        idx, _, smoothed = ranked_peaks(counts)
+        p = counts / counts.sum()
+        n_peaks[i] = idx.size
+        conc[i] = float(np.sum(p * p))
+        if idx.size > 1:
+            depth[i] = min(
+                1.0 - float(smoothed[a : b + 1].min()) / min(smoothed[a], smoothed[b])
+                for a, b in zip(idx[:-1], idx[1:])
+            )
+    theta_ref = float(angles[np.lexsort((conc, depth, n_peaks))[-1]])
+    coords = rise * math.cos(theta_ref) + fall * math.sin(theta_ref)
+    counts, centers, _ = histogram_1d(coords, 0.5)
+    idx, prom, smoothed = ranked_peaks(counts)
+    k = idx.size if k is None else k
+    if idx.size > k:
+        idx = idx[np.sort(np.argsort(prom)[::-1][:k])]
+    if idx.size == k:
+        cut = np.array([centers[a + int(np.argmin(smoothed[a : b + 1]))] for a, b in zip(idx[:-1], idx[1:])])
+    else:
+        peak_centers = cal._complete_centers(coords, centers[idx], k)
+        cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
+    return n_peaks, depth, conc, theta_ref, np.searchsorted(cut, coords)
+
+
+def three_cluster_sample(n=20_000, seed=41):
+    # continuous delays: every (rise, fall) pair is distinct
+    rng = np.random.default_rng(seed)
+    cls = rng.integers(0, 3, n)
+    shared = rng.normal(0.0, 2.0, n)
+    rise = np.array([30.0, 20.0, 10.0])[cls] + shared + rng.normal(0, 1.0, n)
+    fall = np.array([100.0, 106.0, 112.0])[cls] + shared + rng.normal(0, 1.0, n)
+    return rise, fall
+
+
+@pytest.mark.parametrize(
+    "sample, k", [("simulated", None), ("simulated", 3), ("simulated", 9), ("continuous", None)]
+)
+def test_distinct_pair_labelling_matches_per_event_scan(sample, k, events_a):
+    rise, fall = events_a.detected() if sample == "simulated" else three_cluster_sample()
+    n_peaks, depth, conc, theta_ref, labels = per_event_labelling(rise, fall, k)
+
+    pairs = cal._distinct_pairs(rise, fall)
+    assert pairs[2].sum() == rise.size
+    if sample == "simulated":
+        assert pairs[0].size < rise.size  # delays on the tag grid repeat
+    angles = np.deg2rad(np.arange(0.0, 180.0, 2.0))
+    got = cal._reference_scan(pairs, angles, 0.5, 2.0, 0.05)
+    np.testing.assert_array_equal(got[0], n_peaks)
+    np.testing.assert_array_equal(got[1], depth)
+    np.testing.assert_array_equal(got[2], conc)
+
+    labelled, got_theta = cal._label_events((rise, fall), k, 0.5, 2.0, 0.05, 2.0)
+    assert got_theta == theta_ref
+    _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
+    np.testing.assert_array_equal(labelled.labels[pair_of_event], labels)
+    np.testing.assert_array_equal(labelled.counts, np.bincount(labels, minlength=labelled.k))
+
+
+def test_label_moments_match_direct_projection(events_a):
+    rise, fall = events_a.detected()
+    labelled, _ = cal._label_events(events_a, None, 0.5, 2.0, 0.05, 2.0)
+    _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
+    labels = labelled.labels[pair_of_event]
+    rng = np.random.default_rng(12)
+    for angle in rng.uniform(0.0, 2.0 * math.pi, 12):
+        coords = rise * math.cos(angle) + fall * math.sin(angle)
+        mean, sigma = labelled.moments(float(angle))
+        cells = [coords[labels == j] for j in range(labelled.k)]
+        # a projected mean can pass through zero; 1e-9 ps is far below any bin
+        np.testing.assert_allclose(mean, [c.mean() for c in cells], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(sigma, [c.std() for c in cells], rtol=1e-9)
+
+
+def test_calibrate_both_labels_the_events_once(events_a, monkeypatch):
+    calls = []
+    original = cal._label_events
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cal, "_label_events", counting)
+    models = calibrate_both(events_a)
+    assert len(calls) == 1
+    optimal, rising = models["optimal"], models["rising_only"]
+    assert optimal.k == rising.k
+    assert optimal.diagnostics["reference_angle"] == rising.diagnostics["reference_angle"]
 
 
 # ---------------------------------------------------------------- model object
