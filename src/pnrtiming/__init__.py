@@ -7,7 +7,6 @@ resulting photon statistics.
 """
 
 from .calibrate import (
-    AngleSearchResult,
     CalibrationModel,
     VoigtComponent,
     adjacent_pair_crosstalk,
@@ -19,7 +18,6 @@ from .calibrate import (
     fit_mixture,
     find_peaks,
     mixture_pdf,
-    optimize_angle,
     optimize_boundaries,
     project,
     total_offdiagonal,
@@ -44,12 +42,20 @@ from .simulate import (
     sample_source,
     simulate_stream,
 )
-from .timetags import EdgeEvent, EdgeEventSet, TagBlock, TimeTag, pair_edges, read_stream, read_tag_block, write_stream
+from .timetags import (
+    EdgeEvent,
+    EdgeEventSet,
+    TagBlock,
+    TimeTag,
+    iter_tag_blocks,
+    pair_edges,
+    read_tag_block,
+    write_stream,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSearchResult",
     "CalibrationModel",
     "EdgeEvent",
     "EdgeEventSet",
@@ -80,13 +86,12 @@ __all__ = [
     "fit_mixture",
     "fit_poisson_mu",
     "hom_contrast",
+    "iter_tag_blocks",
     "mixture_pdf",
-    "optimize_angle",
     "optimize_boundaries",
     "pair_edges",
     "project",
     "total_offdiagonal",
-    "read_stream",
     "read_tag_block",
     "sample_source",
     "simulate_stream",

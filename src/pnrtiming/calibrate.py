@@ -178,8 +178,7 @@ def find_peaks(counts, centers=None, smoothing_sigma: float = 2.0, min_prominenc
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0 or counts.max() <= 0:
         raise CalibrationError("empty histogram, no peaks to find")
-    smoothed = gaussian_filter1d(counts, smoothing_sigma)
-    idx, props = _scipy_find_peaks(smoothed, prominence=min_prominence * smoothed.max())
+    idx, _, _ = _peak_indices_ranked(counts, smoothing_sigma, min_prominence)
     if idx.size == 0:
         raise CalibrationError("no peaks found in projected histogram")
     if centers is None:
@@ -188,6 +187,9 @@ def find_peaks(counts, centers=None, smoothing_sigma: float = 2.0, min_prominenc
 
 
 def _peak_indices_ranked(counts: np.ndarray, smoothing_sigma: float, min_prominence: float):
+    """Smooth with a Gaussian kernel (sigma in bins) and keep the local maxima
+    whose prominence reaches min_prominence of the smoothed maximum; returns
+    (indices, prominences, smoothed counts)."""
     smoothed = gaussian_filter1d(np.asarray(counts, dtype=float), smoothing_sigma)
     idx, props = _scipy_find_peaks(smoothed, prominence=min_prominence * max(smoothed.max(), 1e-12))
     return idx, props.get("prominences", np.zeros(idx.size)), smoothed
@@ -498,25 +500,6 @@ def classify(coords, boundaries) -> np.ndarray:
 # Angle optimization
 
 
-@dataclass(eq=False)
-class AngleSearchResult:
-    """Winning angle with its fitted mixture, boundaries, and bookkeeping.
-
-    ``model`` bundles the same fit as a serializable CalibrationModel;
-    ``objective`` is the Gaussian-moment crosstalk score minimized by the
-    scan (diagnostics carry its values at angles 0 and pi/2).
-    """
-
-    angle: float
-    components: list
-    boundaries: np.ndarray
-    crosstalk: np.ndarray
-    objective: float
-    fit_report: MixtureFitReport
-    diagnostics: dict
-    model: "CalibrationModel"
-
-
 def _golden_min(f, a: float, b: float, tol: float, evals: list):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -746,7 +729,7 @@ def _orientation_flip(rise, coords, labels, k) -> bool:
 
 def _finalize_model(labelled, theta_line, mode, bin_width, detector=None, window_ps=None, extra=None):
     """Full Voigt fit at a chosen separating line plus orientation, boundary,
-    and crosstalk assembly; returns (CalibrationModel, MixtureFitReport)."""
+    and crosstalk assembly."""
     angle = float(theta_line % math.pi) if mode == OPTIMAL else 0.0
     coords = labelled.rise * math.cos(angle) + labelled.fall * math.sin(angle)
     mean, _ = labelled.moments(angle)
@@ -765,7 +748,7 @@ def _finalize_model(labelled, theta_line, mode, bin_width, detector=None, window
     diagnostics = {"boundary_fallback_pairs": fallback, "fit": _report_summary(report)}
     if extra:
         diagnostics.update(extra)
-    model = CalibrationModel(
+    return CalibrationModel(
         mode=mode,
         angle=angle,
         components=components,
@@ -775,7 +758,6 @@ def _finalize_model(labelled, theta_line, mode, bin_width, detector=None, window
         window_ps=window_ps,
         diagnostics=diagnostics,
     )
-    return model, report
 
 
 def _report_summary(report: MixtureFitReport) -> dict:
@@ -828,7 +810,7 @@ def _calibrate(
     events, modes, k, bin_width, grid_step_deg, smoothing_sigma, min_prominence, detector, window_ps
 ):
     """Label the events once, then fit every mode in ``modes`` from that one
-    labelling; returns {mode: (CalibrationModel, MixtureFitReport)}."""
+    labelling; returns {mode: CalibrationModel}."""
     labelled, theta_ref = _label_events(events, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg)
     fits = {}
     for mode in modes:
@@ -841,44 +823,6 @@ def _calibrate(
             labelled, theta, mode, bin_width, detector=detector, window_ps=window_ps, extra=extra
         )
     return fits
-
-
-def optimize_angle(
-    events,
-    k: int | None = None,
-    *,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    grid_step_deg: float = 2.0,
-    smoothing_sigma: float = 2.0,
-    min_prominence: float = 0.05,
-    detector: str | None = None,
-    window_ps: float | None = None,
-) -> AngleSearchResult:
-    """Search separating-line angles for minimal total off-diagonal crosstalk.
-
-    Events are labelled once at a well-separated reference projection,
-    found by scanning the distinct (rise, fall) pairs with their
-    multiplicities.  Each trial angle is then scored from per-label
-    Gaussian moments, which follow in closed form from the label means and
-    (co)variances of rise and fall, so a trial costs O(k) and the scan is
-    deterministic.  The scan covers a full grid on [0, pi) including the
-    rising-only (0) and falling-only (pi/2) axes, refines the best bracket
-    by golden section, and finishes with a full Voigt mixture fit of the
-    events at the winning angle.
-    """
-    model, report = _calibrate(
-        events, (OPTIMAL,), k, bin_width, grid_step_deg, smoothing_sigma, min_prominence, detector, window_ps
-    )[OPTIMAL]
-    return AngleSearchResult(
-        angle=model.angle,
-        components=model.components,
-        boundaries=model.boundaries,
-        crosstalk=model.crosstalk,
-        objective=model.diagnostics["objective_at_returned"],
-        fit_report=report,
-        diagnostics=model.diagnostics,
-        model=model,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1001,13 +945,23 @@ def calibrate_events(
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> CalibrationModel:
-    """Build one CalibrationModel in the requested mode."""
+    """Build one CalibrationModel in the requested mode.
+
+    Events are labelled once at a well-separated reference projection,
+    found by scanning the distinct (rise, fall) pairs with their
+    multiplicities.  In the optimal mode each trial angle is then scored
+    from per-label Gaussian moments, which follow in closed form from the
+    label means and (co)variances of rise and fall, so a trial costs O(k)
+    and the scan is deterministic.  The scan covers a full grid on [0, pi)
+    including the rising-only (0) and falling-only (pi/2) axes and refines
+    the best bracket by golden section.  Either mode finishes with a full
+    Voigt mixture fit of the events at its angle.
+    """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    model, _ = _calibrate(
+    return _calibrate(
         events, (mode,), k, bin_width, grid_step_deg, smoothing_sigma, min_prominence, detector, window_ps
     )[mode]
-    return model
 
 
 def calibrate_both(
@@ -1028,7 +982,7 @@ def calibrate_both(
         events, (OPTIMAL, RISING_ONLY), k, bin_width, grid_step_deg, smoothing_sigma, min_prominence,
         detector, window_ps,
     )
-    return {RISING_ONLY: fits[RISING_ONLY][0], OPTIMAL: fits[OPTIMAL][0]}
+    return {RISING_ONLY: fits[RISING_ONLY], OPTIMAL: fits[OPTIMAL]}
 
 
 def total_offdiagonal(crosstalk: np.ndarray, weights=None) -> float:

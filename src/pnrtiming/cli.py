@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -141,7 +142,15 @@ def _write_crosstalk_csv(path, crosstalk) -> None:
             f.write(f"{i + 1}," + ",".join(f"{v:.9g}" for v in row) + "\n")
 
 
+def _check_window(window: float) -> None:
+    if not 0 < window < math.inf:
+        raise ConfigError(f"--window must be a positive, finite number of ps, not {window}")
+
+
 def cmd_calibrate(args) -> int:
+    _check_window(args.window)
+    if args.k is not None and args.k < 1:
+        raise ConfigError(f"--k must be at least 1, not {args.k}")
     block = read_tag_block(args.tagfile)
     events = pair_edges(block, args.window, detector=args.detector)
     out = _out_dir(args)
@@ -177,6 +186,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.window is not None:
+        _check_window(args.window)
     model = cal.CalibrationModel.load_json(args.calibration)
     block = read_tag_block(args.tagfile)
     if not np.any(block.channels == 0):
@@ -210,6 +221,8 @@ def _load_records(path) -> PhotonRecordSet:
 
 
 def cmd_stats(args) -> int:
+    if args.tail_from < 1:
+        raise ConfigError(f"--tail-from must be at least 1, not {args.tail_from}")
     records = _load_records(args.records)
     dist = ps.NumberDistribution.from_records(records, n_max=args.n_max)
     fit = ps.fit_poisson_mu(dist, tail_from=args.tail_from)

@@ -105,6 +105,8 @@ class PhotonRecordSet:
         return cls(detector, window, data[:, 0], data[:, 1], data[:, 2].astype(np.int16))
 
     def to_binary(self, path) -> None:
+        if len(self) and not 0 <= self.trigger_index.min() <= self.trigger_index.max() < 2**32:
+            raise DataError(".pnrec stores trigger_index as u32; this set reaches beyond [0, 2**32)")
         arr = np.empty(len(self), dtype=_REC_DTYPE)
         arr["trigger_index"] = self.trigger_index
         arr["n"] = self.n

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import UndetectablePulseError
+from .errors import ConfigError, UndetectablePulseError
 from .timetags import UNITS_PER_PS, TagBlock
 
 _CHUNK = 1 << 16  # triggers per RNG chunk; fixed so output is worker-count independent
@@ -345,13 +345,20 @@ def simulate_stream(
 
     Randomness is drawn per fixed-size trigger chunk from seeds derived as
     (seed, chunk index, stream), so the output is byte-identical for a given
-    seed regardless of ``workers``.
+    seed regardless of ``workers``.  A trigger period no longer than the
+    longest pulse raises ConfigError.
     """
     if n_triggers < 0:
         raise ValueError("n_triggers must be non-negative")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     rise_tab, fall_tab = edge_delay_table(pulse)
+    period_ps = 1e12 / spec.repetition_rate_hz
+    if not period_ps > fall_tab.max():
+        raise ConfigError(
+            f"trigger period {period_ps:.4g} ps is not longer than the {fall_tab.max():.4g} ps pulse; "
+            "pulses would pile up, which the pulse model does not describe"
+        )
     jobs = list(_chunk_ranges(n_triggers))
 
     def run(job):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ _RECORD_DTYPE = np.dtype(
     ]
 )
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 16 bytes
-_READ_CHUNK = 1 << 16
+_CHUNK_BYTES = 1 << 22  # 4 MiB per read, a whole number of records
 
 
 class TimeTag(NamedTuple):
@@ -87,11 +87,7 @@ class TagBlock:
         return TagBlock(self.channels[order], self.timestamps[order])
 
     def is_sorted(self) -> bool:
-        ts, ch = self.timestamps, self.channels.astype(np.int16)
-        if ts.size < 2:
-            return True
-        dts = np.diff(ts)
-        return bool(np.all((dts > 0) | ((dts == 0) & (np.diff(ch) >= 0))))
+        return _first_out_of_order(self) is None
 
     def __len__(self) -> int:
         return self.channels.size
@@ -102,6 +98,19 @@ class TagBlock:
     def __iter__(self) -> Iterator[TimeTag]:
         for c, t in zip(self.channels, self.timestamps):
             yield TimeTag(int(c), int(t))
+
+
+def _first_out_of_order(block: TagBlock) -> int | None:
+    """Index of the first tag that sorts before its predecessor by
+    (timestamp, channel), or None when the block is in order."""
+    ts, ch = block.timestamps, block.channels
+    if ts.size < 2:
+        return None
+    bad = ts[1:] < ts[:-1]
+    tie = np.flatnonzero(ts[1:] == ts[:-1])
+    bad[tie[ch[tie + 1] < ch[tie]]] = True
+    i = int(np.argmax(bad))
+    return i + 1 if bad[i] else None
 
 
 def as_tag_block(tags) -> TagBlock:
@@ -129,11 +138,9 @@ def write_stream(tags, sink, *, epoch_note: str = "") -> int:
     StreamOrderError rather than silently reordering.
     """
     block = as_tag_block(tags)
-    if not block.is_sorted():
-        ts, ch = block.timestamps, block.channels.astype(np.int16)
-        dts = np.diff(ts)
-        bad = np.nonzero((dts < 0) | ((dts == 0) & (np.diff(ch) < 0)))[0]
-        raise StreamOrderError(f"tags out of order at record {int(bad[0]) + 1}")
+    bad = _first_out_of_order(block)
+    if bad is not None:
+        raise StreamOrderError(f"tags out of order at record {bad}")
     note = epoch_note.encode("utf-8")
     if len(note) > 0xFFFF:
         raise ValueError("epoch note longer than 65535 bytes")
@@ -162,8 +169,21 @@ class _Header(NamedTuple):
     size_bytes: int
 
 
+def _read_full(f, n: int) -> bytes:
+    """Up to n bytes, fewer only at the end of the stream, from a source
+    whose ``read`` may return short."""
+    parts, got = [], 0
+    while got < n:
+        part = f.read(n - got)
+        if not part:
+            break
+        parts.append(part)
+        got += len(part)
+    return b"".join(parts)
+
+
 def _read_header(f) -> _Header:
-    raw = f.read(_HEADER_FIXED.size)
+    raw = _read_full(f, _HEADER_FIXED.size)
     if len(raw) < _HEADER_FIXED.size:
         raise StreamFormatError("stream shorter than the fixed header", byte_offset=len(raw))
     magic, version, resolution, channels, note_len = _HEADER_FIXED.unpack(raw)
@@ -173,7 +193,7 @@ def _read_header(f) -> _Header:
         raise StreamFormatError(f"unsupported format version {version}")
     if resolution != RESOLUTION_CODE:
         raise StreamFormatError(f"unsupported resolution code {resolution}")
-    note = f.read(note_len)
+    note = _read_full(f, note_len)
     if len(note) < note_len:
         raise StreamFormatError("truncated epoch note", byte_offset=_HEADER_FIXED.size + len(note))
     return _Header(version, resolution, channels, note.decode("utf-8"), _HEADER_FIXED.size + note_len)
@@ -189,75 +209,44 @@ def _check_channels(channels: np.ndarray, header: _Header, offset: int):
         )
 
 
-def read_stream(source) -> Iterator[TimeTag]:
-    """Stream tags from a byte source one at a time with bounded memory.
+def iter_tag_blocks(source) -> Iterator[TagBlock]:
+    """Read a stream as TagBlock chunks of at most 4 MiB of records each.
 
-    Header errors raise immediately; record errors raise during iteration
-    with the byte offset of the offending record.
+    Each chunk holds read-only views of the bytes it was read from, so a
+    caller that drops each chunk before taking the next keeps memory
+    bounded by one chunk.  Header and record errors raise
+    StreamFormatError during iteration, with the byte offset of the
+    offending record; the chunks before it have been yielded by then.
     """
-    f, should_close = _open_source(source)
-    header = _read_header(f)
-
-    def _gen():
-        try:
-            offset = header.size_bytes
-            carry = b""
-            while True:
-                chunk = f.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                buf = carry + chunk
-                n_rec = len(buf) // RECORD_SIZE
-                usable = n_rec * RECORD_SIZE
-                if n_rec:
-                    records = np.frombuffer(buf[:usable], dtype=_RECORD_DTYPE)
-                    _check_channels(records["channel"], header, offset)
-                    for c, t in zip(records["channel"], records["timestamp"]):
-                        yield TimeTag(int(c), int(t))
-                carry = buf[usable:]
-                offset += usable
-            if carry:
-                raise StreamFormatError(
-                    f"truncated record: {len(carry)} trailing bytes", byte_offset=offset
-                )
-        finally:
-            if should_close:
-                f.close()
-
-    return _gen()
-
-
-def read_tag_block(source) -> TagBlock:
-    """Load a whole stream into arrays (fast path; see read_stream for bounded memory)."""
     f, should_close = _open_source(source)
     try:
         header = _read_header(f)
         offset = header.size_bytes
-        parts = []
-        carry = b""
         while True:
-            chunk = f.read(1 << 22)
-            if not chunk:
-                break
-            buf = carry + chunk
-            usable = (len(buf) // RECORD_SIZE) * RECORD_SIZE
-            if usable:
-                records = np.frombuffer(buf[:usable], dtype=_RECORD_DTYPE).copy()
+            buf = _read_full(f, _CHUNK_BYTES)
+            n, tail = divmod(len(buf), RECORD_SIZE)
+            if n:
+                records = np.frombuffer(buf, dtype=_RECORD_DTYPE, count=n)
                 _check_channels(records["channel"], header, offset)
-                parts.append(records)
-            carry = buf[usable:]
-            offset += usable
-        if carry:
-            raise StreamFormatError(
-                f"truncated record: {len(carry)} trailing bytes", byte_offset=offset
-            )
+                yield TagBlock(records["channel"], records["timestamp"])
+            offset += n * RECORD_SIZE
+            if tail:
+                raise StreamFormatError(f"truncated record: {tail} trailing bytes", byte_offset=offset)
+            if len(buf) < _CHUNK_BYTES:
+                return
     finally:
         if should_close:
             f.close()
-    if not parts:
+
+
+def read_tag_block(source) -> TagBlock:
+    """Load a whole stream into one TagBlock: the chunks of iter_tag_blocks, concatenated."""
+    blocks = list(iter_tag_blocks(source))
+    if not blocks:
         return TagBlock(np.empty(0, np.uint8), np.empty(0, np.int64))
-    records = np.concatenate(parts)
-    return TagBlock(records["channel"].astype(np.uint8), records["timestamp"].astype(np.int64))
+    return TagBlock(
+        np.concatenate([b.channels for b in blocks]), np.concatenate([b.timestamps for b in blocks])
+    )
 
 
 @dataclass(eq=False)
@@ -305,50 +294,27 @@ class EdgeEventSet:
         }
 
 
-def _pair_vectorized(trig, rise, fall, w):
-    ri = np.searchsorted(rise, trig, side="left")
-    safe_r = np.minimum(ri, max(rise.size - 1, 0))
-    rv = rise[safe_r] if rise.size else np.zeros_like(trig)
-    ok_r = (ri < rise.size) & (rv <= trig + w)
-
-    fi = np.searchsorted(fall, rv, side="right")
-    safe_f = np.minimum(fi, max(fall.size - 1, 0))
-    fv = fall[safe_f] if fall.size else np.zeros_like(trig)
-    ok = ok_r & (fi < fall.size) & (fv <= trig + w)
-    return ok, np.where(ok, rv, 0), np.where(ok, fv, 0)
-
-
-def _pair_loop(trig, rise, fall, w):
-    n = trig.size
-    ok = np.zeros(n, dtype=bool)
-    rv = np.zeros(n, dtype=np.int64)
-    fv = np.zeros(n, dtype=np.int64)
-    r_front = 0
-    f_front = 0
-    for i in range(n):
-        t = int(trig[i])
-        j = max(r_front, int(np.searchsorted(rise, t, side="left")))
-        if j >= rise.size or int(rise[j]) > t + w:
-            continue
-        r = int(rise[j])
-        r_front = j + 1  # rise consumed even if no fall follows
-        m = max(f_front, int(np.searchsorted(fall, r, side="right")))
-        if m >= fall.size or int(fall[m]) > t + w:
-            continue
-        f_front = m + 1
-        ok[i] = True
-        rv[i] = r
-        fv[i] = int(fall[m])
-    return ok, rv, fv
+def _gather(a: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a[idx], idx < a.size); clamps ``idx`` in place, and out-of-range
+    entries get an arbitrary value."""
+    inside = idx < a.size
+    if not a.size:
+        return np.zeros(idx.size, a.dtype), inside
+    np.minimum(idx, a.size - 1, out=idx)
+    return a[idx], inside
 
 
 def pair_edges(tags, window_ps: float, detector: str = "A") -> EdgeEventSet:
-    """Pair each trigger with the first rising and subsequent falling edge in its window.
+    """Pair each trigger with one rising and one falling edge of the detector.
 
-    Greedy first-match in trigger order; every detector tag is consumed at
-    most once.  A rising edge without a falling partner inside the window,
-    and any detector tag never consumed into a detection, is counted under
-    ``orphan_edges`` and excluded.
+    A rise belongs to the latest trigger at or before it (on a timestamp
+    tie, to the later trigger), and a fall to the latest rise strictly
+    before it.  Trigger t takes the first rise r it owns and the first fall
+    f after r, provided f belongs to r, i.e. no other rise lies in [r, f).
+    It is a detection when r and f both lie in [t, t + window].  The rule
+    is the same whether or not the windows of neighbouring triggers
+    overlap.  Every detector tag not paired into a detection is counted
+    under ``orphan_edges``.
     """
     if detector not in DETECTOR_CHANNELS:
         raise ValueError(f"unknown detector {detector!r}")
@@ -362,27 +328,29 @@ def pair_edges(tags, window_ps: float, detector: str = "A") -> EdgeEventSet:
     trig = block.timestamps[block.channels == CH_TRIGGER]
     rise = block.timestamps[block.channels == ch_rise]
     fall = block.timestamps[block.channels == ch_fall]
-    w = int(round(window_ps * UNITS_PER_PS))
+    end = trig + int(round(window_ps * UNITS_PER_PS))
 
-    disjoint = trig.size < 2 or bool(np.all(trig[1:] > trig[:-1] + w))
-    if disjoint:
-        ok, rv, fv = _pair_vectorized(trig, rise, fall, w)
-    else:
-        ok, rv, fv = _pair_loop(trig, rise, fall, w)
+    j = np.searchsorted(rise, trig)  # first rise at or after each trigger
+    r, ok = _gather(rise, j)
+    ok &= r <= end
+    ok[:-1] &= r[:-1] < trig[1:]  # the next trigger owns a rise at or after it
+    f, has_fall = _gather(fall, np.searchsorted(fall, r, side="right"))
+    ok &= has_fall & (f <= end)
+    after, has_after = _gather(rise, j + 1)
+    ok &= ~has_after | (after >= f)  # the fall belongs to r: no other rise before it
 
-    rise_delay = np.full(trig.size, np.nan)
-    fall_delay = np.full(trig.size, np.nan)
-    rise_delay[ok] = (rv[ok] - trig[ok]) / UNITS_PER_PS
-    fall_delay[ok] = (fv[ok] - trig[ok]) / UNITS_PER_PS
+    rise_delay = (r - trig) / UNITS_PER_PS
+    fall_delay = (f - trig) / UNITS_PER_PS
+    rise_delay[~ok] = np.nan
+    fall_delay[~ok] = np.nan
     n_det = int(np.count_nonzero(ok))
-    orphans = int(rise.size + fall.size - 2 * n_det)
     return EdgeEventSet(
         detector=detector,
         window_ps=float(window_ps),
         trigger_index=np.arange(trig.size, dtype=np.int64),
-        trigger_time=trig.copy(),
+        trigger_time=trig,
         rise_delay=rise_delay,
         fall_delay=fall_delay,
         has_detection=ok,
-        orphan_edges=orphans,
+        orphan_edges=rise.size + fall.size - 2 * n_det,
     )

@@ -28,8 +28,8 @@ from pnrtiming import (
     edge_delays,
     estimate_efficiency,
     fit_poisson_mu,
+    iter_tag_blocks,
     pair_edges,
-    read_stream,
     read_tag_block,
     simulate_stream,
     voigt_pdf,
@@ -292,7 +292,7 @@ def test_criterion_8_determinism_and_streaming(report, tmp_path):
 
     with open(big_path, "rb") as f:
         tracemalloc.start()
-        seen = sum(1 for _ in read_stream(f))
+        seen = sum(len(b) for b in iter_tag_blocks(f))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     peak_mb = peak / 2**20

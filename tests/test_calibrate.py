@@ -21,7 +21,6 @@ from pnrtiming import (
     find_peaks,
     fit_mixture,
     mixture_pdf,
-    optimize_angle,
     optimize_boundaries,
     project,
     total_offdiagonal,
@@ -472,10 +471,10 @@ def test_optimal_projection_beats_rising_only(optimal_model, rising_model):
 def test_angle_is_stable_across_disjoint_halves(events_a):
     rise, fall = events_a.detected()
     half = rise.size // 2
-    first = optimize_angle((rise[:half], fall[:half]))
-    second = optimize_angle((rise[half:], fall[half:]))
-    a1 = first.model.angle % math.pi
-    a2 = second.model.angle % math.pi
+    first = calibrate_events((rise[:half], fall[:half]), mode="optimal")
+    second = calibrate_events((rise[half:], fall[half:]), mode="optimal")
+    a1 = first.angle % math.pi
+    a2 = second.angle % math.pi
     assert abs(a1 - a2) <= math.radians(2.0)
 
 
@@ -498,10 +497,10 @@ def test_no_shared_jitter_leaves_nothing_to_exploit():
 
 def test_angle_search_rejects_empty_and_tiny_samples():
     with pytest.raises(EmptySampleError):
-        optimize_angle((np.array([]), np.array([])))
+        calibrate_events((np.array([]), np.array([])), mode="optimal")
     rng = np.random.default_rng(2)
     with pytest.raises((InsufficientDataError, CalibrationError)):
-        optimize_angle((rng.normal(0, 1, 30), rng.normal(5, 1, 30)))
+        calibrate_events((rng.normal(0, 1, 30), rng.normal(5, 1, 30)), mode="optimal")
 
 
 def per_event_labelling(rise, fall, k):

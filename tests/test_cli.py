@@ -121,6 +121,35 @@ def test_malformed_config_json(tmp_path, capsys):
     assert err["exit_code"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("calibrate", "{stream}", "--window", "-5"),
+        ("calibrate", "{stream}", "--window", "0"),
+        ("calibrate", "{stream}", "--window", "inf"),
+        ("calibrate", "{stream}", "--k", "0"),
+        ("decode", "{stream}", "{calibration}", "--window", "-5"),
+        ("decode", "{stream}", "{calibration}", "--window", "0"),
+        ("stats", "{records}", "--tail-from", "0"),
+        ("simulate", "--config", "{pileup}", "--n-triggers", "10"),
+    ],
+)
+def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
+    pileup = tmp_path / "pileup.json"
+    pileup.write_text(json.dumps({"source": {"repetition_rate_hz": 4e8}}))
+    paths = {
+        "stream": pipeline / "stream.pnrtag",
+        "calibration": pipeline / "calibration_optimal.json",
+        "records": pipeline / "records_A.pnrec",
+        "pileup": pileup,
+    }
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv), "--out", tmp_path / "out")
+    assert code == 2
+    assert out is None
+    assert err["error"] == "ConfigError"
+    assert err["exit_code"] == 2
+
+
 # ---- calibrate
 
 

@@ -304,6 +304,14 @@ def test_binary_round_trip(tmp_path):
     assert_array_equal(back.n, records.n)
 
 
+def test_binary_refuses_trigger_index_beyond_u32(tmp_path):
+    records = PhotonRecordSet("A", 8000.0, [0, 2**32 + 5], [0, 10], [1, 2])
+    path = tmp_path / "wide.pnrec"
+    with pytest.raises(DataError, match="u32"):
+        records.to_binary(path)
+    assert not path.exists()
+
+
 def test_binary_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.pnrec"
     path.write_bytes(b"NOTMAGIC" + bytes(16))

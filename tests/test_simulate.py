@@ -16,7 +16,7 @@ from pnrtiming import (
     sample_source,
     simulate_stream,
 )
-from pnrtiming.errors import UndetectablePulseError
+from pnrtiming.errors import ConfigError, UndetectablePulseError
 from pnrtiming.simulate import edge_delay_table, pulse_peak, pulse_value
 
 NO_JITTER = JitterParams(0.0, 0.0, 0.0)
@@ -241,6 +241,15 @@ def test_repetition_rate_leaves_delays_unchanged():
     np.testing.assert_array_equal(ev_slow.has_detection, ev_fast.has_detection)
     np.testing.assert_allclose(ev_slow.detected()[0], ev_fast.detected()[0])
     np.testing.assert_allclose(ev_slow.detected()[1], ev_fast.detected()[1])
+
+
+def test_trigger_period_must_outlast_the_pulse():
+    # the longest pulse falls 2.85 ns after arrival at the defaults
+    pulse, jitter = PulseModelParams(), JitterParams()
+    tags, _ = simulate_stream(SourceSpec(repetition_rate_hz=2e8), pulse, jitter, 100, seed=16)
+    assert len(tags) > 100
+    with pytest.raises(ConfigError, match="pile up"):
+        simulate_stream(SourceSpec(repetition_rate_hz=4e8), pulse, jitter, 100, seed=16)
 
 
 def test_detection_exists_iff_photons_arrived(sim_50k):

@@ -1,5 +1,6 @@
 """Stream round-trips, malformed input handling, and the pairing oracle."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -7,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnrtiming import TagBlock, TimeTag, pair_edges, read_stream, read_tag_block, write_stream
+from pnrtiming import (
+    TagBlock,
+    TimeTag,
+    default_params,
+    iter_tag_blocks,
+    pair_edges,
+    read_tag_block,
+    simulate_stream,
+    write_stream,
+)
 from pnrtiming.errors import StreamFormatError, StreamOrderError
 from pnrtiming.timetags import RECORD_SIZE, UNITS_PER_PS, _HEADER_FIXED
 
@@ -15,35 +25,32 @@ from pnrtiming.timetags import RECORD_SIZE, UNITS_PER_PS, _HEADER_FIXED
 # ---------------------------------------------------------------- oracle
 
 def pair_oracle(trig, rise, fall, window):
-    """O(n*m) reference matcher: scan every trigger against every detector tag.
+    """O(n*m) reference matcher, written by index over every tag.
 
-    Greedy in trigger order, each tag consumed at most once, first rise in
-    [t, t+w] then first fall strictly after that rise and still inside the
-    window.  A rise is consumed once selected even when no fall follows.
+    Rise j belongs to the highest-index trigger at or before it; fall m
+    belongs to the highest-index rise strictly before it.  A trigger takes
+    the lowest-index rise it owns and the lowest-index fall after that
+    rise; the pair is a detection when that fall belongs to that rise and
+    both edges lie within the window.
     """
-    used_r = np.zeros(len(rise), dtype=bool)
-    used_f = np.zeros(len(fall), dtype=bool)
+    rise_owner = [max((i for i, t in enumerate(trig) if t <= r), default=None) for r in rise]
+    fall_owner = [max((j for j, r in enumerate(rise) if r < f), default=None) for f in fall]
     out = []
-    for t in trig:
-        r_idx = None
-        for i, r in enumerate(rise):
-            if not used_r[i] and t <= r <= t + window:
-                r_idx = i
-                break
-        if r_idx is None:
+    for i, t in enumerate(trig):
+        owned = [j for j in range(len(rise)) if rise_owner[j] == i]
+        if not owned:
             out.append(None)
             continue
-        used_r[r_idx] = True
-        f_idx = None
-        for j, f in enumerate(fall):
-            if not used_f[j] and rise[r_idx] < f <= t + window:
-                f_idx = j
-                break
-        if f_idx is None:
+        j = owned[0]
+        later = [m for m in range(len(fall)) if fall[m] > rise[j]]
+        if not later or fall_owner[later[0]] != j:
             out.append(None)
             continue
-        used_f[f_idx] = True
-        out.append((rise[r_idx], fall[f_idx]))
+        m = later[0]
+        if rise[j] <= t + window and fall[m] <= t + window:
+            out.append((rise[j], fall[m]))
+        else:
+            out.append(None)
     return out
 
 
@@ -80,7 +87,7 @@ def test_pairing_matches_brute_force_on_dense_streams(seed):
 
 
 def test_pairing_matches_brute_force_on_sparse_stream():
-    # disjoint windows take the vectorized path; same answer required
+    # disjoint windows, at most one pulse per trigger
     rng = np.random.default_rng(42)
     trig = np.arange(50, dtype=np.int64) * 100_000
     rise = np.sort(rng.choice(trig, 30, replace=False) + rng.integers(0, 3000, 30))
@@ -144,7 +151,8 @@ def test_trigger_without_detector_tags_is_zero_candidate():
 
 
 def test_rise_never_consumed_twice():
-    # two triggers share one pulse; only the first trigger may claim it
+    # two triggers' windows hold one pulse; only the later trigger, the
+    # latest one at or before the rise, may claim it
     tags = [
         TimeTag(0, 0),
         TimeTag(0, 100),
@@ -152,7 +160,26 @@ def test_rise_never_consumed_twice():
         TimeTag(2, 800),
     ]
     events = pair_edges(tags, window_ps=1000.0, detector="A")
-    assert list(events.has_detection) == [True, False]
+    assert list(events.has_detection) == [False, True]
+
+
+def test_second_rise_before_the_fall_is_not_a_detection():
+    tags = [TimeTag(0, 0), TimeTag(1, 100), TimeTag(1, 200), TimeTag(2, 800)]
+    events = pair_edges(tags, window_ps=1000.0, detector="A")
+    assert not events.has_detection[0]
+    assert events.orphan_edges == 3
+
+
+def test_overlapping_windows_at_200_mhz_find_every_detection():
+    # a 5 ns trigger period under an 8 ns window: every window overlaps the next
+    pulse, jitter, spec = default_params()
+    spec = dataclasses.replace(spec, repetition_rate_hz=2e8)
+    tags, truth = simulate_stream(spec, pulse, jitter, 20_000, seed=7)
+    events = pair_edges(tags, window_ps=8000.0, detector="A")
+    np.testing.assert_array_equal(events.has_detection, truth.true_n_a > 0)
+    _, fall = events.detected()
+    assert np.all(fall < 5000.0)  # each pulse sits before the next trigger
+    assert events.orphan_edges == 0
 
 
 def test_fall_without_rise_is_orphan_not_crash():
@@ -193,7 +220,7 @@ def test_empty_stream_round_trip():
     n = write_stream([], buf)
     assert n == _HEADER_FIXED.size
     buf.seek(0)
-    assert list(read_stream(buf)) == []
+    assert list(iter_tag_blocks(buf)) == []
 
 
 def test_single_tag_encoding():
@@ -283,9 +310,43 @@ def test_truncated_record_reports_byte_offset():
 def test_truncated_record_raises_during_streaming_too():
     buf = io.BytesIO()
     write_stream([TimeTag(0, 0), TimeTag(1, 10)], buf)
-    stream = read_stream(io.BytesIO(buf.getvalue()[:-7]))
+    stream = iter_tag_blocks(io.BytesIO(buf.getvalue()[:-7]))
     with pytest.raises(StreamFormatError):
         list(stream)
+
+
+class SevenByteReader(io.BytesIO):
+    """A source whose every read returns at most 7 bytes, like a slow pipe."""
+
+    def read(self, n=-1):
+        return super().read(7 if n is None or n < 0 else min(n, 7))
+
+
+def test_short_reads_give_the_same_block_and_truncation_offset():
+    rng = np.random.default_rng(13)
+    block = TagBlock(rng.integers(0, 5, 300), np.sort(rng.integers(0, 10**12, 300))).sorted()
+    buf = io.BytesIO()
+    write_stream(block, buf, epoch_note="short reads")
+    raw = buf.getvalue()
+    back = read_tag_block(SevenByteReader(raw))
+    np.testing.assert_array_equal(back.channels, block.channels)
+    np.testing.assert_array_equal(back.timestamps, block.timestamps)
+
+    offsets = []
+    for source in (io.BytesIO(raw[:-5]), SevenByteReader(raw[:-5])):
+        with pytest.raises(StreamFormatError) as err:
+            read_tag_block(source)
+        offsets.append(err.value.byte_offset)
+    assert offsets[0] == offsets[1] == len(raw) - RECORD_SIZE
+
+
+def test_write_reports_the_first_out_of_order_record():
+    ts = np.array([0, 5, 5, 9, 9, 3])
+    ch = np.array([0, 1, 2, 2, 1, 0])  # record 4 breaks the channel order, record 5 the time order
+    with pytest.raises(StreamOrderError, match="record 4$"):
+        write_stream(TagBlock(ch, ts), io.BytesIO())
+    assert not TagBlock(ch, ts).is_sorted()
+    assert TagBlock(ch[:4], ts[:4]).is_sorted()
 
 
 def test_out_of_range_channel_in_payload():
