@@ -16,10 +16,8 @@ projected coordinate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,8 +26,10 @@ from scipy.optimize import brentq, minimize
 from scipy.signal import find_peaks as _scipy_find_peaks
 from scipy.special import ndtr, wofz
 
+from . import textio
 from .errors import (
     CalibrationError,
+    ConfigError,
     DegenerateOverlapError,
     EmptySampleError,
     InsufficientDataError,
@@ -47,6 +47,12 @@ OPTIMAL = "optimal"
 _MODES = (RISING_ONLY, OPTIMAL)
 
 DEFAULT_BIN_WIDTH = 0.5  # ps
+# labelling and the angle scan: candidate-angle step, histogram smoothing
+# (sigma in bins), least peak prominence as a fraction of the smoothed maximum
+_GRID_STEP_DEG = 2.0
+_SMOOTHING_SIGMA = 2.0
+_MIN_PROMINENCE = 0.05
+_FORMAT = "pnrtiming-calibration/1"
 
 
 @dataclass(frozen=True)
@@ -105,10 +111,9 @@ class Histogram2D:
 
     def to_csv(self, path) -> None:
         """Dense grid CSV: first row fall-bin centers, first column rise-bin centers."""
-        with open(Path(path), "w", encoding="utf-8") as f:
-            f.write("rise_ps\\fall_ps," + ",".join(f"{v:.6g}" for v in self.fall_centers) + "\n")
-            for rc, row in zip(self.rise_centers, self.counts):
-                f.write(f"{rc:.6g}," + ",".join(str(int(v)) for v in row) + "\n")
+        header = "rise_ps\\fall_ps," + ",".join(f"{v:.6g}" for v in self.fall_centers)
+        row = "{:.6g}" + ",{}" * self.counts.shape[1]
+        textio.write_csv(path, header, row, self.rise_centers, *self.counts.T)
 
 
 def _detected_arrays(events) -> tuple[np.ndarray, np.ndarray]:
@@ -169,16 +174,16 @@ def histogram_1d(coords: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH):
     return counts.astype(np.int64), centers, edges
 
 
-def find_peaks(counts, centers=None, smoothing_sigma: float = 2.0, min_prominence: float = 0.05):
+def find_peaks(counts, centers=None):
     """Peak locations of a projected histogram, ascending.
 
-    Smooths with a Gaussian kernel (sigma in bins) and keeps local maxima
-    whose prominence reaches min_prominence of the global maximum.
+    Smooths with a Gaussian kernel of 2 bins sigma and keeps local maxima
+    whose prominence reaches 5% of the smoothed maximum.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0 or counts.max() <= 0:
         raise CalibrationError("empty histogram, no peaks to find")
-    idx, _, _ = _peak_indices_ranked(counts, smoothing_sigma, min_prominence)
+    idx, _, _ = _peak_indices_ranked(counts)
     if idx.size == 0:
         raise CalibrationError("no peaks found in projected histogram")
     if centers is None:
@@ -186,12 +191,12 @@ def find_peaks(counts, centers=None, smoothing_sigma: float = 2.0, min_prominenc
     return np.asarray(centers, dtype=float)[idx]
 
 
-def _peak_indices_ranked(counts: np.ndarray, smoothing_sigma: float, min_prominence: float):
-    """Smooth with a Gaussian kernel (sigma in bins) and keep the local maxima
-    whose prominence reaches min_prominence of the smoothed maximum; returns
+def _peak_indices_ranked(counts: np.ndarray):
+    """Smooth with a Gaussian kernel of _SMOOTHING_SIGMA bins and keep the local
+    maxima whose prominence reaches _MIN_PROMINENCE of the smoothed maximum; returns
     (indices, prominences, smoothed counts)."""
-    smoothed = gaussian_filter1d(np.asarray(counts, dtype=float), smoothing_sigma)
-    idx, props = _scipy_find_peaks(smoothed, prominence=min_prominence * max(smoothed.max(), 1e-12))
+    smoothed = gaussian_filter1d(np.asarray(counts, dtype=float), _SMOOTHING_SIGMA)
+    idx, props = _scipy_find_peaks(smoothed, prominence=_MIN_PROMINENCE * max(smoothed.max(), 1e-12))
     return idx, props.get("prominences", np.zeros(idx.size)), smoothed
 
 
@@ -626,18 +631,18 @@ def _distinct_pairs(rise, fall):
     return pairs.real.copy(), pairs.imag.copy(), multiplicity
 
 
-def _pair_histogram(coords, multiplicity, bin_width):
+def _pair_histogram(coords, multiplicity):
     """(counts, centers) of histogram_1d for a sample given as distinct
     coordinates with their multiplicities: the same bins, and the counts of
     the expanded sample."""
-    edges = _padded_edges(coords, bin_width)
+    edges = _padded_edges(coords, DEFAULT_BIN_WIDTH)
     # the bin np.histogram picks on these edges: edges[i] <= x < edges[i + 1]
     idx = np.searchsorted(edges, coords, side="right") - 1
     counts = np.bincount(idx, weights=multiplicity, minlength=edges.size - 1)
     return counts.astype(np.int64), 0.5 * (edges[:-1] + edges[1:])
 
 
-def _reference_scan(pairs, angles, bin_width, smoothing_sigma, min_prominence):
+def _reference_scan(pairs, angles):
     """Score candidate angles by (resolved peak count, worst valley depth,
     concentration), lexicographically.
 
@@ -655,8 +660,8 @@ def _reference_scan(pairs, angles, bin_width, smoothing_sigma, min_prominence):
     conc = np.zeros(angles.size)
     for i, theta in enumerate(angles):
         coords = pair_rise * math.cos(theta) + pair_fall * math.sin(theta)
-        counts, _ = _pair_histogram(coords, multiplicity, bin_width)
-        idx, _, smoothed = _peak_indices_ranked(counts, smoothing_sigma, min_prominence)
+        counts, _ = _pair_histogram(coords, multiplicity)
+        idx, _, smoothed = _peak_indices_ranked(counts)
         p = counts / counts.sum()
         n_peaks[i] = idx.size
         conc[i] = float(np.sum(p * p))
@@ -669,7 +674,7 @@ def _reference_scan(pairs, angles, bin_width, smoothing_sigma, min_prominence):
     return n_peaks, depth, conc
 
 
-def _label_events(events, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg):
+def _label_events(events, k):
     """Pick a well-separated projection, split it at histogram valleys, and
     label every event with its cluster index (ascending along that axis).
 
@@ -683,13 +688,13 @@ def _label_events(events, k, bin_width, smoothing_sigma, min_prominence, grid_st
         raise EmptySampleError("no detected events to calibrate")
     pairs = _distinct_pairs(rise, fall)
     pair_rise, pair_fall, multiplicity = pairs
-    angles = np.deg2rad(np.arange(0.0, 180.0, grid_step_deg))
-    n_peaks, depth, conc = _reference_scan(pairs, angles, bin_width, smoothing_sigma, min_prominence)
+    angles = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
+    n_peaks, depth, conc = _reference_scan(pairs, angles)
     order = np.lexsort((conc, depth, n_peaks))
     theta_ref = float(angles[order[-1]])
     coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
-    counts, centers = _pair_histogram(coords, multiplicity, bin_width)
-    idx, prom, smoothed = _peak_indices_ranked(counts, smoothing_sigma, min_prominence)
+    counts, centers = _pair_histogram(coords, multiplicity)
+    idx, prom, smoothed = _peak_indices_ranked(counts)
     if idx.size == 0:
         raise CalibrationError("no peaks found at the reference projection")
     if k is None:
@@ -727,13 +732,13 @@ def _orientation_flip(rise, coords, labels, k) -> bool:
     return first < last
 
 
-def _finalize_model(labelled, theta_line, mode, bin_width, detector=None, window_ps=None, extra=None):
+def _finalize_model(labelled, theta_line, mode, detector=None, window_ps=None, extra=None):
     """Full Voigt fit at a chosen separating line plus orientation, boundary,
     and crosstalk assembly."""
     angle = float(theta_line % math.pi) if mode == OPTIMAL else 0.0
     coords = labelled.rise * math.cos(angle) + labelled.fall * math.sin(angle)
     mean, _ = labelled.moments(angle)
-    components, report = fit_mixture(coords, labelled.k, np.sort(mean), bin_width=bin_width)
+    components, report = fit_mixture(coords, labelled.k, np.sort(mean))
     boundaries, fallback = boundaries_with_fallback(components)
 
     labels = classify(coords, boundaries)
@@ -771,7 +776,7 @@ def _report_summary(report: MixtureFitReport) -> dict:
     }
 
 
-def _angle_scan(labelled, grid_step_deg):
+def _angle_scan(labelled):
     """Separating line of least Gaussian-moment crosstalk between the labels.
 
     Scores a grid on [0, pi) that includes the rising-only (0) and
@@ -785,13 +790,13 @@ def _angle_scan(labelled, grid_step_deg):
         mean, sigma = labelled.moments(theta)
         return _gaussian_offdiagonal(mean, sigma, labelled.fractions)
 
-    angles = np.deg2rad(np.arange(0.0, 180.0, grid_step_deg))
+    angles = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
     if not np.any(np.isclose(angles, math.pi / 2)):
         angles = np.sort(np.append(angles, math.pi / 2))
     evals = [(float(t), objective(float(t))) for t in angles]
     best_idx = int(np.argmin([v for _, v in evals]))
     theta_g = evals[best_idx][0]
-    step = math.radians(grid_step_deg)
+    step = math.radians(_GRID_STEP_DEG)
     lo = max(theta_g - step, 0.0)
     hi = min(theta_g + step, math.pi - 1e-9)
     _golden_min(objective, lo, hi, 1e-4, evals)
@@ -806,22 +811,18 @@ def _angle_scan(labelled, grid_step_deg):
     }
 
 
-def _calibrate(
-    events, modes, k, bin_width, grid_step_deg, smoothing_sigma, min_prominence, detector, window_ps
-):
+def _calibrate(events, modes, k, detector, window_ps):
     """Label the events once, then fit every mode in ``modes`` from that one
     labelling; returns {mode: CalibrationModel}."""
-    labelled, theta_ref = _label_events(events, k, bin_width, smoothing_sigma, min_prominence, grid_step_deg)
+    labelled, theta_ref = _label_events(events, k)
     fits = {}
     for mode in modes:
         if mode == OPTIMAL:
-            theta, extra = _angle_scan(labelled, grid_step_deg)
+            theta, extra = _angle_scan(labelled)
             extra.update(reference_angle=theta_ref, line_angle=theta, k=labelled.k)
         else:
             theta, extra = 0.0, {"reference_angle": theta_ref, "k": labelled.k}
-        fits[mode] = _finalize_model(
-            labelled, theta, mode, bin_width, detector=detector, window_ps=window_ps, extra=extra
-        )
+        fits[mode] = _finalize_model(labelled, theta, mode, detector, window_ps, extra)
     return fits
 
 
@@ -877,7 +878,7 @@ class CalibrationModel:
 
     def to_dict(self) -> dict:
         return {
-            "format": "pnrtiming-calibration/1",
+            "format": _FORMAT,
             "mode": self.mode,
             "angle_rad": self.angle,
             "detector": self.detector,
@@ -888,49 +889,39 @@ class CalibrationModel:
             ],
             "boundaries_ps": self.boundaries.tolist(),
             "crosstalk": self.crosstalk.tolist(),
-            "diagnostics": _jsonable(self.diagnostics),
+            "diagnostics": self.diagnostics,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationModel":
-        comps = [
-            VoigtComponent(d["center_ps"], d["sigma_ps"], d["gamma_ps"], d["weight"])
-            for d in data["components"]
-        ]
-        return cls(
-            mode=data["mode"],
-            angle=float(data["angle_rad"]),
-            components=comps,
-            boundaries=np.asarray(data["boundaries_ps"], dtype=float),
-            crosstalk=np.asarray(data["crosstalk"], dtype=float),
-            detector=data.get("detector"),
-            window_ps=data.get("window_ps"),
-            diagnostics=data.get("diagnostics", {}),
-        )
+        """Model from its ``to_dict`` form; a document of another format, or
+        with a missing or invalid entry, raises ConfigError."""
+        if not isinstance(data, dict) or data.get("format") != _FORMAT:
+            raise ConfigError(f"calibration format must be {_FORMAT!r}")
+        try:
+            comps = [
+                VoigtComponent(d["center_ps"], d["sigma_ps"], d["gamma_ps"], d["weight"])
+                for d in data["components"]
+            ]
+            return cls(
+                mode=data["mode"],
+                angle=float(data["angle_rad"]),
+                components=comps,
+                boundaries=np.asarray(data["boundaries_ps"], dtype=float),
+                crosstalk=np.asarray(data["crosstalk"], dtype=float),
+                detector=data.get("detector"),
+                window_ps=data.get("window_ps"),
+                diagnostics=data.get("diagnostics", {}),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid calibration ({type(exc).__name__}: {exc})") from exc
 
     def save_json(self, path) -> None:
-        with open(Path(path), "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        textio.write_json(path, self.to_dict())
 
     @classmethod
     def load_json(cls, path) -> "CalibrationModel":
-        with open(Path(path), "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+        return cls.from_dict(textio.read_json(path))
 
 
 def calibrate_events(
@@ -938,10 +929,6 @@ def calibrate_events(
     mode: str = OPTIMAL,
     k: int | None = None,
     *,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    grid_step_deg: float = 2.0,
-    smoothing_sigma: float = 2.0,
-    min_prominence: float = 0.05,
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> CalibrationModel:
@@ -959,29 +946,20 @@ def calibrate_events(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    return _calibrate(
-        events, (mode,), k, bin_width, grid_step_deg, smoothing_sigma, min_prominence, detector, window_ps
-    )[mode]
+    return _calibrate(events, (mode,), k, detector, window_ps)[mode]
 
 
 def calibrate_both(
     events,
     k: int | None = None,
     *,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    grid_step_deg: float = 2.0,
-    smoothing_sigma: float = 2.0,
-    min_prominence: float = 0.05,
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> dict:
     """Rising-only and optimal-angle models from one labelling, so they
     share one component count and their crosstalk matrices compare photon
     class by photon class."""
-    fits = _calibrate(
-        events, (OPTIMAL, RISING_ONLY), k, bin_width, grid_step_deg, smoothing_sigma, min_prominence,
-        detector, window_ps,
-    )
+    fits = _calibrate(events, (OPTIMAL, RISING_ONLY), k, detector, window_ps)
     return {RISING_ONLY: fits[RISING_ONLY], OPTIMAL: fits[OPTIMAL]}
 
 

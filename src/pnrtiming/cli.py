@@ -21,6 +21,7 @@ import numpy as np
 
 from . import calibrate as cal
 from . import photostat as ps
+from . import textio
 from .decode import PhotonRecordSet, confusion_report, decode_events
 from .errors import (
     AlignmentError,
@@ -50,7 +51,7 @@ EXIT_INSUFFICIENT = 5
 
 def _emit(args, payload: dict) -> None:
     if not args.quiet:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(textio.json_text(payload))
 
 
 def _out_dir(args) -> Path:
@@ -59,13 +60,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _from_mapping(cls, data, context: str):
+def _checked_object(data, known, context: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {', '.join(unknown)}")
+    return data
+
+
+def _from_mapping(cls, data, context: str):
+    data = _checked_object(data, {f.name for f in dataclasses.fields(cls)}, context)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -75,22 +80,8 @@ def _from_mapping(cls, data, context: str):
 _SIMULATE_KEYS = {"source", "pulse", "jitter", "n_triggers", "seed"}
 
 
-def _load_simulate_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(raw) - _SIMULATE_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown keys in config: {', '.join(unknown)}")
-    return raw
-
-
 def cmd_simulate(args) -> int:
-    raw = _load_simulate_config(args.config) if args.config else {}
+    raw = _checked_object(textio.read_json(args.config), _SIMULATE_KEYS, "config") if args.config else {}
     source = _from_mapping(SourceSpec, raw.get("source", {}), "source")
     pulse = _from_mapping(PulseModelParams, raw.get("pulse", {}), "pulse")
     jitter = _from_mapping(JitterParams, raw.get("jitter", {}), "jitter")
@@ -125,21 +116,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_projection_csv(path, coords, model, bin_width: float) -> None:
-    counts, centers, _ = cal.histogram_1d(coords, bin_width)
-    fitted = coords.size * bin_width * cal.mixture_pdf(centers, model.components)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("coordinate_ps,counts,fitted_counts\n")
-        for x, c, m in zip(centers, counts, fitted):
-            f.write(f"{x:.6g},{c},{m:.6g}\n")
+def _write_projection_csv(path, coords, model) -> None:
+    counts, centers, _ = cal.histogram_1d(coords)
+    fitted = coords.size * cal.DEFAULT_BIN_WIDTH * cal.mixture_pdf(centers, model.components)
+    textio.write_csv(path, "coordinate_ps,counts,fitted_counts", "{:.6g},{},{:.6g}", centers, counts, fitted)
 
 
 def _write_crosstalk_csv(path, crosstalk) -> None:
     k = crosstalk.shape[0]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("true_n\\decoded_n," + ",".join(str(j + 1) for j in range(k)) + "\n")
-        for i, row in enumerate(crosstalk):
-            f.write(f"{i + 1}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+    header = "true_n\\decoded_n," + ",".join(map(str, range(1, k + 1)))
+    textio.write_csv(path, header, "{}" + ",{:.9g}" * k, np.arange(1, k + 1), *crosstalk.T)
 
 
 def _check_window(window: float) -> None:
@@ -172,7 +158,7 @@ def cmd_calibrate(args) -> int:
     for mode, model in models.items():
         model.save_json(out / f"calibration_{mode}.json")
         coords = cal.project(events, model.angle)
-        _write_projection_csv(out / f"projection_{mode}.csv", coords, model, cal.DEFAULT_BIN_WIDTH)
+        _write_projection_csv(out / f"projection_{mode}.csv", coords, model)
         _write_crosstalk_csv(out / f"crosstalk_{mode}.csv", model.crosstalk)
         summary[mode] = {
             "angle_rad": model.angle,
@@ -206,9 +192,7 @@ def cmd_decode(args) -> int:
         truth = TruthBlock.from_csv(args.truth)
         confusion = confusion_report(records, truth, model)
         report["confusion"] = confusion.to_dict()
-    with open(out / "decode_report.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    textio.write_json(out / "decode_report.json", report)
     _emit(args, {k: report[k] for k in ("class_counts", "out_of_range", "triggers", "detections")})
     return 0
 
@@ -229,23 +213,12 @@ def cmd_stats(args) -> int:
 
     out = _out_dir(args)
     dist.to_csv(out / "number_distribution.csv")
-    with open(out / "poisson_fit.json", "w", encoding="utf-8") as f:
-        json.dump(fit.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(out / "poisson_fit.csv", "w", encoding="utf-8") as f:
-        f.write("category,observed,expected\n")
-        for label, obs, exp in zip(fit.labels, fit.counts, fit.expected):
-            f.write(f"{label},{obs},{exp:.6g}\n")
-    _emit(
-        args,
-        {
-            "mu": fit.mu,
-            "stderr": fit.stderr,
-            "ci95": list(fit.confidence_interval()),
-            "chi2_ndf": fit.chi2_ndf,
-            "total": int(fit.counts.sum()),
-        },
-    )
+    report = fit.to_dict()
+    textio.write_json(out / "poisson_fit.json", report)
+    columns = np.array(fit.labels), fit.counts, fit.expected
+    textio.write_csv(out / "poisson_fit.csv", "category,observed,expected", "{},{},{:.6g}", *columns)
+    summary = {k: report[k] for k in ("mu", "stderr", "ci95", "chi2_ndf")}
+    _emit(args, {**summary, "total": int(fit.counts.sum())})
     return 0
 
 
@@ -256,23 +229,13 @@ def cmd_jpnd(args) -> int:
 
     out = _out_dir(args)
     jpnd.to_csv(out / "jpnd.csv")
+    m = jpnd.padded(max(jpnd.n_max, 2)).matrix  # an outcome past n_max counts 0
     report: dict = {
         "n_triggers": jpnd.total,
-        "two_photon": {
-            "(2,0)": int(jpnd.matrix[2, 0]) if jpnd.n_max >= 2 else 0,
-            "(0,2)": int(jpnd.matrix[0, 2]) if jpnd.n_max >= 2 else 0,
-            "(1,1)": int(jpnd.matrix[1, 1]) if jpnd.n_max >= 1 else 0,
-        },
+        "two_photon": {"(2,0)": int(m[2, 0]), "(0,2)": int(m[0, 2]), "(1,1)": int(m[1, 1])},
     }
     try:
-        eff = ps.estimate_efficiency(jpnd)
-        report["efficiency"] = {
-            "eta_a": eff.eta_a,
-            "eta_b": eff.eta_b,
-            "coincidences": eff.coincidences,
-            "singles_a": eff.singles_a,
-            "singles_b": eff.singles_b,
-        }
+        report["efficiency"] = ps.estimate_efficiency(jpnd)._asdict()
     except InsufficientDataError as exc:
         if args.split_a is None:
             raise
@@ -285,9 +248,7 @@ def cmd_jpnd(args) -> int:
         contrast = ps.hom_contrast(jpnd, split)
         report["hom_contrast"] = contrast.to_dict()
 
-    with open(out / "jpnd_report.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    textio.write_json(out / "jpnd_report.json", report)
     _emit(args, report)
     return 0
 

@@ -16,6 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import textio
 from .calibrate import CalibrationModel, classify
 from .errors import AlignmentError, CompatibilityError, DataError, StreamFormatError
 
@@ -81,27 +82,14 @@ class PhotonRecordSet:
         return counts
 
     def to_csv(self, path) -> None:
-        with open(Path(path), "w", encoding="utf-8") as f:
-            f.write(f"# detector={self.detector} window_ps={self.window_ps:g}\n")
-            f.write("trigger_index,trigger_time,n\n")
-            for i in range(len(self)):
-                f.write(f"{self.trigger_index[i]},{self.trigger_time[i]},{self.n[i]}\n")
+        header = f"# detector={self.detector} window_ps={self.window_ps:g}\ntrigger_index,trigger_time,n"
+        textio.write_csv(path, header, "{},{},{}", self.trigger_index, self.trigger_time, self.n)
 
     @classmethod
     def from_csv(cls, path) -> "PhotonRecordSet":
-        detector, window = "A", 0.0
-        with open(Path(path), "r", encoding="utf-8") as f:
-            first = f.readline().strip()
-            if first.startswith("#"):
-                for tok in first[1:].split():
-                    key, _, val = tok.partition("=")
-                    if key == "detector":
-                        detector = val
-                    elif key == "window_ps":
-                        window = float(val)
-        data = np.loadtxt(path, delimiter=",", skiprows=2, dtype=np.int64, ndmin=2)
-        if data.size == 0:
-            data = data.reshape(0, 3)
+        (first, _), data = textio.read_csv(path, 2, 3)
+        meta = dict(tok.partition("=")[::2] for tok in first[1:].split()) if first.startswith("#") else {}
+        detector, window = meta.get("detector", "A"), float(meta.get("window_ps", 0.0))
         return cls(detector, window, data[:, 0], data[:, 1], data[:, 2].astype(np.int16))
 
     def to_binary(self, path) -> None:

@@ -6,7 +6,9 @@ class PnrError(Exception):
 
 
 class StreamFormatError(PnrError):
-    """Malformed binary stream: bad magic, bad channel, or truncated record."""
+    """Malformed input file: a binary stream or record file with a bad magic,
+    a bad channel or a truncated record, or a CSV table with a short or
+    non-integer row."""
 
     def __init__(self, message, byte_offset=None):
         super().__init__(message)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import poisson
 
+from . import textio
 from .errors import (
     AlignmentError,
     InsufficientDataError,
@@ -81,11 +81,8 @@ class NumberDistribution:
         return np.concatenate([head, [tail]])
 
     def to_csv(self, path) -> None:
-        probs = self.probabilities()
-        with open(Path(path), "w", encoding="utf-8") as f:
-            f.write("n,count,probability\n")
-            for n, (c, p) in enumerate(zip(self.counts, probs)):
-                f.write(f"{n},{c},{p:.9g}\n")
+        n = np.arange(self.counts.size)
+        textio.write_csv(path, "n,count,probability", "{},{},{:.9g}", n, self.counts, self.probabilities())
 
 
 def _category_probs(mu: float, tail_from: int) -> np.ndarray:
@@ -255,10 +252,9 @@ class JointDistribution:
         return JointDistribution(out, self.window_ps, dict(self.diagnostics))
 
     def to_csv(self, path) -> None:
-        with open(Path(path), "w", encoding="utf-8") as f:
-            f.write("n_a\\n_b," + ",".join(str(j) for j in range(self.matrix.shape[1])) + "\n")
-            for i, row in enumerate(self.matrix):
-                f.write(f"{i}," + ",".join(str(v) for v in row) + "\n")
+        size = self.matrix.shape[0]
+        header = "n_a\\n_b," + ",".join(map(str, range(size)))
+        textio.write_csv(path, header, "{}" + ",{}" * size, np.arange(size), *self.matrix.T)
 
 
 def build_jpnd(records_a, records_b, window_ps: float | None = None, n_max: int | None = None) -> JointDistribution:

@@ -26,6 +26,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
+from . import textio
 from .errors import ConfigError, UndetectablePulseError
 from .timetags import UNITS_PER_PS, TagBlock
 
@@ -226,14 +227,12 @@ class TruthBlock:
             yield self[i]
 
     def to_csv(self, path) -> None:
-        data = np.column_stack([self.trigger_index, self.true_n_a, self.true_n_b])
-        np.savetxt(path, data, fmt="%d", delimiter=",", header="trigger_index,true_n_a,true_n_b", comments="")
+        header = "trigger_index,true_n_a,true_n_b"
+        textio.write_csv(path, header, "{},{},{}", self.trigger_index, self.true_n_a, self.true_n_b)
 
     @classmethod
     def from_csv(cls, path) -> "TruthBlock":
-        data = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
-        if data.size == 0:
-            data = data.reshape(0, 3)
+        _, data = textio.read_csv(path, 1, 3)
         return cls(data[:, 0], data[:, 1], data[:, 2])
 
 

@@ -318,8 +318,8 @@ def pair_edges(tags, window_ps: float, detector: str = "A") -> EdgeEventSet:
     """
     if detector not in DETECTOR_CHANNELS:
         raise ValueError(f"unknown detector {detector!r}")
-    if not window_ps > 0:
-        raise ValueError("window must be positive")
+    if not 0 < window_ps < np.inf:
+        raise ValueError(f"window must be positive and finite, not {window_ps}")
     block = as_tag_block(tags)
     if not block.is_sorted():
         raise StreamOrderError("tags must be sorted by (timestamp, channel) before pairing")

@@ -34,6 +34,7 @@ from pnrtiming.calibrate import (
 )
 from pnrtiming.errors import (
     CalibrationError,
+    ConfigError,
     DegenerateOverlapError,
     EmptySampleError,
     InsufficientDataError,
@@ -565,12 +566,12 @@ def test_distinct_pair_labelling_matches_per_event_scan(sample, k, events_a):
     if sample == "simulated":
         assert pairs[0].size < rise.size  # delays on the tag grid repeat
     angles = np.deg2rad(np.arange(0.0, 180.0, 2.0))
-    got = cal._reference_scan(pairs, angles, 0.5, 2.0, 0.05)
+    got = cal._reference_scan(pairs, angles)
     np.testing.assert_array_equal(got[0], n_peaks)
     np.testing.assert_array_equal(got[1], depth)
     np.testing.assert_array_equal(got[2], conc)
 
-    labelled, got_theta = cal._label_events((rise, fall), k, 0.5, 2.0, 0.05, 2.0)
+    labelled, got_theta = cal._label_events((rise, fall), k)
     assert got_theta == theta_ref
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     np.testing.assert_array_equal(labelled.labels[pair_of_event], labels)
@@ -579,7 +580,7 @@ def test_distinct_pair_labelling_matches_per_event_scan(sample, k, events_a):
 
 def test_label_moments_match_direct_projection(events_a):
     rise, fall = events_a.detected()
-    labelled, _ = cal._label_events(events_a, None, 0.5, 2.0, 0.05, 2.0)
+    labelled, _ = cal._label_events(events_a, None)
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     labels = labelled.labels[pair_of_event]
     rng = np.random.default_rng(12)
@@ -623,6 +624,19 @@ def test_model_round_trips_through_json(optimal_model, tmp_path):
         assert (a.center, a.sigma, a.gamma, a.weight) == pytest.approx(
             (b.center, b.sigma, b.gamma, b.weight)
         )
+
+
+def test_model_from_dict_raises_config_error(optimal_model):
+    good = optimal_model.to_dict()
+    for bad in (
+        [good],
+        {**good, "format": "pnrtiming-calibration/0"},
+        {k: v for k, v in good.items() if k != "angle_rad"},
+        {**good, "components": 3},
+        {**good, "mode": "sideways"},
+    ):
+        with pytest.raises(ConfigError):
+            CalibrationModel.from_dict(bad)
 
 
 def test_model_validation_catches_inconsistencies():

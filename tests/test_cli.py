@@ -132,21 +132,47 @@ def test_malformed_config_json(tmp_path, capsys):
         ("decode", "{stream}", "{calibration}", "--window", "0"),
         ("stats", "{records}", "--tail-from", "0"),
         ("simulate", "--config", "{pileup}", "--n-triggers", "10"),
+        ("decode", "{stream}", "{no_components}"),
+        ("decode", "{stream}", "{unnormalised}"),
+        ("decode", "{stream}", "{not_json}"),
+        ("decode", "{stream}", "{calibration}", "--truth", "{short_truth}"),
+        ("stats", "{short_records}"),
     ],
 )
 def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
+    """Out-of-range options and malformed input files exit 2 with a typed error."""
     pileup = tmp_path / "pileup.json"
     pileup.write_text(json.dumps({"source": {"repetition_rate_hz": 4e8}}))
+    model = json.loads((pipeline / "calibration_optimal.json").read_text())
+    no_components = tmp_path / "no_components.json"
+    no_components.write_text(json.dumps({k: v for k, v in model.items() if k != "components"}))
+    model["crosstalk"][0][0] += 0.1
+    unnormalised = tmp_path / "unnormalised.json"
+    unnormalised.write_text(json.dumps(model))
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("calibration")
+    truth = (pipeline / "truth.csv").read_text().splitlines(keepends=True)
+    truth[3] = truth[3].rsplit(",", 1)[0] + "\n"
+    short_truth = tmp_path / "truth.csv"
+    short_truth.write_text("".join(truth))
+    short_records = tmp_path / "records.csv"
+    write_records(short_records, [1, 2, 3])
+    short_records.write_text(short_records.read_text().rsplit(",", 1)[0])  # cut mid-row
     paths = {
         "stream": pipeline / "stream.pnrtag",
         "calibration": pipeline / "calibration_optimal.json",
         "records": pipeline / "records_A.pnrec",
         "pileup": pileup,
+        "no_components": no_components,
+        "unnormalised": unnormalised,
+        "not_json": not_json,
+        "short_truth": short_truth,
+        "short_records": short_records,
     }
     code, out, err = run(capsys, *(a.format(**paths) for a in argv), "--out", tmp_path / "out")
     assert code == 2
     assert out is None
-    assert err["error"] == "ConfigError"
+    assert err["error"] == ("StreamFormatError" if argv[-1].startswith("{short_") else "ConfigError")
     assert err["exit_code"] == 2
 
 
@@ -361,6 +387,26 @@ def test_jpnd_misaligned_records_exit_4(tmp_path, capsys):
     code, _, err = run(capsys, "jpnd", tmp_path / "a.csv", tmp_path / "b.csv", "--out", tmp_path)
     assert code == 4
     assert err["error"] == "AlignmentError"
+
+
+def test_pipeline_rerun_is_byte_identical(tmp_path, capsys):
+    for sub in ("one", "two"):
+        out = tmp_path / sub
+        for argv in (
+            ("simulate", "--n-triggers", 20000, "--seed", 42),
+            ("calibrate", out / "stream.pnrtag", "--mode", "both"),
+            ("decode", out / "stream.pnrtag", out / "calibration_optimal.json", "--truth", out / "truth.csv"),
+            ("stats", out / "records_A.pnrec"),
+            ("jpnd", out / "records_A.pnrec", out / "records_A.csv",
+             "--split-a", out / "records_A.csv", "--split-b", out / "records_A.pnrec"),
+        ):
+            code, _, _ = run(capsys, *argv, "--out", out, "--quiet")
+            assert code == 0
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert len(names) == 17
+    assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+    for name in names:
+        assert digest(tmp_path / "one" / name) == digest(tmp_path / "two" / name), name
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

@@ -1,0 +1,192 @@
+"""Text sidecars: every CSV writer against a per-row f-string reference,
+the integer CSV reader's errors, the JSON reader's errors, and the memory
+of a chunked write."""
+
+import json
+import math
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from pnrtiming import (
+    JointDistribution,
+    NumberDistribution,
+    PhotonRecordSet,
+    TruthBlock,
+    VoigtComponent,
+    fit_poisson_mu,
+    textio,
+)
+from pnrtiming.calibrate import Histogram2D, histogram_1d, mixture_pdf
+from pnrtiming.cli import _write_crosstalk_csv, _write_projection_csv, main
+from pnrtiming.errors import ConfigError, StreamFormatError
+
+# on both sides of the writer's 65,536-row chunk
+ROWS = [0, 1, 65_535, 65_536, 65_537]
+# square tables (JPND, crosstalk) have as many rows as columns
+SIZES = [1, 2, 7, 300]
+
+
+def assert_file_is(path, header, lines):
+    assert path.read_bytes() == (header + "\n" + "".join(lines)).encode("utf-8")
+
+
+def int64_column(rng, rows):
+    # negative values and values past 32 bits
+    return rng.integers(-(2**62), 2**62, rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_record_set_csv(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    idx, time = int64_column(rng, rows), int64_column(rng, rows)
+    n = rng.integers(0, 2**15, rows).astype(np.int16)
+    path = tmp_path / "records.csv"
+    PhotonRecordSet("B", 6500.25, idx, time, n).to_csv(path)
+    header = "# detector=B window_ps=6500.25\ntrigger_index,trigger_time,n"
+    assert_file_is(path, header, [f"{idx[i]},{time[i]},{n[i]}\n" for i in range(rows)])
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_truth_csv(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    idx, a, b = int64_column(rng, rows), int64_column(rng, rows), int64_column(rng, rows)
+    path = tmp_path / "truth.csv"
+    TruthBlock(idx, a, b).to_csv(path)
+    assert_file_is(path, "trigger_index,true_n_a,true_n_b", [f"{idx[i]},{a[i]},{b[i]}\n" for i in range(rows)])
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_histogram2d_csv(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    rise_edges = -1234.5678 + 0.37 * np.arange(rows + 1)
+    fall_edges = 2000.0 + np.array([0.0, 1.0, 1.5, 2.25])
+    counts = rng.integers(0, 10**9, (rows, 3), dtype=np.int64)
+    hist = Histogram2D(rise_edges, fall_edges, counts)
+    path = tmp_path / "hist.csv"
+    hist.to_csv(path)
+    header = "rise_ps\\fall_ps," + ",".join(f"{v:.6g}" for v in hist.fall_centers)
+    lines = [f"{rc:.6g}," + ",".join(str(int(v)) for v in row) + "\n" for rc, row in zip(hist.rise_centers, counts)]
+    assert_file_is(path, header, lines)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+@pytest.mark.parametrize("rows", ROWS[1:])
+def test_number_distribution_csv(tmp_path, rows, kind):
+    rng = np.random.default_rng(rows)
+    counts = rng.integers(0, 10**6, rows)
+    if kind == "float":
+        counts = counts / 2.0  # real-valued counts print as "3.0" and "2.5"
+    dist = NumberDistribution(counts)
+    path = tmp_path / "dist.csv"
+    dist.to_csv(path)
+    lines = [f"{n},{c},{p:.9g}\n" for n, (c, p) in enumerate(zip(dist.counts, dist.probabilities()))]
+    assert_file_is(path, "n,count,probability", lines)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_jpnd_csv(tmp_path, size):
+    matrix = np.random.default_rng(size).integers(0, 2**40, (size, size))
+    path = tmp_path / "jpnd.csv"
+    JointDistribution(matrix).to_csv(path)
+    header = "n_a\\n_b," + ",".join(str(j) for j in range(size))
+    assert_file_is(path, header, [f"{i}," + ",".join(str(v) for v in row) + "\n" for i, row in enumerate(matrix)])
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_crosstalk_csv(tmp_path, size):
+    matrix = np.random.default_rng(size).dirichlet(np.ones(size), size)
+    path = tmp_path / "crosstalk.csv"
+    _write_crosstalk_csv(path, matrix)
+    header = "true_n\\decoded_n," + ",".join(str(j + 1) for j in range(size))
+    lines = [f"{i + 1}," + ",".join(f"{v:.9g}" for v in row) + "\n" for i, row in enumerate(matrix)]
+    assert_file_is(path, header, lines)
+
+
+@pytest.mark.parametrize("rows", [7] + ROWS[2:])
+def test_projection_csv(tmp_path, rows):
+    # the padded histogram adds 6 margin bins of 0.5 ps to the span
+    lo, hi = -100.0, -100.0 + 0.5 * (rows - 6)
+    coords = np.clip(np.concatenate([[lo, hi], np.random.default_rng(rows).normal(0.0, 400.0, 5000)]), lo, hi)
+    model = SimpleNamespace(components=[VoigtComponent(-50.0, 30.0, 1.0, 0.4), VoigtComponent(60.0, 20.0, 2.0, 0.6)])
+    path = tmp_path / "projection.csv"
+    _write_projection_csv(path, coords, model)
+    counts, centers, _ = histogram_1d(coords, 0.5)
+    fitted = coords.size * 0.5 * mixture_pdf(centers, model.components)
+    assert counts.size == rows
+    lines = [f"{x:.6g},{c},{m:.6g}\n" for x, c, m in zip(centers, counts, fitted)]
+    assert_file_is(path, "coordinate_ps,counts,fitted_counts", lines)
+
+
+@pytest.mark.parametrize("tail_from", [1, 4, 65_534, 65_535, 65_536])
+def test_poisson_fit_csv(tmp_path, tail_from):
+    n = np.random.default_rng(tail_from).poisson(2.0, 500)
+    records = tmp_path / "records.csv"
+    PhotonRecordSet("A", 8000.0, np.arange(n.size), np.zeros(n.size, dtype=np.int64), n).to_csv(records)
+    assert main(["stats", str(records), "--tail-from", str(tail_from), "--out", str(tmp_path), "--quiet"]) == 0
+    fit = fit_poisson_mu(NumberDistribution.from_records(PhotonRecordSet.from_csv(records)), tail_from=tail_from)
+    lines = [f"{label},{obs},{exp:.6g}\n" for label, obs, exp in zip(fit.labels, fit.counts, fit.expected)]
+    assert_file_is(tmp_path / "poisson_fit.csv", "category,observed,expected", lines)
+
+
+def test_chunked_write_memory_is_bounded(tmp_path):
+    rows = 500_000
+    idx = np.arange(rows, dtype=np.int64) + 2**40
+    records = PhotonRecordSet("A", 8000.0, idx, idx * 1000, np.full(rows, 3, dtype=np.int16))
+    tracemalloc.start()
+    try:
+        records.to_csv(tmp_path / "records.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one join over all rows traces ~90 MB of Python values and text
+    assert peak < 16e6
+
+
+# ---- reading
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        (b"0,1,0\n1,2\n2,0,1\n", 3),  # short row
+        (b"0,1,0\n1,2,x\n", 3),  # not an integer
+        (b"0,1,0\n1,2,3.5\n", 3),  # not an integer
+        (b"0,1,0\n1,\xff,0\n", 3),  # not UTF-8
+        (b"0,1\n1,2\n", 2),  # every row short
+        (b"0,1,0,4\n", 2),  # a row too long
+        (b"# note\n\n0,1,0\n1,1,1\n2,2\n", 6),  # comment and blank lines count as lines
+    ],
+)
+def test_malformed_row_names_its_line(tmp_path, body, line):
+    path = tmp_path / "truth.csv"
+    path.write_bytes(b"trigger_index,true_n_a,true_n_b\n" + body)
+    with pytest.raises(StreamFormatError, match=f"line {line}:"):
+        TruthBlock.from_csv(path)
+
+
+def test_read_csv_returns_header_and_empty_table(tmp_path):
+    path = tmp_path / "empty.csv"
+    PhotonRecordSet("B", 1.5, [], [], []).to_csv(path)
+    with pytest.warns(UserWarning, match="no data"):
+        header, data = textio.read_csv(path, 2, 3)
+    assert header == ["# detector=B window_ps=1.5", "trigger_index,trigger_time,n"]
+    assert data.shape == (0, 3) and data.dtype == np.int64
+
+
+@pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe\x00", b""])
+def test_read_json_rejects_text_that_is_not_json(tmp_path, raw):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        textio.read_json(path)
+
+
+def test_json_documents_end_with_a_newline(tmp_path):
+    path = tmp_path / "doc.json"
+    textio.write_json(path, {"b": [1, 2.5], "a": math.pi})
+    text = path.read_text()
+    assert text == '{\n  "a": 3.141592653589793,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    assert json.loads(text) == textio.read_json(path)

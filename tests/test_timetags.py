@@ -200,8 +200,9 @@ def test_detector_b_uses_channels_3_and_4():
 def test_pair_edges_rejects_bad_arguments():
     with pytest.raises(ValueError):
         pair_edges([TimeTag(0, 0)], window_ps=1000.0, detector="C")
-    with pytest.raises(ValueError):
-        pair_edges([TimeTag(0, 0)], window_ps=0.0)
+    for window in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            pair_edges([TimeTag(0, 0)], window_ps=window)
     with pytest.raises(StreamOrderError):
         pair_edges([TimeTag(0, 100), TimeTag(1, 0)], window_ps=1000.0)
 
