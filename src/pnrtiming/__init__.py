@@ -15,7 +15,6 @@ from .calibrate import (
     calibrate_events,
     classify,
     crosstalk_matrix,
-    fit_mixture,
     find_peaks,
     mixture_pdf,
     optimize_boundaries,
@@ -83,7 +82,6 @@ __all__ = [
     "edge_delays",
     "estimate_efficiency",
     "find_peaks",
-    "fit_mixture",
     "fit_poisson_mu",
     "hom_contrast",
     "iter_tag_blocks",

@@ -3,11 +3,13 @@
 The timing clusters of successive photon numbers line up along a tilted
 band: rise delays shrink with photon number while fall delays grow, and
 the shared detector jitter stretches every cluster along the +45 degree
-diagonal.  Calibration projects events onto a direction
-``coordinate = rise * cos(angle) + fall * sin(angle)``, fits a Voigt
-mixture to the projected histogram, places decision boundaries where
-neighbouring weighted densities cross, and summarizes the remaining
-overlap as a row-stochastic crosstalk matrix.
+diagonal.  Calibration labels every event with its cluster once, at a
+well-separated projection.  A model then projects onto a direction
+``coordinate = rise * cos(angle) + fall * sin(angle)``: each cluster is a
+Gaussian with its label's projected mean and standard deviation and its
+event fraction as weight, decision boundaries sit where neighbouring
+weighted densities cross, and the remaining overlap is summarized as a
+row-stochastic crosstalk matrix.
 
 Angle search covers every separating line in [0, pi); the stored model
 angle may carry an extra pi so that photon number always ascends with the
@@ -17,12 +19,13 @@ projected coordinate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.ndimage import gaussian_filter1d
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 from scipy.signal import find_peaks as _scipy_find_peaks
 from scipy.special import ndtr, wofz
 
@@ -33,14 +36,11 @@ from .errors import (
     DegenerateOverlapError,
     EmptySampleError,
     InsufficientDataError,
-    MixtureFitError,
 )
+from .timetags import DETECTOR_CHANNELS
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# 3-point Gauss-Legendre rule, rescaled for integration across one bin
-_GL_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
-_GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]) / 2.0
 
 RISING_ONLY = "rising_only"
 OPTIMAL = "optimal"
@@ -201,202 +201,6 @@ def _peak_indices_ranked(counts: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Mixture fitting
-
-
-@dataclass(eq=False)
-class MixtureFitReport:
-    converged: bool
-    message: str
-    n_events: int
-    bin_width: float
-    nll: float
-    nll_trace: list
-    bin_centers: np.ndarray
-    observed: np.ndarray
-    expected: np.ndarray
-    residuals: np.ndarray
-    chi2: float
-    chi2_ndf: float
-    ndf: int
-    chi2_min_expected: float = 5.0
-
-
-def _unpack_params(theta: np.ndarray, k: int, sigma_floor: float, min_gap: float):
-    """Map the unconstrained optimizer vector to mixture parameters.
-
-    Widths and gaps live on a log scale so plain (unbounded) Powell can be
-    used; its line searches bracket outward from the current point, which
-    keeps the likelihood monotone across iterations.  Exponents are clipped
-    so a wild trial step cannot overflow.
-    """
-    expo = np.exp(np.clip(theta[1 : 3 * k], -40.0, 40.0))
-    centers = theta[0] + np.concatenate([[0.0], np.cumsum(min_gap + expo[: k - 1])])
-    sigmas = sigma_floor + expo[k - 1 : 2 * k - 1]
-    gammas = expo[2 * k - 1 : 3 * k - 1]
-    logits = np.concatenate([theta[3 * k : 4 * k - 1], [0.0]])
-    w = np.exp(logits - logits.max())
-    w /= w.sum()
-    return centers, sigmas, gammas, w
-
-
-def _pack_components(theta: np.ndarray, k: int, sigma_floor: float, min_gap: float):
-    centers, sigmas, gammas, w = _unpack_params(theta, k, sigma_floor, min_gap)
-    return [
-        VoigtComponent(float(c), float(s), float(g), float(wt))
-        for c, s, g, wt in zip(centers, sigmas, gammas, w)
-    ]
-
-
-def _bin_probabilities(edges_lo, edges_hi, components):
-    """Model probability mass per bin via 3-point Gauss-Legendre."""
-    mid = 0.5 * (edges_lo + edges_hi)
-    half = 0.5 * (edges_hi - edges_lo)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    dens = mixture_pdf(pts.ravel(), components).reshape(pts.shape)
-    return (edges_hi - edges_lo) * (dens @ _GL_WEIGHTS)
-
-
-def _initial_widths(coords, centers_sorted, sigma_floor):
-    """Per-cluster scale and weight seeds from a Voronoi split around the centers."""
-    mids = 0.5 * (centers_sorted[:-1] + centers_sorted[1:])
-    labels = np.searchsorted(mids, coords)
-    sigmas, weights = [], []
-    span = float(coords.max() - coords.min()) or 1.0
-    for j in range(centers_sorted.size):
-        cell = coords[labels == j]
-        if cell.size >= 5:
-            mad = np.median(np.abs(cell - np.median(cell)))
-            s = 1.4826 * float(mad)
-        else:
-            s = span / (4.0 * centers_sorted.size)
-        sigmas.append(min(max(s, sigma_floor * 1.5), span))
-        weights.append(max(cell.size / coords.size, 1e-4))
-    w = np.array(weights)
-    return np.array(sigmas), w / w.sum()
-
-
-def _complete_centers(coords: np.ndarray, init: np.ndarray, k: int) -> np.ndarray:
-    """Trim or pad initial centers so exactly k remain, preserving order."""
-    init = np.sort(np.asarray(init, dtype=float))
-    if init.size > k:
-        return init[np.round(np.linspace(0, init.size - 1, k)).astype(int)]
-    centers = list(init)
-    mids = None
-    while len(centers) < k:
-        mids = 0.5 * (np.array(centers[:-1]) + np.array(centers[1:])) if len(centers) > 1 else np.array([])
-        labels = np.searchsorted(mids, coords)
-        counts = np.bincount(labels, minlength=len(centers))
-        j = int(np.argmax(counts))
-        cell = np.sort(coords[labels == j])
-        if cell.size < 4:
-            # nothing to split; nudge a duplicate next to the heaviest center
-            centers.append(centers[j] + 1e-3 * (1 + j))
-        else:
-            lo, hi = cell[: cell.size // 2], cell[cell.size // 2 :]
-            centers[j] = float(np.median(lo))
-            centers.append(float(np.median(hi)))
-        centers.sort()
-    return np.array(centers)
-
-
-def fit_mixture(
-    coords,
-    k: int,
-    init_centers=None,
-    *,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    maxiter: int = 150,
-):
-    """Binned maximum-likelihood Voigt mixture fit on projected coordinates.
-
-    Parameters are refined by derivative-free local optimization (Powell)
-    from the peak initializer, with centers parametrized as a first center
-    plus non-negative gaps so the component order never degenerates.
-
-    Returns (components ordered by center, MixtureFitReport).  Raises
-    MixtureFitError with the best parameters seen if the optimizer stops
-    without converging.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if not np.all(np.isfinite(coords)):
-        raise ValueError("coordinates must be finite")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if coords.size < 50 * k:
-        raise InsufficientDataError(f"need at least {50 * k} events to fit {k} components, got {coords.size}")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-
-    counts, centers_all, edges = histogram_1d(coords, bin_width)
-    occupied = counts > 0
-    obs = counts[occupied].astype(float)
-    lo = edges[:-1][occupied]
-    hi = edges[1:][occupied]
-
-    if init_centers is None:
-        init_centers = find_peaks(counts, centers_all)
-    init_centers = _complete_centers(coords, np.asarray(init_centers, dtype=float), k)
-
-    sigma_floor = max(bin_width / 4.0, 1e-3)
-    min_gap = 1e-3
-    sig0, w0 = _initial_widths(coords, init_centers, sigma_floor)
-    gam0 = np.maximum(0.05 * sig0, 1e-3)
-    logit0 = np.log(w0[:-1] / w0[-1]) if k > 1 else np.empty(0)
-
-    x0 = np.concatenate(
-        [
-            [init_centers[0]],
-            np.log(np.maximum(np.diff(init_centers) - min_gap, min_gap)),
-            np.log(np.maximum(sig0 - sigma_floor, 1e-3)),
-            np.log(gam0),
-            logit0,
-        ]
-    )
-
-    def nll(theta):
-        comps = _pack_components(theta, k, sigma_floor, min_gap)
-        probs = _bin_probabilities(lo, hi, comps)
-        return -float(obs @ np.log(np.maximum(probs, 1e-300)))
-
-    trace = [nll(x0)]
-    result = minimize(
-        nll,
-        x0,
-        method="Powell",
-        callback=lambda xk: trace.append(nll(xk)),
-        options={"maxiter": maxiter, "maxfev": 40_000, "xtol": 1e-6, "ftol": 1e-9},
-    )
-
-    components = _pack_components(result.x, k, sigma_floor, min_gap)
-    expected = coords.size * _bin_probabilities(edges[:-1], edges[1:], components)
-    residuals = counts - expected
-    use = expected >= 5.0
-    chi2 = float(np.sum(residuals[use] ** 2 / expected[use]))
-    ndf = max(int(np.count_nonzero(use)) - (4 * k - 1) - 1, 1)
-    report = MixtureFitReport(
-        converged=bool(result.success),
-        message=str(result.message),
-        n_events=int(coords.size),
-        bin_width=float(bin_width),
-        nll=float(result.fun),
-        nll_trace=[float(v) for v in trace],
-        bin_centers=centers_all,
-        observed=counts,
-        expected=expected,
-        residuals=residuals,
-        chi2=chi2,
-        chi2_ndf=chi2 / ndf,
-        ndf=ndf,
-    )
-    if not result.success:
-        raise MixtureFitError(
-            f"mixture fit did not converge: {result.message}", components=components, report=report
-        )
-    return components, report
-
-
-# ---------------------------------------------------------------------------
 # Boundaries and crosstalk
 
 
@@ -408,17 +212,57 @@ def _check_components(components):
         raise ValueError("components must be ordered by strictly ascending center")
 
 
+def _gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) -> float:
+    """Crossing of two weighted Gaussian densities between their centers
+    (c1 < c2); raises DegenerateOverlapError when they do not cross there.
+
+    At x = c1 + u the log-density difference log(w1 N1) - log(w2 N2) is
+    g(u) = A u^2 + B u + C.  It is tested for a sign change in log space, so
+    densities far out in each other's tails never underflow; the roots come
+    from the cancellation-free form q = -(B - sqrt(D)) / 2, u = q / A or
+    C / q, and with equal sigmas (A = 0) C / q is the root of the linear
+    equation.
+    """
+    gap = c2 - c1
+    a = c1 + 1e-9 * gap
+    b = c2 - 1e-9 * gap
+    quad_a = 0.5 * (1.0 / s2**2 - 1.0 / s1**2)
+    quad_b = -gap / s2**2
+    quad_c = math.log(w1 * s2 / (w2 * s1)) + 0.5 * (gap / s2) ** 2
+
+    def g(x):
+        u = x - c1
+        return (quad_a * u + quad_b) * u + quad_c
+
+    if g(a) <= 0.0 or g(b) >= 0.0:
+        raise DegenerateOverlapError(
+            f"weighted densities of components at {c1:.4g} and {c2:.4g} do not cross between the centers"
+        )
+    # the sign change above guarantees one real root in (a, b)
+    q = 0.5 * (math.sqrt(max(quad_b * quad_b - 4.0 * quad_a * quad_c, 0.0)) - quad_b)
+    roots = [quad_c / q] if quad_a == 0.0 else [quad_c / q, q / quad_a]
+    # the other root, if any, lies outside (a, b), so farther from the middle
+    u = min(roots, key=lambda r: abs(r - 0.5 * gap))
+    return min(max(c1 + u, a), b)
+
+
 def optimize_boundaries(components) -> np.ndarray:
     """Decision boundary between each adjacent component pair.
 
     The boundary is the coordinate between the two centers where the
     weighted densities are equal, which minimizes the misassigned
     probability for that pair.  If the densities never cross in the open
-    interval the overlap is degenerate and an error is raised.
+    interval the overlap is degenerate and an error is raised.  A pair of
+    Gaussians (gamma = 0) has the closed-form crossing; any other pair is
+    root-bracketed.
     """
     _check_components(components)
     bounds = []
     for left, right in zip(components[:-1], components[1:]):
+        if left.gamma == 0.0 and right.gamma == 0.0:
+            pair = (left.center, left.sigma, left.weight, right.center, right.sigma, right.weight)
+            bounds.append(_gaussian_pair_boundary(*pair))
+            continue
         gap = right.center - left.center
 
         def diff(x):
@@ -501,8 +345,280 @@ def classify(coords, boundaries) -> np.ndarray:
     return np.searchsorted(np.asarray(boundaries, dtype=float), np.asarray(coords, dtype=float), side="left")
 
 
+def _gaussian_crosstalk(center, sigma, weight):
+    """(boundaries, fallback pairs, crosstalk rows) of weighted Gaussian
+    components in ascending order of center.
+
+    Each boundary is the crossing of its pair's weighted densities, or their
+    midpoint when they do not cross between the centers; such a pair (i,
+    i + 1) is listed.  Row i holds the mass of component i in each decision
+    bucket, from ndtr.
+    """
+    k = center.size
+    c, s, w = center.tolist(), sigma.tolist(), weight.tolist()
+    bounds, fallback = [], []
+    for i in range(k - 1):
+        try:
+            bounds.append(_gaussian_pair_boundary(c[i], s[i], w[i], c[i + 1], s[i + 1], w[i + 1]))
+        except DegenerateOverlapError:
+            bounds.append(0.5 * (c[i] + c[i + 1]))
+            fallback.append((i, i + 1))
+    bounds = np.sort(np.array(bounds, dtype=float))
+    z = (bounds[None, :] - center[:, None]) / sigma[:, None]
+    cum = np.concatenate([np.zeros((k, 1)), ndtr(z), np.ones((k, 1))], axis=1)
+    return bounds, fallback, np.diff(cum, axis=1)
+
+
 # ---------------------------------------------------------------------------
-# Angle optimization
+# Labelling
+
+
+def _distinct_pairs(rise, fall):
+    """Distinct (rise, fall) pairs, ascending by rise then fall, and how
+    many events share each: (pair_rise, pair_fall, multiplicity).
+
+    Exact for any float delays.  Paired delays sit on the 0.1 ps tag grid,
+    so a large sample has far fewer distinct pairs than events.
+    """
+    pairs, multiplicity = np.unique(rise + 1j * fall, return_counts=True)
+    return pairs.real.copy(), pairs.imag.copy(), multiplicity
+
+
+def _pair_histogram(coords, multiplicity):
+    """(counts, centers, edges) of histogram_1d for a sample given as
+    distinct coordinates with their multiplicities: the same bins, and the
+    counts of the expanded sample."""
+    edges = _padded_edges(coords, DEFAULT_BIN_WIDTH)
+    # the bin np.histogram picks on these edges: edges[i] <= x < edges[i + 1]
+    idx = np.searchsorted(edges, coords, side="right") - 1
+    counts = np.bincount(idx, weights=multiplicity, minlength=edges.size - 1)
+    return counts.astype(np.int64), 0.5 * (edges[:-1] + edges[1:]), edges
+
+
+def _reference_scan(pairs, angles):
+    """Score candidate angles by (resolved peak count, worst valley depth,
+    concentration), lexicographically.
+
+    Depth of the shallowest valley between adjacent peaks, relative to the
+    smaller of the two peak heights, measures how cleanly the projection can
+    be split into labels.  Concentration sum(p^2) alone would be a trap: it
+    is maximized by collapsing all clusters onto each other, which is
+    exactly the projection that destroys the labels.  ``pairs`` is the
+    output of ``_distinct_pairs``; every score depends on the histogram
+    counts only, so it equals the score of the per-event projection.
+    """
+    pair_rise, pair_fall, multiplicity = pairs
+    n_peaks = np.zeros(angles.size, dtype=int)
+    depth = np.zeros(angles.size)
+    conc = np.zeros(angles.size)
+    for i, theta in enumerate(angles):
+        coords = pair_rise * math.cos(theta) + pair_fall * math.sin(theta)
+        counts, _, _ = _pair_histogram(coords, multiplicity)
+        idx, _, smoothed = _peak_indices_ranked(counts)
+        p = counts / counts.sum()
+        n_peaks[i] = idx.size
+        conc[i] = float(np.sum(p * p))
+        if idx.size > 1:
+            dips = []
+            for a, b in zip(idx[:-1], idx[1:]):
+                floor = float(smoothed[a:b + 1].min())
+                dips.append(1.0 - floor / min(smoothed[a], smoothed[b]))
+            depth[i] = min(dips)
+    return n_peaks, depth, conc
+
+
+def _complete_centers(coords: np.ndarray, multiplicity: np.ndarray, init: np.ndarray, k: int) -> np.ndarray:
+    """Trim or pad initial centers so exactly k remain, preserving order.
+
+    The sample is given as distinct coordinates with their multiplicities.
+    Padding splits the most populated cell at the median of its events and
+    puts a center at the median of each half, as on the expanded sample.
+    """
+    init = np.sort(np.asarray(init, dtype=float))
+    if init.size > k:
+        return init[np.round(np.linspace(0, init.size - 1, k)).astype(int)]
+    centers = list(init)
+    while len(centers) < k:
+        mids = 0.5 * (np.array(centers[:-1]) + np.array(centers[1:])) if len(centers) > 1 else np.array([])
+        labels = np.searchsorted(mids, coords)
+        counts = np.bincount(labels, weights=multiplicity, minlength=len(centers))
+        j = int(np.argmax(counts))
+        order = np.argsort(coords[labels == j])
+        cell = coords[labels == j][order]
+        reach = np.cumsum(multiplicity[labels == j][order])  # events up to and including each value
+        n = int(reach[-1]) if reach.size else 0
+        if n < 4:
+            # nothing to split; nudge a duplicate next to the heaviest center
+            centers.append(centers[j] + 1e-3 * (1 + j))
+        else:
+            # the middle ranks of the lower and the upper half of the events
+            half = n // 2
+            ranks = [(half - 1) // 2, half // 2, half + (n - half - 1) // 2, half + (n - half) // 2]
+            v = cell[np.searchsorted(reach, ranks, side="right")].tolist()
+            centers[j] = 0.5 * (v[0] + v[1])
+            centers.append(0.5 * (v[2] + v[3]))
+        centers.sort()
+    return np.array(centers)
+
+
+class _LabelledEvents:
+    """The distinct (rise, fall) pairs of the detected events, with fixed
+    cluster labels from a well-separated projection.
+
+    ``pairs`` is the output of ``_distinct_pairs`` and ``labels`` holds one
+    label per pair; an event's label is the label of its pair.  Every
+    per-label statistic is weighted by the pair multiplicities, so it is the
+    statistic of the events themselves.  Per label the mean delays and their
+    centred second moments are kept, from which the projected moments at any
+    angle follow in closed form.
+    """
+
+    def __init__(self, pairs, labels, k):
+        self.pairs = pairs
+        self.labels = labels
+        self.k = k
+        pair_rise, pair_fall, multiplicity = pairs
+        self.n_events = int(multiplicity.sum())
+        self.counts = np.bincount(labels, weights=multiplicity, minlength=k)
+        self.fractions = self.counts / self.n_events
+
+        def per_label(values):
+            sums = np.bincount(labels, weights=multiplicity * values, minlength=k)
+            # an empty label has no moments (NaN), as an empty mean would
+            return np.divide(sums, self.counts, out=np.full(k, np.nan), where=self.counts > 0)
+
+        self.mean_rise = per_label(pair_rise)
+        self._mean_fall = per_label(pair_fall)
+        # centred: raw second moments would cancel at delays of ~2000 ps
+        d_rise = pair_rise - self.mean_rise[labels]
+        d_fall = pair_fall - self._mean_fall[labels]
+        self._var_rise = per_label(d_rise * d_rise)
+        self._var_fall = per_label(d_fall * d_fall)
+        self._cov = per_label(d_rise * d_fall)
+
+    def moments(self, angle: float):
+        """Per-class mean and standard deviation of the projection at angle.
+
+        With c = cos(angle) and s = sin(angle), a class's projected mean is
+        c E[rise] + s E[fall] and its variance c^2 Var(rise) + s^2 Var(fall)
+        + 2 c s Cov(rise, fall), so a trial angle costs O(k), not O(N).
+        """
+        c, s = math.cos(angle), math.sin(angle)
+        mean = c * self.mean_rise + s * self._mean_fall
+        var = c * c * self._var_rise + s * s * self._var_fall + 2.0 * c * s * self._cov
+        return mean, np.sqrt(np.maximum(var, 1e-9))
+
+
+def _label_events(events, k):
+    """Pick a well-separated projection, split it at histogram valleys, and
+    label every event with its cluster index (ascending along that axis).
+
+    Every calibration mode starts from this one labelling; it works on the
+    distinct (rise, fall) pairs, so the events are collapsed once and the
+    angle scan never projects them again.  The reference projection is the
+    one with the most peaks among those whose worst valley is at least half
+    deep: ranked by peak count alone, a small sample's noise peaks at a
+    shallow projection would win.  Returns (_LabelledEvents, reference
+    angle).
+    """
+    rise, fall = _detected_arrays(events)
+    if rise.size == 0:
+        raise EmptySampleError("no detected events to calibrate")
+    pairs = _distinct_pairs(rise, fall)
+    pair_rise, pair_fall, multiplicity = pairs
+    angles = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
+    n_peaks, depth, conc = _reference_scan(pairs, angles)
+    order = np.lexsort((conc, depth, n_peaks, depth >= 0.5))
+    theta_ref = float(angles[order[-1]])
+    coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
+    counts, centers, _ = _pair_histogram(coords, multiplicity)
+    idx, prom, smoothed = _peak_indices_ranked(counts)
+    if idx.size == 0:
+        raise CalibrationError("no peaks found at the reference projection")
+    if k is None:
+        k = int(idx.size)
+    if idx.size > k:
+        keep = np.sort(np.argsort(prom)[::-1][:k])
+        idx = idx[keep]
+    if idx.size == k:
+        valleys = []
+        for a, b in zip(idx[:-1], idx[1:]):
+            valleys.append(centers[a + int(np.argmin(smoothed[a : b + 1]))])
+        cut = np.array(valleys)
+    else:
+        # too few resolved peaks: split the most populated cells of the events
+        peak_centers = _complete_centers(coords, multiplicity, centers[idx], k)
+        cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
+    if rise.size < 50 * k:
+        raise InsufficientDataError(f"need at least {50 * k} detected events, got {rise.size}")
+    return _LabelledEvents(pairs, np.searchsorted(cut, coords), k), theta_ref
+
+
+# ---------------------------------------------------------------------------
+# Models from the label moments
+
+
+def _gaussian_model(labelled, line_angle: float):
+    """The labels' Gaussian model on the separating line at line_angle in
+    [0, pi): (angle, centers, sigmas, weights, boundaries, fallback pairs,
+    crosstalk rows), components in ascending order along the axis.
+
+    Component j is one label: its projected mean and standard deviation,
+    and its event fraction as weight.  The rising edge arrives earlier for
+    higher photon numbers, so the label with the larger mean rise delay is
+    the lower photon number; when photon number would descend along the
+    axis, the line is taken at line_angle + pi, which negates the
+    coordinate.  O(k): the events are not visited.
+    """
+    mean, _ = labelled.moments(line_angle)
+    order = np.argsort(mean)
+    descends = labelled.mean_rise[order[0]] < labelled.mean_rise[order[-1]]
+    angle = line_angle + math.pi if descends else line_angle
+    mean, sigma = labelled.moments(angle)
+    order = np.argsort(mean)
+    center, sigma, weight = mean[order], sigma[order], labelled.fractions[order]
+    return (angle, center, sigma, weight, *_gaussian_crosstalk(center, sigma, weight))
+
+
+def _fit_summary(labelled, angle, center, sigma, weight) -> dict:
+    """Pearson chi-square of a Gaussian model against the histogram of the
+    events projected at angle, over the bins that expect at least 5 events.
+
+    Bin masses are exact Gaussian integrals (ndtr); ndf subtracts the 3k - 1
+    estimated parameters (centers, sigmas, weights summing to one) and 1.
+    """
+    pair_rise, pair_fall, multiplicity = labelled.pairs
+    counts, _, edges = _pair_histogram(pair_rise * math.cos(angle) + pair_fall * math.sin(angle), multiplicity)
+    cdf = ndtr((edges[None, :] - center[:, None]) / sigma[:, None])
+    expected = labelled.n_events * (weight @ np.diff(cdf, axis=1))
+    use = expected >= 5.0
+    chi2 = float(np.sum((counts[use] - expected[use]) ** 2 / expected[use]))
+    ndf = max(int(np.count_nonzero(use)) - (3 * center.size - 1) - 1, 1)
+    return {"n_events": labelled.n_events, "chi2": chi2, "ndf": ndf, "chi2_ndf": chi2 / ndf}
+
+
+def _finalize_model(labelled, line_angle, mode, detector, window_ps, extra):
+    """The mode's CalibrationModel: the labels' Gaussian model on the
+    separating line at line_angle, with its boundary and fit diagnostics."""
+    angle, center, sigma, weight, boundaries, fallback, crosstalk = _gaussian_model(labelled, line_angle)
+    components = [
+        VoigtComponent(c, s, 0.0, w) for c, s, w in zip(center.tolist(), sigma.tolist(), weight.tolist())
+    ]
+    diagnostics = {
+        "boundary_fallback_pairs": fallback,
+        "fit": _fit_summary(labelled, angle, center, sigma, weight),
+        **extra,
+    }
+    return CalibrationModel(
+        mode=mode,
+        angle=angle,
+        components=components,
+        boundaries=boundaries,
+        crosstalk=crosstalk,
+        detector=detector,
+        window_ps=window_ps,
+        diagnostics=diagnostics,
+    )
 
 
 def _golden_min(f, a: float, b: float, tol: float, evals: list):
@@ -525,270 +641,18 @@ def _golden_min(f, a: float, b: float, tol: float, evals: list):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-class _LabelledEvents:
-    """Detected events with fixed cluster labels from a well-separated projection.
-
-    ``rise`` and ``fall`` hold the per-event delays, which the mixture fit
-    uses.  ``labels`` holds one label per distinct (rise, fall) pair, in the
-    order of ``_distinct_pairs``; an event's label is the label of its pair.
-    Every per-label statistic is weighted by the pair multiplicities, so it
-    is the statistic of the events themselves.  Per label the mean delays
-    and their centred second moments are kept, from which the projected
-    moments at any angle follow in closed form.
-    """
-
-    def __init__(self, rise, fall, pairs, labels, k):
-        self.rise = rise
-        self.fall = fall
-        self.labels = labels
-        self.k = k
-        pair_rise, pair_fall, multiplicity = pairs
-        self.counts = np.bincount(labels, weights=multiplicity, minlength=k)
-        self.fractions = self.counts / rise.size
-
-        def per_label(values):
-            sums = np.bincount(labels, weights=multiplicity * values, minlength=k)
-            # an empty label has no moments (NaN), as an empty mean would
-            return np.divide(sums, self.counts, out=np.full(k, np.nan), where=self.counts > 0)
-
-        self._mean_rise = per_label(pair_rise)
-        self._mean_fall = per_label(pair_fall)
-        # centred: raw second moments would cancel at delays of ~2000 ps
-        d_rise = pair_rise - self._mean_rise[labels]
-        d_fall = pair_fall - self._mean_fall[labels]
-        self._var_rise = per_label(d_rise * d_rise)
-        self._var_fall = per_label(d_fall * d_fall)
-        self._cov = per_label(d_rise * d_fall)
-
-    def moments(self, angle: float):
-        """Per-class mean and standard deviation of the projection at angle.
-
-        With c = cos(angle) and s = sin(angle), a class's projected mean is
-        c E[rise] + s E[fall] and its variance c^2 Var(rise) + s^2 Var(fall)
-        + 2 c s Cov(rise, fall), so a trial angle costs O(k), not O(N).
-        """
-        c, s = math.cos(angle), math.sin(angle)
-        mean = c * self._mean_rise + s * self._mean_fall
-        var = c * c * self._var_rise + s * s * self._var_fall + 2.0 * c * s * self._cov
-        return mean, np.sqrt(np.maximum(var, 1e-9))
-
-
-def _gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) -> float:
-    """Crossing of two weighted Gaussian densities between their centers
-    (c1 < c2), or the midpoint when they do not cross there.
-
-    Equating the log-densities at x = c1 + u gives A u^2 + B u + C = 0;
-    the roots come from the cancellation-free form q = -(B - sqrt(D)) / 2,
-    u = q / A or C / q, and with equal sigmas (A = 0) C / q is the root of
-    the linear equation.
-    """
-
-    def diff(x):
-        a = w1 / (s1 * _SQRT2PI) * math.exp(-0.5 * ((x - c1) / s1) ** 2)
-        b = w2 / (s2 * _SQRT2PI) * math.exp(-0.5 * ((x - c2) / s2) ** 2)
-        return a - b
-
-    gap = c2 - c1
-    a = c1 + 1e-9 * gap
-    b = c2 - 1e-9 * gap
-    if diff(a) <= 0 or diff(b) >= 0:
-        return 0.5 * (c1 + c2)
-    # the sign change above guarantees one real root in (a, b)
-    quad_a = 0.5 * (1.0 / s2**2 - 1.0 / s1**2)
-    quad_b = -gap / s2**2
-    quad_c = math.log(w1 * s2 / (w2 * s1)) + 0.5 * (gap / s2) ** 2
-    q = 0.5 * (math.sqrt(max(quad_b * quad_b - 4.0 * quad_a * quad_c, 0.0)) - quad_b)
-    roots = [quad_c / q] if quad_a == 0.0 else [quad_c / q, q / quad_a]
-    # the other root, if any, lies outside (a, b), so farther from the middle
-    u = min(roots, key=lambda r: abs(r - 0.5 * gap))
-    return min(max(c1 + u, a), b)
-
-
-def _gaussian_offdiagonal(mean, sigma, weight) -> float:
-    """Total off-diagonal crosstalk of a Gaussian component stack."""
-    order = np.argsort(mean)
-    c, s, w = mean[order], sigma[order], weight[order]
-    k = c.size
-    bounds = np.array(
-        [_gaussian_pair_boundary(c[i], s[i], w[i], c[i + 1], s[i + 1], w[i + 1]) for i in range(k - 1)]
-    )
-    if np.any(np.diff(bounds) <= 0):
-        bounds = np.sort(bounds)
-    z = (bounds[None, :] - c[:, None]) / s[:, None]
-    cum = np.concatenate([np.zeros((k, 1)), ndtr(z), np.ones((k, 1))], axis=1)
-    rows = np.diff(cum, axis=1)
-    return float(np.sum(rows * w[:, None]) - np.sum(np.diag(rows) * w))
-
-
-def _distinct_pairs(rise, fall):
-    """Distinct (rise, fall) pairs, ascending by rise then fall, and how
-    many events share each: (pair_rise, pair_fall, multiplicity).
-
-    Exact for any float delays.  Paired delays sit on the 0.1 ps tag grid,
-    so a large sample has far fewer distinct pairs than events.
-    """
-    pairs, multiplicity = np.unique(rise + 1j * fall, return_counts=True)
-    return pairs.real.copy(), pairs.imag.copy(), multiplicity
-
-
-def _pair_histogram(coords, multiplicity):
-    """(counts, centers) of histogram_1d for a sample given as distinct
-    coordinates with their multiplicities: the same bins, and the counts of
-    the expanded sample."""
-    edges = _padded_edges(coords, DEFAULT_BIN_WIDTH)
-    # the bin np.histogram picks on these edges: edges[i] <= x < edges[i + 1]
-    idx = np.searchsorted(edges, coords, side="right") - 1
-    counts = np.bincount(idx, weights=multiplicity, minlength=edges.size - 1)
-    return counts.astype(np.int64), 0.5 * (edges[:-1] + edges[1:])
-
-
-def _reference_scan(pairs, angles):
-    """Score candidate angles by (resolved peak count, worst valley depth,
-    concentration), lexicographically.
-
-    Depth of the shallowest valley between adjacent peaks, relative to the
-    smaller of the two peak heights, measures how cleanly the projection can
-    be split into labels.  Concentration sum(p^2) alone would be a trap: it
-    is maximized by collapsing all clusters onto each other, which is
-    exactly the projection that destroys the labels.  ``pairs`` is the
-    output of ``_distinct_pairs``; every score depends on the histogram
-    counts only, so it equals the score of the per-event projection.
-    """
-    pair_rise, pair_fall, multiplicity = pairs
-    n_peaks = np.zeros(angles.size, dtype=int)
-    depth = np.zeros(angles.size)
-    conc = np.zeros(angles.size)
-    for i, theta in enumerate(angles):
-        coords = pair_rise * math.cos(theta) + pair_fall * math.sin(theta)
-        counts, _ = _pair_histogram(coords, multiplicity)
-        idx, _, smoothed = _peak_indices_ranked(counts)
-        p = counts / counts.sum()
-        n_peaks[i] = idx.size
-        conc[i] = float(np.sum(p * p))
-        if idx.size > 1:
-            dips = []
-            for a, b in zip(idx[:-1], idx[1:]):
-                floor = float(smoothed[a:b + 1].min())
-                dips.append(1.0 - floor / min(smoothed[a], smoothed[b]))
-            depth[i] = min(dips)
-    return n_peaks, depth, conc
-
-
-def _label_events(events, k):
-    """Pick a well-separated projection, split it at histogram valleys, and
-    label every event with its cluster index (ascending along that axis).
-
-    Every calibration mode starts from this one labelling; it works on the
-    distinct (rise, fall) pairs, so the events are collapsed once and the
-    angle scan never projects them again.  Returns (_LabelledEvents,
-    reference angle).
-    """
-    rise, fall = _detected_arrays(events)
-    if rise.size == 0:
-        raise EmptySampleError("no detected events to calibrate")
-    pairs = _distinct_pairs(rise, fall)
-    pair_rise, pair_fall, multiplicity = pairs
-    angles = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
-    n_peaks, depth, conc = _reference_scan(pairs, angles)
-    order = np.lexsort((conc, depth, n_peaks))
-    theta_ref = float(angles[order[-1]])
-    coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
-    counts, centers = _pair_histogram(coords, multiplicity)
-    idx, prom, smoothed = _peak_indices_ranked(counts)
-    if idx.size == 0:
-        raise CalibrationError("no peaks found at the reference projection")
-    if k is None:
-        k = int(idx.size)
-    if idx.size > k:
-        keep = np.sort(np.argsort(prom)[::-1][:k])
-        idx = idx[keep]
-    if idx.size == k:
-        valleys = []
-        for a, b in zip(idx[:-1], idx[1:]):
-            valleys.append(centers[a + int(np.argmin(smoothed[a : b + 1]))])
-        cut = np.array(valleys)
-    else:
-        # too few resolved peaks: split the most populated cells of the events
-        peak_centers = _complete_centers(np.repeat(coords, multiplicity), centers[idx], k)
-        cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
-    if rise.size < 50 * k:
-        raise InsufficientDataError(f"need at least {50 * k} detected events, got {rise.size}")
-    return _LabelledEvents(rise, fall, pairs, np.searchsorted(cut, coords), k), theta_ref
-
-
-def _orientation_flip(rise, coords, labels, k) -> bool:
-    """True when photon number descends along the projected axis.
-
-    Physically the rising edge arrives earlier for higher photon numbers,
-    so the class with the larger mean rise delay is the lower photon
-    number; if that class sits at the upper end of the axis the projection
-    (and everything derived from it) must be negated.
-    """
-    present = [j for j in range(k) if np.count_nonzero(labels == j)]
-    if len(present) < 2:
-        return False
-    first = float(np.mean(rise[labels == present[0]]))
-    last = float(np.mean(rise[labels == present[-1]]))
-    return first < last
-
-
-def _finalize_model(labelled, theta_line, mode, detector=None, window_ps=None, extra=None):
-    """Full Voigt fit at a chosen separating line plus orientation, boundary,
-    and crosstalk assembly."""
-    angle = float(theta_line % math.pi) if mode == OPTIMAL else 0.0
-    coords = labelled.rise * math.cos(angle) + labelled.fall * math.sin(angle)
-    mean, _ = labelled.moments(angle)
-    components, report = fit_mixture(coords, labelled.k, np.sort(mean))
-    boundaries, fallback = boundaries_with_fallback(components)
-
-    labels = classify(coords, boundaries)
-    if _orientation_flip(labelled.rise, coords, labels, labelled.k):
-        angle = angle + math.pi
-        components = [
-            VoigtComponent(-c.center, c.sigma, c.gamma, c.weight) for c in reversed(components)
-        ]
-        boundaries = -boundaries[::-1]
-        fallback = [(labelled.k - 1 - j, labelled.k - 1 - i) for i, j in fallback][::-1]
-    crosstalk = crosstalk_matrix(components, boundaries) if labelled.k > 1 else np.array([[1.0]])
-    diagnostics = {"boundary_fallback_pairs": fallback, "fit": _report_summary(report)}
-    if extra:
-        diagnostics.update(extra)
-    return CalibrationModel(
-        mode=mode,
-        angle=angle,
-        components=components,
-        boundaries=boundaries,
-        crosstalk=crosstalk,
-        detector=detector,
-        window_ps=window_ps,
-        diagnostics=diagnostics,
-    )
-
-
-def _report_summary(report: MixtureFitReport) -> dict:
-    return {
-        "converged": report.converged,
-        "n_events": report.n_events,
-        "nll": report.nll,
-        "chi2": report.chi2,
-        "chi2_ndf": report.chi2_ndf,
-        "ndf": report.ndf,
-    }
-
-
 def _angle_scan(labelled):
-    """Separating line of least Gaussian-moment crosstalk between the labels.
+    """Separating line of least weighted off-diagonal crosstalk of the
+    labels' Gaussian model.
 
     Scores a grid on [0, pi) that includes the rising-only (0) and
     falling-only (pi/2) axes, then refines the best bracket by golden
     section.  Returns (line angle, objective diagnostics).
     """
-    if np.any(labelled.counts < 5):
-        raise CalibrationError("a cluster label has fewer than 5 events; reduce k or take more data")
 
     def objective(theta: float) -> float:
-        mean, sigma = labelled.moments(theta)
-        return _gaussian_offdiagonal(mean, sigma, labelled.fractions)
+        _, _, _, weight, _, _, crosstalk = _gaussian_model(labelled, theta)
+        return total_offdiagonal(crosstalk, weight)
 
     angles = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
     if not np.any(np.isclose(angles, math.pi / 2)):
@@ -812,18 +676,21 @@ def _angle_scan(labelled):
 
 
 def _calibrate(events, modes, k, detector, window_ps):
-    """Label the events once, then fit every mode in ``modes`` from that one
-    labelling; returns {mode: CalibrationModel}."""
+    """Label the events once, then build every mode in ``modes`` from that
+    one labelling; returns {mode: CalibrationModel}."""
     labelled, theta_ref = _label_events(events, k)
-    fits = {}
+    if np.any(labelled.counts < 5):
+        raise CalibrationError("a cluster label has fewer than 5 events; reduce k or take more data")
+    models = {}
     for mode in modes:
+        extra = {"reference_angle": theta_ref, "k": labelled.k}
         if mode == OPTIMAL:
-            theta, extra = _angle_scan(labelled)
-            extra.update(reference_angle=theta_ref, line_angle=theta, k=labelled.k)
+            theta, scan = _angle_scan(labelled)
+            extra.update(scan, line_angle=theta)
         else:
-            theta, extra = 0.0, {"reference_angle": theta_ref, "k": labelled.k}
-        fits[mode] = _finalize_model(labelled, theta, mode, detector, window_ps, extra)
-    return fits
+            theta = 0.0
+        models[mode] = _finalize_model(labelled, theta, mode, detector, window_ps, extra)
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -832,11 +699,13 @@ def _calibrate(events, modes, k, detector, window_ps):
 
 @dataclass(eq=False)
 class CalibrationModel:
-    """Projection angle, fitted components, boundaries, and crosstalk.
+    """Projection angle, cluster components, boundaries, and crosstalk.
 
     Component index j corresponds to photon number j + 1; the angle is
     oriented so photon number ascends with the projected coordinate (it may
     therefore exceed pi even though separating lines repeat modulo pi).
+    ``detector`` is "A", "B" or None, and ``window_ps`` a positive, finite
+    pairing window or None.
     """
 
     mode: str
@@ -855,6 +724,12 @@ class CalibrationModel:
             raise ValueError("angle must lie in [0, 2*pi)")
         if not self.components:
             raise ValueError("at least one component required")
+        if self.detector not in (None, *DETECTOR_CHANNELS):
+            raise ValueError(f"detector must be one of {sorted(DETECTOR_CHANNELS)} or None, not {self.detector!r}")
+        window = self.window_ps
+        real = isinstance(window, numbers.Real) and not isinstance(window, bool)
+        if window is not None and not (real and 0 < window < math.inf):
+            raise ValueError(f"window_ps must be a positive, finite number of ps, not {window!r}")
         self.boundaries = np.asarray(self.boundaries, dtype=float)
         self.crosstalk = np.asarray(self.crosstalk, dtype=float)
         k = len(self.components)
@@ -941,8 +816,9 @@ def calibrate_events(
     label means and (co)variances of rise and fall, so a trial costs O(k)
     and the scan is deterministic.  The scan covers a full grid on [0, pi)
     including the rising-only (0) and falling-only (pi/2) axes and refines
-    the best bracket by golden section.  Either mode finishes with a full
-    Voigt mixture fit of the events at its angle.
+    the best bracket by golden section.  Either mode's model is built from
+    the label moments at its angle (0 for rising-only): one Gaussian
+    component per label, with no fit to the events.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")

@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     tags, truth = simulate_stream(source, pulse, jitter, n_triggers, seed, workers=workers)
     stream_path = out / "stream.pnrtag"
-    with open(stream_path, "wb") as f:
+    with textio.open_output(stream_path, "wb") as f:
         n_bytes = write_stream(tags, f)
     truth.to_csv(out / "truth.csv")
 
@@ -204,12 +204,25 @@ def _load_records(path) -> PhotonRecordSet:
     return PhotonRecordSet.from_csv(p)
 
 
+def _check_n_max(n_max, *record_sets) -> None:
+    """--n-max must be non-negative, and no smaller than any photon number in ``record_sets``."""
+    if n_max is None:
+        return
+    if n_max < 0:
+        raise ConfigError(f"--n-max must be at least 0, not {n_max}")
+    top = max((int(r.n.max(initial=0)) for r in record_sets), default=0)
+    if top > n_max:
+        raise ConfigError(f"--n-max {n_max} is below the largest decoded photon number, {top}")
+
+
 def cmd_stats(args) -> int:
     if args.tail_from < 1:
         raise ConfigError(f"--tail-from must be at least 1, not {args.tail_from}")
+    _check_n_max(args.n_max)
     records = _load_records(args.records)
+    # --n-max truncates the written distribution only; the fit sees every count
+    fit = ps.fit_poisson_mu(ps.NumberDistribution.from_records(records), tail_from=args.tail_from)
     dist = ps.NumberDistribution.from_records(records, n_max=args.n_max)
-    fit = ps.fit_poisson_mu(dist, tail_from=args.tail_from)
 
     out = _out_dir(args)
     dist.to_csv(out / "number_distribution.csv")
@@ -225,6 +238,7 @@ def cmd_stats(args) -> int:
 def cmd_jpnd(args) -> int:
     records_a = _load_records(args.records_a)
     records_b = _load_records(args.records_b)
+    _check_n_max(args.n_max, records_a, records_b)
     jpnd = ps.build_jpnd(records_a, records_b, n_max=args.n_max)
 
     out = _out_dir(args)
@@ -244,7 +258,9 @@ def cmd_jpnd(args) -> int:
     if args.split_a is not None or args.split_b is not None:
         if args.split_a is None or args.split_b is None:
             raise ConfigError("--split-a and --split-b must be given together")
-        split = ps.build_jpnd(_load_records(args.split_a), _load_records(args.split_b), n_max=args.n_max)
+        split_a, split_b = _load_records(args.split_a), _load_records(args.split_b)
+        _check_n_max(args.n_max, split_a, split_b)
+        split = ps.build_jpnd(split_a, split_b, n_max=args.n_max)
         contrast = ps.hom_contrast(jpnd, split)
         report["hom_contrast"] = contrast.to_dict()
 

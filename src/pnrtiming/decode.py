@@ -32,6 +32,7 @@ _REC_DTYPE = np.dtype(
         ("trigger_time", "<i8"),
     ]
 )
+_N_MAX = np.iinfo(_REC_DTYPE["n"]).max  # the largest photon number a record holds
 
 
 class PhotonRecord(NamedTuple):
@@ -87,14 +88,24 @@ class PhotonRecordSet:
 
     @classmethod
     def from_csv(cls, path) -> "PhotonRecordSet":
-        (first, _), data = textio.read_csv(path, 2, 3)
+        """Records from ``to_csv``'s table; the ``# detector=... window_ps=...``
+        line above the column names may be missing.  A photon number outside
+        the .pnrec range [0, 255] raises StreamFormatError naming its line."""
+        header, data = textio.read_csv(path, 1, 3)
+        first = header[0] if header else ""
         meta = dict(tok.partition("=")[::2] for tok in first[1:].split()) if first.startswith("#") else {}
         detector, window = meta.get("detector", "A"), float(meta.get("window_ps", 0.0))
+        bad = np.flatnonzero((data[:, 2] < 0) | (data[:, 2] > _N_MAX))
+        if bad.size:
+            line = textio.row_line(path, len(header), int(bad[0]))
+            raise StreamFormatError(f"{path}, line {line}: photon number {data[bad[0], 2]} outside [0, {_N_MAX}]")
         return cls(detector, window, data[:, 0], data[:, 1], data[:, 2].astype(np.int16))
 
     def to_binary(self, path) -> None:
         if len(self) and not 0 <= self.trigger_index.min() <= self.trigger_index.max() < 2**32:
             raise DataError(".pnrec stores trigger_index as u32; this set reaches beyond [0, 2**32)")
+        if len(self) and self.n.max() > _N_MAX:
+            raise DataError(f".pnrec stores n as u1; this set holds photon numbers above {_N_MAX}")
         arr = np.empty(len(self), dtype=_REC_DTYPE)
         arr["trigger_index"] = self.trigger_index
         arr["n"] = self.n
@@ -104,7 +115,7 @@ class PhotonRecordSet:
         header = _REC_HEADER.pack(
             _REC_MAGIC, _REC_VERSION, ord(self.detector[0]), 0, len(self), float(self.window_ps)
         )
-        with open(Path(path), "wb") as f:
+        with textio.open_output(path, "wb") as f:
             f.write(header)
             f.write(arr.tobytes())
 

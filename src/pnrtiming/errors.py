@@ -27,15 +27,6 @@ class EmptySampleError(CalibrationError):
     """No detected events to histogram or fit."""
 
 
-class MixtureFitError(CalibrationError):
-    """Mixture fit did not converge; carries the best parameters seen."""
-
-    def __init__(self, message, components=None, report=None):
-        super().__init__(message)
-        self.components = components
-        self.report = report
-
-
 class DegenerateOverlapError(CalibrationError):
     """Adjacent weighted densities never cross between their centers."""
 

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import textio
 from .errors import StreamFormatError, StreamOrderError
 
 MAGIC = b"PNRTAG01"
@@ -122,7 +123,7 @@ def as_tag_block(tags) -> TagBlock:
 def _open_sink(sink):
     if hasattr(sink, "write"):
         return sink, False
-    return open(Path(sink), "wb"), True
+    return textio.open_output(sink, "wb"), True
 
 
 def _open_source(source):

@@ -1,4 +1,4 @@
-"""Voigt/quadrature oracles, mixture fitting, boundaries, crosstalk, angle search."""
+"""Voigt/quadrature oracles, boundaries, crosstalk, labelling, label-moment models, angle search."""
 
 import io
 import math
@@ -13,16 +13,22 @@ from scipy.stats import norm
 
 import pnrtiming.calibrate as cal
 from pnrtiming import (
+    JitterParams,
+    PulseModelParams,
+    SourceSpec,
     VoigtComponent,
     build_histogram,
     calibrate_both,
     calibrate_events,
+    confusion_report,
     crosstalk_matrix,
+    decode_events,
     find_peaks,
-    fit_mixture,
     mixture_pdf,
     optimize_boundaries,
+    pair_edges,
     project,
+    simulate_stream,
     total_offdiagonal,
     voigt_pdf,
 )
@@ -38,7 +44,6 @@ from pnrtiming.errors import (
     DegenerateOverlapError,
     EmptySampleError,
     InsufficientDataError,
-    MixtureFitError,
 )
 from pnrtiming.simulate import edge_delay_table
 from pnrtiming.timetags import EdgeEventSet
@@ -184,6 +189,14 @@ def test_dominated_component_has_no_crossing():
     assert float(bounds[0]) == pytest.approx(0.5)
 
 
+def test_far_apart_gaussian_boundary_does_not_underflow():
+    # 400 sigma apart both densities underflow to 0 between the centers, so
+    # a root bracket on their difference stops at an arbitrary point
+    comps = [VoigtComponent(0.0, 1.0, 0.0, 0.3), VoigtComponent(400.0, 1.0, 0.0, 0.7)]
+    want = 200.0 - math.log(0.7 / 0.3) / 400.0  # equal sigmas: the log-density crossing is linear
+    assert float(optimize_boundaries(comps)[0]) == pytest.approx(want, rel=0.0, abs=1e-9)
+
+
 def test_boundaries_need_at_least_two_components():
     with pytest.raises(ValueError):
         optimize_boundaries([VoigtComponent(0.0, 1.0, 0.0, 1.0)])
@@ -218,11 +231,12 @@ def test_gaussian_crossing_closed_form_matches_root_bracketing():
         c2 = c1 + float(rng.uniform(0.1, 8.0)) * max(s1, s2)
         w1, w2 = (float(v) for v in rng.uniform(0.01, 1.0, 2))
         want = gaussian_crossing_oracle(c1, s1, w1, c2, s2, w2)
-        got = cal._gaussian_pair_boundary(c1, s1, w1, c2, s2, w2)
         if want == 0.5 * (c1 + c2):
             fallbacks += 1
-            assert got == want
+            with pytest.raises(DegenerateOverlapError):
+                cal._gaussian_pair_boundary(c1, s1, w1, c2, s2, w2)
         else:
+            got = cal._gaussian_pair_boundary(c1, s1, w1, c2, s2, w2)
             assert c1 < got < c2
             assert got == pytest.approx(want, rel=0.0, abs=1e-9)
     assert 0 < fallbacks < 300
@@ -322,58 +336,6 @@ def test_crosstalk_cells_never_go_negative():
 def test_classify_ties_go_to_the_lower_class():
     bounds = np.array([1.0, 2.0])
     np.testing.assert_array_equal(classify([0.5, 1.0, 1.5, 2.0, 2.5], bounds), [0, 0, 1, 1, 2])
-
-
-# ---------------------------------------------------------------- mixture fit
-
-def test_fit_recovers_single_voigt_within_five_percent():
-    rng = np.random.default_rng(3)
-    data = 10.0 + rng.normal(0, 3.0, 100_000) + rng.standard_cauchy(100_000)
-    comps, report = fit_mixture(data, 1, [10.0])
-    assert report.converged
-    c = comps[0]
-    assert c.center == pytest.approx(10.0, abs=0.15)
-    assert c.sigma == pytest.approx(3.0, rel=0.05)
-    assert c.gamma == pytest.approx(1.0, rel=0.05)
-    assert c.weight == 1.0
-
-
-def test_fit_recovers_equal_weights_and_centers():
-    rng = np.random.default_rng(4)
-    data = np.concatenate([rng.normal(0.0, 1.0, 50_000), rng.normal(10.0, 1.0, 50_000)])
-    comps, _ = fit_mixture(data, 2, [0.0, 10.0], bin_width=0.1)
-    assert [c.weight for c in comps] == pytest.approx([0.5, 0.5], abs=0.02)
-    assert comps[0].center == pytest.approx(0.0, abs=0.1)
-    assert comps[1].center == pytest.approx(10.0, abs=0.1)
-
-
-def test_fit_likelihood_never_increases():
-    rng = np.random.default_rng(5)
-    data = np.concatenate([rng.normal(0.0, 1.5, 20_000), rng.normal(6.0, 1.0, 20_000)])
-    _, report = fit_mixture(data, 2, [-0.5, 6.5])
-    trace = np.asarray(report.nll_trace)
-    assert trace.size >= 2
-    assert np.all(np.diff(trace) <= 1e-6 * np.abs(trace[:-1]))
-
-
-def test_fit_requires_enough_events():
-    with pytest.raises(InsufficientDataError):
-        fit_mixture(np.random.default_rng(0).normal(0, 1, 40), 1)
-
-
-def test_fit_failure_carries_partial_result():
-    rng = np.random.default_rng(6)
-    data = np.concatenate([rng.normal(0, 1, 30_000), rng.normal(8, 1, 30_000)])
-    with pytest.raises(MixtureFitError) as err:
-        fit_mixture(data, 2, [0.0, 8.0], maxiter=1)
-    assert err.value.components is not None
-    assert err.value.report is not None
-    assert not err.value.report.converged
-
-
-def test_fit_rejects_non_finite_coordinates():
-    with pytest.raises(ValueError):
-        fit_mixture(np.array([0.0, np.nan] + [1.0] * 100), 1)
 
 
 # ---------------------------------------------------------------- histograms, peaks
@@ -496,12 +458,63 @@ def test_no_shared_jitter_leaves_nothing_to_exploit():
     assert t_opt <= 1.05 * t_ris
 
 
+def test_small_samples_pick_the_deep_reference_projection():
+    # at 2e4 triggers noise peaks on shallow projections outnumber the six
+    # clusters, so ranking by peak count alone picks a shallow projection
+    pulse, jitter, spec = PulseModelParams(), JitterParams(), SourceSpec()
+    for seed in range(1, 11):
+        tags, _ = simulate_stream(spec, pulse, jitter, 20_000, seed=seed)
+        models = calibrate_both(pair_edges(tags, window_ps=8000.0, detector="A"))
+        for model in models.values():
+            assert model.k == 6, seed
+            assert math.degrees(model.diagnostics["reference_angle"]) == pytest.approx(134.0), seed
+            assert model.diagnostics["fit"]["chi2_ndf"] < 3.0, seed
+
+
 def test_angle_search_rejects_empty_and_tiny_samples():
     with pytest.raises(EmptySampleError):
         calibrate_events((np.array([]), np.array([])), mode="optimal")
     rng = np.random.default_rng(2)
     with pytest.raises((InsufficientDataError, CalibrationError)):
         calibrate_events((rng.normal(0, 1, 30), rng.normal(5, 1, 30)), mode="optimal")
+
+
+def complete_centers_per_event(coords, init, k):
+    """Trim or pad initial centers so exactly k remain: padding splits the
+    most populated cell at its median and puts a center at the median of
+    each half."""
+    init = np.sort(np.asarray(init, dtype=float))
+    if init.size > k:
+        return init[np.round(np.linspace(0, init.size - 1, k)).astype(int)]
+    centers = list(init)
+    while len(centers) < k:
+        mids = 0.5 * (np.array(centers[:-1]) + np.array(centers[1:])) if len(centers) > 1 else np.array([])
+        labels = np.searchsorted(mids, coords)
+        j = int(np.argmax(np.bincount(labels, minlength=len(centers))))
+        cell = np.sort(coords[labels == j])
+        if cell.size < 4:
+            centers.append(centers[j] + 1e-3 * (1 + j))
+        else:
+            centers[j] = float(np.median(cell[: cell.size // 2]))
+            centers.append(float(np.median(cell[cell.size // 2 :])))
+        centers.sort()
+    return np.array(centers)
+
+
+@pytest.mark.parametrize("sample", ["simulated", "small"])
+def test_complete_centers_match_the_expanded_sample(sample, events_a):
+    if sample == "simulated":
+        pair_rise, pair_fall, multiplicity = cal._distinct_pairs(*events_a.detected())
+        coords = pair_rise * math.cos(2.34) + pair_fall * math.sin(2.34)
+    else:
+        rng = np.random.default_rng(3)
+        coords = np.sort(rng.normal(0.0, 10.0, 40))
+        multiplicity = rng.integers(1, 5, coords.size)
+    expanded = np.repeat(coords, multiplicity)
+    for init in (coords[:1], np.quantile(expanded, [0.2, 0.5, 0.8])):
+        for k in (2, 5, 12):
+            want = complete_centers_per_event(expanded, init, k)
+            np.testing.assert_array_equal(cal._complete_centers(coords, multiplicity, init, k), want)
 
 
 def per_event_labelling(rise, fall, k):
@@ -529,7 +542,7 @@ def per_event_labelling(rise, fall, k):
                 1.0 - float(smoothed[a : b + 1].min()) / min(smoothed[a], smoothed[b])
                 for a, b in zip(idx[:-1], idx[1:])
             )
-    theta_ref = float(angles[np.lexsort((conc, depth, n_peaks))[-1]])
+    theta_ref = float(angles[np.lexsort((conc, depth, n_peaks, depth >= 0.5))[-1]])
     coords = rise * math.cos(theta_ref) + fall * math.sin(theta_ref)
     counts, centers, _ = histogram_1d(coords, 0.5)
     idx, prom, smoothed = ranked_peaks(counts)
@@ -539,7 +552,7 @@ def per_event_labelling(rise, fall, k):
     if idx.size == k:
         cut = np.array([centers[a + int(np.argmin(smoothed[a : b + 1]))] for a, b in zip(idx[:-1], idx[1:])])
     else:
-        peak_centers = cal._complete_centers(coords, centers[idx], k)
+        peak_centers = complete_centers_per_event(coords, centers[idx], k)
         cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
     return n_peaks, depth, conc, theta_ref, np.searchsorted(cut, coords)
 
@@ -555,7 +568,7 @@ def three_cluster_sample(n=20_000, seed=41):
 
 
 @pytest.mark.parametrize(
-    "sample, k", [("simulated", None), ("simulated", 3), ("simulated", 9), ("continuous", None)]
+    "sample, k", [("simulated", None), ("simulated", 3), ("simulated", 9), ("continuous", None), ("continuous", 5)]
 )
 def test_distinct_pair_labelling_matches_per_event_scan(sample, k, events_a):
     rise, fall = events_a.detected() if sample == "simulated" else three_cluster_sample()
@@ -607,6 +620,71 @@ def test_calibrate_both_labels_the_events_once(events_a, monkeypatch):
     optimal, rising = models["optimal"], models["rising_only"]
     assert optimal.k == rising.k
     assert optimal.diagnostics["reference_angle"] == rising.diagnostics["reference_angle"]
+
+
+# ---------------------------------------------------------------- label-moment models
+
+
+def test_model_objective_is_the_model_crosstalk(optimal_model):
+    weights = [c.weight for c in optimal_model.components]
+    assert total_offdiagonal(optimal_model.crosstalk, weights) == optimal_model.diagnostics["objective_at_returned"]
+
+
+def test_components_are_the_label_moments(events_a, optimal_model, rising_model, default_params):
+    rise, fall = events_a.detected()
+    labelled, _ = cal._label_events(events_a, None)
+    _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
+    labels = labelled.labels[pair_of_event]
+    pulse, _, _ = default_params
+    rise_tab, fall_tab = edge_delay_table(pulse)
+    prop = pulse.propagation_delay_ps
+    for model in (optimal_model, rising_model):
+        coords = project(events_a, model.angle)
+        cells = [coords[labels == j] for j in range(labelled.k)]
+        order = np.argsort([c.mean() for c in cells])
+        comps = model.components
+        np.testing.assert_allclose([c.center for c in comps], [cells[j].mean() for j in order], rtol=1e-9)
+        np.testing.assert_allclose([c.sigma for c in comps], [cells[j].std() for j in order], rtol=1e-9)
+        np.testing.assert_allclose([c.weight for c in comps], [cells[j].size / rise.size for j in order], rtol=1e-12)
+        assert all(c.gamma == 0.0 for c in comps)
+        # component j sits on the simulated cluster of j + 1 photons
+        want = (prop + rise_tab) * math.cos(model.angle) + (prop + fall_tab) * math.sin(model.angle)
+        assert np.all(np.diff(want[: model.k]) > 0)
+        np.testing.assert_allclose([c.center for c in comps], want[: model.k], atol=2.0)
+
+
+def test_fit_diagnostics_are_the_pearson_chi2_of_the_event_histogram(events_a, optimal_model, rising_model):
+    for model in (optimal_model, rising_model):
+        counts, _, edges = histogram_1d(project(events_a, model.angle), 0.5)
+        expected = events_a.n_detections * sum(
+            c.weight * np.diff(norm.cdf(edges, c.center, c.sigma)) for c in model.components
+        )
+        use = expected >= 5.0
+        chi2 = float(np.sum((counts[use] - expected[use]) ** 2 / expected[use]))
+        ndf = int(np.count_nonzero(use)) - (3 * model.k - 1) - 1
+        fit = model.diagnostics["fit"]
+        assert fit["n_events"] == events_a.n_detections
+        assert fit["ndf"] == ndf
+        assert fit["chi2"] == pytest.approx(chi2, rel=1e-9)
+        assert fit["chi2_ndf"] == pytest.approx(chi2 / ndf, rel=1e-9)
+
+
+def test_rising_only_model_predicts_its_confusion():
+    # acceptance criterion 6 at its fixture, applied to the rising-only model
+    tags, truth = simulate_stream(SourceSpec(), PulseModelParams(), JitterParams(), 100_000, seed=424242, workers=4)
+    events = pair_edges(tags, window_ps=8000.0, detector="A")
+    model = calibrate_both(events)["rising_only"]
+    conf = confusion_report(decode_events(events, model), truth, model)
+    assert float(np.max(np.abs(conf.prediction["z"][:5, :5]))) < 3.0
+
+
+def test_labels_with_too_few_events_raise_in_every_mode():
+    # two clusters of one repeated pair each: the padded labels stay empty
+    rise = np.repeat([0.0, 40.0], 3000)
+    fall = np.repeat([100.0, 140.0], 3000)
+    for mode in ("optimal", "rising_only"):
+        with pytest.raises(CalibrationError, match="fewer than 5 events"):
+            calibrate_events((rise, fall), mode=mode, k=5)
 
 
 # ---------------------------------------------------------------- model object

@@ -137,6 +137,12 @@ def test_malformed_config_json(tmp_path, capsys):
         ("decode", "{stream}", "{not_json}"),
         ("decode", "{stream}", "{calibration}", "--truth", "{short_truth}"),
         ("stats", "{short_records}"),
+        ("decode", "{stream}", "{detector_c}"),
+        ("decode", "{stream}", "{window_text}"),
+        ("decode", "{stream}", "{window_negative}"),
+        ("stats", "{records}", "--n-max", "-1"),
+        ("jpnd", "{records}", "{records}", "--n-max", "-1"),
+        ("jpnd", "{records}", "{records}", "--n-max", "1"),
     ],
 )
 def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
@@ -146,6 +152,14 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     model = json.loads((pipeline / "calibration_optimal.json").read_text())
     no_components = tmp_path / "no_components.json"
     no_components.write_text(json.dumps({k: v for k, v in model.items() if k != "components"}))
+    bad_fields = {}
+    for name, key, value in (
+        ("detector_c", "detector", "C"),
+        ("window_text", "window_ps", "abc"),
+        ("window_negative", "window_ps", -5),
+    ):
+        bad_fields[name] = tmp_path / f"{name}.json"
+        bad_fields[name].write_text(json.dumps({**model, key: value}))
     model["crosstalk"][0][0] += 0.1
     unnormalised = tmp_path / "unnormalised.json"
     unnormalised.write_text(json.dumps(model))
@@ -168,6 +182,7 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         "not_json": not_json,
         "short_truth": short_truth,
         "short_records": short_records,
+        **bad_fields,
     }
     code, out, err = run(capsys, *(a.format(**paths) for a in argv), "--out", tmp_path / "out")
     assert code == 2
@@ -282,6 +297,16 @@ def test_stats_outputs(pipeline, capsys):
     assert table[0] == "category,observed,expected"
     assert table[-1].startswith("4+,")
     assert (pipeline / "number_distribution.csv").exists()
+
+
+def test_stats_n_max_truncates_the_table_not_the_fit(pipeline, tmp_path, capsys):
+    code, full, _ = run(capsys, "stats", pipeline / "records_A.pnrec", "--out", tmp_path / "full")
+    assert code == 0
+    code, cut, _ = run(capsys, "stats", pipeline / "records_A.pnrec", "--n-max", 3, "--out", tmp_path / "cut")
+    assert code == 0
+    assert cut["mu"] == full["mu"]
+    table = (tmp_path / "cut" / "number_distribution.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in table] == ["n", "0", "1", "2", "3"]
 
 
 def test_stats_single_record_exits_5(tmp_path, capsys):

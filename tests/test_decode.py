@@ -290,6 +290,33 @@ def test_csv_round_trip(tmp_path):
     assert_array_equal(back.n, records.n)
 
 
+@pytest.mark.parametrize("n, line", [(70_000, 4), (-1, 6), (256, 3)])
+def test_csv_photon_number_outside_u1_names_its_line(tmp_path, n, line):
+    path = tmp_path / "records.csv"
+    rows = ["0,0,1", "1,10,2", "2,20,3", "3,30,4"]
+    rows[line - 3] = f"{line - 3},{10 * (line - 3)},{n}"
+    path.write_text("# detector=A window_ps=8000\ntrigger_index,trigger_time,n\n" + "\n".join(rows) + "\n")
+    with pytest.raises(StreamFormatError, match=f"line {line}: photon number {n} outside"):
+        PhotonRecordSet.from_csv(path)
+
+
+def test_csv_without_metadata_line_keeps_its_first_record(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("trigger_index,trigger_time,n\n0,0,1\n1,10,2\n2,20,0\n")
+    back = PhotonRecordSet.from_csv(path)
+    assert (back.detector, back.window_ps) == ("A", 0.0)
+    assert_array_equal(back.trigger_index, [0, 1, 2])
+    assert_array_equal(back.n, [1, 2, 0])
+
+
+def test_binary_refuses_photon_numbers_beyond_u1(tmp_path):
+    records = PhotonRecordSet("A", 8000.0, [0, 1], [0, 10], [255, 300])
+    path = tmp_path / "wide.pnrec"
+    with pytest.raises(DataError, match="u1"):
+        records.to_binary(path)
+    assert not path.exists()
+
+
 def test_binary_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     n = rng.integers(0, 7, size=1000)

@@ -1,6 +1,6 @@
 """Text sidecars: every CSV writer against a per-row f-string reference,
-the integer CSV reader's errors, the JSON reader's errors, and the memory
-of a chunked write."""
+the integer CSV reader's errors, the JSON reader's errors, the memory of a
+chunked write, and how every output file is overwritten."""
 
 import json
 import math
@@ -14,10 +14,12 @@ from pnrtiming import (
     JointDistribution,
     NumberDistribution,
     PhotonRecordSet,
+    TagBlock,
     TruthBlock,
     VoigtComponent,
     fit_poisson_mu,
     textio,
+    write_stream,
 )
 from pnrtiming.calibrate import Histogram2D, histogram_1d, mixture_pdf
 from pnrtiming.cli import _write_crosstalk_csv, _write_projection_csv, main
@@ -171,7 +173,7 @@ def test_read_csv_returns_header_and_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
     PhotonRecordSet("B", 1.5, [], [], []).to_csv(path)
     with pytest.warns(UserWarning, match="no data"):
-        header, data = textio.read_csv(path, 2, 3)
+        header, data = textio.read_csv(path, 1, 3)
     assert header == ["# detector=B window_ps=1.5", "trigger_index,trigger_time,n"]
     assert data.shape == (0, 3) and data.dtype == np.int64
 
@@ -190,3 +192,50 @@ def test_json_documents_end_with_a_newline(tmp_path):
     text = path.read_text()
     assert text == '{\n  "a": 3.141592653589793,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
     assert json.loads(text) == textio.read_json(path)
+
+
+# ---- overwriting
+
+
+def write_records_csv(path, rows):
+    PhotonRecordSet("A", 8000.0, np.arange(rows), np.arange(rows), np.ones(rows, dtype=int)).to_csv(path)
+
+
+def write_records_pnrec(path, rows):
+    PhotonRecordSet("A", 8000.0, np.arange(rows), np.arange(rows), np.ones(rows, dtype=int)).to_binary(path)
+
+
+def write_json_doc(path, rows):
+    textio.write_json(path, list(range(rows)))
+
+
+def write_tag_stream(path, rows):
+    write_stream(TagBlock(np.zeros(rows, dtype=np.uint8), np.arange(rows, dtype=np.int64)), path)
+
+
+WRITERS = [write_records_csv, write_records_pnrec, write_json_doc, write_tag_stream]
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=lambda w: w.__name__)
+def test_overwrite_replaces_the_file(tmp_path, writer):
+    path, fresh = tmp_path / "out", tmp_path / "fresh"
+    writer(fresh, 3)
+    writer(path, 5000)
+    with open(path, "rb") as old:
+        before = old.read()
+        writer(path, 3)
+        # a new file took the name: the open one keeps its bytes
+        old.seek(0)
+        assert old.read() == before
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=lambda w: w.__name__)
+def test_overwrite_through_a_symlink_updates_its_target(tmp_path, writer):
+    target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+    writer(fresh, 3)
+    writer(target, 5000)
+    link.symlink_to(target)
+    writer(link, 3)
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
