@@ -22,7 +22,7 @@ from .calibrate import (
     total_offdiagonal,
     voigt_pdf,
 )
-from .decode import PhotonRecord, PhotonRecordSet, confusion_report, decode_events
+from .decode import PhotonRecordSet, confusion_report, decode_events
 from .photostat import (
     JointDistribution,
     NumberDistribution,
@@ -42,7 +42,6 @@ from .simulate import (
     simulate_stream,
 )
 from .timetags import (
-    EdgeEvent,
     EdgeEventSet,
     TagBlock,
     TimeTag,
@@ -56,12 +55,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationModel",
-    "EdgeEvent",
     "EdgeEventSet",
     "JitterParams",
     "JointDistribution",
     "NumberDistribution",
-    "PhotonRecord",
     "PhotonRecordSet",
     "PulseModelParams",
     "SourceSpec",

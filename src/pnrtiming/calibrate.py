@@ -23,9 +23,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.ndimage import gaussian_filter1d
-from scipy.optimize import brentq
 from scipy.signal import find_peaks as _scipy_find_peaks
 from scipy.special import ndtr, wofz
 
@@ -47,6 +45,7 @@ OPTIMAL = "optimal"
 _MODES = (RISING_ONLY, OPTIMAL)
 
 DEFAULT_BIN_WIDTH = 0.5  # ps
+_HISTOGRAM2D_BIN = 1.0  # ps, rise and fall
 # labelling and the angle scan: candidate-angle step, histogram smoothing
 # (sigma in bins), least peak prominence as a fraction of the smoothed maximum
 _GRID_STEP_DEG = 2.0
@@ -128,16 +127,14 @@ def _detected_arrays(events) -> tuple[np.ndarray, np.ndarray]:
     return rise, fall
 
 
-def build_histogram(events, rise_bin: float = 1.0, fall_bin: float = 1.0) -> Histogram2D:
-    """2-D histogram of detected (rise, fall) delays, auto-ranged with a
-    three-bin margin on each side so no count lands on an outer edge."""
-    if rise_bin <= 0 or fall_bin <= 0:
-        raise ValueError("bin widths must be positive")
+def build_histogram(events) -> Histogram2D:
+    """2-D histogram of detected (rise, fall) delays in 1 ps bins, auto-ranged
+    with a three-bin margin on each side so no count lands on an outer edge."""
     rise, fall = _detected_arrays(events)
     if rise.size == 0:
         raise EmptySampleError("no detected events to histogram")
-    rise_edges = _padded_edges(rise, rise_bin)
-    fall_edges = _padded_edges(fall, fall_bin)
+    rise_edges = _padded_edges(rise, _HISTOGRAM2D_BIN)
+    fall_edges = _padded_edges(fall, _HISTOGRAM2D_BIN)
     counts, _, _ = np.histogram2d(rise, fall, bins=(rise_edges, fall_edges))
     return Histogram2D(rise_edges, fall_edges, counts.astype(np.int64))
 
@@ -204,12 +201,16 @@ def _peak_indices_ranked(counts: np.ndarray):
 # Boundaries and crosstalk
 
 
-def _check_components(components):
-    if len(components) < 2:
-        raise ValueError("need at least two components")
-    centers = np.array([c.center for c in components])
-    if np.any(np.diff(centers) <= 0):
-        raise ValueError("components must be ordered by strictly ascending center")
+def _gaussian_arrays(components):
+    """(center, sigma, weight) arrays of the components; a component with
+    gamma > 0 raises ValueError, since boundaries and crosstalk are computed
+    in closed form for Gaussian components only."""
+    for i, comp in enumerate(components):
+        if comp.gamma > 0:
+            raise ValueError(
+                f"component {i} has gamma = {comp.gamma:g}; boundaries and crosstalk need gamma = 0 (Gaussian)"
+            )
+    return tuple(np.array([getattr(c, f) for c in components], dtype=float) for f in ("center", "sigma", "weight"))
 
 
 def _gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) -> float:
@@ -246,127 +247,87 @@ def _gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) -> float:
     return min(max(c1 + u, a), b)
 
 
-def optimize_boundaries(components) -> np.ndarray:
-    """Decision boundary between each adjacent component pair.
+def _pair_boundaries(center, sigma, weight):
+    """(boundaries, fallback pairs) of weighted Gaussian components in
+    ascending order of center.
 
-    The boundary is the coordinate between the two centers where the
-    weighted densities are equal, which minimizes the misassigned
-    probability for that pair.  If the densities never cross in the open
-    interval the overlap is degenerate and an error is raised.  A pair of
-    Gaussians (gamma = 0) has the closed-form crossing; any other pair is
-    root-bracketed.
+    Each boundary is the crossing of its pair's weighted densities, or their
+    midpoint when they do not cross between the centers; such a pair (i,
+    i + 1) is listed.
     """
-    _check_components(components)
-    bounds = []
-    for left, right in zip(components[:-1], components[1:]):
-        if left.gamma == 0.0 and right.gamma == 0.0:
-            pair = (left.center, left.sigma, left.weight, right.center, right.sigma, right.weight)
-            bounds.append(_gaussian_pair_boundary(*pair))
-            continue
-        gap = right.center - left.center
+    c, s, w = center.tolist(), sigma.tolist(), weight.tolist()
+    bounds, fallback = [], []
+    for i in range(len(c) - 1):
+        try:
+            bounds.append(_gaussian_pair_boundary(c[i], s[i], w[i], c[i + 1], s[i + 1], w[i + 1]))
+        except DegenerateOverlapError:
+            bounds.append(0.5 * (c[i] + c[i + 1]))
+            fallback.append((i, i + 1))
+    return np.array(bounds, dtype=float), fallback
 
-        def diff(x):
-            return left.weight * voigt_pdf(x, left) - right.weight * voigt_pdf(x, right)
 
-        a = left.center + 1e-9 * gap
-        b = right.center - 1e-9 * gap
-        fa, fb = diff(a), diff(b)
-        if fa <= 0.0 or fb >= 0.0:
-            raise DegenerateOverlapError(
-                f"weighted densities of components at {left.center:.4g} and "
-                f"{right.center:.4g} do not cross between the centers"
-            )
-        bounds.append(brentq(diff, a, b, xtol=1e-10 * max(gap, 1.0)))
-    out = np.array(bounds)
-    if np.any(np.diff(out) <= 0):
-        raise CalibrationError("boundaries are not strictly ascending")
-    return out
+def _bucket_masses(center, sigma, boundaries):
+    """Row i holds the mass of Gaussian component i in each decision bucket
+    (outer buckets are half-open), from ndtr."""
+    k = center.size
+    z = (boundaries[None, :] - center[:, None]) / sigma[:, None]
+    cum = np.concatenate([np.zeros((k, 1)), ndtr(z), np.ones((k, 1))], axis=1)
+    return np.diff(cum, axis=1)
+
+
+def _gaussian_crosstalk(center, sigma, weight):
+    """(boundaries, fallback pairs, crosstalk rows) of weighted Gaussian
+    components in ascending order of center."""
+    bounds, fallback = _pair_boundaries(center, sigma, weight)
+    return bounds, fallback, _bucket_masses(center, sigma, bounds)
 
 
 def boundaries_with_fallback(components) -> tuple[np.ndarray, list]:
-    """Like optimize_boundaries, but degenerate pairs fall back to the
-    midpoint between centers; returns (boundaries, list of fallback pairs)."""
-    _check_components(components)
-    bounds = []
-    fallback = []
-    for i, (left, right) in enumerate(zip(components[:-1], components[1:])):
-        try:
-            bounds.append(float(optimize_boundaries([left, right])[0]))
-        except DegenerateOverlapError:
-            bounds.append(0.5 * (left.center + right.center))
-            fallback.append((i, i + 1))
-    return np.array(bounds), fallback
+    """Decision boundary between each adjacent pair of Gaussian components:
+    where the weighted densities cross between the two centers, which
+    minimizes the misassigned probability for that pair, or the midpoint
+    when they do not cross there; returns (boundaries, list of fallback
+    pairs)."""
+    center, sigma, weight = _gaussian_arrays(components)
+    if center.size < 2:
+        raise ValueError("need at least two components")
+    if np.any(np.diff(center) <= 0):
+        raise ValueError("components must be ordered by strictly ascending center")
+    return _pair_boundaries(center, sigma, weight)
 
 
-def _voigt_cdf_from_center(comp: VoigtComponent, b: float) -> float:
-    """Signed integral of the unit Voigt profile from its center to b.
-
-    The integral is split at fixed multiples of (sigma + gamma) so the
-    adaptive quadrature never misses the narrow core when b is far away.
-    """
-    c = comp.center
-    if b == c:
-        return 0.0
-    scale = comp.sigma + comp.gamma
-    knots = [c + s * m * scale for s in (-1.0, 1.0) for m in (1.0, 3.0, 10.0, 30.0, 100.0)]
-    lo, hi = (c, b) if b > c else (b, c)
-    cuts = sorted({lo, hi, *[x for x in knots if lo < x < hi]})
-    total = 0.0
-    for a0, b0 in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(lambda x: voigt_pdf(x, comp), a0, b0, epsabs=1e-13, epsrel=1e-11, limit=200)
-        total += val
-    return total if b > c else -total
+def optimize_boundaries(components) -> np.ndarray:
+    """Like boundaries_with_fallback, but a pair whose weighted densities do
+    not cross between the centers raises DegenerateOverlapError."""
+    bounds, fallback = boundaries_with_fallback(components)
+    if fallback:
+        i, j = fallback[0]
+        raise DegenerateOverlapError(
+            f"weighted densities of components at {components[i].center:.4g} and "
+            f"{components[j].center:.4g} do not cross between the centers"
+        )
+    if np.any(np.diff(bounds) <= 0):
+        raise CalibrationError("boundaries are not strictly ascending")
+    return bounds
 
 
 def crosstalk_matrix(components, boundaries) -> np.ndarray:
-    """Row-stochastic matrix: row i holds the probability mass of component
-    i falling into each decision bucket (outer buckets are half-open)."""
-    k = len(components)
+    """Row-stochastic matrix: row i holds the probability mass of Gaussian
+    component i falling into each decision bucket (outer buckets are
+    half-open)."""
+    center, sigma, _ = _gaussian_arrays(components)
     boundaries = np.asarray(boundaries, dtype=float)
-    if boundaries.size != k - 1:
+    if boundaries.size != center.size - 1:
         raise ValueError("need exactly k-1 boundaries")
-    if k == 1:
-        return np.array([[1.0]])
     if np.any(np.diff(boundaries) <= 0):
         raise ValueError("boundaries must be strictly ascending")
-    rows = []
-    for comp in components:
-        cdf = np.array([0.5 + _voigt_cdf_from_center(comp, float(b)) for b in boundaries])
-        # quadrature error can leave a far-tail CDF a rounding step below its
-        # predecessor; a CDF never decreases, and a cell must not go negative
-        cum = np.concatenate([[0.0], np.maximum.accumulate(np.clip(cdf, 0.0, 1.0)), [1.0]])
-        rows.append(np.diff(cum))
-    return np.vstack(rows)
+    return _bucket_masses(center, sigma, boundaries)
 
 
 def classify(coords, boundaries) -> np.ndarray:
     """Bucket index per coordinate; a value exactly on a boundary goes to
     the lower bucket."""
     return np.searchsorted(np.asarray(boundaries, dtype=float), np.asarray(coords, dtype=float), side="left")
-
-
-def _gaussian_crosstalk(center, sigma, weight):
-    """(boundaries, fallback pairs, crosstalk rows) of weighted Gaussian
-    components in ascending order of center.
-
-    Each boundary is the crossing of its pair's weighted densities, or their
-    midpoint when they do not cross between the centers; such a pair (i,
-    i + 1) is listed.  Row i holds the mass of component i in each decision
-    bucket, from ndtr.
-    """
-    k = center.size
-    c, s, w = center.tolist(), sigma.tolist(), weight.tolist()
-    bounds, fallback = [], []
-    for i in range(k - 1):
-        try:
-            bounds.append(_gaussian_pair_boundary(c[i], s[i], w[i], c[i + 1], s[i + 1], w[i + 1]))
-        except DegenerateOverlapError:
-            bounds.append(0.5 * (c[i] + c[i + 1]))
-            fallback.append((i, i + 1))
-    bounds = np.sort(np.array(bounds, dtype=float))
-    z = (bounds[None, :] - center[:, None]) / sigma[:, None]
-    cum = np.concatenate([np.zeros((k, 1)), ndtr(z), np.ones((k, 1))], axis=1)
-    return bounds, fallback, np.diff(cum, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +550,7 @@ def _fit_summary(labelled, angle, center, sigma, weight) -> dict:
     """
     pair_rise, pair_fall, multiplicity = labelled.pairs
     counts, _, edges = _pair_histogram(pair_rise * math.cos(angle) + pair_fall * math.sin(angle), multiplicity)
-    cdf = ndtr((edges[None, :] - center[:, None]) / sigma[:, None])
-    expected = labelled.n_events * (weight @ np.diff(cdf, axis=1))
+    expected = labelled.n_events * (weight @ _bucket_masses(center, sigma, edges)[:, 1:-1])
     use = expected >= 5.0
     chi2 = float(np.sum((counts[use] - expected[use]) ** 2 / expected[use]))
     ndf = max(int(np.count_nonzero(use)) - (3 * center.size - 1) - 1, 1)

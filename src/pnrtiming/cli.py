@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("calibrate", help="fit projection angle, mixture, boundaries, crosstalk")
+    p = sub.add_parser("calibrate", help="label clusters, pick the projection angle, set boundaries and crosstalk")
     p.add_argument("tagfile", help="input .pnrtag stream")
     p.add_argument("--detector", choices=("A", "B"), default="A")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW_PS, help="pairing window in ps")

@@ -12,7 +12,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,13 +32,7 @@ _REC_DTYPE = np.dtype(
     ]
 )
 _N_MAX = np.iinfo(_REC_DTYPE["n"]).max  # the largest photon number a record holds
-
-
-class PhotonRecord(NamedTuple):
-    trigger_index: int
-    trigger_time: int
-    detector: str
-    n: int
+_INT16_MAX = np.iinfo(np.int16).max  # the largest photon number a record set holds
 
 
 @dataclass(eq=False)
@@ -56,23 +49,17 @@ class PhotonRecordSet:
     def __post_init__(self):
         self.trigger_index = np.asarray(self.trigger_index, dtype=np.int64)
         self.trigger_time = np.asarray(self.trigger_time, dtype=np.int64)
-        self.n = np.asarray(self.n, dtype=np.int16)
+        # checked before the int16 cast, which would wrap 70000 to 4464
+        n = np.asarray(self.n)
+        if n.size and (n.min() < 0 or n.max() > _INT16_MAX):
+            first = n.flat[np.flatnonzero((n < 0) | (n > _INT16_MAX))[0]]
+            raise ValueError(f"photon numbers must be non-negative and at most {_INT16_MAX}, not {first}")
+        self.n = n.astype(np.int16, copy=False)
         if not (self.trigger_index.shape == self.trigger_time.shape == self.n.shape):
             raise ValueError("record arrays must share one shape")
-        if np.any(self.n < 0):
-            raise ValueError("photon numbers must be non-negative")
 
     def __len__(self) -> int:
         return self.n.size
-
-    def __getitem__(self, i: int) -> PhotonRecord:
-        return PhotonRecord(
-            int(self.trigger_index[i]), int(self.trigger_time[i]), self.detector, int(self.n[i])
-        )
-
-    def __iter__(self) -> Iterator[PhotonRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
     def class_counts(self, n_max: int | None = None) -> np.ndarray:
         """Counts of decoded photon numbers 0..n_max (auto-sized if None)."""

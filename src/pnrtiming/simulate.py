@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -202,12 +201,6 @@ class SourceSpec:
             raise ValueError("trigger_channel_jitter_ps must be non-negative")
 
 
-class TruthRecord(NamedTuple):
-    trigger_index: int
-    true_n_a: int
-    true_n_b: int
-
-
 @dataclass(eq=False)
 class TruthBlock:
     """Per-trigger photon numbers that actually reached each detector."""
@@ -218,13 +211,6 @@ class TruthBlock:
 
     def __len__(self) -> int:
         return self.trigger_index.size
-
-    def __getitem__(self, i) -> TruthRecord:
-        return TruthRecord(int(self.trigger_index[i]), int(self.true_n_a[i]), int(self.true_n_b[i]))
-
-    def __iter__(self) -> Iterator[TruthRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
     def to_csv(self, path) -> None:
         header = "trigger_index,true_n_a,true_n_b"

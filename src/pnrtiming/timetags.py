@@ -49,14 +49,6 @@ class TimeTag(NamedTuple):
     timestamp: int  # 0.1 ps units
 
 
-class EdgeEvent(NamedTuple):
-    trigger_time: int  # 0.1 ps units
-    rise_delay: float | None  # ps relative to the trigger tag
-    fall_delay: float | None
-    channel_id: str
-    has_detection: bool
-
-
 @dataclass(eq=False)
 class TagBlock:
     """Column-oriented tag storage: one uint8 channel and one int64 timestamp per tag."""
@@ -265,16 +257,6 @@ class EdgeEventSet:
 
     def __len__(self) -> int:
         return self.trigger_index.size
-
-    def __getitem__(self, i) -> EdgeEvent:
-        det = bool(self.has_detection[i])
-        return EdgeEvent(
-            int(self.trigger_time[i]),
-            float(self.rise_delay[i]) if det else None,
-            float(self.fall_delay[i]) if det else None,
-            self.detector,
-            det,
-        )
 
     def detected(self) -> tuple[np.ndarray, np.ndarray]:
         """(rise, fall) delay arrays of the detected events only."""

@@ -112,9 +112,8 @@ def test_output_alignment_and_metadata():
     assert_array_equal(records.trigger_time, events.trigger_time)
     assert records.detector == "A"
     assert records.window_ps == 8000.0
-    rec = records[3]
-    assert (rec.trigger_index, rec.n, rec.detector) == (3, 4, "A")
-    assert [r.n for r in records] == [1, 0, 2, 4]
+    assert (records.trigger_index[3], records.n[3]) == (3, 4)
+    assert records.n.tolist() == [1, 0, 2, 4]
 
 
 def test_detector_mismatch_is_rejected():
@@ -273,6 +272,11 @@ def test_record_set_validation():
         PhotonRecordSet("A", 8000.0, np.arange(3), np.zeros(2), np.zeros(3, dtype=int))
     with pytest.raises(ValueError, match="non-negative"):
         PhotonRecordSet("A", 8000.0, np.arange(2), np.zeros(2), [1, -1])
+    # an int16 cast would wrap 70000 to 4464, or raise OverflowError on a list
+    for n in (np.array([1, 70000]), [1, 70000]):
+        with pytest.raises(ValueError, match="70000"):
+            PhotonRecordSet("A", 8000.0, np.arange(2), np.zeros(2), n)
+    assert PhotonRecordSet("A", 8000.0, np.arange(2), np.zeros(2), np.array([0, 32767])).n.tolist() == [0, 32767]
 
 
 def test_csv_round_trip(tmp_path):

@@ -131,10 +131,9 @@ def test_single_event_example():
     tags = [TimeTag(0, 0), TimeTag(1, 500), TimeTag(2, 3000)]
     events = pair_edges(tags, window_ps=1000.0, detector="A")
     assert len(events) == 1
-    ev = events[0]
-    assert ev.has_detection
-    assert ev.rise_delay == 50.0
-    assert ev.fall_delay == 300.0
+    assert events.has_detection.tolist() == [True]
+    assert events.rise_delay.tolist() == [50.0]
+    assert events.fall_delay.tolist() == [300.0]
 
 
 def test_trigger_without_detector_tags_is_zero_candidate():
