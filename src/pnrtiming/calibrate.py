@@ -160,15 +160,21 @@ def project(events, angle: float) -> np.ndarray:
     return rise * math.cos(angle) + fall * math.sin(angle)
 
 
-def histogram_1d(coords: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH):
-    """(counts, centers, edges) for a padded regular 1-D histogram."""
+def histogram_1d(coords: np.ndarray, *, weights=None):
+    """(counts, centers, edges) of a regular 1-D histogram with
+    DEFAULT_BIN_WIDTH bins and three empty bins of margin on each side.
+
+    ``weights`` gives each coordinate a multiplicity, so distinct values
+    with their counts histogram like the expanded sample.
+    """
     coords = np.asarray(coords, dtype=float)
     if coords.size == 0:
         raise EmptySampleError("no coordinates to histogram")
-    edges = _padded_edges(coords, bin_width)
-    counts, _ = np.histogram(coords, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return counts.astype(np.int64), centers, edges
+    edges = _padded_edges(coords, DEFAULT_BIN_WIDTH)
+    # the bin np.histogram picks on these edges: edges[i] <= x < edges[i + 1]
+    idx = np.searchsorted(edges, coords, side="right") - 1
+    counts = np.bincount(idx, weights=weights, minlength=edges.size - 1)
+    return counts.astype(np.int64, copy=False), 0.5 * (edges[:-1] + edges[1:]), edges
 
 
 def find_peaks(counts, centers=None):
@@ -345,17 +351,6 @@ def _distinct_pairs(rise, fall):
     return pairs.real.copy(), pairs.imag.copy(), multiplicity
 
 
-def _pair_histogram(coords, multiplicity):
-    """(counts, centers, edges) of histogram_1d for a sample given as
-    distinct coordinates with their multiplicities: the same bins, and the
-    counts of the expanded sample."""
-    edges = _padded_edges(coords, DEFAULT_BIN_WIDTH)
-    # the bin np.histogram picks on these edges: edges[i] <= x < edges[i + 1]
-    idx = np.searchsorted(edges, coords, side="right") - 1
-    counts = np.bincount(idx, weights=multiplicity, minlength=edges.size - 1)
-    return counts.astype(np.int64), 0.5 * (edges[:-1] + edges[1:]), edges
-
-
 def _reference_scan(pairs, angles):
     """Score candidate angles by (resolved peak count, worst valley depth,
     concentration), lexicographically.
@@ -374,7 +369,7 @@ def _reference_scan(pairs, angles):
     conc = np.zeros(angles.size)
     for i, theta in enumerate(angles):
         coords = pair_rise * math.cos(theta) + pair_fall * math.sin(theta)
-        counts, _, _ = _pair_histogram(coords, multiplicity)
+        counts, _, _ = histogram_1d(coords, weights=multiplicity)
         idx, _, smoothed = _peak_indices_ranked(counts)
         p = counts / counts.sum()
         n_peaks[i] = idx.size
@@ -492,7 +487,7 @@ def _label_events(events, k):
     order = np.lexsort((conc, depth, n_peaks, depth >= 0.5))
     theta_ref = float(angles[order[-1]])
     coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
-    counts, centers, _ = _pair_histogram(coords, multiplicity)
+    counts, centers, _ = histogram_1d(coords, weights=multiplicity)
     idx, prom, smoothed = _peak_indices_ranked(counts)
     if idx.size == 0:
         raise CalibrationError("no peaks found at the reference projection")
@@ -549,7 +544,7 @@ def _fit_summary(labelled, angle, center, sigma, weight) -> dict:
     estimated parameters (centers, sigmas, weights summing to one) and 1.
     """
     pair_rise, pair_fall, multiplicity = labelled.pairs
-    counts, _, edges = _pair_histogram(pair_rise * math.cos(angle) + pair_fall * math.sin(angle), multiplicity)
+    counts, _, edges = histogram_1d(pair_rise * math.cos(angle) + pair_fall * math.sin(angle), weights=multiplicity)
     expected = labelled.n_events * (weight @ _bucket_masses(center, sigma, edges)[:, 1:-1])
     use = expected >= 5.0
     chi2 = float(np.sum((counts[use] - expected[use]) ** 2 / expected[use]))
@@ -615,9 +610,9 @@ def _angle_scan(labelled):
         return total_offdiagonal(crosstalk, weight)
 
     angles = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
-    if not np.any(np.isclose(angles, math.pi / 2)):
-        angles = np.sort(np.append(angles, math.pi / 2))
     evals = [(float(t), objective(float(t))) for t in angles]
+    # the grid holds both axes exactly: 0 first, and pi/2 at 90 degrees
+    at_zero, at_half_pi = evals[0][1], evals[round(90.0 / _GRID_STEP_DEG)][1]
     best_idx = int(np.argmin([v for _, v in evals]))
     theta_g = evals[best_idx][0]
     step = math.radians(_GRID_STEP_DEG)
@@ -626,12 +621,10 @@ def _angle_scan(labelled):
     _golden_min(objective, lo, hi, 1e-4, evals)
     evals.sort(key=lambda tv: (tv[1], tv[0]))
     theta_star, obj_star = evals[0]
-
-    by_angle = dict((round(t, 12), v) for t, v in evals)
     return theta_star, {
         "objective_at_returned": obj_star,
-        "objective_at_zero": by_angle[round(0.0, 12)],
-        "objective_at_half_pi": by_angle[round(math.pi / 2, 12)],
+        "objective_at_zero": at_zero,
+        "objective_at_half_pi": at_half_pi,
     }
 
 

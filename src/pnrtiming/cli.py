@@ -144,15 +144,11 @@ def cmd_calibrate(args) -> int:
     hist = cal.build_histogram(events)
     hist.to_csv(out / "histogram2d.csv")
 
-    modes = [args.mode] if args.mode != "both" else [cal.RISING_ONLY, cal.OPTIMAL]
-    if set(modes) == {cal.RISING_ONLY, cal.OPTIMAL}:
+    if args.mode == "both":
         models = cal.calibrate_both(events, args.k, detector=args.detector, window_ps=args.window)
     else:
-        models = {
-            modes[0]: cal.calibrate_events(
-                events, modes[0], args.k, detector=args.detector, window_ps=args.window
-            )
-        }
+        model = cal.calibrate_events(events, args.mode, args.k, detector=args.detector, window_ps=args.window)
+        models = {args.mode: model}
 
     summary = {"detector": args.detector, "window_ps": args.window, "detections": events.n_detections}
     for mode, model in models.items():

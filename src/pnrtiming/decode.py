@@ -17,7 +17,8 @@ import numpy as np
 
 from . import textio
 from .calibrate import CalibrationModel, classify
-from .errors import AlignmentError, CompatibilityError, DataError, StreamFormatError
+from .errors import CompatibilityError, DataError, StreamFormatError
+from .photostat import joint_counts
 
 _REC_MAGIC = b"PNRREC01"
 _REC_VERSION = 1
@@ -49,8 +50,11 @@ class PhotonRecordSet:
     def __post_init__(self):
         self.trigger_index = np.asarray(self.trigger_index, dtype=np.int64)
         self.trigger_time = np.asarray(self.trigger_time, dtype=np.int64)
-        # checked before the int16 cast, which would wrap 70000 to 4464
+        # checked before the int16 cast, which would truncate 2.7 to 2 and
+        # wrap 70000 to 4464; an empty list arrives as float64
         n = np.asarray(self.n)
+        if n.size and not np.issubdtype(n.dtype, np.integer):
+            raise ValueError(f"photon numbers must be integers, not {n.dtype}")
         if n.size and (n.min() < 0 or n.max() > _INT16_MAX):
             first = n.flat[np.flatnonzero((n < 0) | (n > _INT16_MAX))[0]]
             raise ValueError(f"photon numbers must be non-negative and at most {_INT16_MAX}, not {first}")
@@ -207,29 +211,19 @@ class ConfusionReport:
 
 
 def confusion_report(records: PhotonRecordSet, truth, model: CalibrationModel | None = None) -> ConfusionReport:
-    """Confusion matrix of decoded records against simulator truth.
+    """Confusion matrix of decoded records against simulator truth: entry
+    (i, j) counts the triggers with i true and j decoded photons.
 
-    Truth rows are matched to records by trigger_index; any mismatch is an
-    alignment error.  True photon numbers beyond the calibration's highest
-    class are clamped onto that class for the prediction comparison (the
-    pulse shape saturates there), but appear unclamped in the matrix.
+    The matrix is ``photostat.joint_counts`` of truth and records, so both
+    must list the same trigger indices; if not, AlignmentError names the
+    indices found on one side only ("only in truth: [...], only in records:
+    [...]").  With a model, the detected block (i, j >= 1) is compared with
+    the predicted crosstalk; there, photon numbers above the model's k fold
+    onto class k (the pulse shape saturates), but the matrix keeps them.
     """
-    true_n = np.asarray(
-        truth.true_n_a if records.detector == "A" else truth.true_n_b, dtype=np.int64
-    )
-    truth_idx = np.asarray(truth.trigger_index, dtype=np.int64)
-    if truth_idx.shape != records.trigger_index.shape or np.any(truth_idx != records.trigger_index):
-        missing = np.setdiff1d(truth_idx, records.trigger_index)[:10]
-        extra = np.setdiff1d(records.trigger_index, truth_idx)[:10]
-        raise AlignmentError(
-            f"truth and records disagree on trigger indices "
-            f"(missing from records: {missing.tolist()}, unexpected: {extra.tolist()})"
-        )
-
-    dec_n = records.n.astype(np.int64)
-    size = int(max(true_n.max(initial=0), dec_n.max(initial=0))) + 1
-    matrix = np.zeros((size, size), dtype=np.int64)
-    np.add.at(matrix, (true_n, dec_n), 1)
+    true_n = truth.true_n_a if records.detector == "A" else truth.true_n_b
+    matrix = joint_counts(truth.trigger_index, true_n, records.trigger_index, records.n, sides=("truth", "records"))
+    size = matrix.shape[0]
 
     row_sums = matrix.sum(axis=1)
     with np.errstate(invalid="ignore"):
@@ -239,10 +233,11 @@ def confusion_report(records: PhotonRecordSet, truth, model: CalibrationModel | 
     prediction = None
     if model is not None:
         k = model.k
-        clamped = np.minimum(true_n, k)
-        observed = np.zeros((k, k), dtype=np.int64)
-        detected_rows = (clamped >= 1) & (dec_n >= 1)
-        np.add.at(observed, (clamped[detected_rows] - 1, np.minimum(dec_n[detected_rows], k) - 1), 1)
+        # row and column 0, the undetected triggers, are not in the crosstalk
+        folded = np.pad(matrix, (0, max(k + 1 - size, 0)))
+        folded[:, k] = folded[:, k:].sum(axis=1)
+        folded[k] = folded[k:].sum(axis=0)
+        observed = folded[1 : k + 1, 1 : k + 1]
         row_n = observed.sum(axis=1)
         expected = row_n[:, None] * model.crosstalk
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -260,6 +255,6 @@ def confusion_report(records: PhotonRecordSet, truth, model: CalibrationModel | 
         labels=np.arange(size),
         per_class_accuracy=per_class,
         overall_accuracy=overall,
-        n_events=int(dec_n.size),
+        n_events=len(records),
         prediction=prediction,
     )

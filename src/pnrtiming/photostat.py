@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.stats import poisson
 
 from . import textio
@@ -178,19 +178,21 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
         tail = 0.0
         if counts[-1] > 0 and sf > 0:
             tail = -counts[-1] * float(poisson.pmf(tail_from - 1, mu)) / sf
+        elif counts[-1] > 0:
+            # sf underflowed, so mu << tail_from, where pmf / sf -> tail_from / mu
+            tail = -counts[-1] * tail_from / mu
         return head + tail
 
-    # method-of-moments seed; the tail category enters at its lowest value,
-    # which only widens the bracket on the safe side
+    # method-of-moments bracket, widened until the score changes sign: it
+    # tends to -inf as mu -> 0 and to the head count as mu -> inf
     moment = float(cats @ counts / total)
     lo = max(moment / 8.0, 1e-9)
     hi = moment * 8.0 + 2.0
-    try:
-        mu = float(brentq(score, lo, hi, xtol=1e-12, rtol=8.9e-16))
-    except ValueError:
-        # no sign change across the bracket; fall back to a bounded search
-        res = minimize_scalar(nll, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-        mu = float(res.x)
+    while score(lo) > 0.0:
+        lo /= 8.0
+    while score(hi) < 0.0:
+        hi *= 8.0
+    mu = float(brentq(score, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
     h = max(1e-5, 1e-4 * mu)
     d2 = (nll(mu + h) - 2.0 * nll(mu) + nll(mu - h)) / (h * h)
@@ -257,32 +259,43 @@ class JointDistribution:
         textio.write_csv(path, header, "{}" + ",{}" * size, np.arange(size), *self.matrix.T)
 
 
-def build_jpnd(records_a, records_b, window_ps: float | None = None, n_max: int | None = None) -> JointDistribution:
-    """Joint photon-number distribution of two record sets decoded from one
-    trigger stream; records are paired by trigger index, and any index
-    present on only one side is an alignment error."""
-    idx_a = np.asarray(records_a.trigger_index, dtype=np.int64)
-    idx_b = np.asarray(records_b.trigger_index, dtype=np.int64)
-    if idx_a.shape != idx_b.shape or np.any(idx_a != idx_b):
-        only_a = np.setdiff1d(idx_a, idx_b)[:10]
-        only_b = np.setdiff1d(idx_b, idx_a)[:10]
+def joint_counts(index_a, n_a, index_b, n_b, n_max: int | None = None, sides=("A", "B")) -> np.ndarray:
+    """Square matrix whose entry (i, j) counts the triggers with n_a = i and
+    n_b = j, for two photon-number arrays listed by trigger index.
+
+    Both sides must list the same trigger indices in the same order; if not,
+    AlignmentError names up to ten indices found on one side only, calling
+    the sides by ``sides``.  The matrix spans the largest photon number, or
+    0..n_max, which must not be below it (ValueError).
+    """
+    index_a = np.asarray(index_a, dtype=np.int64)
+    index_b = np.asarray(index_b, dtype=np.int64)
+    if index_a.shape != index_b.shape or np.any(index_a != index_b):
+        only_a = np.setdiff1d(index_a, index_b)[:10]
+        only_b = np.setdiff1d(index_b, index_a)[:10]
         raise AlignmentError(
-            f"record sets cover different triggers (only in A: {only_a.tolist()}, "
-            f"only in B: {only_b.tolist()})"
+            f"{sides[0]} and {sides[1]} cover different triggers (only in {sides[0]}: {only_a.tolist()}, "
+            f"only in {sides[1]}: {only_b.tolist()})"
         )
-    na = np.asarray(records_a.n, dtype=np.int64)
-    nb = np.asarray(records_b.n, dtype=np.int64)
-    size = int(max(na.max(initial=0), nb.max(initial=0))) + 1
+    n_a = np.asarray(n_a, dtype=np.int64)
+    n_b = np.asarray(n_b, dtype=np.int64)
+    size = int(max(n_a.max(initial=0), n_b.max(initial=0))) + 1
     if n_max is not None:
         if n_max + 1 < size:
             raise ValueError(f"records contain photon numbers above n_max={n_max}")
         size = n_max + 1
-    matrix = np.zeros((size, size), dtype=np.int64)
-    np.add.at(matrix, (na, nb), 1)
+    return np.bincount(n_a * size + n_b, minlength=size * size).reshape(size, size)
+
+
+def build_jpnd(records_a, records_b, window_ps: float | None = None, n_max: int | None = None) -> JointDistribution:
+    """Joint photon-number distribution of two record sets decoded from one
+    trigger stream; records are paired by trigger index, and any index
+    present on only one side is an alignment error."""
+    matrix = joint_counts(records_a.trigger_index, records_a.n, records_b.trigger_index, records_b.n, n_max)
     return JointDistribution(
         matrix,
         window_ps=window_ps,
-        diagnostics={"n_triggers": int(na.size)},
+        diagnostics={"n_triggers": len(records_a)},
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import textio
-from .errors import ConfigError, UndetectablePulseError
+from .errors import ConfigError, StreamFormatError, UndetectablePulseError
 from .timetags import UNITS_PER_PS, TagBlock
 
 _CHUNK = 1 << 16  # triggers per RNG chunk; fixed so output is worker-count independent
@@ -218,12 +218,19 @@ class TruthBlock:
 
     @classmethod
     def from_csv(cls, path) -> "TruthBlock":
-        _, data = textio.read_csv(path, 1, 3)
+        """Truth from ``to_csv``'s table; a negative photon number raises
+        StreamFormatError naming its line."""
+        header, data = textio.read_csv(path, 1, 3)
+        if data[:, 1:].min(initial=0) < 0:
+            row = int(np.flatnonzero((data[:, 1:] < 0).any(axis=1))[0])
+            line = textio.row_line(path, len(header), row)
+            raise StreamFormatError(f"{path}, line {line}: negative photon number in {data[row].tolist()}")
         return cls(data[:, 0], data[:, 1], data[:, 2])
 
 
 def _chunk_ranges(n: int):
-    for idx, start in enumerate(range(0, n, _CHUNK)):
+    # an empty run is one empty chunk, so its arrays still concatenate
+    for idx, start in enumerate(range(0, max(n, 1), _CHUNK)):
         yield idx, start, min(start + _CHUNK, n)
 
 
@@ -282,11 +289,11 @@ def _quantize(ps: np.ndarray) -> np.ndarray:
     return np.rint(ps * UNITS_PER_PS).astype(np.int64)
 
 
-def _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, rise_tab, fall_tab):
+def _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, n_a, n_b, rise_tab, fall_tab):
+    """(channels, timestamps) of one chunk's tags, unsorted, for the chunk's
+    photon numbers n_a and n_b; only the timing noise is drawn here."""
     m = stop - start
-    src_rng = np.random.default_rng([seed, idx, 0])
     noise_rng = np.random.default_rng([seed, idx, 1])
-    n_a, n_b = _sample_counts_chunk(spec, m, src_rng)
 
     nominal = _nominal_trigger_units(start, stop, spec.repetition_rate_hz)
     trig_sigma = math.hypot(spec.trigger_channel_jitter_ps, jitter.tagger_rms_per_channel)
@@ -314,7 +321,7 @@ def _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, rise_tab, fall_
         stamps.append(rise_ts)
         channels.append(np.full(k, ch_fall, dtype=np.uint8))
         stamps.append(fall_ts)
-    return np.concatenate(channels), np.concatenate(stamps), n_a, n_b
+    return np.concatenate(channels), np.concatenate(stamps)
 
 
 def simulate_stream(
@@ -328,15 +335,14 @@ def simulate_stream(
 ) -> tuple[TagBlock, TruthBlock]:
     """Generate a sorted tag stream and matching per-trigger truth.
 
-    Randomness is drawn per fixed-size trigger chunk from seeds derived as
-    (seed, chunk index, stream), so the output is byte-identical for a given
-    seed regardless of ``workers``.  A trigger period no longer than the
-    longest pulse raises ConfigError.
+    The truth is ``sample_source(spec, n_triggers, seed)``.  Randomness is
+    drawn per fixed-size trigger chunk from seeds derived as (seed, chunk
+    index, stream), photon numbers from stream 0 and timing noise from
+    stream 1, so the output is byte-identical for a given seed regardless of
+    ``workers``.  A trigger period no longer than the longest pulse raises
+    ConfigError.
     """
-    if n_triggers < 0:
-        raise ValueError("n_triggers must be non-negative")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    truth = sample_source(spec, n_triggers, seed)
     rise_tab, fall_tab = edge_delay_table(pulse)
     period_ps = 1e12 / spec.repetition_rate_hz
     if not period_ps > fall_tab.max():
@@ -348,7 +354,8 @@ def simulate_stream(
 
     def run(job):
         idx, start, stop = job
-        return _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, rise_tab, fall_tab)
+        n_a, n_b = truth.true_n_a[start:stop], truth.true_n_b[start:stop]
+        return _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, n_a, n_b, rise_tab, fall_tab)
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -356,21 +363,10 @@ def simulate_stream(
     else:
         results = [run(job) for job in jobs]
 
-    if results:
-        channels = np.concatenate([r[0] for r in results])
-        stamps = np.concatenate([r[1] for r in results])
-        n_a = np.concatenate([r[2] for r in results])
-        n_b = np.concatenate([r[3] for r in results])
-    else:
-        channels = np.empty(0, np.uint8)
-        stamps = np.empty(0, np.int64)
-        n_a = np.empty(0, np.int64)
-        n_b = np.empty(0, np.int64)
-
+    channels = np.concatenate([r[0] for r in results])
+    stamps = np.concatenate([r[1] for r in results])
     order = np.lexsort((channels, stamps))
-    block = TagBlock(channels[order], stamps[order])
-    truth = TruthBlock(np.arange(n_triggers, dtype=np.int64), n_a, n_b)
-    return block, truth
+    return TagBlock(channels[order], stamps[order]), truth
 
 
 def default_params() -> tuple[PulseModelParams, JitterParams, SourceSpec]:

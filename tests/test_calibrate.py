@@ -378,10 +378,19 @@ def test_projection_axes():
 
 def test_find_peaks_locates_a_gaussian_mode():
     rng = np.random.default_rng(9)
-    counts, centers, _ = histogram_1d(rng.normal(5.0, 1.0, 20_000), bin_width=0.25)
+    counts, centers, _ = histogram_1d(rng.normal(5.0, 1.0, 20_000))
     peaks = find_peaks(counts, centers)
     assert peaks.size == 1
     assert abs(peaks[0] - 5.0) <= 0.5  # mode within one bin plus smoothing slack
+
+
+def test_weighted_histogram_counts_the_expanded_sample():
+    # values on a 0.1 ps grid, so some fall on the 0.5 ps bin edges
+    values = np.round(np.random.default_rng(4).normal(0.0, 5.0, 5000), 1)
+    distinct, multiplicity = np.unique(values, return_counts=True)
+    counts, _, edges = histogram_1d(distinct, weights=multiplicity)
+    np.testing.assert_array_equal(counts, np.histogram(values, bins=edges)[0])
+    np.testing.assert_array_equal(edges, histogram_1d(values)[2])
 
 
 def test_find_peaks_needs_actual_peaks():
@@ -395,7 +404,7 @@ def test_simulated_projection_shows_at_least_five_modes(events_a, optimal_model,
     pulse, _, _ = default_params
     theta = optimal_model.angle % math.pi
     coords = project(events_a, theta)
-    counts, centers, _ = histogram_1d(coords, bin_width=0.5)
+    counts, centers, _ = histogram_1d(coords)
     peaks = find_peaks(counts, centers)
     assert peaks.size >= 5
 
@@ -526,7 +535,7 @@ def per_event_labelling(rise, fall, k):
     depth = np.zeros(angles.size)
     conc = np.zeros(angles.size)
     for i, theta in enumerate(angles):
-        counts, _, _ = histogram_1d(rise * math.cos(theta) + fall * math.sin(theta), 0.5)
+        counts, _, _ = histogram_1d(rise * math.cos(theta) + fall * math.sin(theta))
         idx, _, smoothed = ranked_peaks(counts)
         p = counts / counts.sum()
         n_peaks[i] = idx.size
@@ -538,7 +547,7 @@ def per_event_labelling(rise, fall, k):
             )
     theta_ref = float(angles[np.lexsort((conc, depth, n_peaks, depth >= 0.5))[-1]])
     coords = rise * math.cos(theta_ref) + fall * math.sin(theta_ref)
-    counts, centers, _ = histogram_1d(coords, 0.5)
+    counts, centers, _ = histogram_1d(coords)
     idx, prom, smoothed = ranked_peaks(counts)
     k = idx.size if k is None else k
     if idx.size > k:
@@ -649,7 +658,7 @@ def test_components_are_the_label_moments(events_a, optimal_model, rising_model,
 
 def test_fit_diagnostics_are_the_pearson_chi2_of_the_event_histogram(events_a, optimal_model, rising_model):
     for model in (optimal_model, rising_model):
-        counts, _, edges = histogram_1d(project(events_a, model.angle), 0.5)
+        counts, _, edges = histogram_1d(project(events_a, model.angle))
         expected = events_a.n_detections * sum(
             c.weight * np.diff(norm.cdf(edges, c.center, c.sigma)) for c in model.components
         )

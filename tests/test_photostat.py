@@ -1,5 +1,7 @@
 """Photon statistics: truncated-Poisson fits, joint distributions, efficiency."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -23,6 +25,7 @@ from pnrtiming.errors import (
     UnboundedFitError,
     UndefinedRatioError,
 )
+from pnrtiming.photostat import joint_counts
 
 # ---- helpers
 
@@ -103,12 +106,23 @@ def test_all_zero_counts_give_mu_zero_exactly():
 
 
 def test_exact_expected_counts_recover_mu():
-    for mu in (1.0, 0.2, 3.4):
-        dist = NumberDistribution(expected_counts(mu, 1e6))
-        fit = fit_poisson_mu(dist)
+    # mu = 12 at tail_from=1 has its root above the moment bracket [1/8, 10]
+    for mu, tail_from in ((1.0, 4), (0.2, 4), (3.4, 4), (12.0, 1)):
+        dist = NumberDistribution(expected_counts(mu, 1e6, tail_from))
+        fit = fit_poisson_mu(dist, tail_from)
         assert abs(fit.mu - mu) < 1e-6
         assert_allclose(fit.expected, dist.counts, rtol=1e-9)
         assert fit.chi2_pearson < 1e-12
+
+
+def test_fit_roots_the_score_where_the_tail_mass_underflows():
+    # at the moment bracket's lower end, 0.0125, sf(99) underflows to 0
+    counts = np.zeros(101)
+    counts[0], counts[100] = 1000, 1
+    fit = fit_poisson_mu(NumberDistribution(counts), tail_from=100)
+    # the root of the score: 1000 * sf(99, mu) = pmf(99, mu), mu near 0.1
+    assert 1000 * poisson.sf(99, fit.mu) == pytest.approx(poisson.pmf(99, fit.mu), rel=1e-9)
+    assert fit.mu == pytest.approx(0.1, rel=0.01)
 
 
 def test_fit_requires_enough_counts():
@@ -162,7 +176,20 @@ def test_fit_on_decoded_records(events_a, optimal_model):
     assert fit.chi2_ndf < 3.0
 
 
-# ---- JointDistribution and build_jpnd
+# ---- joint_counts, JointDistribution and build_jpnd
+
+
+def test_joint_counts_match_a_brute_force_count():
+    rng = np.random.default_rng(8)
+    idx = np.arange(500) * 3
+    n_a, n_b = rng.integers(0, 4, 500), rng.integers(0, 6, 500)
+    pairs = Counter(zip(n_a.tolist(), n_b.tolist()))
+    for n_max, size in ((None, 6), (5, 6), (9, 10)):
+        matrix = joint_counts(idx, n_a, idx, n_b, n_max)
+        assert matrix.shape == (size, size)
+        assert {ij: c for ij, c in np.ndenumerate(matrix) if c} == pairs
+    with pytest.raises(ValueError, match="n_max=4"):
+        joint_counts(idx, n_a, idx, n_b, 4)
 
 
 def test_jpnd_validation():

@@ -16,7 +16,7 @@ from pnrtiming import (
     sample_source,
     simulate_stream,
 )
-from pnrtiming.errors import ConfigError, UndetectablePulseError
+from pnrtiming.errors import ConfigError, StreamFormatError, UndetectablePulseError
 from pnrtiming.simulate import edge_delay_table, pulse_peak, pulse_value
 
 NO_JITTER = JitterParams(0.0, 0.0, 0.0)
@@ -232,6 +232,23 @@ def test_simulated_streams_are_seed_deterministic_and_worker_invariant():
     assert not np.array_equal(a.timestamps, c.timestamps)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SourceSpec(coherent_channel="both"),
+        SourceSpec(kind="spdc_pairs", pair_prob=0.3, multi_pair=True),
+        SourceSpec(kind="noon2", pair_prob=0.5, visibility=0.9),
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 4])
+def test_stream_truth_is_the_source_draw(spec, workers):
+    # 150,000 triggers span three RNG chunks
+    _, truth = simulate_stream(spec, PulseModelParams(), JitterParams(), 150_000, seed=21, workers=workers)
+    want = sample_source(spec, 150_000, seed=21)
+    for name in ("trigger_index", "true_n_a", "true_n_b"):
+        np.testing.assert_array_equal(getattr(truth, name), getattr(want, name))
+
+
 def test_repetition_rate_leaves_delays_unchanged():
     pulse, jitter = PulseModelParams(), JitterParams()
     slow, _ = simulate_stream(SourceSpec(repetition_rate_hz=1e5), pulse, jitter, 2000, seed=15)
@@ -268,6 +285,14 @@ def test_empty_and_invalid_simulation_arguments():
         simulate_stream(spec, pulse, jitter, -1, seed=1)
     with pytest.raises(ValueError):
         simulate_stream(spec, pulse, jitter, 10, seed=-1)
+
+
+def test_truth_csv_refuses_negative_photon_numbers(tmp_path):
+    # the confusion matrix has no row for a negative photon number
+    path = tmp_path / "truth.csv"
+    path.write_text("trigger_index,true_n_a,true_n_b\n0,1,0\n1,0,-1\n")
+    with pytest.raises(StreamFormatError, match="line 3"):
+        TruthBlock.from_csv(path)
 
 
 def test_truth_block_csv_round_trip(tmp_path):

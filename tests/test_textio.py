@@ -115,7 +115,7 @@ def test_projection_csv(tmp_path, rows):
     model = SimpleNamespace(components=[VoigtComponent(-50.0, 30.0, 1.0, 0.4), VoigtComponent(60.0, 20.0, 2.0, 0.6)])
     path = tmp_path / "projection.csv"
     _write_projection_csv(path, coords, model)
-    counts, centers, _ = histogram_1d(coords, 0.5)
+    counts, centers, _ = histogram_1d(coords)
     fitted = coords.size * 0.5 * mixture_pdf(centers, model.components)
     assert counts.size == rows
     lines = [f"{x:.6g},{c},{m:.6g}\n" for x, c, m in zip(centers, counts, fitted)]
