@@ -49,6 +49,7 @@ _HISTOGRAM2D_BIN = 1.0  # ps, rise and fall
 # labelling and the angle scan: candidate-angle step, histogram smoothing
 # (sigma in bins), least peak prominence as a fraction of the smoothed maximum
 _GRID_STEP_DEG = 2.0
+_GRID_ANGLES = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
 _SMOOTHING_SIGMA = 2.0
 _MIN_PROMINENCE = 0.05
 _FORMAT = "pnrtiming-calibration/1"
@@ -281,13 +282,6 @@ def _bucket_masses(center, sigma, boundaries):
     return np.diff(cum, axis=1)
 
 
-def _gaussian_crosstalk(center, sigma, weight):
-    """(boundaries, fallback pairs, crosstalk rows) of weighted Gaussian
-    components in ascending order of center."""
-    bounds, fallback = _pair_boundaries(center, sigma, weight)
-    return bounds, fallback, _bucket_masses(center, sigma, bounds)
-
-
 def boundaries_with_fallback(components) -> tuple[np.ndarray, list]:
     """Decision boundary between each adjacent pair of Gaussian components:
     where the weighted densities cross between the two centers, which
@@ -368,8 +362,7 @@ def _reference_scan(pairs, angles):
     depth = np.zeros(angles.size)
     conc = np.zeros(angles.size)
     for i, theta in enumerate(angles):
-        coords = pair_rise * math.cos(theta) + pair_fall * math.sin(theta)
-        counts, _, _ = histogram_1d(coords, weights=multiplicity)
+        counts, _, _ = histogram_1d(project((pair_rise, pair_fall), theta), weights=multiplicity)
         idx, _, smoothed = _peak_indices_ranked(counts)
         p = counts / counts.sum()
         n_peaks[i] = idx.size
@@ -384,16 +377,13 @@ def _reference_scan(pairs, angles):
 
 
 def _complete_centers(coords: np.ndarray, multiplicity: np.ndarray, init: np.ndarray, k: int) -> np.ndarray:
-    """Trim or pad initial centers so exactly k remain, preserving order.
+    """Pad initial centers (at most k of them) so exactly k remain.
 
     The sample is given as distinct coordinates with their multiplicities.
     Padding splits the most populated cell at the median of its events and
     puts a center at the median of each half, as on the expanded sample.
     """
-    init = np.sort(np.asarray(init, dtype=float))
-    if init.size > k:
-        return init[np.round(np.linspace(0, init.size - 1, k)).astype(int)]
-    centers = list(init)
+    centers = sorted(np.asarray(init, dtype=float).tolist())
     while len(centers) < k:
         mids = 0.5 * (np.array(centers[:-1]) + np.array(centers[1:])) if len(centers) > 1 else np.array([])
         labels = np.searchsorted(mids, coords)
@@ -482,11 +472,10 @@ def _label_events(events, k):
         raise EmptySampleError("no detected events to calibrate")
     pairs = _distinct_pairs(rise, fall)
     pair_rise, pair_fall, multiplicity = pairs
-    angles = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
-    n_peaks, depth, conc = _reference_scan(pairs, angles)
+    n_peaks, depth, conc = _reference_scan(pairs, _GRID_ANGLES)
     order = np.lexsort((conc, depth, n_peaks, depth >= 0.5))
-    theta_ref = float(angles[order[-1]])
-    coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
+    theta_ref = float(_GRID_ANGLES[order[-1]])
+    coords = project((pair_rise, pair_fall), theta_ref)
     counts, centers, _ = histogram_1d(coords, weights=multiplicity)
     idx, prom, smoothed = _peak_indices_ranked(counts)
     if idx.size == 0:
@@ -533,7 +522,8 @@ def _gaussian_model(labelled, line_angle: float):
     mean, sigma = labelled.moments(angle)
     order = np.argsort(mean)
     center, sigma, weight = mean[order], sigma[order], labelled.fractions[order]
-    return (angle, center, sigma, weight, *_gaussian_crosstalk(center, sigma, weight))
+    bounds, fallback = _pair_boundaries(center, sigma, weight)
+    return angle, center, sigma, weight, bounds, fallback, _bucket_masses(center, sigma, bounds)
 
 
 def _fit_summary(labelled, angle, center, sigma, weight) -> dict:
@@ -544,7 +534,7 @@ def _fit_summary(labelled, angle, center, sigma, weight) -> dict:
     estimated parameters (centers, sigmas, weights summing to one) and 1.
     """
     pair_rise, pair_fall, multiplicity = labelled.pairs
-    counts, _, edges = histogram_1d(pair_rise * math.cos(angle) + pair_fall * math.sin(angle), weights=multiplicity)
+    counts, _, edges = histogram_1d(project((pair_rise, pair_fall), angle), weights=multiplicity)
     expected = labelled.n_events * (weight @ _bucket_masses(center, sigma, edges)[:, 1:-1])
     use = expected >= 5.0
     chi2 = float(np.sum((counts[use] - expected[use]) ** 2 / expected[use]))
@@ -609,8 +599,7 @@ def _angle_scan(labelled):
         _, _, _, weight, _, _, crosstalk = _gaussian_model(labelled, theta)
         return total_offdiagonal(crosstalk, weight)
 
-    angles = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
-    evals = [(float(t), objective(float(t))) for t in angles]
+    evals = [(float(t), objective(float(t))) for t in _GRID_ANGLES]
     # the grid holds both axes exactly: 0 first, and pi/2 at 90 degrees
     at_zero, at_half_pi = evals[0][1], evals[round(90.0 / _GRID_STEP_DEG)][1]
     best_idx = int(np.argmin([v for _, v in evals]))
@@ -630,7 +619,10 @@ def _angle_scan(labelled):
 
 def _calibrate(events, modes, k, detector, window_ps):
     """Label the events once, then build every mode in ``modes`` from that
-    one labelling; returns {mode: CalibrationModel}."""
+    one labelling; returns {mode: CalibrationModel}.  k must be None or an
+    integer of at least 1 (ConfigError)."""
+    if k is not None and (not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1):
+        raise ConfigError(f"k must be None or an integer of at least 1, not {k!r}")
     labelled, theta_ref = _label_events(events, k)
     if np.any(labelled.counts < 5):
         raise CalibrationError("a cluster label has fewer than 5 events; reduce k or take more data")

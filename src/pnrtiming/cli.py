@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,10 +29,8 @@ from .errors import (
     DataError,
     InsufficientDataError,
     PnrError,
-    StreamFormatError,
     StreamOrderError,
     UnboundedFitError,
-    UndetectablePulseError,
     UndefinedRatioError,
 )
 from .simulate import JitterParams, PulseModelParams, SourceSpec, TruthBlock, simulate_stream
@@ -89,12 +85,9 @@ def cmd_simulate(args) -> int:
     if not isinstance(n_triggers, int) or n_triggers < 1:
         raise ConfigError("n_triggers must be a positive integer")
     seed = args.seed if args.seed is not None else raw.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    workers = max(int(os.environ.get("PNR_THREADS", "1")), 1)
+    tags, truth = simulate_stream(source, pulse, jitter, n_triggers, seed)
 
     out = _out_dir(args)
-    tags, truth = simulate_stream(source, pulse, jitter, n_triggers, seed, workers=workers)
     stream_path = out / "stream.pnrtag"
     with textio.open_output(stream_path, "wb") as f:
         n_bytes = write_stream(tags, f)
@@ -128,27 +121,17 @@ def _write_crosstalk_csv(path, crosstalk) -> None:
     textio.write_csv(path, header, "{}" + ",{:.9g}" * k, np.arange(1, k + 1), *crosstalk.T)
 
 
-def _check_window(window: float) -> None:
-    if not 0 < window < math.inf:
-        raise ConfigError(f"--window must be a positive, finite number of ps, not {window}")
-
-
 def cmd_calibrate(args) -> int:
-    _check_window(args.window)
-    if args.k is not None and args.k < 1:
-        raise ConfigError(f"--k must be at least 1, not {args.k}")
     block = read_tag_block(args.tagfile)
     events = pair_edges(block, args.window, detector=args.detector)
-    out = _out_dir(args)
-
-    hist = cal.build_histogram(events)
-    hist.to_csv(out / "histogram2d.csv")
-
     if args.mode == "both":
         models = cal.calibrate_both(events, args.k, detector=args.detector, window_ps=args.window)
     else:
         model = cal.calibrate_events(events, args.mode, args.k, detector=args.detector, window_ps=args.window)
         models = {args.mode: model}
+
+    out = _out_dir(args)
+    cal.build_histogram(events).to_csv(out / "histogram2d.csv")
 
     summary = {"detector": args.detector, "window_ps": args.window, "detections": events.n_detections}
     for mode, model in models.items():
@@ -168,8 +151,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if args.window is not None:
-        _check_window(args.window)
     model = cal.CalibrationModel.load_json(args.calibration)
     block = read_tag_block(args.tagfile)
     if not np.any(block.channels == 0):
@@ -200,25 +181,11 @@ def _load_records(path) -> PhotonRecordSet:
     return PhotonRecordSet.from_csv(p)
 
 
-def _check_n_max(n_max, *record_sets) -> None:
-    """--n-max must be non-negative, and no smaller than any photon number in ``record_sets``."""
-    if n_max is None:
-        return
-    if n_max < 0:
-        raise ConfigError(f"--n-max must be at least 0, not {n_max}")
-    top = max((int(r.n.max(initial=0)) for r in record_sets), default=0)
-    if top > n_max:
-        raise ConfigError(f"--n-max {n_max} is below the largest decoded photon number, {top}")
-
-
 def cmd_stats(args) -> int:
-    if args.tail_from < 1:
-        raise ConfigError(f"--tail-from must be at least 1, not {args.tail_from}")
-    _check_n_max(args.n_max)
     records = _load_records(args.records)
     # --n-max truncates the written distribution only; the fit sees every count
-    fit = ps.fit_poisson_mu(ps.NumberDistribution.from_records(records), tail_from=args.tail_from)
     dist = ps.NumberDistribution.from_records(records, n_max=args.n_max)
+    fit = ps.fit_poisson_mu(ps.NumberDistribution.from_records(records), tail_from=args.tail_from)
 
     out = _out_dir(args)
     dist.to_csv(out / "number_distribution.csv")
@@ -234,11 +201,7 @@ def cmd_stats(args) -> int:
 def cmd_jpnd(args) -> int:
     records_a = _load_records(args.records_a)
     records_b = _load_records(args.records_b)
-    _check_n_max(args.n_max, records_a, records_b)
     jpnd = ps.build_jpnd(records_a, records_b, n_max=args.n_max)
-
-    out = _out_dir(args)
-    jpnd.to_csv(out / "jpnd.csv")
     m = jpnd.padded(max(jpnd.n_max, 2)).matrix  # an outcome past n_max counts 0
     report: dict = {
         "n_triggers": jpnd.total,
@@ -255,11 +218,11 @@ def cmd_jpnd(args) -> int:
         if args.split_a is None or args.split_b is None:
             raise ConfigError("--split-a and --split-b must be given together")
         split_a, split_b = _load_records(args.split_a), _load_records(args.split_b)
-        _check_n_max(args.n_max, split_a, split_b)
         split = ps.build_jpnd(split_a, split_b, n_max=args.n_max)
-        contrast = ps.hom_contrast(jpnd, split)
-        report["hom_contrast"] = contrast.to_dict()
+        report["hom_contrast"] = ps.hom_contrast(jpnd, split).to_dict()
 
+    out = _out_dir(args)
+    jpnd.to_csv(out / "jpnd.csv")
     textio.write_json(out / "jpnd_report.json", report)
     _emit(args, report)
     return 0
@@ -321,25 +284,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code(exc: Exception, command: str) -> int:
-    if isinstance(exc, (StreamFormatError, ConfigError, UndetectablePulseError, OSError)):
-        return EXIT_IO
+def _exit_code(exc: PnrError | OSError, command: str) -> int:
+    """3, 4 or 5 for the failures below; I/O, format and config errors exit 2."""
     if isinstance(exc, CalibrationError):
         return EXIT_CALIBRATION
     if isinstance(exc, (InsufficientDataError, UnboundedFitError, UndefinedRatioError)):
         return EXIT_CALIBRATION if command == "calibrate" else EXIT_INSUFFICIENT
     if isinstance(exc, (CompatibilityError, AlignmentError, DataError, StreamOrderError)):
         return EXIT_COMPATIBILITY
-    if isinstance(exc, PnrError):
-        return EXIT_IO
-    raise exc
+    return EXIT_IO
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # noqa: BLE001 - translated to the exit-code contract
+    except (PnrError, OSError) as exc:
         code = _exit_code(exc, args.command)
         print(
             json.dumps(

@@ -8,7 +8,6 @@ on a boundary goes to the lower photon number.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import textio
-from .calibrate import CalibrationModel, classify
+from .calibrate import CalibrationModel, classify, project
 from .errors import CompatibilityError, DataError, StreamFormatError
 from .photostat import joint_counts
 
@@ -156,7 +155,7 @@ def decode_events(events, model: CalibrationModel) -> PhotonRecordSet:
     if np.any(bad):
         raise DataError(f"non-finite edge delay at event index {int(np.argmax(bad))}")
 
-    coords = rise[detected] * math.cos(model.angle) + fall[detected] * math.sin(model.angle)
+    coords = project(events, model.angle)
     n = np.zeros(len(events), dtype=np.int16)
     n[detected] = classify(coords, model.boundaries).astype(np.int16) + 1
 

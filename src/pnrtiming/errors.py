@@ -59,5 +59,6 @@ class UndetectablePulseError(PnrError):
     """A pulse amplitude never exceeds the discriminator threshold."""
 
 
-class ConfigError(PnrError):
-    """Invalid or unknown configuration entries."""
+class ConfigError(PnrError, ValueError):
+    """Invalid or unknown configuration entries, or an argument outside its
+    range; a ValueError too, so library callers may catch either."""

@@ -19,6 +19,7 @@ from scipy.stats import poisson
 from . import textio
 from .errors import (
     AlignmentError,
+    ConfigError,
     InsufficientDataError,
     UnboundedFitError,
     UndefinedRatioError,
@@ -50,6 +51,10 @@ class NumberDistribution:
 
     @classmethod
     def from_records(cls, records, n_max: int | None = None) -> "NumberDistribution":
+        """Counts of the records' photon numbers; with n_max (at least 0,
+        else ConfigError) the counts above n_max fold into entry n_max."""
+        if n_max is not None and n_max < 0:
+            raise ConfigError(f"n_max must be at least 0, not {n_max}")
         length = (n_max + 1) if n_max is not None else int(records.n.max(initial=0)) + 1
         counts = np.bincount(records.n, minlength=length)
         if counts.size > length:
@@ -71,9 +76,10 @@ class NumberDistribution:
 
     def folded(self, tail_from: int) -> np.ndarray:
         """Counts with every photon number >= tail_from summed into one
-        final category; result has tail_from + 1 entries."""
+        final category; result has tail_from + 1 entries.  A tail_from
+        below 1 raises ConfigError."""
         if tail_from < 1:
-            raise ValueError("tail_from must be at least 1")
+            raise ConfigError(f"tail_from must be at least 1, not {tail_from}")
         head = self.counts[:tail_from]
         if head.size < tail_from:
             head = np.concatenate([head, np.zeros(tail_from - head.size, dtype=head.dtype)])
@@ -102,7 +108,6 @@ class PoissonFit:
     chi2_pearson: float
     chi2_neyman: float
     dof: int
-    nll: float
 
     @property
     def labels(self) -> list:
@@ -160,18 +165,13 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
             chi2_pearson=0.0,
             chi2_neyman=0.0,
             dof=tail_from - 1,
-            nll=0.0,
         )
-
-    def nll(mu: float) -> float:
-        probs = _category_probs(mu, tail_from)
-        return -float(counts @ np.log(np.maximum(probs, 1e-300)))
 
     head_n = cats[:-1]
     head_counts = counts[:-1]
 
     def score(mu: float) -> float:
-        # dNLL/dmu; d log pmf(n)/dmu = n/mu - 1 and d log sf/dmu =
+        # dNLL/dmu; d log pmf(n)/dmu = n/mu - 1 and d log sf/dmu = the hazard
         # pmf(tail_from - 1) / sf, so the NLL is convex with a single root
         head = -float(head_counts @ (head_n / mu - 1.0))
         sf = float(poisson.sf(tail_from - 1, mu))
@@ -194,9 +194,12 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
         hi *= 8.0
     mu = float(brentq(score, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
-    h = max(1e-5, 1e-4 * mu)
-    d2 = (nll(mu + h) - 2.0 * nll(mu) + nll(mu - h)) / (h * h)
-    stderr = 1.0 / math.sqrt(d2) if d2 > 0 else float("nan")
+    # stderr from the observed information d2NLL/dmu2, in closed form: the
+    # hazard h = pmf(tail_from - 1) / sf has dh/dmu = h ((tail_from - 1)/mu - 1 - h)
+    sf = float(poisson.sf(tail_from - 1, mu))
+    h = float(poisson.pmf(tail_from - 1, mu)) / sf if sf > 0 else tail_from / mu
+    info = float(head_counts @ head_n) / mu**2 - counts[-1] * h * ((tail_from - 1) / mu - 1.0 - h)
+    stderr = 1.0 / math.sqrt(info) if info > 0 else float("nan")
 
     expected = total * _category_probs(mu, tail_from)
     nonzero = expected > 0
@@ -212,7 +215,6 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
         chi2_pearson=chi2_p,
         chi2_neyman=chi2_n,
         dof=tail_from - 1,
-        nll=nll(mu),
     )
 
 
@@ -266,7 +268,7 @@ def joint_counts(index_a, n_a, index_b, n_b, n_max: int | None = None, sides=("A
     Both sides must list the same trigger indices in the same order; if not,
     AlignmentError names up to ten indices found on one side only, calling
     the sides by ``sides``.  The matrix spans the largest photon number, or
-    0..n_max, which must not be below it (ValueError).
+    0..n_max, which must not be below it (ConfigError).
     """
     index_a = np.asarray(index_a, dtype=np.int64)
     index_b = np.asarray(index_b, dtype=np.int64)
@@ -282,7 +284,7 @@ def joint_counts(index_a, n_a, index_b, n_b, n_max: int | None = None, sides=("A
     size = int(max(n_a.max(initial=0), n_b.max(initial=0))) + 1
     if n_max is not None:
         if n_max + 1 < size:
-            raise ValueError(f"records contain photon numbers above n_max={n_max}")
+            raise ConfigError(f"photon numbers reach {size - 1}, above n_max={n_max}")
         size = n_max + 1
     return np.bincount(n_a * size + n_b, minlength=size * size).reshape(size, size)
 

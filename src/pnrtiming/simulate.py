@@ -19,6 +19,7 @@ parameters, not measured device constants.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -262,11 +263,11 @@ def _sample_counts_chunk(spec: SourceSpec, m: int, rng) -> tuple[np.ndarray, np.
 
 
 def sample_source(spec: SourceSpec, n_triggers: int, seed: int) -> TruthBlock:
-    """Draw per-trigger photon numbers (post-loss) for both detector arms."""
-    if n_triggers < 0:
-        raise ValueError("n_triggers must be non-negative")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    """Draw per-trigger photon numbers (post-loss) for both detector arms;
+    n_triggers and seed must be non-negative integers (ConfigError)."""
+    for name, value in (("n_triggers", n_triggers), ("seed", seed)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+            raise ConfigError(f"{name} must be a non-negative integer, not {value!r}")
     n_a = np.zeros(n_triggers, dtype=np.int64)
     n_b = np.zeros(n_triggers, dtype=np.int64)
     for idx, start, stop in _chunk_ranges(n_triggers):

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import textio
-from .errors import StreamFormatError, StreamOrderError
+from .errors import ConfigError, StreamFormatError, StreamOrderError
 
 MAGIC = b"PNRTAG01"
 FORMAT_VERSION = 1
@@ -297,12 +297,13 @@ def pair_edges(tags, window_ps: float, detector: str = "A") -> EdgeEventSet:
     It is a detection when r and f both lie in [t, t + window].  The rule
     is the same whether or not the windows of neighbouring triggers
     overlap.  Every detector tag not paired into a detection is counted
-    under ``orphan_edges``.
+    under ``orphan_edges``.  An unknown detector, or a window that is not
+    positive and finite, raises ConfigError.
     """
     if detector not in DETECTOR_CHANNELS:
-        raise ValueError(f"unknown detector {detector!r}")
+        raise ConfigError(f"unknown detector {detector!r}")
     if not 0 < window_ps < np.inf:
-        raise ValueError(f"window must be positive and finite, not {window_ps}")
+        raise ConfigError(f"window must be positive and finite, not {window_ps}")
     block = as_tag_block(tags)
     if not block.is_sorted():
         raise StreamOrderError("tags must be sorted by (timestamp, channel) before pairing")

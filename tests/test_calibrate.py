@@ -483,13 +483,10 @@ def test_angle_search_rejects_empty_and_tiny_samples():
 
 
 def complete_centers_per_event(coords, init, k):
-    """Trim or pad initial centers so exactly k remain: padding splits the
-    most populated cell at its median and puts a center at the median of
-    each half."""
-    init = np.sort(np.asarray(init, dtype=float))
-    if init.size > k:
-        return init[np.round(np.linspace(0, init.size - 1, k)).astype(int)]
-    centers = list(init)
+    """Pad initial centers so exactly k remain: padding splits the most
+    populated cell at its median and puts a center at the median of each
+    half."""
+    centers = list(np.sort(np.asarray(init, dtype=float)))
     while len(centers) < k:
         mids = 0.5 * (np.array(centers[:-1]) + np.array(centers[1:])) if len(centers) > 1 else np.array([])
         labels = np.searchsorted(mids, coords)
@@ -514,8 +511,8 @@ def test_complete_centers_match_the_expanded_sample(sample, events_a):
         coords = np.sort(rng.normal(0.0, 10.0, 40))
         multiplicity = rng.integers(1, 5, coords.size)
     expanded = np.repeat(coords, multiplicity)
-    for init in (coords[:1], np.quantile(expanded, [0.2, 0.5, 0.8])):
-        for k in (2, 5, 12):
+    for init, ks in ((coords[:1], (2, 5, 12)), (np.quantile(expanded, [0.2, 0.5, 0.8]), (5, 12))):
+        for k in ks:
             want = complete_centers_per_event(expanded, init, k)
             np.testing.assert_array_equal(cal._complete_centers(coords, multiplicity, init, k), want)
 
@@ -706,6 +703,14 @@ def test_labels_with_too_few_events_raise_in_every_mode():
     for mode in ("optimal", "rising_only"):
         with pytest.raises(CalibrationError, match="fewer than 5 events"):
             calibrate_events((rise, fall), mode=mode, k=5)
+
+
+def test_component_count_must_be_a_positive_integer(events_a):
+    for k in (0, 2.5, True):
+        for calibrate in (lambda: calibrate_events(events_a, k=k), lambda: calibrate_both(events_a, k)):
+            with pytest.raises(ConfigError, match="k must be") as info:
+                calibrate()
+            assert isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------- model object

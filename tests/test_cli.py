@@ -86,15 +86,6 @@ def test_simulate_dark_source(tmp_path, capsys):
     assert out["detected_mean_a"] == 0.0
 
 
-def test_simulate_worker_count_does_not_change_output(tmp_path, capsys, monkeypatch):
-    code, _, _ = run(capsys, "simulate", "--n-triggers", 5000, "--seed", 11, "--out", tmp_path / "serial")
-    assert code == 0
-    monkeypatch.setenv("PNR_THREADS", "4")
-    code, _, _ = run(capsys, "simulate", "--n-triggers", 5000, "--seed", 11, "--out", tmp_path / "threaded")
-    assert code == 0
-    assert digest(tmp_path / "serial/stream.pnrtag") == digest(tmp_path / "threaded/stream.pnrtag")
-
-
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"sourc": {"mu": 1.0}}))
@@ -143,12 +134,22 @@ def test_malformed_config_json(tmp_path, capsys):
         ("stats", "{records}", "--n-max", "-1"),
         ("jpnd", "{records}", "{records}", "--n-max", "-1"),
         ("jpnd", "{records}", "{records}", "--n-max", "1"),
+        ("simulate", "--seed", "-1"),
+        ("simulate", "--config", "{n_triggers_bool}"),
+        ("simulate", "--config", "{seed_text}"),
     ],
 )
 def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
-    """Out-of-range options and malformed input files exit 2 with a typed error."""
-    pileup = tmp_path / "pileup.json"
-    pileup.write_text(json.dumps({"source": {"repetition_rate_hz": 4e8}}))
+    """Out-of-range options and malformed input files exit 2 with a typed
+    error; a refused option writes nothing under --out."""
+    configs = {
+        "pileup": {"source": {"repetition_rate_hz": 4e8}},
+        "n_triggers_bool": {"n_triggers": True},
+        "seed_text": {"n_triggers": 10, "seed": "x"},
+    }
+    for name, config in configs.items():
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps(config))
     model = json.loads((pipeline / "calibration_optimal.json").read_text())
     no_components = tmp_path / "no_components.json"
     no_components.write_text(json.dumps({k: v for k, v in model.items() if k != "components"}))
@@ -176,7 +177,7 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         "stream": pipeline / "stream.pnrtag",
         "calibration": pipeline / "calibration_optimal.json",
         "records": pipeline / "records_A.pnrec",
-        "pileup": pileup,
+        **configs,
         "no_components": no_components,
         "unnormalised": unnormalised,
         "not_json": not_json,
@@ -187,8 +188,11 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv), "--out", tmp_path / "out")
     assert code == 2
     assert out is None
-    assert err["error"] == ("StreamFormatError" if argv[-1].startswith("{short_") else "ConfigError")
+    malformed_file = argv[-1].startswith("{short_")
+    assert err["error"] == ("StreamFormatError" if malformed_file else "ConfigError")
     assert err["exit_code"] == 2
+    if not malformed_file:
+        assert not (tmp_path / "out").exists()
 
 
 # ---- calibrate

@@ -125,6 +125,15 @@ def test_fit_roots_the_score_where_the_tail_mass_underflows():
     assert fit.mu == pytest.approx(0.1, rel=0.01)
 
 
+def test_fit_stderr_is_finite_where_the_tail_mass_underflows():
+    # mu = 2e-4: sf(199, mu) underflows, and the information is N / mu to first order
+    counts = np.zeros(201)
+    counts[0], counts[200] = 1e6, 1
+    fit = fit_poisson_mu(NumberDistribution(counts), tail_from=200)
+    assert fit.mu == pytest.approx(2e-4, rel=1e-6)
+    assert fit.stderr == pytest.approx(np.sqrt(fit.mu / counts.sum()), rel=1e-3)
+
+
 def test_fit_requires_enough_counts():
     with pytest.raises(InsufficientDataError):
         fit_poisson_mu(NumberDistribution([40, 30, 20]))

@@ -287,6 +287,14 @@ def test_empty_and_invalid_simulation_arguments():
         simulate_stream(spec, pulse, jitter, 10, seed=-1)
 
 
+def test_source_draw_takes_only_non_negative_integers():
+    spec = SourceSpec()
+    assert len(sample_source(spec, np.int64(3), np.int64(2))) == 3
+    for n_triggers, seed in ((True, 1), (2.5, 1), (10, False), (10, "x"), (10, -1)):
+        with pytest.raises(ConfigError, match="must be a non-negative integer"):
+            sample_source(spec, n_triggers, seed)
+
+
 def test_truth_csv_refuses_negative_photon_numbers(tmp_path):
     # the confusion matrix has no row for a negative photon number
     path = tmp_path / "truth.csv"
