@@ -10,14 +10,13 @@ from .calibrate import (
     CalibrationModel,
     VoigtComponent,
     adjacent_pair_crosstalk,
+    boundaries_with_fallback,
     build_histogram,
     calibrate_both,
     calibrate_events,
     classify,
     crosstalk_matrix,
-    find_peaks,
     mixture_pdf,
-    optimize_boundaries,
     project,
     total_offdiagonal,
     voigt_pdf,
@@ -44,7 +43,6 @@ from .simulate import (
 from .timetags import (
     EdgeEventSet,
     TagBlock,
-    TimeTag,
     iter_tag_blocks,
     pair_edges,
     read_tag_block,
@@ -63,10 +61,10 @@ __all__ = [
     "PulseModelParams",
     "SourceSpec",
     "TagBlock",
-    "TimeTag",
     "TruthBlock",
     "VoigtComponent",
     "adjacent_pair_crosstalk",
+    "boundaries_with_fallback",
     "build_histogram",
     "build_jpnd",
     "calibrate_both",
@@ -78,12 +76,10 @@ __all__ = [
     "default_params",
     "edge_delays",
     "estimate_efficiency",
-    "find_peaks",
     "fit_poisson_mu",
     "hom_contrast",
     "iter_tag_blocks",
     "mixture_pdf",
-    "optimize_boundaries",
     "pair_edges",
     "project",
     "total_offdiagonal",

@@ -178,23 +178,6 @@ def histogram_1d(coords: np.ndarray, *, weights=None):
     return counts.astype(np.int64, copy=False), 0.5 * (edges[:-1] + edges[1:]), edges
 
 
-def find_peaks(counts, centers=None):
-    """Peak locations of a projected histogram, ascending.
-
-    Smooths with a Gaussian kernel of 2 bins sigma and keeps local maxima
-    whose prominence reaches 5% of the smoothed maximum.
-    """
-    counts = np.asarray(counts, dtype=float)
-    if counts.size == 0 or counts.max() <= 0:
-        raise CalibrationError("empty histogram, no peaks to find")
-    idx, _, _ = _peak_indices_ranked(counts)
-    if idx.size == 0:
-        raise CalibrationError("no peaks found in projected histogram")
-    if centers is None:
-        return idx
-    return np.asarray(centers, dtype=float)[idx]
-
-
 def _peak_indices_ranked(counts: np.ndarray):
     """Smooth with a Gaussian kernel of _SMOOTHING_SIGMA bins and keep the local
     maxima whose prominence reaches _MIN_PROMINENCE of the smoothed maximum; returns
@@ -294,21 +277,6 @@ def boundaries_with_fallback(components) -> tuple[np.ndarray, list]:
     if np.any(np.diff(center) <= 0):
         raise ValueError("components must be ordered by strictly ascending center")
     return _pair_boundaries(center, sigma, weight)
-
-
-def optimize_boundaries(components) -> np.ndarray:
-    """Like boundaries_with_fallback, but a pair whose weighted densities do
-    not cross between the centers raises DegenerateOverlapError."""
-    bounds, fallback = boundaries_with_fallback(components)
-    if fallback:
-        i, j = fallback[0]
-        raise DegenerateOverlapError(
-            f"weighted densities of components at {components[i].center:.4g} and "
-            f"{components[j].center:.4g} do not cross between the centers"
-        )
-    if np.any(np.diff(bounds) <= 0):
-        raise CalibrationError("boundaries are not strictly ascending")
-    return bounds
 
 
 def crosstalk_matrix(components, boundaries) -> np.ndarray:

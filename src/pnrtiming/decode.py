@@ -18,6 +18,7 @@ from . import textio
 from .calibrate import CalibrationModel, classify, project
 from .errors import CompatibilityError, DataError, StreamFormatError
 from .photostat import joint_counts
+from .timetags import DETECTOR_CHANNELS
 
 _REC_MAGIC = b"PNRREC01"
 _REC_VERSION = 1
@@ -79,12 +80,19 @@ class PhotonRecordSet:
     @classmethod
     def from_csv(cls, path) -> "PhotonRecordSet":
         """Records from ``to_csv``'s table; the ``# detector=... window_ps=...``
-        line above the column names may be missing.  A photon number outside
-        the .pnrec range [0, 255] raises StreamFormatError naming its line."""
+        line above the column names may be missing.  A detector other than A
+        or B, a window that is not a number, or a photon number outside the
+        .pnrec range [0, 255] raises StreamFormatError naming its line."""
         header, data = textio.read_csv(path, 1, 3)
         first = header[0] if header else ""
         meta = dict(tok.partition("=")[::2] for tok in first[1:].split()) if first.startswith("#") else {}
-        detector, window = meta.get("detector", "A"), float(meta.get("window_ps", 0.0))
+        detector = meta.get("detector", "A")
+        if detector not in DETECTOR_CHANNELS:
+            raise StreamFormatError(f"{path}, line 1: detector must be A or B, not {detector!r}")
+        try:
+            window = float(meta.get("window_ps", 0.0))
+        except ValueError:
+            raise StreamFormatError(f"{path}, line 1: window_ps {meta['window_ps']!r} is not a number") from None
         bad = np.flatnonzero((data[:, 2] < 0) | (data[:, 2] > _N_MAX))
         if bad.size:
             line = textio.row_line(path, len(header), int(bad[0]))
@@ -119,6 +127,8 @@ class PhotonRecordSet:
             raise StreamFormatError(f"bad record magic {magic!r}", byte_offset=0)
         if version != _REC_VERSION:
             raise StreamFormatError(f"unsupported record version {version}", byte_offset=8)
+        if chr(det_byte) not in DETECTOR_CHANNELS:
+            raise StreamFormatError(f"unknown detector byte {det_byte}", byte_offset=10)
         body = raw[_REC_HEADER.size :]
         if len(body) != count * _REC_DTYPE.itemsize:
             raise StreamFormatError(

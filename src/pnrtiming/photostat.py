@@ -9,7 +9,7 @@ contrast between interfering and split-pair configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,6 @@ class NumberDistribution:
     """Counts of decoded photon numbers 0..N for one channel."""
 
     counts: np.ndarray
-    detector: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.counts)
@@ -60,16 +59,11 @@ class NumberDistribution:
         if counts.size > length:
             counts[length - 1] += counts[length:].sum()
             counts = counts[:length]
-        return cls(counts, detector=records.detector)
+        return cls(counts)
 
     @property
     def total(self) -> float:
         return float(self.counts.sum())
-
-    def mean(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return float(np.arange(self.counts.size) @ self.counts / self.total)
 
     def probabilities(self) -> np.ndarray:
         return self.counts / max(self.total, 1)
@@ -117,14 +111,11 @@ class PoissonFit:
     def chi2_ndf(self) -> float:
         return self.chi2_pearson / max(self.dof, 1)
 
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        return (self.mu - z * self.stderr, self.mu + z * self.stderr)
-
     def to_dict(self) -> dict:
         return {
             "mu": self.mu,
             "stderr": self.stderr,
-            "ci95": list(self.confidence_interval()),
+            "ci95": [self.mu - 1.96 * self.stderr, self.mu + 1.96 * self.stderr],
             "tail_from": self.tail_from,
             "labels": self.labels,
             "counts": self.counts.tolist(),
@@ -225,7 +216,6 @@ class JointDistribution:
 
     matrix: np.ndarray
     window_ps: float | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.int64)
@@ -242,18 +232,12 @@ class JointDistribution:
     def total(self) -> int:
         return int(self.matrix.sum())
 
-    def marginal(self, channel: str) -> NumberDistribution:
-        if channel not in ("A", "B"):
-            raise ValueError("channel must be 'A' or 'B'")
-        axis = 1 if channel == "A" else 0
-        return NumberDistribution(self.matrix.sum(axis=axis), detector=channel)
-
     def padded(self, n_max: int) -> "JointDistribution":
         if n_max < self.n_max:
             raise ValueError("cannot shrink a joint distribution")
         out = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
         out[: self.matrix.shape[0], : self.matrix.shape[1]] = self.matrix
-        return JointDistribution(out, self.window_ps, dict(self.diagnostics))
+        return JointDistribution(out, self.window_ps)
 
     def to_csv(self, path) -> None:
         size = self.matrix.shape[0]
@@ -294,11 +278,7 @@ def build_jpnd(records_a, records_b, window_ps: float | None = None, n_max: int 
     trigger stream; records are paired by trigger index, and any index
     present on only one side is an alignment error."""
     matrix = joint_counts(records_a.trigger_index, records_a.n, records_b.trigger_index, records_b.n, n_max)
-    return JointDistribution(
-        matrix,
-        window_ps=window_ps,
-        diagnostics={"n_triggers": len(records_a)},
-    )
+    return JointDistribution(matrix, window_ps=window_ps)
 
 
 class EfficiencyEstimate(NamedTuple):

@@ -193,8 +193,8 @@ class SourceSpec:
             raise ValueError("visibility must lie in [0, 1]")
         if self.coherent_channel not in ("A", "B", "both"):
             raise ValueError("coherent_channel must be 'A', 'B', or 'both'")
-        if self.repetition_rate_hz <= 0:
-            raise ValueError("repetition_rate_hz must be positive")
+        if not 0 < self.repetition_rate_hz < math.inf:
+            raise ValueError("repetition_rate_hz must be positive and finite")
         for name in ("efficiency_a", "efficiency_b"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -340,7 +340,8 @@ def simulate_stream(
     drawn per fixed-size trigger chunk from seeds derived as (seed, chunk
     index, stream), photon numbers from stream 0 and timing noise from
     stream 1, so the output is byte-identical for a given seed regardless of
-    ``workers``.  A trigger period no longer than the longest pulse raises
+    ``workers``.  A trigger period no longer than the longest pulse, or a
+    run whose n_triggers periods reach 2**63 timestamp units, raises
     ConfigError.
     """
     truth = sample_source(spec, n_triggers, seed)
@@ -350,6 +351,10 @@ def simulate_stream(
         raise ConfigError(
             f"trigger period {period_ps:.4g} ps is not longer than the {fall_tab.max():.4g} ps pulse; "
             "pulses would pile up, which the pulse model does not describe"
+        )
+    if not max(n_triggers, 1) * period_ps * UNITS_PER_PS < 2.0**63:
+        raise ConfigError(
+            f"a trigger period of {period_ps:.4g} ps over {n_triggers} triggers overflows the 64-bit timestamps"
         )
     jobs = list(_chunk_ranges(n_triggers))
 

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import stat
+import warnings
 from itertools import islice
 from pathlib import Path
 
@@ -50,7 +51,7 @@ def read_csv(path, header_rows: int, ncols: int) -> tuple[list, np.ndarray]:
     """(header lines, int64 array of shape (rows, ncols)) of an integer table
     below ``header_rows`` header lines, not counting the lines starting with
     ``#`` above them, which are returned with the header; ``#`` starts a
-    comment."""
+    comment.  A table with no rows is legal and reads without a warning."""
     header = []
     try:
         # bytes decoded line by line: a text-mode read decodes ahead, so a bad
@@ -61,7 +62,9 @@ def read_csv(path, header_rows: int, ncols: int) -> tuple[list, np.ndarray]:
                 header.append(line.decode("utf-8").strip())
                 names += not header[-1].startswith("#")
         # by path: handed the open file, np.loadtxt reads it slower, through Python
-        data = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=len(header), ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=len(header), ndmin=2)
         if data.size and data.shape[1] != ncols:
             raise ValueError(f"{data.shape[1]} columns")
     except ValueError as exc:  # also text that is not UTF-8

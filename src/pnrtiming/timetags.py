@@ -1,9 +1,10 @@
 """Time-tag data model, binary stream I/O, and trigger/edge pairing.
 
-The on-disk format (``.pnrtag``) is little-endian: an ASCII magic header
-followed by fixed 16-byte records.  Timestamps are signed 64-bit integers
-in units of 0.1 ps, an order of magnitude below the per-channel tagger
-jitter, and wide enough for multi-day streams.
+The on-disk format (``.pnrtag``) is little-endian: a 16-byte header (ASCII
+magic, then version, resolution, channel count and note length as u16), a
+note that readers skip, and fixed 16-byte records.  Timestamps are signed
+64-bit integers in units of 0.1 ps, an order of magnitude below the
+per-channel tagger jitter, and wide enough for multi-day streams.
 
 Channel map: 0 = trigger photodiode, 1/2 = detector A rising/falling,
 3/4 = detector B rising/falling.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -44,11 +45,6 @@ RECORD_SIZE = _RECORD_DTYPE.itemsize  # 16 bytes
 _CHUNK_BYTES = 1 << 22  # 4 MiB per read, a whole number of records
 
 
-class TimeTag(NamedTuple):
-    channel: int
-    timestamp: int  # 0.1 ps units
-
-
 @dataclass(eq=False)
 class TagBlock:
     """Column-oriented tag storage: one uint8 channel and one int64 timestamp per tag."""
@@ -66,14 +62,6 @@ class TagBlock:
                 f"channel out of range: {int(self.channels.max())} >= {CHANNEL_COUNT}"
             )
 
-    @classmethod
-    def from_tags(cls, tags: Iterable[TimeTag]) -> "TagBlock":
-        ch, ts = [], []
-        for tag in tags:
-            ch.append(tag[0])
-            ts.append(tag[1])
-        return cls(np.array(ch, dtype=np.uint8), np.array(ts, dtype=np.int64))
-
     def sorted(self) -> "TagBlock":
         """Return a copy sorted by timestamp, ties broken by channel ascending."""
         order = np.lexsort((self.channels, self.timestamps))
@@ -84,13 +72,6 @@ class TagBlock:
 
     def __len__(self) -> int:
         return self.channels.size
-
-    def __getitem__(self, i) -> TimeTag:
-        return TimeTag(int(self.channels[i]), int(self.timestamps[i]))
-
-    def __iter__(self) -> Iterator[TimeTag]:
-        for c, t in zip(self.channels, self.timestamps):
-            yield TimeTag(int(c), int(t))
 
 
 def _first_out_of_order(block: TagBlock) -> int | None:
@@ -106,12 +87,6 @@ def _first_out_of_order(block: TagBlock) -> int | None:
     return i + 1 if bad[i] else None
 
 
-def as_tag_block(tags) -> TagBlock:
-    if isinstance(tags, TagBlock):
-        return tags
-    return TagBlock.from_tags(tags)
-
-
 def _open_sink(sink):
     if hasattr(sink, "write"):
         return sink, False
@@ -124,42 +99,30 @@ def _open_source(source):
     return open(Path(source), "rb"), True
 
 
-def write_stream(tags, sink, *, epoch_note: str = "") -> int:
-    """Serialize tags to a byte sink; returns the number of bytes written.
+def write_stream(tags: TagBlock, sink) -> int:
+    """Serialize a TagBlock to a byte sink, with an empty header note;
+    returns the number of bytes written.
 
     Tags must already be sorted by (timestamp, channel); violations raise
     StreamOrderError rather than silently reordering.
     """
-    block = as_tag_block(tags)
-    bad = _first_out_of_order(block)
+    bad = _first_out_of_order(tags)
     if bad is not None:
         raise StreamOrderError(f"tags out of order at record {bad}")
-    note = epoch_note.encode("utf-8")
-    if len(note) > 0xFFFF:
-        raise ValueError("epoch note longer than 65535 bytes")
-    header = _HEADER_FIXED.pack(MAGIC, FORMAT_VERSION, RESOLUTION_CODE, CHANNEL_COUNT, len(note))
-    records = np.zeros(len(block), dtype=_RECORD_DTYPE)
-    records["channel"] = block.channels
-    records["timestamp"] = block.timestamps
+    header = _HEADER_FIXED.pack(MAGIC, FORMAT_VERSION, RESOLUTION_CODE, CHANNEL_COUNT, 0)
+    records = np.zeros(len(tags), dtype=_RECORD_DTYPE)
+    records["channel"] = tags.channels
+    records["timestamp"] = tags.timestamps
     payload = records.tobytes()
 
     f, should_close = _open_sink(sink)
     try:
         f.write(header)
-        f.write(note)
         f.write(payload)
     finally:
         if should_close:
             f.close()
-    return len(header) + len(note) + len(payload)
-
-
-class _Header(NamedTuple):
-    version: int
-    resolution_code: int
-    channel_count: int
-    epoch_note: str
-    size_bytes: int
+    return len(header) + len(payload)
 
 
 def _read_full(f, n: int) -> bytes:
@@ -175,7 +138,9 @@ def _read_full(f, n: int) -> bytes:
     return b"".join(parts)
 
 
-def _read_header(f) -> _Header:
+def _read_header(f) -> tuple[int, int]:
+    """(channel count, header size in bytes) of a stream; the note after
+    the fixed header is skipped without decoding, whatever its bytes."""
     raw = _read_full(f, _HEADER_FIXED.size)
     if len(raw) < _HEADER_FIXED.size:
         raise StreamFormatError("stream shorter than the fixed header", byte_offset=len(raw))
@@ -188,12 +153,12 @@ def _read_header(f) -> _Header:
         raise StreamFormatError(f"unsupported resolution code {resolution}")
     note = _read_full(f, note_len)
     if len(note) < note_len:
-        raise StreamFormatError("truncated epoch note", byte_offset=_HEADER_FIXED.size + len(note))
-    return _Header(version, resolution, channels, note.decode("utf-8"), _HEADER_FIXED.size + note_len)
+        raise StreamFormatError("truncated header note", byte_offset=_HEADER_FIXED.size + len(note))
+    return channels, _HEADER_FIXED.size + note_len
 
 
-def _check_channels(channels: np.ndarray, header: _Header, offset: int):
-    limit = min(header.channel_count, CHANNEL_COUNT)
+def _check_channels(channels: np.ndarray, channel_count: int, offset: int):
+    limit = min(channel_count, CHANNEL_COUNT)
     bad = np.nonzero(channels >= limit)[0]
     if bad.size:
         raise StreamFormatError(
@@ -213,14 +178,13 @@ def iter_tag_blocks(source) -> Iterator[TagBlock]:
     """
     f, should_close = _open_source(source)
     try:
-        header = _read_header(f)
-        offset = header.size_bytes
+        channel_count, offset = _read_header(f)
         while True:
             buf = _read_full(f, _CHUNK_BYTES)
             n, tail = divmod(len(buf), RECORD_SIZE)
             if n:
                 records = np.frombuffer(buf, dtype=_RECORD_DTYPE, count=n)
-                _check_channels(records["channel"], header, offset)
+                _check_channels(records["channel"], channel_count, offset)
                 yield TagBlock(records["channel"], records["timestamp"])
             offset += n * RECORD_SIZE
             if tail:
@@ -287,7 +251,7 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[idx], inside
 
 
-def pair_edges(tags, window_ps: float, detector: str = "A") -> EdgeEventSet:
+def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEventSet:
     """Pair each trigger with one rising and one falling edge of the detector.
 
     A rise belongs to the latest trigger at or before it (on a timestamp
@@ -304,14 +268,13 @@ def pair_edges(tags, window_ps: float, detector: str = "A") -> EdgeEventSet:
         raise ConfigError(f"unknown detector {detector!r}")
     if not 0 < window_ps < np.inf:
         raise ConfigError(f"window must be positive and finite, not {window_ps}")
-    block = as_tag_block(tags)
-    if not block.is_sorted():
+    if not tags.is_sorted():
         raise StreamOrderError("tags must be sorted by (timestamp, channel) before pairing")
 
     ch_rise, ch_fall = DETECTOR_CHANNELS[detector]
-    trig = block.timestamps[block.channels == CH_TRIGGER]
-    rise = block.timestamps[block.channels == ch_rise]
-    fall = block.timestamps[block.channels == ch_fall]
+    trig = tags.timestamps[tags.channels == CH_TRIGGER]
+    rise = tags.timestamps[tags.channels == ch_rise]
+    fall = tags.timestamps[tags.channels == ch_fall]
     end = trig + int(round(window_ps * UNITS_PER_PS))
 
     j = np.searchsorted(rise, trig)  # first rise at or after each trigger

@@ -23,10 +23,9 @@ from pnrtiming import (
     calibrate_events,
     confusion_report,
     crosstalk_matrix,
+    boundaries_with_fallback,
     decode_events,
-    find_peaks,
     mixture_pdf,
-    optimize_boundaries,
     pair_edges,
     project,
     simulate_stream,
@@ -35,7 +34,6 @@ from pnrtiming import (
 )
 from pnrtiming.calibrate import (
     CalibrationModel,
-    boundaries_with_fallback,
     classify,
     histogram_1d,
 )
@@ -155,10 +153,17 @@ def misassignment_on_grid(c1, c2):
     return grid[sel], loss
 
 
+def crossings(comps):
+    """Boundaries of components whose every adjacent pair crosses."""
+    bounds, fallback = boundaries_with_fallback(comps)
+    assert fallback == []
+    return bounds
+
+
 def test_boundary_matches_grid_argmin():
     c1 = VoigtComponent(0.0, 1.0, 0.0, 0.65)
     c2 = VoigtComponent(6.0, 1.6, 0.0, 0.35)
-    cut = float(optimize_boundaries([c1, c2])[0])
+    cut = float(crossings([c1, c2])[0])
     cuts, loss = misassignment_on_grid(c1, c2)
     best = float(cuts[np.argmin(loss)])
     assert abs(cut - best) <= cuts[1] - cuts[0] + 1e-9
@@ -167,20 +172,18 @@ def test_boundary_matches_grid_argmin():
 def test_equal_pair_boundary_is_the_midpoint():
     a = VoigtComponent(0.0, 1.0, 0.0, 0.5)
     b = VoigtComponent(8.0, 1.0, 0.0, 0.5)
-    assert float(optimize_boundaries([a, b])[0]) == pytest.approx(4.0, abs=1e-6)
+    assert float(crossings([a, b])[0]) == pytest.approx(4.0, abs=1e-6)
 
 
 def test_heavier_component_pushes_the_boundary_away():
     heavy = VoigtComponent(0.0, 1.0, 0.0, 0.9)
     light = VoigtComponent(8.0, 1.0, 0.0, 0.1)
-    cut = float(optimize_boundaries([heavy, light])[0])
+    cut = float(crossings([heavy, light])[0])
     assert cut > 4.0
 
 
 def test_dominated_component_has_no_crossing():
     comps = [VoigtComponent(0.0, 5.0, 0.0, 0.999), VoigtComponent(1.0, 5.0, 0.0, 0.001)]
-    with pytest.raises(DegenerateOverlapError):
-        optimize_boundaries(comps)
     bounds, fallback = boundaries_with_fallback(comps)
     assert fallback == [(0, 1)]
     assert float(bounds[0]) == pytest.approx(0.5)
@@ -191,18 +194,17 @@ def test_far_apart_gaussian_boundary_does_not_underflow():
     # a root bracket on their difference stops at an arbitrary point
     comps = [VoigtComponent(0.0, 1.0, 0.0, 0.3), VoigtComponent(400.0, 1.0, 0.0, 0.7)]
     want = 200.0 - math.log(0.7 / 0.3) / 400.0  # equal sigmas: the log-density crossing is linear
-    assert float(optimize_boundaries(comps)[0]) == pytest.approx(want, rel=0.0, abs=1e-9)
+    assert float(crossings(comps)[0]) == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
 def test_boundaries_need_at_least_two_components():
     with pytest.raises(ValueError):
-        optimize_boundaries([VoigtComponent(0.0, 1.0, 0.0, 1.0)])
+        boundaries_with_fallback([VoigtComponent(0.0, 1.0, 0.0, 1.0)])
 
 
 def test_boundaries_and_crosstalk_refuse_lorentzian_components():
     comps = [VoigtComponent(0.0, 1.0, 0.0, 0.5), VoigtComponent(8.0, 1.0, 0.3, 0.5)]
     for call in (
-        lambda: optimize_boundaries(comps),
         lambda: boundaries_with_fallback(comps),
         lambda: crosstalk_matrix(comps, [4.0]),
     ):
@@ -259,7 +261,7 @@ def test_far_separated_components_give_identity():
     # 100 sigma separation leaves no crosstalk
     sep = 100.0
     comps = [VoigtComponent(i * sep, 1.0, 0.0, 1 / 3) for i in range(3)]
-    m = crosstalk_matrix(comps, optimize_boundaries(comps))
+    m = crosstalk_matrix(comps, crossings(comps))
     np.testing.assert_allclose(m, np.eye(3), atol=1e-6)
 
 
@@ -284,7 +286,7 @@ def test_crosstalk_agrees_with_monte_carlo_classification():
         VoigtComponent(4.0, 1.2, 0.0, 0.3),
         VoigtComponent(9.0, 0.9, 0.0, 0.2),
     ]
-    bounds = optimize_boundaries(comps)
+    bounds = crossings(comps)
     m = crosstalk_matrix(comps, bounds)
     total = 200_000
     for i, comp in enumerate(comps):
@@ -298,14 +300,14 @@ def test_crosstalk_agrees_with_monte_carlo_classification():
 def test_crosstalk_shrinks_as_separation_grows():
     def total_for(scale):
         comps = [VoigtComponent(i * 3.0 * scale, 1.0, 0.0, 1 / 3) for i in range(3)]
-        return total_offdiagonal(crosstalk_matrix(comps, optimize_boundaries(comps)))
+        return total_offdiagonal(crosstalk_matrix(comps, crossings(comps)))
 
     assert total_for(2.0) < total_for(1.0)
 
 
 def test_symmetric_pair_crosstalk_is_the_tail_integral():
     comps = [VoigtComponent(0.0, 1.3, 0.0, 0.5), VoigtComponent(5.0, 1.3, 0.0, 0.5)]
-    m = crosstalk_matrix(comps, optimize_boundaries(comps))
+    m = crosstalk_matrix(comps, crossings(comps))
     assert m[0, 1] == pytest.approx(m[1, 0], rel=1e-9)
     q = float(norm.sf(2.5, scale=1.3))
     np.testing.assert_allclose(m, [[1 - q, q], [q, 1 - q]], atol=1e-9)
@@ -379,7 +381,7 @@ def test_projection_axes():
 def test_find_peaks_locates_a_gaussian_mode():
     rng = np.random.default_rng(9)
     counts, centers, _ = histogram_1d(rng.normal(5.0, 1.0, 20_000))
-    peaks = find_peaks(counts, centers)
+    peaks = centers[cal._peak_indices_ranked(counts)[0]]
     assert peaks.size == 1
     assert abs(peaks[0] - 5.0) <= 0.5  # mode within one bin plus smoothing slack
 
@@ -393,19 +395,12 @@ def test_weighted_histogram_counts_the_expanded_sample():
     np.testing.assert_array_equal(edges, histogram_1d(values)[2])
 
 
-def test_find_peaks_needs_actual_peaks():
-    with pytest.raises(CalibrationError):
-        find_peaks(np.zeros(64))
-    with pytest.raises(CalibrationError):
-        find_peaks(np.arange(64))  # ramp has no interior maximum
-
-
 def test_simulated_projection_shows_at_least_five_modes(events_a, optimal_model, default_params):
     pulse, _, _ = default_params
     theta = optimal_model.angle % math.pi
     coords = project(events_a, theta)
     counts, centers, _ = histogram_1d(coords)
-    peaks = find_peaks(counts, centers)
+    peaks = centers[cal._peak_indices_ranked(counts)[0]]
     assert peaks.size >= 5
 
     rise_tab, fall_tab = edge_delay_table(pulse)

@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnrtiming
 from pnrtiming import PhotonRecordSet, SourceSpec, sample_source
 from pnrtiming.cli import main
+from pnrtiming.timetags import _HEADER_FIXED
 
 
 def digest(path):
@@ -137,6 +143,12 @@ def test_malformed_config_json(tmp_path, capsys):
         ("simulate", "--seed", "-1"),
         ("simulate", "--config", "{n_triggers_bool}"),
         ("simulate", "--config", "{seed_text}"),
+        ("simulate", "--config", "{rate_tiny}"),
+        ("simulate", "--config", "{rate_slow}"),
+        ("stats", "{window_text_csv}"),
+        ("jpnd", "{records}", "{window_text_csv}"),
+        ("stats", "{detector_c_csv}"),
+        ("stats", "{detector_c_pnrec}"),
     ],
 )
 def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
@@ -146,6 +158,8 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         "pileup": {"source": {"repetition_rate_hz": 4e8}},
         "n_triggers_bool": {"n_triggers": True},
         "seed_text": {"n_triggers": 10, "seed": "x"},
+        "rate_tiny": {"source": {"repetition_rate_hz": 1e-300}, "n_triggers": 10},
+        "rate_slow": {"source": {"repetition_rate_hz": 1e-3}, "n_triggers": 1000},
     }
     for name, config in configs.items():
         configs[name] = tmp_path / f"{name}.json"
@@ -173,6 +187,19 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     short_records = tmp_path / "records.csv"
     write_records(short_records, [1, 2, 3])
     short_records.write_text(short_records.read_text().rsplit(",", 1)[0])  # cut mid-row
+    malformed = {"short_truth": short_truth, "short_records": short_records}
+    for name, first_line in (
+        ("window_text_csv", "# detector=B window_ps=abc"),
+        ("detector_c_csv", "# detector=C window_ps=8000"),
+    ):
+        malformed[name] = tmp_path / f"{name}.csv"
+        write_records(malformed[name], [1, 2, 3])
+        rows = malformed[name].read_text().splitlines(keepends=True)[1:]
+        malformed[name].write_text(first_line + "\n" + "".join(rows))
+    pnrec = bytearray((pipeline / "records_A.pnrec").read_bytes())
+    pnrec[10] = ord("C")  # the detector byte, after the magic and the version
+    malformed["detector_c_pnrec"] = tmp_path / "detector_c.pnrec"
+    malformed["detector_c_pnrec"].write_bytes(pnrec)
     paths = {
         "stream": pipeline / "stream.pnrtag",
         "calibration": pipeline / "calibration_optimal.json",
@@ -181,14 +208,13 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         "no_components": no_components,
         "unnormalised": unnormalised,
         "not_json": not_json,
-        "short_truth": short_truth,
-        "short_records": short_records,
+        **malformed,
         **bad_fields,
     }
     code, out, err = run(capsys, *(a.format(**paths) for a in argv), "--out", tmp_path / "out")
     assert code == 2
     assert out is None
-    malformed_file = argv[-1].startswith("{short_")
+    malformed_file = argv[-1].strip("{}") in malformed
     assert err["error"] == ("StreamFormatError" if malformed_file else "ConfigError")
     assert err["exit_code"] == 2
     if not malformed_file:
@@ -221,6 +247,20 @@ def test_calibrate_empty_stream_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "calibrate", tmp_path / "stream.pnrtag", "--out", tmp_path)
     assert code == 3
     assert "empty" in err["message"].lower() or "no detected" in err["message"].lower()
+
+
+def test_calibrate_skips_a_header_note_of_any_bytes(pipeline, tmp_path, capsys):
+    raw = (pipeline / "stream.pnrtag").read_bytes()
+    magic, version, resolution, channels, _ = _HEADER_FIXED.unpack_from(raw)
+    noted = tmp_path / "noted.pnrtag"
+    noted.write_bytes(
+        _HEADER_FIXED.pack(magic, version, resolution, channels, 2) + b"\xff\xfe" + raw[_HEADER_FIXED.size :]
+    )
+    code, _, err = run(capsys, "calibrate", noted, "--mode", "both", "--out", tmp_path / "out", "--quiet")
+    assert (code, err) == (0, None)
+    for mode in ("optimal", "rising_only"):
+        name = f"calibration_{mode}.json"
+        assert digest(tmp_path / "out" / name) == digest(pipeline / name)
 
 
 def test_calibrate_missing_file_exits_2(tmp_path, capsys):
@@ -319,6 +359,20 @@ def test_stats_single_record_exits_5(tmp_path, capsys):
     code, _, err = run(capsys, "stats", path, "--out", tmp_path)
     assert code == 5
     assert err["error"] == "InsufficientDataError"
+
+
+def test_stats_on_a_header_only_table_writes_one_json_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_records(path, [])
+    env = {**os.environ, "PYTHONPATH": str(Path(pnrtiming.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "pnrtiming.cli", "stats", str(path), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 5
+    assert json.loads(done.stderr)["error"] == "InsufficientDataError"
 
 
 def test_stats_top_heavy_exits_5(tmp_path, capsys):

@@ -309,6 +309,17 @@ def test_csv_photon_number_outside_u1_names_its_line(tmp_path, n, line):
         PhotonRecordSet.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "first, message",
+    [("# detector=A window_ps=abc", "window_ps 'abc' is not a number"), ("# detector=C window_ps=8000", "A or B")],
+)
+def test_csv_bad_metadata_line_names_line_1(tmp_path, first, message):
+    path = tmp_path / "records.csv"
+    path.write_text(first + "\ntrigger_index,trigger_time,n\n0,0,1\n")
+    with pytest.raises(StreamFormatError, match=f"line 1: .*{message}"):
+        PhotonRecordSet.from_csv(path)
+
+
 def test_csv_without_metadata_line_keeps_its_first_record(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("trigger_index,trigger_time,n\n0,0,1\n1,10,2\n2,20,0\n")
@@ -354,6 +365,18 @@ def test_binary_rejects_bad_magic(tmp_path):
     with pytest.raises(StreamFormatError, match="magic") as exc:
         PhotonRecordSet.from_binary(path)
     assert exc.value.byte_offset == 0
+
+
+def test_binary_rejects_unknown_detector_byte(tmp_path):
+    path = tmp_path / "det.pnrec"
+    PhotonRecordSet("B", 8000.0, [0], [0], [1]).to_binary(path)
+    raw = bytearray(path.read_bytes())
+    assert raw[10] == ord("B")
+    raw[10] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(StreamFormatError, match="detector byte 255") as exc:
+        PhotonRecordSet.from_binary(path)
+    assert exc.value.byte_offset == 10
 
 
 def test_binary_rejects_short_header(tmp_path):

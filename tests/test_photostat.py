@@ -54,9 +54,8 @@ def jpnd_from_spec(spec, n_triggers, seed):
 
 
 def test_distribution_basics():
-    dist = NumberDistribution([10, 20, 30], detector="A")
+    dist = NumberDistribution([10, 20, 30])
     assert dist.total == 60
-    assert dist.mean() == pytest.approx((20 + 60) / 60)
     assert_allclose(dist.probabilities(), [1 / 6, 1 / 3, 1 / 2])
 
 
@@ -165,9 +164,10 @@ def test_fit_diagnostics_shape():
     assert fit.counts.size == 5
     assert fit.expected.sum() == pytest.approx(fit.counts.sum())
     assert fit.dof == 3
-    lo, hi = fit.confidence_interval()
-    assert lo < fit.mu < hi
     d = fit.to_dict()
+    lo, hi = d["ci95"]
+    assert lo < fit.mu < hi
+    assert (lo, hi) == pytest.approx((fit.mu - 1.96 * fit.stderr, fit.mu + 1.96 * fit.stderr), rel=1e-15)
     assert set(d) >= {"mu", "stderr", "chi2_pearson", "chi2_neyman", "expected"}
 
 
@@ -206,8 +206,6 @@ def test_jpnd_validation():
         JointDistribution(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-negative"):
         JointDistribution([[1, -1], [0, 0]])
-    with pytest.raises(ValueError, match="channel"):
-        JointDistribution(np.eye(2, dtype=int)).marginal("C")
 
 
 def test_jpnd_counts_by_trigger():
@@ -219,7 +217,6 @@ def test_jpnd_counts_by_trigger():
     assert jpnd.matrix[1, 1] == 2
     assert jpnd.matrix[2, 0] == 1
     assert jpnd.window_ps == 8000.0
-    assert jpnd.diagnostics["n_triggers"] == 4
 
 
 def test_jpnd_alignment_error_lists_indices():
@@ -237,11 +234,11 @@ def test_jpnd_marginals_match_channel_distributions():
     rec_b = records_from_counts(truth.true_n_b, "B")
     jpnd = build_jpnd(rec_a, rec_b)
     assert_array_equal(
-        jpnd.marginal("A").counts,
+        jpnd.matrix.sum(axis=1),
         NumberDistribution.from_records(rec_a, n_max=jpnd.n_max).counts,
     )
     assert_array_equal(
-        jpnd.marginal("B").counts,
+        jpnd.matrix.sum(axis=0),
         NumberDistribution.from_records(rec_b, n_max=jpnd.n_max).counts,
     )
     assert jpnd.total == 30_000

@@ -118,6 +118,9 @@ def test_param_validation():
         SourceSpec(kind="thermal")
     with pytest.raises(ValueError):
         SourceSpec(efficiency_a=1.2)
+    for rate in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="repetition_rate_hz"):
+            SourceSpec(repetition_rate_hz=rate)
 
 
 def test_unsaturated_amplitude_is_linear_in_n():
@@ -267,6 +270,17 @@ def test_trigger_period_must_outlast_the_pulse():
     assert len(tags) > 100
     with pytest.raises(ConfigError, match="pile up"):
         simulate_stream(SourceSpec(repetition_rate_hz=4e8), pulse, jitter, 100, seed=16)
+
+
+def test_trigger_clock_must_fit_64_bit_timestamps():
+    # 1 mHz is a 1e16-unit period, so 923 triggers span 2**63 units and 922 do not
+    pulse, jitter = PulseModelParams(), JitterParams()
+    for rate, n in ((1e-3, 923), (1e-3, 1000), (1e-300, 1), (1e-300, 0)):
+        with pytest.raises(ConfigError, match="64-bit"):
+            simulate_stream(SourceSpec(repetition_rate_hz=rate), pulse, jitter, n, seed=1)
+    tags, _ = simulate_stream(SourceSpec(repetition_rate_hz=1e-3), pulse, jitter, 922, seed=1)
+    trig = tags.timestamps[tags.channels == 0]
+    assert np.all(np.abs(trig - np.arange(922) * 10**16) < 1000)
 
 
 def test_detection_exists_iff_photons_arrived(sim_50k):

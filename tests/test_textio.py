@@ -5,6 +5,7 @@ chunked write, and how every output file is overwritten."""
 import json
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,7 +173,8 @@ def test_malformed_row_names_its_line(tmp_path, body, line):
 def test_read_csv_returns_header_and_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
     PhotonRecordSet("B", 1.5, [], [], []).to_csv(path)
-    with pytest.warns(UserWarning, match="no data"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty table is legal input, not a warning
         header, data = textio.read_csv(path, 1, 3)
     assert header == ["# detector=B window_ps=1.5", "trigger_index,trigger_time,n"]
     assert data.shape == (0, 3) and data.dtype == np.int64

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pnrtiming import (
     TagBlock,
-    TimeTag,
     default_params,
     iter_tag_blocks,
     pair_edges,
@@ -20,6 +19,18 @@ from pnrtiming import (
 )
 from pnrtiming.errors import StreamFormatError, StreamOrderError
 from pnrtiming.timetags import RECORD_SIZE, UNITS_PER_PS, _HEADER_FIXED
+
+
+def block_of(*pairs):
+    """A TagBlock of (channel, timestamp) pairs."""
+    ch, ts = zip(*pairs) if pairs else ((), ())
+    return TagBlock(ch, ts)
+
+
+def with_note(raw, note):
+    """A written stream with ``note`` spliced in after its fixed header."""
+    magic, version, resolution, channels, _ = _HEADER_FIXED.unpack_from(raw)
+    return _HEADER_FIXED.pack(magic, version, resolution, channels, len(note)) + note + raw[_HEADER_FIXED.size :]
 
 
 # ---------------------------------------------------------------- oracle
@@ -128,7 +139,7 @@ def test_pairing_invariants_on_random_streams():
 # ---------------------------------------------------------------- pairing basics
 
 def test_single_event_example():
-    tags = [TimeTag(0, 0), TimeTag(1, 500), TimeTag(2, 3000)]
+    tags = block_of((0, 0), (1, 500), (2, 3000))
     events = pair_edges(tags, window_ps=1000.0, detector="A")
     assert len(events) == 1
     assert events.has_detection.tolist() == [True]
@@ -137,7 +148,7 @@ def test_single_event_example():
 
 
 def test_trigger_without_detector_tags_is_zero_candidate():
-    events = pair_edges([TimeTag(0, 1000)], window_ps=1000.0, detector="A")
+    events = pair_edges(block_of((0, 1000)), window_ps=1000.0, detector="A")
     assert len(events) == 1
     assert not events.has_detection[0]
     assert np.isnan(events.rise_delay[0])
@@ -152,18 +163,13 @@ def test_trigger_without_detector_tags_is_zero_candidate():
 def test_rise_never_consumed_twice():
     # two triggers' windows hold one pulse; only the later trigger, the
     # latest one at or before the rise, may claim it
-    tags = [
-        TimeTag(0, 0),
-        TimeTag(0, 100),
-        TimeTag(1, 200),
-        TimeTag(2, 800),
-    ]
+    tags = block_of((0, 0), (0, 100), (1, 200), (2, 800))
     events = pair_edges(tags, window_ps=1000.0, detector="A")
     assert list(events.has_detection) == [False, True]
 
 
 def test_second_rise_before_the_fall_is_not_a_detection():
-    tags = [TimeTag(0, 0), TimeTag(1, 100), TimeTag(1, 200), TimeTag(2, 800)]
+    tags = block_of((0, 0), (1, 100), (1, 200), (2, 800))
     events = pair_edges(tags, window_ps=1000.0, detector="A")
     assert not events.has_detection[0]
     assert events.orphan_edges == 3
@@ -182,14 +188,14 @@ def test_overlapping_windows_at_200_mhz_find_every_detection():
 
 
 def test_fall_without_rise_is_orphan_not_crash():
-    tags = [TimeTag(0, 0), TimeTag(2, 500)]
+    tags = block_of((0, 0), (2, 500))
     events = pair_edges(tags, window_ps=1000.0, detector="A")
     assert not events.has_detection[0]
     assert events.orphan_edges == 1
 
 
 def test_detector_b_uses_channels_3_and_4():
-    tags = [TimeTag(0, 0), TimeTag(3, 400), TimeTag(4, 900)]
+    tags = block_of((0, 0), (3, 400), (4, 900))
     events = pair_edges(tags, window_ps=1000.0, detector="B")
     assert events.has_detection[0]
     assert events.rise_delay[0] == 40.0
@@ -198,26 +204,25 @@ def test_detector_b_uses_channels_3_and_4():
 
 def test_pair_edges_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        pair_edges([TimeTag(0, 0)], window_ps=1000.0, detector="C")
+        pair_edges(block_of((0, 0)), window_ps=1000.0, detector="C")
     for window in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            pair_edges([TimeTag(0, 0)], window_ps=window)
+            pair_edges(block_of((0, 0)), window_ps=window)
     with pytest.raises(StreamOrderError):
-        pair_edges([TimeTag(0, 100), TimeTag(1, 0)], window_ps=1000.0)
+        pair_edges(block_of((0, 100), (1, 0)), window_ps=1000.0)
 
 
 # ---------------------------------------------------------------- stream I/O
 
-def roundtrip(tags, **kw):
+def roundtrip(block, note=b""):
     buf = io.BytesIO()
-    write_stream(tags, buf, **kw)
-    buf.seek(0)
-    return read_tag_block(buf)
+    write_stream(block, buf)
+    return read_tag_block(io.BytesIO(with_note(buf.getvalue(), note)))
 
 
 def test_empty_stream_round_trip():
     buf = io.BytesIO()
-    n = write_stream([], buf)
+    n = write_stream(block_of(), buf)
     assert n == _HEADER_FIXED.size
     buf.seek(0)
     assert list(iter_tag_blocks(buf)) == []
@@ -225,7 +230,7 @@ def test_empty_stream_round_trip():
 
 def test_single_tag_encoding():
     buf = io.BytesIO()
-    write_stream([TimeTag(0, 0)], buf)
+    write_stream(block_of((0, 0)), buf)
     raw = buf.getvalue()
     assert raw[:8] == b"PNRTAG01"
     assert len(raw) == _HEADER_FIXED.size + RECORD_SIZE
@@ -239,7 +244,7 @@ def test_round_trip_preserves_tags():
     ts = np.sort(rng.integers(-(10**14), 10**14, 5000))
     ch = rng.integers(0, 5, 5000)
     block = TagBlock(ch, ts).sorted()
-    back = roundtrip(block, epoch_note="run 7, cooldown 3")
+    back = roundtrip(block, note=b"\xff\xfe run 7, not UTF-8")
     np.testing.assert_array_equal(back.channels, block.channels)
     np.testing.assert_array_equal(back.timestamps, block.timestamps)
 
@@ -264,17 +269,16 @@ def test_write_then_read_then_write_is_byte_identical():
 )
 def test_round_trip_property(pairs):
     pairs.sort(key=lambda p: (p[1], p[0]))
-    tags = [TimeTag(c, t) for c, t in pairs]
-    back = roundtrip(tags)
-    assert [tuple(t) for t in back] == pairs
+    back = roundtrip(block_of(*pairs))
+    assert list(zip(back.channels.tolist(), back.timestamps.tolist())) == pairs
 
 
 def test_write_rejects_unsorted_tags():
     with pytest.raises(StreamOrderError, match="record 1"):
-        write_stream([TimeTag(0, 100), TimeTag(0, 50)], io.BytesIO())
+        write_stream(block_of((0, 100), (0, 50)), io.BytesIO())
     # equal timestamps must come in channel order
     with pytest.raises(StreamOrderError):
-        write_stream([TimeTag(2, 100), TimeTag(1, 100)], io.BytesIO())
+        write_stream(block_of((2, 100), (1, 100)), io.BytesIO())
 
 
 def test_bad_magic_reports_offset_zero():
@@ -287,11 +291,16 @@ def test_bad_magic_reports_offset_zero():
 def test_short_header_rejected():
     with pytest.raises(StreamFormatError):
         read_tag_block(io.BytesIO(b"PNRT"))
+    buf = io.BytesIO()
+    write_stream(block_of(), buf)
+    with pytest.raises(StreamFormatError, match="note") as err:
+        read_tag_block(io.BytesIO(with_note(buf.getvalue(), b"cut")[:-1]))
+    assert err.value.byte_offset == _HEADER_FIXED.size + 2
 
 
 def test_unsupported_version_rejected():
     buf = io.BytesIO()
-    write_stream([TimeTag(0, 0)], buf)
+    write_stream(block_of((0, 0)), buf)
     raw = bytearray(buf.getvalue())
     raw[8] = 99  # version u16 little-endian low byte
     with pytest.raises(StreamFormatError, match="version"):
@@ -300,7 +309,7 @@ def test_unsupported_version_rejected():
 
 def test_truncated_record_reports_byte_offset():
     buf = io.BytesIO()
-    write_stream([TimeTag(0, 0), TimeTag(1, 10)], buf)
+    write_stream(block_of((0, 0), (1, 10)), buf)
     raw = buf.getvalue()[:-7]  # chop the final record mid-way
     with pytest.raises(StreamFormatError) as err:
         read_tag_block(io.BytesIO(raw))
@@ -309,7 +318,7 @@ def test_truncated_record_reports_byte_offset():
 
 def test_truncated_record_raises_during_streaming_too():
     buf = io.BytesIO()
-    write_stream([TimeTag(0, 0), TimeTag(1, 10)], buf)
+    write_stream(block_of((0, 0), (1, 10)), buf)
     stream = iter_tag_blocks(io.BytesIO(buf.getvalue()[:-7]))
     with pytest.raises(StreamFormatError):
         list(stream)
@@ -326,8 +335,8 @@ def test_short_reads_give_the_same_block_and_truncation_offset():
     rng = np.random.default_rng(13)
     block = TagBlock(rng.integers(0, 5, 300), np.sort(rng.integers(0, 10**12, 300))).sorted()
     buf = io.BytesIO()
-    write_stream(block, buf, epoch_note="short reads")
-    raw = buf.getvalue()
+    write_stream(block, buf)
+    raw = with_note(buf.getvalue(), b"short reads")
     back = read_tag_block(SevenByteReader(raw))
     np.testing.assert_array_equal(back.channels, block.channels)
     np.testing.assert_array_equal(back.timestamps, block.timestamps)
@@ -351,7 +360,7 @@ def test_write_reports_the_first_out_of_order_record():
 
 def test_out_of_range_channel_in_payload():
     buf = io.BytesIO()
-    write_stream([TimeTag(0, 0)], buf)
+    write_stream(block_of((0, 0)), buf)
     raw = bytearray(buf.getvalue())
     raw[_HEADER_FIXED.size] = 7  # channel byte of the first record
     with pytest.raises(StreamFormatError, match="channel 7"):
