@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
-from scipy.signal import find_peaks as _scipy_find_peaks
 from scipy.special import ndtr, wofz
 
 from . import textio
@@ -172,8 +171,11 @@ def histogram_1d(coords: np.ndarray, *, weights=None):
     if coords.size == 0:
         raise EmptySampleError("no coordinates to histogram")
     edges = _padded_edges(coords, DEFAULT_BIN_WIDTH)
-    # the bin np.histogram picks on these edges: edges[i] <= x < edges[i + 1]
-    idx = np.searchsorted(edges, coords, side="right") - 1
+    # the bin np.histogram picks on these edges, edges[i] <= x < edges[i + 1]:
+    # the floor index is off by at most one, which one comparison each side mends
+    idx = np.floor((coords - edges[0]) / DEFAULT_BIN_WIDTH).astype(np.intp)
+    idx -= coords < edges[idx]
+    idx += coords >= edges[idx + 1]
     counts = np.bincount(idx, weights=weights, minlength=edges.size - 1)
     return counts.astype(np.int64, copy=False), 0.5 * (edges[:-1] + edges[1:]), edges
 
@@ -183,8 +185,36 @@ def _peak_indices_ranked(counts: np.ndarray):
     maxima whose prominence reaches _MIN_PROMINENCE of the smoothed maximum; returns
     (indices, prominences, smoothed counts)."""
     smoothed = gaussian_filter1d(np.asarray(counts, dtype=float), _SMOOTHING_SIGMA)
-    idx, props = _scipy_find_peaks(smoothed, prominence=_MIN_PROMINENCE * max(smoothed.max(), 1e-12))
-    return idx, props.get("prominences", np.zeros(idx.size)), smoothed
+    idx, prominences = _prominent_peaks(smoothed, _MIN_PROMINENCE * max(smoothed.max(), 1e-12))
+    return idx, prominences, smoothed
+
+
+def _prominent_peaks(x: np.ndarray, least: float):
+    """(indices, prominences) of the peaks of x whose prominence is at least
+    ``least``: scipy.signal.find_peaks(x, prominence=least) with no ``wlen``.
+
+    A peak is an interior run of equal samples whose neighbours on both sides
+    are strictly lower, placed at the run's middle sample (start + end) // 2.
+    Its prominence is its height above the higher of the two minima taken from
+    the peak outward, up to the first strictly higher sample or the array end.
+    """
+    # runs of equal samples: first index, last index and value of each
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:], x.size) - 1
+    level = x[starts]
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks, prominences = [], []
+    for j in top.tolist():
+        height = level[j]
+        higher = np.flatnonzero(level[:j] > height)
+        left = level[(higher[-1] + 1 if higher.size else 0) : j].min()
+        higher = np.flatnonzero(level[j + 1 :] > height)
+        right = level[j + 1 : (j + 1 + higher[0] if higher.size else level.size)].min()
+        prominence = height - max(left, right)
+        if prominence >= least:
+            peaks.append((starts[j] + ends[j]) // 2)
+            prominences.append(prominence)
+    return np.array(peaks, dtype=np.intp), np.array(prominences, dtype=float)
 
 
 # ---------------------------------------------------------------------------

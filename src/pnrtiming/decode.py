@@ -8,6 +8,7 @@ on a boundary goes to the lower photon number.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,8 @@ class PhotonRecordSet:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.detector not in DETECTOR_CHANNELS:
+            raise ValueError(f"detector must be one of {sorted(DETECTOR_CHANNELS)}, not {self.detector!r}")
         self.trigger_index = np.asarray(self.trigger_index, dtype=np.int64)
         self.trigger_time = np.asarray(self.trigger_time, dtype=np.int64)
         # checked before the int16 cast, which would truncate 2.7 to 2 and
@@ -80,9 +83,10 @@ class PhotonRecordSet:
     @classmethod
     def from_csv(cls, path) -> "PhotonRecordSet":
         """Records from ``to_csv``'s table; the ``# detector=... window_ps=...``
-        line above the column names may be missing.  A detector other than A
-        or B, a window that is not a number, or a photon number outside the
-        .pnrec range [0, 255] raises StreamFormatError naming its line."""
+        line above the column names may be missing, and then the window is 0.
+        A detector other than A or B, a window that is not a finite
+        non-negative number, or a photon number outside the .pnrec range
+        [0, 255] raises StreamFormatError naming its line."""
         header, data = textio.read_csv(path, 1, 3)
         first = header[0] if header else ""
         meta = dict(tok.partition("=")[::2] for tok in first[1:].split()) if first.startswith("#") else {}
@@ -93,6 +97,8 @@ class PhotonRecordSet:
             window = float(meta.get("window_ps", 0.0))
         except ValueError:
             raise StreamFormatError(f"{path}, line 1: window_ps {meta['window_ps']!r} is not a number") from None
+        if not 0.0 <= window < math.inf:
+            raise StreamFormatError(f"{path}, line 1: window_ps must be finite and non-negative, not {window:g}")
         bad = np.flatnonzero((data[:, 2] < 0) | (data[:, 2] > _N_MAX))
         if bad.size:
             line = textio.row_line(path, len(header), int(bad[0]))
@@ -129,6 +135,8 @@ class PhotonRecordSet:
             raise StreamFormatError(f"unsupported record version {version}", byte_offset=8)
         if chr(det_byte) not in DETECTOR_CHANNELS:
             raise StreamFormatError(f"unknown detector byte {det_byte}", byte_offset=10)
+        if not 0.0 <= window < math.inf:
+            raise StreamFormatError(f"window_ps must be finite and non-negative, not {window:g}", byte_offset=16)
         body = raw[_REC_HEADER.size :]
         if len(body) != count * _REC_DTYPE.itemsize:
             raise StreamFormatError(

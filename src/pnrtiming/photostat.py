@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from . import textio
 from .errors import (
@@ -85,8 +85,13 @@ class NumberDistribution:
         textio.write_csv(path, "n,count,probability", "{},{},{:.9g}", n, self.counts, self.probabilities())
 
 
+def _poisson_pmf(k, mu):
+    """Poisson pmf at integer k >= 0 and mu >= 0, computed as scipy.stats.poisson.pmf computes it."""
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+
 def _category_probs(mu: float, tail_from: int) -> np.ndarray:
-    head = poisson.pmf(np.arange(tail_from), mu)
+    head = _poisson_pmf(np.arange(tail_from), mu)
     return np.concatenate([head, [max(1.0 - head.sum(), 0.0)]])
 
 
@@ -165,10 +170,10 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
         # dNLL/dmu; d log pmf(n)/dmu = n/mu - 1 and d log sf/dmu = the hazard
         # pmf(tail_from - 1) / sf, so the NLL is convex with a single root
         head = -float(head_counts @ (head_n / mu - 1.0))
-        sf = float(poisson.sf(tail_from - 1, mu))
+        sf = float(pdtrc(tail_from - 1, mu))
         tail = 0.0
         if counts[-1] > 0 and sf > 0:
-            tail = -counts[-1] * float(poisson.pmf(tail_from - 1, mu)) / sf
+            tail = -counts[-1] * float(_poisson_pmf(tail_from - 1, mu)) / sf
         elif counts[-1] > 0:
             # sf underflowed, so mu << tail_from, where pmf / sf -> tail_from / mu
             tail = -counts[-1] * tail_from / mu
@@ -187,8 +192,8 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
 
     # stderr from the observed information d2NLL/dmu2, in closed form: the
     # hazard h = pmf(tail_from - 1) / sf has dh/dmu = h ((tail_from - 1)/mu - 1 - h)
-    sf = float(poisson.sf(tail_from - 1, mu))
-    h = float(poisson.pmf(tail_from - 1, mu)) / sf if sf > 0 else tail_from / mu
+    sf = float(pdtrc(tail_from - 1, mu))
+    h = float(_poisson_pmf(tail_from - 1, mu)) / sf if sf > 0 else tail_from / mu
     info = float(head_counts @ head_n) / mu**2 - counts[-1] * h * ((tail_from - 1) / mu - 1.0 - h)
     stderr = 1.0 / math.sqrt(info) if info > 0 else float("nan")
 

@@ -395,6 +395,65 @@ def test_weighted_histogram_counts_the_expanded_sample():
     np.testing.assert_array_equal(edges, histogram_1d(values)[2])
 
 
+def test_histogram_bins_match_numpy_on_and_beside_the_edges():
+    rng = np.random.default_rng(12)
+    base = rng.normal(0.0, 30.0, 2000)
+    edges = histogram_1d(base)[2]
+    inner = edges[4:-4]
+    coords = np.concatenate([base, inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf)])
+    weights = rng.integers(1, 4, coords.size)
+    counts, _, got_edges = histogram_1d(coords, weights=weights)
+    np.testing.assert_array_equal(got_edges, edges)
+    np.testing.assert_array_equal(counts, np.histogram(coords, bins=edges, weights=weights)[0])
+    np.testing.assert_array_equal(histogram_1d(coords)[0], np.histogram(coords, bins=edges)[0])
+
+
+def scipy_peaks(x, least):
+    idx, props = scipy_find_peaks(x, prominence=least)
+    return idx, props["prominences"]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [3, 3, 1, 2, 1],  # plateau at index 0
+        [1, 2, 1, 3, 3],  # plateau at the last index
+        [5, 5, 5],
+        [0, 2, 2, 2, 1, 4, 4, 0, 4, 1],
+        [1, 3, 3, 2, 3, 3, 1, 0, 5],
+        [7],
+        [1, 2],
+    ],
+)
+def test_prominent_peaks_match_scipy_on_plateaus(x):
+    x = np.asarray(x, dtype=float)
+    for least in (0.0, 1.0, 2.0, 10.0):
+        got, want = cal._prominent_peaks(x, least), scipy_peaks(x, least)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_peak_search_matches_scipy_find_peaks():
+    rng = np.random.default_rng(17)
+    for trial in range(600):
+        n = int(rng.integers(1, 200))
+        if trial % 3 == 0:
+            x = rng.integers(0, 4, n).astype(float)  # plateau-heavy
+        elif trial % 3 == 1:
+            x = np.repeat(rng.integers(0, 6, n), rng.integers(1, 5, n)).astype(float)  # long runs, also at the ends
+        else:
+            x = rng.normal(size=n)
+        least = float(rng.choice([0.0, 0.5, 1.0]))
+        got, want = cal._prominent_peaks(x, least), scipy_peaks(x, least)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        counts = rng.poisson(rng.uniform(0.0, 40.0), n)
+        idx, prom, smoothed = cal._peak_indices_ranked(counts)
+        want = scipy_peaks(smoothed, 0.05 * max(smoothed.max(), 1e-12))
+        np.testing.assert_array_equal(idx, want[0])
+        np.testing.assert_array_equal(prom, want[1])
+
+
 def test_simulated_projection_shows_at_least_five_modes(events_a, optimal_model, default_params):
     pulse, _, _ = default_params
     theta = optimal_model.angle % math.pi

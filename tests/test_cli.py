@@ -147,6 +147,10 @@ def test_malformed_config_json(tmp_path, capsys):
         ("simulate", "--config", "{rate_slow}"),
         ("stats", "{window_text_csv}"),
         ("jpnd", "{records}", "{window_text_csv}"),
+        ("stats", "{window_nan_csv}"),
+        ("stats", "{window_negative_csv}"),
+        ("jpnd", "{records}", "{window_nan_csv}"),
+        ("jpnd", "{records}", "{window_negative_csv}"),
         ("stats", "{detector_c_csv}"),
         ("stats", "{detector_c_pnrec}"),
     ],
@@ -190,6 +194,8 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     malformed = {"short_truth": short_truth, "short_records": short_records}
     for name, first_line in (
         ("window_text_csv", "# detector=B window_ps=abc"),
+        ("window_nan_csv", "# detector=B window_ps=nan"),
+        ("window_negative_csv", "# detector=B window_ps=-5"),
         ("detector_c_csv", "# detector=C window_ps=8000"),
     ):
         malformed[name] = tmp_path / f"{name}.csv"
@@ -219,6 +225,22 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     assert err["exit_code"] == 2
     if not malformed_file:
         assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    src = Path(pnrtiming.__file__).resolve().parents[1]
+    code = (
+        "import sys, pnrtiming, pnrtiming.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # ---- calibrate

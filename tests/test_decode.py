@@ -1,6 +1,7 @@
 """Decoding edge events into photon-number records."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -284,6 +285,13 @@ def test_record_set_validation():
     assert PhotonRecordSet("A", 8000.0, [], [], []).n.dtype == np.int16
 
 
+@pytest.mark.parametrize("detector", ["", "Bx"])
+def test_record_set_refuses_an_unknown_detector(detector):
+    # "" used to end to_binary in an IndexError, and "Bx" was written as B
+    with pytest.raises(ValueError, match="detector must be one of"):
+        PhotonRecordSet(detector, 8000.0, [0], [0], [1])
+
+
 def test_csv_round_trip(tmp_path):
     records = PhotonRecordSet("B", 6500.0, np.arange(4), np.array([0, 10, 20, 30]) * 10**6, [0, 3, 1, 2])
     path = tmp_path / "records.csv"
@@ -311,7 +319,14 @@ def test_csv_photon_number_outside_u1_names_its_line(tmp_path, n, line):
 
 @pytest.mark.parametrize(
     "first, message",
-    [("# detector=A window_ps=abc", "window_ps 'abc' is not a number"), ("# detector=C window_ps=8000", "A or B")],
+    [
+        ("# detector=A window_ps=abc", "window_ps 'abc' is not a number"),
+        ("# detector=C window_ps=8000", "A or B"),
+        ("# detector=A window_ps=nan", "finite and non-negative, not nan"),
+        ("# detector=A window_ps=inf", "finite and non-negative, not inf"),
+        ("# detector=A window_ps=-inf", "finite and non-negative, not -inf"),
+        ("# detector=A window_ps=-5", "finite and non-negative, not -5"),
+    ],
 )
 def test_csv_bad_metadata_line_names_line_1(tmp_path, first, message):
     path = tmp_path / "records.csv"
@@ -377,6 +392,19 @@ def test_binary_rejects_unknown_detector_byte(tmp_path):
     with pytest.raises(StreamFormatError, match="detector byte 255") as exc:
         PhotonRecordSet.from_binary(path)
     assert exc.value.byte_offset == 10
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, -5.0])
+def test_binary_rejects_a_bad_window(tmp_path, window):
+    path = tmp_path / "window.pnrec"
+    PhotonRecordSet("A", 8000.0, [0], [0], [1]).to_binary(path)
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<d", raw, 16) == (8000.0,)
+    struct.pack_into("<d", raw, 16, window)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(StreamFormatError, match="window_ps must be finite and non-negative") as exc:
+        PhotonRecordSet.from_binary(path)
+    assert exc.value.byte_offset == 16
 
 
 def test_binary_rejects_short_header(tmp_path):

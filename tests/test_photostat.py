@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import pdtrc
 from scipy.stats import poisson
 
 from pnrtiming import (
@@ -25,7 +26,7 @@ from pnrtiming.errors import (
     UnboundedFitError,
     UndefinedRatioError,
 )
-from pnrtiming.photostat import joint_counts
+from pnrtiming.photostat import _poisson_pmf, joint_counts
 
 # ---- helpers
 
@@ -95,6 +96,22 @@ def test_distribution_csv(tmp_path):
 
 
 # ---- fit_poisson_mu
+
+
+def test_poisson_pmf_and_sf_match_scipy_stats_bit_for_bit():
+    # the fit uses _poisson_pmf and pdtrc in place of scipy.stats.poisson,
+    # which would cost every command its import
+    k = np.arange(250)
+    underflow = 0
+    for mu in (0.0, 1e-300, 2e-4, 0.0125, 0.3, 1.0, 3.43, 12.0, 150.0, 700.0):
+        assert_array_equal(_poisson_pmf(k, mu), poisson.pmf(k, mu))
+        assert_array_equal(pdtrc(k, mu), poisson.sf(k, mu))
+        for j in (0, 3, 99, 249):
+            assert _poisson_pmf(j, mu) == poisson.pmf(j, mu)
+            assert pdtrc(j, mu) == poisson.sf(j, mu)
+        underflow += np.count_nonzero(pdtrc(k, mu) == 0.0)
+    assert _poisson_pmf(0, 0.0) == 1.0
+    assert underflow > 0  # the grid reaches tails that underflow to zero
 
 
 def test_all_zero_counts_give_mu_zero_exactly():
