@@ -30,7 +30,6 @@ from . import textio
 from .errors import (
     CalibrationError,
     ConfigError,
-    DegenerateOverlapError,
     EmptySampleError,
     InsufficientDataError,
 )
@@ -233,9 +232,9 @@ def _gaussian_arrays(components):
     return tuple(np.array([getattr(c, f) for c in components], dtype=float) for f in ("center", "sigma", "weight"))
 
 
-def _gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) -> float:
+def _gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) -> float | None:
     """Crossing of two weighted Gaussian densities between their centers
-    (c1 < c2); raises DegenerateOverlapError when they do not cross there.
+    (c1 < c2), or None when they do not cross there.
 
     At x = c1 + u the log-density difference log(w1 N1) - log(w2 N2) is
     g(u) = A u^2 + B u + C.  It is tested for a sign change in log space, so
@@ -256,9 +255,7 @@ def _gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) -> float:
         return (quad_a * u + quad_b) * u + quad_c
 
     if g(a) <= 0.0 or g(b) >= 0.0:
-        raise DegenerateOverlapError(
-            f"weighted densities of components at {c1:.4g} and {c2:.4g} do not cross between the centers"
-        )
+        return None
     # the sign change above guarantees one real root in (a, b)
     q = 0.5 * (math.sqrt(max(quad_b * quad_b - 4.0 * quad_a * quad_c, 0.0)) - quad_b)
     roots = [quad_c / q] if quad_a == 0.0 else [quad_c / q, q / quad_a]
@@ -278,11 +275,11 @@ def _pair_boundaries(center, sigma, weight):
     c, s, w = center.tolist(), sigma.tolist(), weight.tolist()
     bounds, fallback = [], []
     for i in range(len(c) - 1):
-        try:
-            bounds.append(_gaussian_pair_boundary(c[i], s[i], w[i], c[i + 1], s[i + 1], w[i + 1]))
-        except DegenerateOverlapError:
-            bounds.append(0.5 * (c[i] + c[i + 1]))
+        bound = _gaussian_pair_boundary(c[i], s[i], w[i], c[i + 1], s[i + 1], w[i + 1])
+        if bound is None:
+            bound = 0.5 * (c[i] + c[i + 1])
             fallback.append((i, i + 1))
+        bounds.append(bound)
     return np.array(bounds, dtype=float), fallback
 
 
@@ -343,6 +340,11 @@ def _distinct_pairs(rise, fall):
     return pairs.real.copy(), pairs.imag.copy(), multiplicity
 
 
+def _valley(smoothed: np.ndarray, a: int, b: int) -> int:
+    """Index of the lowest sample of smoothed[a..b], the first on a tie."""
+    return a + int(np.argmin(smoothed[a : b + 1]))
+
+
 def _reference_scan(pairs, angles):
     """Score candidate angles by (resolved peak count, worst valley depth,
     concentration), lexicographically.
@@ -366,11 +368,10 @@ def _reference_scan(pairs, angles):
         n_peaks[i] = idx.size
         conc[i] = float(np.sum(p * p))
         if idx.size > 1:
-            dips = []
-            for a, b in zip(idx[:-1], idx[1:]):
-                floor = float(smoothed[a:b + 1].min())
-                dips.append(1.0 - floor / min(smoothed[a], smoothed[b]))
-            depth[i] = min(dips)
+            depth[i] = min(
+                1.0 - smoothed[_valley(smoothed, a, b)] / min(smoothed[a], smoothed[b])
+                for a, b in zip(idx[:-1], idx[1:])
+            )
     return n_peaks, depth, conc
 
 
@@ -484,10 +485,7 @@ def _label_events(events, k):
         keep = np.sort(np.argsort(prom)[::-1][:k])
         idx = idx[keep]
     if idx.size == k:
-        valleys = []
-        for a, b in zip(idx[:-1], idx[1:]):
-            valleys.append(centers[a + int(np.argmin(smoothed[a : b + 1]))])
-        cut = np.array(valleys)
+        cut = centers[[_valley(smoothed, a, b) for a, b in zip(idx[:-1], idx[1:])]]
     else:
         # too few resolved peaks: split the most populated cells of the events
         peak_centers = _complete_centers(coords, multiplicity, centers[idx], k)

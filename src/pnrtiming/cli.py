@@ -34,7 +34,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .simulate import JitterParams, PulseModelParams, SourceSpec, TruthBlock, simulate_stream
-from .timetags import pair_edges, read_tag_block, write_stream
+from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, pair_edges, read_tag_block, write_stream
 
 DEFAULT_WINDOW_PS = 8000.0
 DEFAULT_SEED = 1234
@@ -89,8 +89,7 @@ def cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     stream_path = out / "stream.pnrtag"
-    with textio.open_output(stream_path, "wb") as f:
-        n_bytes = write_stream(tags, f)
+    n_bytes = write_stream(tags, stream_path)
     truth.to_csv(out / "truth.csv")
 
     _emit(
@@ -153,7 +152,7 @@ def cmd_calibrate(args) -> int:
 def cmd_decode(args) -> int:
     model = cal.CalibrationModel.load_json(args.calibration)
     block = read_tag_block(args.tagfile)
-    if not np.any(block.channels == 0):
+    if not np.any(block.channels == CH_TRIGGER):
         raise CompatibilityError("stream has no trigger channel; zero-photon events cannot be inferred")
     window = args.window if args.window is not None else (model.window_ps or DEFAULT_WINDOW_PS)
     detector = args.detector or model.detector or "A"
@@ -182,13 +181,13 @@ def _load_records(path) -> PhotonRecordSet:
 
 
 def cmd_stats(args) -> int:
-    records = _load_records(args.records)
+    dist = ps.NumberDistribution.from_records(_load_records(args.records))
     # --n-max truncates the written distribution only; the fit sees every count
-    dist = ps.NumberDistribution.from_records(records, n_max=args.n_max)
-    fit = ps.fit_poisson_mu(ps.NumberDistribution.from_records(records), tail_from=args.tail_from)
+    table = dist if args.n_max is None else ps.NumberDistribution(dist.folded(args.n_max))
+    fit = ps.fit_poisson_mu(dist, tail_from=args.tail_from)
 
     out = _out_dir(args)
-    dist.to_csv(out / "number_distribution.csv")
+    table.to_csv(out / "number_distribution.csv")
     report = fit.to_dict()
     textio.write_json(out / "poisson_fit.json", report)
     columns = np.array(fit.labels), fit.counts, fit.expected
@@ -236,6 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "and analyze photon statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    detectors = tuple(DETECTOR_CHANNELS)
 
     def add_common(p):
         p.add_argument("--out", default=".", help="output directory (created if missing)")
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="label clusters, pick the projection angle, set boundaries and crosstalk")
     p.add_argument("tagfile", help="input .pnrtag stream")
-    p.add_argument("--detector", choices=("A", "B"), default="A")
+    p.add_argument("--detector", choices=detectors, default="A")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW_PS, help="pairing window in ps")
     p.add_argument("--mode", choices=(cal.RISING_ONLY, cal.OPTIMAL, "both"), default="both")
     p.add_argument("--k", type=int, default=None, help="component count (default: found peaks)")
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode photon numbers per trigger using a calibration")
     p.add_argument("tagfile", help="input .pnrtag stream")
     p.add_argument("calibration", help="calibration JSON from the calibrate command")
-    p.add_argument("--detector", choices=("A", "B"), default=None, help="default: calibration's detector")
+    p.add_argument("--detector", choices=detectors, default=None, help="default: calibration's detector")
     p.add_argument("--window", type=float, default=None, help="pairing window (default: calibration's)")
     p.add_argument("--truth", default=None, help="truth CSV; adds a confusion report")
     add_common(p)

@@ -51,6 +51,8 @@ class PhotonRecordSet:
     def __post_init__(self):
         if self.detector not in DETECTOR_CHANNELS:
             raise ValueError(f"detector must be one of {sorted(DETECTOR_CHANNELS)}, not {self.detector!r}")
+        if not 0.0 <= self.window_ps < math.inf:
+            raise ValueError(f"window_ps must be finite and non-negative, not {self.window_ps:g}")
         self.trigger_index = np.asarray(self.trigger_index, dtype=np.int64)
         self.trigger_time = np.asarray(self.trigger_time, dtype=np.int64)
         # checked before the int16 cast, which would truncate 2.7 to 2 and
@@ -181,22 +183,22 @@ def decode_events(events, model: CalibrationModel) -> PhotonRecordSet:
     lo = first.center - 8.0 * (first.sigma + first.gamma)
     hi = last.center + 8.0 * (last.sigma + last.gamma)
     out_of_range = int(np.count_nonzero((coords < lo) | (coords > hi)))
-    diagnostics = {
-        "mode": model.mode,
-        "angle_rad": float(model.angle),
-        "class_counts": np.bincount(n, minlength=model.k + 1).tolist(),
-        "out_of_range": out_of_range,
-        "triggers": int(len(events)),
-        "detections": int(np.count_nonzero(detected)),
-    }
-    return PhotonRecordSet(
+    records = PhotonRecordSet(
         detector=events.detector,
         window_ps=events.window_ps,
         trigger_index=events.trigger_index.copy(),
         trigger_time=events.trigger_time.copy(),
         n=n,
-        diagnostics=diagnostics,
     )
+    records.diagnostics = {
+        "mode": model.mode,
+        "angle_rad": float(model.angle),
+        "class_counts": records.class_counts(model.k).tolist(),
+        "out_of_range": out_of_range,
+        "triggers": int(len(events)),
+        "detections": int(np.count_nonzero(detected)),
+    }
+    return records
 
 
 @dataclass(eq=False)

@@ -27,10 +27,6 @@ class EmptySampleError(CalibrationError):
     """No detected events to histogram or fit."""
 
 
-class DegenerateOverlapError(CalibrationError):
-    """Adjacent weighted densities never cross between their centers."""
-
-
 class DataError(PnrError):
     """An event carries values that cannot be decoded (e.g. non-finite)."""
 

@@ -50,16 +50,10 @@ class NumberDistribution:
 
     @classmethod
     def from_records(cls, records, n_max: int | None = None) -> "NumberDistribution":
-        """Counts of the records' photon numbers; with n_max (at least 0,
-        else ConfigError) the counts above n_max fold into entry n_max."""
-        if n_max is not None and n_max < 0:
-            raise ConfigError(f"n_max must be at least 0, not {n_max}")
-        length = (n_max + 1) if n_max is not None else int(records.n.max(initial=0)) + 1
-        counts = np.bincount(records.n, minlength=length)
-        if counts.size > length:
-            counts[length - 1] += counts[length:].sum()
-            counts = counts[:length]
-        return cls(counts)
+        """Counts of the records' photon numbers; with n_max, ``folded(n_max)``
+        of them, so the counts above n_max fold into entry n_max."""
+        dist = cls(records.class_counts())
+        return dist if n_max is None else cls(dist.folded(n_max))
 
     @property
     def total(self) -> float:
@@ -71,9 +65,9 @@ class NumberDistribution:
     def folded(self, tail_from: int) -> np.ndarray:
         """Counts with every photon number >= tail_from summed into one
         final category; result has tail_from + 1 entries.  A tail_from
-        below 1 raises ConfigError."""
-        if tail_from < 1:
-            raise ConfigError(f"tail_from must be at least 1, not {tail_from}")
+        below 0 raises ConfigError."""
+        if tail_from < 0:
+            raise ConfigError(f"the fold must start at 0 or above, not {tail_from}")
         head = self.counts[:tail_from]
         if head.size < tail_from:
             head = np.concatenate([head, np.zeros(tail_from - head.size, dtype=head.dtype)])
@@ -139,8 +133,11 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
 
     The likelihood is multinomial with Poisson pmf probabilities and the
     upper-tail mass for the last category.  All counts at zero photons give
-    mu = 0 exactly; all counts in the tail category leave mu unbounded.
+    mu = 0 exactly; all counts in the tail category leave mu unbounded.  A
+    tail_from below 1 raises ConfigError.
     """
+    if tail_from < 1:
+        raise ConfigError(f"tail_from must be at least 1, not {tail_from}")
     counts = dist.folded(tail_from).astype(float)
     total = counts.sum()
     if total < 100:
@@ -148,54 +145,43 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
     if counts[-1] == total:
         raise UnboundedFitError("all counts at or above the tail category; mu is unbounded")
 
-    cats = np.arange(tail_from + 1, dtype=float)
     if counts[0] == total:
-        expected = np.zeros_like(counts)
-        expected[0] = total
-        return PoissonFit(
-            mu=0.0,
-            stderr=0.0,
-            tail_from=tail_from,
-            counts=counts,
-            expected=expected,
-            chi2_pearson=0.0,
-            chi2_neyman=0.0,
-            dof=tail_from - 1,
-        )
+        mu = stderr = 0.0
+    else:
+        cats = np.arange(tail_from + 1, dtype=float)
+        head_n = cats[:-1]
+        head_counts = counts[:-1]
 
-    head_n = cats[:-1]
-    head_counts = counts[:-1]
+        def score(mu: float) -> float:
+            # dNLL/dmu; d log pmf(n)/dmu = n/mu - 1 and d log sf/dmu = the hazard
+            # pmf(tail_from - 1) / sf, so the NLL is convex with a single root
+            head = -float(head_counts @ (head_n / mu - 1.0))
+            sf = float(pdtrc(tail_from - 1, mu))
+            tail = 0.0
+            if counts[-1] > 0 and sf > 0:
+                tail = -counts[-1] * float(_poisson_pmf(tail_from - 1, mu)) / sf
+            elif counts[-1] > 0:
+                # sf underflowed, so mu << tail_from, where pmf / sf -> tail_from / mu
+                tail = -counts[-1] * tail_from / mu
+            return head + tail
 
-    def score(mu: float) -> float:
-        # dNLL/dmu; d log pmf(n)/dmu = n/mu - 1 and d log sf/dmu = the hazard
-        # pmf(tail_from - 1) / sf, so the NLL is convex with a single root
-        head = -float(head_counts @ (head_n / mu - 1.0))
+        # method-of-moments bracket, widened until the score changes sign: it
+        # tends to -inf as mu -> 0 and to the head count as mu -> inf
+        moment = float(cats @ counts / total)
+        lo = max(moment / 8.0, 1e-9)
+        hi = moment * 8.0 + 2.0
+        while score(lo) > 0.0:
+            lo /= 8.0
+        while score(hi) < 0.0:
+            hi *= 8.0
+        mu = float(brentq(score, lo, hi, xtol=1e-12, rtol=8.9e-16))
+
+        # stderr from the observed information d2NLL/dmu2, in closed form: the
+        # hazard h = pmf(tail_from - 1) / sf has dh/dmu = h ((tail_from - 1)/mu - 1 - h)
         sf = float(pdtrc(tail_from - 1, mu))
-        tail = 0.0
-        if counts[-1] > 0 and sf > 0:
-            tail = -counts[-1] * float(_poisson_pmf(tail_from - 1, mu)) / sf
-        elif counts[-1] > 0:
-            # sf underflowed, so mu << tail_from, where pmf / sf -> tail_from / mu
-            tail = -counts[-1] * tail_from / mu
-        return head + tail
-
-    # method-of-moments bracket, widened until the score changes sign: it
-    # tends to -inf as mu -> 0 and to the head count as mu -> inf
-    moment = float(cats @ counts / total)
-    lo = max(moment / 8.0, 1e-9)
-    hi = moment * 8.0 + 2.0
-    while score(lo) > 0.0:
-        lo /= 8.0
-    while score(hi) < 0.0:
-        hi *= 8.0
-    mu = float(brentq(score, lo, hi, xtol=1e-12, rtol=8.9e-16))
-
-    # stderr from the observed information d2NLL/dmu2, in closed form: the
-    # hazard h = pmf(tail_from - 1) / sf has dh/dmu = h ((tail_from - 1)/mu - 1 - h)
-    sf = float(pdtrc(tail_from - 1, mu))
-    h = float(_poisson_pmf(tail_from - 1, mu)) / sf if sf > 0 else tail_from / mu
-    info = float(head_counts @ head_n) / mu**2 - counts[-1] * h * ((tail_from - 1) / mu - 1.0 - h)
-    stderr = 1.0 / math.sqrt(info) if info > 0 else float("nan")
+        h = float(_poisson_pmf(tail_from - 1, mu)) / sf if sf > 0 else tail_from / mu
+        info = float(head_counts @ head_n) / mu**2 - counts[-1] * h * ((tail_from - 1) / mu - 1.0 - h)
+        stderr = 1.0 / math.sqrt(info) if info > 0 else float("nan")
 
     expected = total * _category_probs(mu, tail_from)
     nonzero = expected > 0

@@ -5,11 +5,11 @@ The electrical pulse for an n-photon absorption is modelled as
     v_n(t) = A_n * (1 - exp(-t / tau_r(n))) * exp(-t / tau_fall)
 
 with a rise constant tau_r(n) = tau_1 / n (n hotspots shorten the turn-on)
-and an amplitude A_n = amplitude_1 * (1 - s**n) / (1 - s) that compresses
-geometrically with the saturation parameter s.  More photons therefore
-steepen the rising edge (earlier threshold crossing) and enlarge the
-amplitude (later falling crossing), which is what makes the pair
-(rise delay, fall delay) carry photon-number information.
+and an amplitude A_n = (1 - s**n) / (1 - s), in units of the single-photon
+amplitude, that compresses geometrically with the saturation parameter s.
+More photons therefore steepen the rising edge (earlier threshold crossing)
+and enlarge the amplitude (later falling crossing), which is what makes the
+pair (rise delay, fall delay) carry photon-number information.
 
 Default parameter values are tuned so the simulated clusters separate the
 way a real device does at a detected mean near 3.4 photons; they are fit
@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 
 from . import textio
 from .errors import ConfigError, StreamFormatError, UndetectablePulseError
-from .timetags import UNITS_PER_PS, TagBlock
+from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, UNITS_PER_PS, TagBlock
 
 _CHUNK = 1 << 16  # triggers per RNG chunk; fixed so output is worker-count independent
 _SOURCE_KINDS = ("coherent", "spdc_pairs", "noon2")
@@ -37,8 +37,8 @@ _SOURCE_KINDS = ("coherent", "spdc_pairs", "noon2")
 def pulse_amplitude(n: int, params: "PulseModelParams") -> float:
     s = params.saturation
     if s == 1.0:
-        return params.amplitude_1 * n
-    return params.amplitude_1 * (1.0 - s**n) / (1.0 - s)
+        return float(n)
+    return (1.0 - s**n) / (1.0 - s)
 
 
 def pulse_value(t, n: int, params: "PulseModelParams"):
@@ -64,11 +64,15 @@ def pulse_peak(n: int, params: "PulseModelParams") -> tuple[float, float]:
 class PulseModelParams:
     """Electrical pulse shape and discriminator threshold.
 
+    Voltages are in units of the single-photon amplitude: every threshold
+    crossing depends only on the ratio of threshold to that amplitude, so a
+    separate amplitude scale would duplicate the threshold.
+
     kinetic_inductance_time_ns : decay constant of the falling tail (ns)
     hotspot_rise_scale_ps      : single-photon rise constant tau_1 (ps)
-    amplitude_1                : single-photon amplitude (arbitrary units)
     saturation                 : geometric amplitude compression, in (0, 1]
-    threshold                  : discriminator level, must sit below every peak
+    threshold                  : discriminator level, in single-photon
+                                 amplitudes; must sit below every peak
     max_photons                : highest photon number with a distinct waveform;
                                  larger counts reuse the max_photons pulse
     propagation_delay_ps       : fixed cabling/amplifier delay between the
@@ -79,7 +83,6 @@ class PulseModelParams:
 
     kinetic_inductance_time_ns: float = 2.0
     hotspot_rise_scale_ps: float = 200.0
-    amplitude_1: float = 1.0
     saturation: float = 0.4
     threshold: float = 0.4
     max_photons: int = 6
@@ -90,8 +93,6 @@ class PulseModelParams:
             raise ValueError("time constants must be positive")
         if self.propagation_delay_ps < 0:
             raise ValueError("propagation_delay_ps must be non-negative")
-        if self.amplitude_1 <= 0:
-            raise ValueError("amplitude_1 must be positive")
         if not 0.0 < self.saturation <= 1.0:
             raise ValueError("saturation must lie in (0, 1]")
         if self.threshold <= 0:
@@ -300,11 +301,11 @@ def _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, n_a, n_b, rise_
     trig_sigma = math.hypot(spec.trigger_channel_jitter_ps, jitter.tagger_rms_per_channel)
     trig_ts = nominal + _quantize(noise_rng.normal(0.0, trig_sigma, m)) if trig_sigma > 0 else nominal.copy()
 
-    channels = [np.zeros(m, dtype=np.uint8)]
+    channels = [np.full(m, CH_TRIGGER, dtype=np.uint8)]
     stamps = [trig_ts]
     for counts, det_rms, (ch_rise, ch_fall) in (
-        (n_a, jitter.detector_rms, (1, 2)),
-        (n_b, jitter.detector_b_rms, (3, 4)),
+        (n_a, jitter.detector_rms, DETECTOR_CHANNELS["A"]),
+        (n_b, jitter.detector_b_rms, DETECTOR_CHANNELS["B"]),
     ):
         sel = counts > 0
         k = int(np.count_nonzero(sel))
@@ -371,8 +372,7 @@ def simulate_stream(
 
     channels = np.concatenate([r[0] for r in results])
     stamps = np.concatenate([r[1] for r in results])
-    order = np.lexsort((channels, stamps))
-    return TagBlock(channels[order], stamps[order]), truth
+    return TagBlock(channels, stamps).sorted(), truth
 
 
 def default_params() -> tuple[PulseModelParams, JitterParams, SourceSpec]:

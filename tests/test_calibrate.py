@@ -40,7 +40,6 @@ from pnrtiming.calibrate import (
 from pnrtiming.errors import (
     CalibrationError,
     ConfigError,
-    DegenerateOverlapError,
     EmptySampleError,
     InsufficientDataError,
 )
@@ -246,8 +245,7 @@ def test_gaussian_crossing_closed_form_matches_root_bracketing():
         want = gaussian_crossing_oracle(c1, s1, w1, c2, s2, w2)
         if want == 0.5 * (c1 + c2):
             fallbacks += 1
-            with pytest.raises(DegenerateOverlapError):
-                cal._gaussian_pair_boundary(c1, s1, w1, c2, s2, w2)
+            assert cal._gaussian_pair_boundary(c1, s1, w1, c2, s2, w2) is None
         else:
             got = cal._gaussian_pair_boundary(c1, s1, w1, c2, s2, w2)
             assert c1 < got < c2

@@ -145,6 +145,7 @@ def test_malformed_config_json(tmp_path, capsys):
         ("simulate", "--config", "{seed_text}"),
         ("simulate", "--config", "{rate_tiny}"),
         ("simulate", "--config", "{rate_slow}"),
+        ("simulate", "--config", "{pulse_amplitude}"),
         ("stats", "{window_text_csv}"),
         ("jpnd", "{records}", "{window_text_csv}"),
         ("stats", "{window_nan_csv}"),
@@ -164,6 +165,7 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         "seed_text": {"n_triggers": 10, "seed": "x"},
         "rate_tiny": {"source": {"repetition_rate_hz": 1e-300}, "n_triggers": 10},
         "rate_slow": {"source": {"repetition_rate_hz": 1e-3}, "n_triggers": 1000},
+        "pulse_amplitude": {"pulse": {"amplitude_1": 2.0}, "n_triggers": 10},
     }
     for name, config in configs.items():
         configs[name] = tmp_path / f"{name}.json"

@@ -157,6 +157,17 @@ def test_decode_diagnostics_counts():
     assert d["mode"] == "optimal"
 
 
+def test_decode_class_counts_match_a_bincount():
+    model = toy_model()
+    rng = np.random.default_rng(8)
+    rise = rng.uniform(0.0, 60.0, 400)
+    detected = rng.random(400) < 0.7
+    records = decode_events(make_events(np.where(detected, rise, np.nan), np.zeros(400), detected), model)
+    want = np.bincount(records.n, minlength=model.k + 1).tolist()
+    assert records.diagnostics["class_counts"] == want
+    assert sum(want) == 400
+
+
 def test_decode_empty_event_set():
     model = toy_model()
     events = make_events(np.empty(0), np.empty(0))
@@ -266,6 +277,12 @@ def test_class_counts():
     assert_array_equal(records.class_counts(n_max=6), [2, 0, 2, 0, 1, 0, 0])
     with pytest.raises(ValueError, match="n_max"):
         records.class_counts(n_max=3)
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, -5.0])
+def test_record_set_refuses_a_window_its_readers_refuse(window):
+    with pytest.raises(ValueError, match="window_ps must be finite and non-negative"):
+        PhotonRecordSet("A", window, [0, 1], [0, 10], [1, 2])
 
 
 def test_record_set_validation():

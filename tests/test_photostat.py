@@ -75,8 +75,12 @@ def test_folding_sums_the_tail():
     assert_array_equal(dist.folded(2), [5, 4, 7])
     # folding past the observed range zero-pads
     assert_array_equal(NumberDistribution([8, 2]).folded(4), [8, 2, 0, 0, 0])
+    # a cut at 0 folds everything into one category; the fit needs at least 1
+    assert_array_equal(dist.folded(0), [16])
     with pytest.raises(ValueError):
-        dist.folded(0)
+        dist.folded(-1)
+    with pytest.raises(ValueError, match="tail_from must be at least 1"):
+        fit_poisson_mu(NumberDistribution([500, 40, 3]), tail_from=0)
 
 
 def test_distribution_from_records_aggregates_top():
@@ -85,6 +89,18 @@ def test_distribution_from_records_aggregates_top():
     assert_array_equal(dist.counts, [1, 1, 1, 0, 3])
     full = NumberDistribution.from_records(records)
     assert_array_equal(full.counts, [1, 1, 1, 0, 0, 1, 2])
+
+
+def test_distribution_from_records_matches_a_clipped_bincount():
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 7, 500):
+        n = rng.poisson(rng.uniform(0.1, 6.0), size)
+        records = records_from_counts(n)
+        top = int(n.max(initial=0))
+        for n_max in (0, 1, 3, top, top + 4):
+            want = np.bincount(np.minimum(n, n_max), minlength=n_max + 1)
+            assert_array_equal(NumberDistribution.from_records(records, n_max).counts, want)
+        assert_array_equal(NumberDistribution.from_records(records).counts, np.bincount(n, minlength=1))
 
 
 def test_distribution_csv(tmp_path):
@@ -119,6 +135,11 @@ def test_all_zero_counts_give_mu_zero_exactly():
     assert fit.mu == 0.0
     assert fit.stderr == 0.0
     assert fit.chi2_pearson == 0.0
+    for tail_from in (1, 2, 4, 7):
+        fit = fit_poisson_mu(NumberDistribution([300]), tail_from)
+        assert (fit.mu, fit.stderr, fit.chi2_pearson, fit.chi2_neyman) == (0.0, 0.0, 0.0, 0.0)
+        assert_array_equal(fit.expected, [300.0] + [0.0] * tail_from)
+        assert fit.dof == tail_from - 1
 
 
 def test_exact_expected_counts_recover_mu():

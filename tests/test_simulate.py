@@ -18,6 +18,7 @@ from pnrtiming import (
 )
 from pnrtiming.errors import ConfigError, StreamFormatError, UndetectablePulseError
 from pnrtiming.simulate import edge_delay_table, pulse_peak, pulse_value
+from pnrtiming.timetags import CH_TRIGGER, CHANNEL_COUNT, DETECTOR_CHANNELS
 
 NO_JITTER = JitterParams(0.0, 0.0, 0.0)
 
@@ -250,6 +251,20 @@ def test_stream_truth_is_the_source_draw(spec, workers):
     want = sample_source(spec, 150_000, seed=21)
     for name in ("trigger_index", "true_n_a", "true_n_b"):
         np.testing.assert_array_equal(getattr(truth, name), getattr(want, name))
+
+
+def test_stream_is_sorted_on_the_documented_channels():
+    # 5 MHz triggers and two-arm light put tags of many chunks and channels close together
+    spec = SourceSpec(coherent_channel="both", repetition_rate_hz=5e6)
+    tags, truth = simulate_stream(spec, PulseModelParams(), JitterParams(), 150_000, seed=22, workers=2)
+    assert tags.is_sorted()
+    assert np.all(np.diff(tags.timestamps) >= 0)
+    counts = np.bincount(tags.channels, minlength=CHANNEL_COUNT)
+    assert set(np.flatnonzero(counts).tolist()) <= {CH_TRIGGER, *sum(DETECTOR_CHANNELS.values(), ())}
+    assert counts[CH_TRIGGER] == 150_000
+    for det, n in (("A", truth.true_n_a), ("B", truth.true_n_b)):
+        for ch in DETECTOR_CHANNELS[det]:
+            assert counts[ch] == np.count_nonzero(n)
 
 
 def test_repetition_rate_leaves_delays_unchanged():
