@@ -27,12 +27,7 @@ from scipy.ndimage import gaussian_filter1d
 from scipy.special import ndtr, wofz
 
 from . import textio
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    EmptySampleError,
-    InsufficientDataError,
-)
+from .errors import CalibrationError, ConfigError
 from .timetags import DETECTOR_CHANNELS
 
 _SQRT2 = math.sqrt(2.0)
@@ -63,10 +58,13 @@ class VoigtComponent:
     weight: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not math.isfinite(self.center):
+            raise ValueError("center must be finite")
+        # chained comparisons, which NaN fails, so a NaN field is refused too
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
         if not 0.0 < self.weight <= 1.0:
             raise ValueError("weight must lie in (0, 1]")
 
@@ -131,7 +129,7 @@ def build_histogram(events) -> Histogram2D:
     with a three-bin margin on each side so no count lands on an outer edge."""
     rise, fall = _detected_arrays(events)
     if rise.size == 0:
-        raise EmptySampleError("no detected events to histogram")
+        raise CalibrationError("no detected events to histogram")
     rise_edges = _padded_edges(rise, _HISTOGRAM2D_BIN)
     fall_edges = _padded_edges(fall, _HISTOGRAM2D_BIN)
     counts, _, _ = np.histogram2d(rise, fall, bins=(rise_edges, fall_edges))
@@ -168,7 +166,7 @@ def histogram_1d(coords: np.ndarray, *, weights=None):
     """
     coords = np.asarray(coords, dtype=float)
     if coords.size == 0:
-        raise EmptySampleError("no coordinates to histogram")
+        raise CalibrationError("no coordinates to histogram")
     edges = _padded_edges(coords, DEFAULT_BIN_WIDTH)
     # the bin np.histogram picks on these edges, edges[i] <= x < edges[i + 1]:
     # the floor index is off by at most one, which one comparison each side mends
@@ -468,7 +466,7 @@ def _label_events(events, k):
     """
     rise, fall = _detected_arrays(events)
     if rise.size == 0:
-        raise EmptySampleError("no detected events to calibrate")
+        raise CalibrationError("no detected events to calibrate")
     pairs = _distinct_pairs(rise, fall)
     pair_rise, pair_fall, multiplicity = pairs
     n_peaks, depth, conc = _reference_scan(pairs, _GRID_ANGLES)
@@ -491,7 +489,7 @@ def _label_events(events, k):
         peak_centers = _complete_centers(coords, multiplicity, centers[idx], k)
         cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
     if rise.size < 50 * k:
-        raise InsufficientDataError(f"need at least {50 * k} detected events, got {rise.size}")
+        raise CalibrationError(f"need at least {50 * k} detected events, got {rise.size}")
     return _LabelledEvents(pairs, np.searchsorted(cut, coords), k), theta_ref
 
 
@@ -679,10 +677,14 @@ class CalibrationModel:
             raise ValueError("components must be ordered by ascending center")
         if self.boundaries.size != k - 1:
             raise ValueError("need exactly k-1 boundaries")
+        if not np.all(np.isfinite(self.boundaries)):
+            raise ValueError("boundaries must be finite")
         if self.boundaries.size > 1 and np.any(np.diff(self.boundaries) <= 0):
             raise ValueError("boundaries must be strictly ascending")
         if self.crosstalk.shape != (k, k):
             raise ValueError("crosstalk must be k x k")
+        if not np.all(np.isfinite(self.crosstalk)):
+            raise ValueError("crosstalk entries must be finite")
         if np.any(self.crosstalk < -1e-12):
             raise ValueError("crosstalk entries must be non-negative")
         if np.any(np.abs(self.crosstalk.sum(axis=1) - 1.0) > 1e-9):

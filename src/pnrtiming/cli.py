@@ -3,8 +3,9 @@
 Every command is deterministic given its inputs and seed, writes fixed
 file names under --out, and prints a small summary JSON on stdout unless
 --quiet.  Failures print a machine-readable error JSON on stderr and exit
-with: 2 for I/O, format, or config problems; 3 for calibration failures;
-4 for incompatible or misaligned inputs; 5 for insufficient data.
+with the failing class's ``exit_code`` (see ``errors``): 2 for I/O errors
+(OSError), ConfigError and StreamFormatError; 3 for CalibrationError; 4
+for DataError; 5 for InsufficientDataError.
 """
 
 from __future__ import annotations
@@ -21,28 +22,12 @@ from . import calibrate as cal
 from . import photostat as ps
 from . import textio
 from .decode import PhotonRecordSet, confusion_report, decode_events
-from .errors import (
-    AlignmentError,
-    CalibrationError,
-    CompatibilityError,
-    ConfigError,
-    DataError,
-    InsufficientDataError,
-    PnrError,
-    StreamOrderError,
-    UnboundedFitError,
-    UndefinedRatioError,
-)
+from .errors import ConfigError, DataError, InsufficientDataError, PnrError
 from .simulate import JitterParams, PulseModelParams, SourceSpec, TruthBlock, simulate_stream
 from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, pair_edges, read_tag_block, write_stream
 
 DEFAULT_WINDOW_PS = 8000.0
 DEFAULT_SEED = 1234
-
-EXIT_IO = 2
-EXIT_CALIBRATION = 3
-EXIT_COMPATIBILITY = 4
-EXIT_INSUFFICIENT = 5
 
 
 def _emit(args, payload: dict) -> None:
@@ -153,7 +138,7 @@ def cmd_decode(args) -> int:
     model = cal.CalibrationModel.load_json(args.calibration)
     block = read_tag_block(args.tagfile)
     if not np.any(block.channels == CH_TRIGGER):
-        raise CompatibilityError("stream has no trigger channel; zero-photon events cannot be inferred")
+        raise DataError("stream has no trigger channel; zero-photon events cannot be inferred")
     window = args.window if args.window is not None else (model.window_ps or DEFAULT_WINDOW_PS)
     detector = args.detector or model.detector or "A"
     events = pair_edges(block, window, detector=detector)
@@ -284,23 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code(exc: PnrError | OSError, command: str) -> int:
-    """3, 4 or 5 for the failures below; I/O, format and config errors exit 2."""
-    if isinstance(exc, CalibrationError):
-        return EXIT_CALIBRATION
-    if isinstance(exc, (InsufficientDataError, UnboundedFitError, UndefinedRatioError)):
-        return EXIT_CALIBRATION if command == "calibrate" else EXIT_INSUFFICIENT
-    if isinstance(exc, (CompatibilityError, AlignmentError, DataError, StreamOrderError)):
-        return EXIT_COMPATIBILITY
-    return EXIT_IO
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PnrError, OSError) as exc:
-        code = _exit_code(exc, args.command)
+        code = exc.exit_code if isinstance(exc, PnrError) else 2
         print(
             json.dumps(
                 {"error": type(exc).__name__, "message": str(exc), "exit_code": code},

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import textio
 from .calibrate import CalibrationModel, classify, project
-from .errors import CompatibilityError, DataError, StreamFormatError
+from .errors import DataError, StreamFormatError
 from .photostat import joint_counts
 from .timetags import DETECTOR_CHANNELS
 
@@ -164,7 +164,7 @@ def decode_events(events, model: CalibrationModel) -> PhotonRecordSet:
     tallied in the out_of_range diagnostic.
     """
     if model.detector is not None and events.detector != model.detector:
-        raise CompatibilityError(
+        raise DataError(
             f"events from detector {events.detector!r} cannot be decoded with a "
             f"calibration for detector {model.detector!r}"
         )
@@ -234,7 +234,7 @@ def confusion_report(records: PhotonRecordSet, truth, model: CalibrationModel | 
     (i, j) counts the triggers with i true and j decoded photons.
 
     The matrix is ``photostat.joint_counts`` of truth and records, so both
-    must list the same trigger indices; if not, AlignmentError names the
+    must list the same trigger indices; if not, DataError names the
     indices found on one side only ("only in truth: [...], only in records:
     [...]").  With a model, the detected block (i, j >= 1) is compared with
     the predicted crosstalk; there, photon numbers above the model's k fold

@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per command-line exit
+status: each class carries the status that the CLI exits with."""
 
 
 class PnrError(Exception):
     """Base class for package-specific failures."""
+
+    exit_code = 2
+
+
+class ConfigError(PnrError, ValueError):
+    """Invalid or unknown configuration entries, or an argument outside its
+    range; a ValueError too, so library callers may catch either."""
+
+    exit_code = 2
 
 
 class StreamFormatError(PnrError):
@@ -10,51 +20,32 @@ class StreamFormatError(PnrError):
     a bad channel or a truncated record, or a CSV table with a short or
     non-integer row."""
 
+    exit_code = 2
+
     def __init__(self, message, byte_offset=None):
         super().__init__(message)
         self.byte_offset = byte_offset
 
 
-class StreamOrderError(PnrError):
-    """Tags are not sorted by (timestamp, channel)."""
-
-
 class CalibrationError(PnrError):
-    """Calibration could not be established from the supplied events."""
+    """Calibration could not be established from the supplied events: none
+    or too few detected, or no peaks to label them by."""
 
-
-class EmptySampleError(CalibrationError):
-    """No detected events to histogram or fit."""
+    exit_code = 3
 
 
 class DataError(PnrError):
-    """An event carries values that cannot be decoded (e.g. non-finite)."""
+    """Inputs that do not belong together or cannot be processed: a stream,
+    calibration or record sets from different runs, record sets covering
+    different triggers, tags out of order, or values that cannot be decoded
+    or stored."""
 
-
-class AlignmentError(PnrError):
-    """Two record sets do not cover the same trigger indices."""
-
-
-class CompatibilityError(PnrError):
-    """Stream, calibration, or record sets do not belong together."""
+    exit_code = 4
 
 
 class InsufficientDataError(PnrError):
-    """Too few counts for the requested estimate."""
+    """Too few counts for the requested estimate, or counts that leave it
+    undefined: a likelihood without an interior maximum, or a ratio with a
+    zero-count denominator."""
 
-
-class UnboundedFitError(PnrError):
-    """The likelihood has no interior maximum (all mass in the top category)."""
-
-
-class UndefinedRatioError(PnrError):
-    """A ratio estimate has a zero-count denominator."""
-
-
-class UndetectablePulseError(PnrError):
-    """A pulse amplitude never exceeds the discriminator threshold."""
-
-
-class ConfigError(PnrError, ValueError):
-    """Invalid or unknown configuration entries, or an argument outside its
-    range; a ValueError too, so library callers may catch either."""
+    exit_code = 5

@@ -17,13 +17,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln, pdtrc, xlogy
 
 from . import textio
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    InsufficientDataError,
-    UnboundedFitError,
-    UndefinedRatioError,
-)
+from .errors import ConfigError, DataError, InsufficientDataError
 
 
 @dataclass(eq=False)
@@ -49,11 +43,9 @@ class NumberDistribution:
         self.counts = arr
 
     @classmethod
-    def from_records(cls, records, n_max: int | None = None) -> "NumberDistribution":
-        """Counts of the records' photon numbers; with n_max, ``folded(n_max)``
-        of them, so the counts above n_max fold into entry n_max."""
-        dist = cls(records.class_counts())
-        return dist if n_max is None else cls(dist.folded(n_max))
+    def from_records(cls, records) -> "NumberDistribution":
+        """Counts of the records' photon numbers 0..max."""
+        return cls(records.class_counts())
 
     @property
     def total(self) -> float:
@@ -143,7 +135,7 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
     if total < 100:
         raise InsufficientDataError(f"need at least 100 counts to fit, got {int(total)}")
     if counts[-1] == total:
-        raise UnboundedFitError("all counts at or above the tail category; mu is unbounded")
+        raise InsufficientDataError("all counts at or above the tail category; mu is unbounded")
 
     if counts[0] == total:
         mu = stderr = 0.0
@@ -241,7 +233,7 @@ def joint_counts(index_a, n_a, index_b, n_b, n_max: int | None = None, sides=("A
     n_b = j, for two photon-number arrays listed by trigger index.
 
     Both sides must list the same trigger indices in the same order; if not,
-    AlignmentError names up to ten indices found on one side only, calling
+    DataError names up to ten indices found on one side only, calling
     the sides by ``sides``.  The matrix spans the largest photon number, or
     0..n_max, which must not be below it (ConfigError).
     """
@@ -250,7 +242,7 @@ def joint_counts(index_a, n_a, index_b, n_b, n_max: int | None = None, sides=("A
     if index_a.shape != index_b.shape or np.any(index_a != index_b):
         only_a = np.setdiff1d(index_a, index_b)[:10]
         only_b = np.setdiff1d(index_b, index_a)[:10]
-        raise AlignmentError(
+        raise DataError(
             f"{sides[0]} and {sides[1]} cover different triggers (only in {sides[0]}: {only_a.tolist()}, "
             f"only in {sides[1]}: {only_b.tolist()})"
         )
@@ -333,7 +325,7 @@ def hom_contrast(jpnd_noon: JointDistribution, jpnd_split: JointDistribution) ->
     split = jpnd_split.padded(size - 1).matrix
     split_11 = int(split[1, 1])
     if split_11 == 0:
-        raise UndefinedRatioError("split configuration has no (1,1) coincidences; ratio undefined")
+        raise InsufficientDataError("split configuration has no (1,1) coincidences; ratio undefined")
     return HomContrast(
         noon_20=int(noon[2, 0]),
         noon_02=int(noon[0, 2]),

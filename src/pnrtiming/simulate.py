@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import textio
-from .errors import ConfigError, StreamFormatError, UndetectablePulseError
+from .errors import ConfigError, StreamFormatError
 from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, UNITS_PER_PS, TagBlock
 
 _CHUNK = 1 << 16  # triggers per RNG chunk; fixed so output is worker-count independent
@@ -89,20 +89,21 @@ class PulseModelParams:
     propagation_delay_ps: float = 500.0
 
     def __post_init__(self):
-        if self.kinetic_inductance_time_ns <= 0 or self.hotspot_rise_scale_ps <= 0:
-            raise ValueError("time constants must be positive")
-        if self.propagation_delay_ps < 0:
-            raise ValueError("propagation_delay_ps must be non-negative")
+        # chained comparisons, which NaN fails, so a NaN field is refused too
+        if not (0 < self.kinetic_inductance_time_ns < math.inf and 0 < self.hotspot_rise_scale_ps < math.inf):
+            raise ValueError("time constants must be positive and finite")
+        if not 0 <= self.propagation_delay_ps < math.inf:
+            raise ValueError("propagation_delay_ps must be non-negative and finite")
         if not 0.0 < self.saturation <= 1.0:
             raise ValueError("saturation must lie in (0, 1]")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if self.max_photons < 1:
             raise ValueError("max_photons must be at least 1")
         for n in range(1, self.max_photons + 1):
             _, v_peak = pulse_peak(n, self)
             if v_peak <= self.threshold:
-                raise UndetectablePulseError(
+                raise ConfigError(
                     f"threshold {self.threshold} is not below the n={n} pulse peak {v_peak:.4g}"
                 )
 
@@ -153,8 +154,8 @@ class JitterParams:
 
     def __post_init__(self):
         for name in ("detector_rms", "tagger_rms_per_channel", "detector_b_rms"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in _SOURCE_KINDS:
             raise ValueError(f"kind must be one of {_SOURCE_KINDS}")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be non-negative and finite")
         if not 0.0 <= self.pair_prob <= 1.0:
             raise ValueError("pair_prob must lie in [0, 1]")
         if not 0.0 <= self.visibility <= 1.0:
@@ -199,8 +200,8 @@ class SourceSpec:
         for name in ("efficiency_a", "efficiency_b"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.trigger_channel_jitter_ps < 0:
-            raise ValueError("trigger_channel_jitter_ps must be non-negative")
+        if not 0 <= self.trigger_channel_jitter_ps < math.inf:
+            raise ValueError("trigger_channel_jitter_ps must be non-negative and finite")
 
 
 @dataclass(eq=False)

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import textio
-from .errors import ConfigError, StreamFormatError, StreamOrderError
+from .errors import ConfigError, DataError, StreamFormatError
 
 MAGIC = b"PNRTAG01"
 FORMAT_VERSION = 1
@@ -104,11 +104,11 @@ def write_stream(tags: TagBlock, sink) -> int:
     returns the number of bytes written.
 
     Tags must already be sorted by (timestamp, channel); violations raise
-    StreamOrderError rather than silently reordering.
+    DataError rather than silently reordering.
     """
     bad = _first_out_of_order(tags)
     if bad is not None:
-        raise StreamOrderError(f"tags out of order at record {bad}")
+        raise DataError(f"tags out of order at record {bad}")
     header = _HEADER_FIXED.pack(MAGIC, FORMAT_VERSION, RESOLUTION_CODE, CHANNEL_COUNT, 0)
     records = np.zeros(len(tags), dtype=_RECORD_DTYPE)
     records["channel"] = tags.channels
@@ -269,7 +269,7 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     if not 0 < window_ps < np.inf:
         raise ConfigError(f"window must be positive and finite, not {window_ps}")
     if not tags.is_sorted():
-        raise StreamOrderError("tags must be sorted by (timestamp, channel) before pairing")
+        raise DataError("tags must be sorted by (timestamp, channel) before pairing")
 
     ch_rise, ch_fall = DETECTOR_CHANNELS[detector]
     trig = tags.timestamps[tags.channels == CH_TRIGGER]

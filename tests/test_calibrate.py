@@ -37,12 +37,7 @@ from pnrtiming.calibrate import (
     classify,
     histogram_1d,
 )
-from pnrtiming.errors import (
-    CalibrationError,
-    ConfigError,
-    EmptySampleError,
-    InsufficientDataError,
-)
+from pnrtiming.errors import CalibrationError, ConfigError
 from pnrtiming.simulate import edge_delay_table
 from pnrtiming.timetags import EdgeEventSet
 
@@ -348,7 +343,7 @@ def test_histogram_conserves_counts(events_a):
 
 
 def test_histogram_rejects_empty_input():
-    with pytest.raises(EmptySampleError):
+    with pytest.raises(CalibrationError, match="no detected events"):
         build_histogram(make_events([], []))
 
 
@@ -527,10 +522,10 @@ def test_small_samples_pick_the_deep_reference_projection():
 
 
 def test_angle_search_rejects_empty_and_tiny_samples():
-    with pytest.raises(EmptySampleError):
+    with pytest.raises(CalibrationError, match="no detected events"):
         calibrate_events((np.array([]), np.array([])), mode="optimal")
     rng = np.random.default_rng(2)
-    with pytest.raises((InsufficientDataError, CalibrationError)):
+    with pytest.raises(CalibrationError):
         calibrate_events((rng.normal(0, 1, 30), rng.normal(5, 1, 30)), mode="optimal")
 
 
@@ -793,6 +788,27 @@ def test_model_from_dict_raises_config_error(optimal_model):
     ):
         with pytest.raises(ConfigError):
             CalibrationModel.from_dict(bad)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("boundaries_ps", 0),
+        ("components", 0, "center_ps"),
+        ("components", 1, "sigma_ps"),
+        ("components", 2, "gamma_ps"),
+        ("crosstalk", 1, 2),
+    ],
+)
+def test_model_from_dict_refuses_non_finite_values(optimal_model, path, value):
+    data = optimal_model.to_dict()
+    entry = data
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    with pytest.raises(ConfigError, match="finite"):
+        CalibrationModel.from_dict(data)
 
 
 def test_model_validation_catches_inconsistencies():

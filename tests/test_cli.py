@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import pnrtiming
-from pnrtiming import PhotonRecordSet, SourceSpec, sample_source
+from pnrtiming import PhotonRecordSet, SourceSpec, errors, sample_source
 from pnrtiming.cli import main
-from pnrtiming.timetags import _HEADER_FIXED
+from pnrtiming.timetags import _HEADER_FIXED, _RECORD_DTYPE
 
 
 def digest(path):
@@ -154,6 +154,11 @@ def test_malformed_config_json(tmp_path, capsys):
         ("jpnd", "{records}", "{window_negative_csv}"),
         ("stats", "{detector_c_csv}"),
         ("stats", "{detector_c_pnrec}"),
+        ("simulate", "--config", "{threshold_nan}"),
+        ("simulate", "--config", "{fall_time_inf}"),
+        ("simulate", "--config", "{mu_inf}"),
+        ("simulate", "--config", "{tagger_jitter_inf}"),
+        ("decode", "{stream}", "{boundary_nan}"),
     ],
 )
 def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
@@ -166,6 +171,10 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         "rate_tiny": {"source": {"repetition_rate_hz": 1e-300}, "n_triggers": 10},
         "rate_slow": {"source": {"repetition_rate_hz": 1e-3}, "n_triggers": 1000},
         "pulse_amplitude": {"pulse": {"amplitude_1": 2.0}, "n_triggers": 10},
+        "threshold_nan": {"pulse": {"threshold": float("nan")}, "n_triggers": 10},
+        "fall_time_inf": {"pulse": {"kinetic_inductance_time_ns": float("inf")}, "n_triggers": 10},
+        "mu_inf": {"source": {"mu": float("inf")}, "n_triggers": 10},
+        "tagger_jitter_inf": {"jitter": {"tagger_rms_per_channel": float("inf")}, "n_triggers": 10},
     }
     for name, config in configs.items():
         configs[name] = tmp_path / f"{name}.json"
@@ -178,6 +187,7 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         ("detector_c", "detector", "C"),
         ("window_text", "window_ps", "abc"),
         ("window_negative", "window_ps", -5),
+        ("boundary_nan", "boundaries_ps", [float("nan"), *model["boundaries_ps"][1:]]),
     ):
         bad_fields[name] = tmp_path / f"{name}.json"
         bad_fields[name].write_text(json.dumps({**model, key: value}))
@@ -273,6 +283,28 @@ def test_calibrate_empty_stream_exits_3(tmp_path, capsys):
     assert "empty" in err["message"].lower() or "no detected" in err["message"].lower()
 
 
+def test_calibrate_too_few_detections_exits_3(tmp_path, capsys):
+    code, _, _ = run(capsys, "simulate", "--n-triggers", 150, "--seed", 1, "--out", tmp_path, "--quiet")
+    assert code == 0
+    code, out, err = run(capsys, "calibrate", tmp_path / "stream.pnrtag", "--out", tmp_path / "out")
+    assert (code, out) == (3, None)
+    assert err["error"] == "CalibrationError"
+    assert "need at least" in err["message"]
+
+
+def test_calibrate_out_of_order_stream_exits_4(pipeline, tmp_path, capsys):
+    raw = bytearray((pipeline / "stream.pnrtag").read_bytes())
+    size = _RECORD_DTYPE.itemsize
+    first, last = slice(_HEADER_FIXED.size, _HEADER_FIXED.size + size), slice(len(raw) - size, len(raw))
+    raw[first], raw[last] = raw[last], raw[first]
+    swapped = tmp_path / "swapped.pnrtag"
+    swapped.write_bytes(raw)
+    code, out, err = run(capsys, "calibrate", swapped, "--out", tmp_path / "out")
+    assert (code, out) == (4, None)
+    assert err["error"] == "DataError"
+    assert "sorted" in err["message"]
+
+
 def test_calibrate_skips_a_header_note_of_any_bytes(pipeline, tmp_path, capsys):
     raw = (pipeline / "stream.pnrtag").read_bytes()
     magic, version, resolution, channels, _ = _HEADER_FIXED.unpack_from(raw)
@@ -333,7 +365,7 @@ def test_decode_detector_mismatch_exits_4(pipeline, tmp_path, capsys):
         tmp_path,
     )
     assert code == 4
-    assert err["error"] == "CompatibilityError"
+    assert err["error"] == "DataError"
 
 
 def test_decode_stream_without_trigger_exits_4(pipeline, tmp_path, capsys):
@@ -404,7 +436,7 @@ def test_stats_top_heavy_exits_5(tmp_path, capsys):
     write_records(path, np.full(500, 6))
     code, _, err = run(capsys, "stats", path, "--out", tmp_path)
     assert code == 5
-    assert err["error"] == "UnboundedFitError"
+    assert err["error"] == "InsufficientDataError"
 
 
 def test_three_attenuation_levels_scale_linearly(tmp_path, capsys):
@@ -493,7 +525,45 @@ def test_jpnd_misaligned_records_exit_4(tmp_path, capsys):
     b.to_csv(tmp_path / "b.csv")
     code, _, err = run(capsys, "jpnd", tmp_path / "a.csv", tmp_path / "b.csv", "--out", tmp_path)
     assert code == 4
-    assert err["error"] == "AlignmentError"
+    assert err["error"] == "DataError"
+
+
+def test_jpnd_split_without_coincidences_exits_5(tmp_path, capsys):
+    # the split set's (1,1) cell, the ratio's denominator, is empty
+    sets = {"a": ([2, 0, 1], "A"), "b": ([0, 2, 1], "B"), "sa": ([1, 0, 2], "A"), "sb": ([0, 1, 0], "B")}
+    for name, (n, detector) in sets.items():
+        write_records(tmp_path / f"{name}.csv", n, detector)
+    code, out, err = run(
+        capsys,
+        "jpnd",
+        tmp_path / "a.csv",
+        tmp_path / "b.csv",
+        "--split-a",
+        tmp_path / "sa.csv",
+        "--split-b",
+        tmp_path / "sb.csv",
+        "--out",
+        tmp_path / "out",
+    )
+    assert (code, out) == (5, None)
+    assert err["error"] == "InsufficientDataError"
+    assert "no (1,1) coincidences" in err["message"]
+
+
+def test_each_error_class_carries_its_exit_code():
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.PnrError) and cls is not errors.PnrError
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == {
+        "ConfigError": 2,
+        "StreamFormatError": 2,
+        "CalibrationError": 3,
+        "DataError": 4,
+        "InsufficientDataError": 5,
+    }
+    assert errors.PnrError.exit_code == 2
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path, capsys):

@@ -18,12 +18,7 @@ from pnrtiming import (
     pair_edges,
     simulate_stream,
 )
-from pnrtiming.errors import (
-    AlignmentError,
-    CompatibilityError,
-    DataError,
-    StreamFormatError,
-)
+from pnrtiming.errors import DataError, StreamFormatError
 
 # ---- helpers
 
@@ -120,7 +115,7 @@ def test_output_alignment_and_metadata():
 def test_detector_mismatch_is_rejected():
     model = toy_model(detector="A")
     events = make_events([10.0], [0.0], detector="B")
-    with pytest.raises(CompatibilityError, match="detector"):
+    with pytest.raises(DataError, match="detector"):
         decode_events(events, model)
 
 
@@ -246,15 +241,15 @@ def test_confusion_uses_detector_b_truth():
 def test_misaligned_truth_raises():
     records = PhotonRecordSet("A", 8000.0, np.arange(5), np.zeros(5), np.ones(5, dtype=int))
     truth = FakeTruth(np.arange(5) + 3, np.ones(5, dtype=int))
-    with pytest.raises(AlignmentError, match=r"only in truth: \[5, 6, 7\]"):
+    with pytest.raises(DataError, match=r"only in truth: \[5, 6, 7\]"):
         confusion_report(records, truth)
-    with pytest.raises(AlignmentError, match=r"only in records: \[0, 1, 2\]"):
+    with pytest.raises(DataError, match=r"only in records: \[0, 1, 2\]"):
         confusion_report(records, truth)
 
 
 def test_truth_length_mismatch_raises():
     records = PhotonRecordSet("A", 8000.0, np.arange(4), np.zeros(4), np.ones(4, dtype=int))
-    with pytest.raises(AlignmentError):
+    with pytest.raises(DataError, match="cover different triggers"):
         confusion_report(records, FakeTruth(np.arange(5), np.ones(5, dtype=int)))
 
 

@@ -1,6 +1,7 @@
 """Pulse-model oracle checks and statistical validation of the generator."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pnrtiming import (
     sample_source,
     simulate_stream,
 )
-from pnrtiming.errors import ConfigError, StreamFormatError, UndetectablePulseError
+from pnrtiming.errors import ConfigError, StreamFormatError
 from pnrtiming.simulate import edge_delay_table, pulse_peak, pulse_value
 from pnrtiming.timetags import CH_TRIGGER, CHANNEL_COUNT, DETECTOR_CHANNELS
 
@@ -102,7 +103,7 @@ def test_edge_delays_rejects_out_of_range_n():
 
 
 def test_threshold_above_peak_is_rejected_at_construction():
-    with pytest.raises(UndetectablePulseError):
+    with pytest.raises(ConfigError, match="not below the n=1 pulse peak"):
         PulseModelParams(threshold=0.99)  # n=1 peak sits near 0.72
 
 
@@ -122,6 +123,16 @@ def test_param_validation():
     for rate in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="repetition_rate_hz"):
             SourceSpec(repetition_rate_hz=rate)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls in (SourceSpec, PulseModelParams, JitterParams) for f in fields(cls) if f.type == "float"],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_float_fields_refuse_non_finite_values(cls, name, value):
+    with pytest.raises(ValueError, match="finite|must lie in"):
+        cls(**{name: value})
 
 
 def test_unsaturated_amplitude_is_linear_in_n():

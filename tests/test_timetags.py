@@ -17,7 +17,7 @@ from pnrtiming import (
     simulate_stream,
     write_stream,
 )
-from pnrtiming.errors import StreamFormatError, StreamOrderError
+from pnrtiming.errors import DataError, StreamFormatError
 from pnrtiming.timetags import RECORD_SIZE, UNITS_PER_PS, _HEADER_FIXED
 
 
@@ -208,7 +208,7 @@ def test_pair_edges_rejects_bad_arguments():
     for window in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             pair_edges(block_of((0, 0)), window_ps=window)
-    with pytest.raises(StreamOrderError):
+    with pytest.raises(DataError, match="must be sorted"):
         pair_edges(block_of((0, 100), (1, 0)), window_ps=1000.0)
 
 
@@ -274,10 +274,10 @@ def test_round_trip_property(pairs):
 
 
 def test_write_rejects_unsorted_tags():
-    with pytest.raises(StreamOrderError, match="record 1"):
+    with pytest.raises(DataError, match="record 1"):
         write_stream(block_of((0, 100), (0, 50)), io.BytesIO())
     # equal timestamps must come in channel order
-    with pytest.raises(StreamOrderError):
+    with pytest.raises(DataError, match="out of order at record 1"):
         write_stream(block_of((2, 100), (1, 100)), io.BytesIO())
 
 
@@ -352,7 +352,7 @@ def test_short_reads_give_the_same_block_and_truncation_offset():
 def test_write_reports_the_first_out_of_order_record():
     ts = np.array([0, 5, 5, 9, 9, 3])
     ch = np.array([0, 1, 2, 2, 1, 0])  # record 4 breaks the channel order, record 5 the time order
-    with pytest.raises(StreamOrderError, match="record 4$"):
+    with pytest.raises(DataError, match="record 4$"):
         write_stream(TagBlock(ch, ts), io.BytesIO())
     assert not TagBlock(ch, ts).is_sorted()
     assert TagBlock(ch[:4], ts[:4]).is_sorted()
