@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +30,7 @@ from scipy.special import ndtr, wofz
 
 from . import textio
 from .errors import CalibrationError, ConfigError
-from .timetags import DETECTOR_CHANNELS
+from .timetags import DETECTOR_CHANNELS, UNITS_PER_PS
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -45,6 +47,12 @@ _GRID_STEP_DEG = 2.0
 _GRID_ANGLES = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
 _SMOOTHING_SIGMA = 2.0
 _MIN_PROMINENCE = 0.05
+# reference scan: at most this many threads, since its peak search runs in
+# Python under the GIL; and pairs per block of each thread's work, since what
+# a thread allocates stays with its malloc arena after the scan, where the
+# caller cannot reuse it (blocks of 512 KB keep that to a few MB per thread)
+_MAX_SCAN_WORKERS = 4
+_SCAN_BLOCK = 65536
 _FORMAT = "pnrtiming-calibration/1"
 
 
@@ -119,8 +127,12 @@ def _detected_arrays(events) -> tuple[np.ndarray, np.ndarray]:
         rise, fall = events
         rise = np.asarray(rise, dtype=float)
         fall = np.asarray(fall, dtype=float)
+        if rise.ndim != 1 or fall.ndim != 1:
+            raise ConfigError(f"rise and fall delays must be 1-D arrays, not {rise.ndim}-D and {fall.ndim}-D")
+        if not (np.isfinite(rise).all() and np.isfinite(fall).all()):
+            raise ConfigError("rise and fall delays must be finite")
     if rise.size != fall.size:
-        raise ValueError("rise and fall arrays must have equal length")
+        raise ConfigError("rise and fall arrays must have equal length")
     return rise, fall
 
 
@@ -130,15 +142,17 @@ def build_histogram(events) -> Histogram2D:
     rise, fall = _detected_arrays(events)
     if rise.size == 0:
         raise CalibrationError("no detected events to histogram")
-    rise_edges = _padded_edges(rise, _HISTOGRAM2D_BIN)
-    fall_edges = _padded_edges(fall, _HISTOGRAM2D_BIN)
+    rise_edges = _padded_edges(rise.min(), rise.max(), _HISTOGRAM2D_BIN)
+    fall_edges = _padded_edges(fall.min(), fall.max(), _HISTOGRAM2D_BIN)
     counts, _, _ = np.histogram2d(rise, fall, bins=(rise_edges, fall_edges))
     return Histogram2D(rise_edges, fall_edges, counts.astype(np.int64))
 
 
-def _padded_edges(values: np.ndarray, width: float) -> np.ndarray:
-    lo = float(values.min()) - 3.0 * width
-    hi = float(values.max()) + 3.0 * width
+def _padded_edges(lo: float, hi: float, width: float) -> np.ndarray:
+    """Edges of bins of the given width from lo to hi, with three bins of
+    margin on each side."""
+    lo = float(lo) - 3.0 * width
+    hi = float(hi) + 3.0 * width
     n = max(1, int(math.ceil((hi - lo) / width)))
     return lo + width * np.arange(n + 1)
 
@@ -167,14 +181,19 @@ def histogram_1d(coords: np.ndarray, *, weights=None):
     coords = np.asarray(coords, dtype=float)
     if coords.size == 0:
         raise CalibrationError("no coordinates to histogram")
-    edges = _padded_edges(coords, DEFAULT_BIN_WIDTH)
-    # the bin np.histogram picks on these edges, edges[i] <= x < edges[i + 1]:
+    edges = _padded_edges(coords.min(), coords.max(), DEFAULT_BIN_WIDTH)
+    counts = np.bincount(_bin_index(coords, edges), weights=weights, minlength=edges.size - 1)
+    return counts.astype(np.int64, copy=False), 0.5 * (edges[:-1] + edges[1:]), edges
+
+
+def _bin_index(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each coordinate on histogram_1d's edges: the bin np.histogram
+    picks, edges[i] <= x < edges[i + 1]."""
     # the floor index is off by at most one, which one comparison each side mends
     idx = np.floor((coords - edges[0]) / DEFAULT_BIN_WIDTH).astype(np.intp)
     idx -= coords < edges[idx]
-    idx += coords >= edges[idx + 1]
-    counts = np.bincount(idx, weights=weights, minlength=edges.size - 1)
-    return counts.astype(np.int64, copy=False), 0.5 * (edges[:-1] + edges[1:]), edges
+    idx += coords >= edges[1:][idx]
+    return idx
 
 
 def _peak_indices_ranked(counts: np.ndarray):
@@ -327,13 +346,35 @@ def classify(coords, boundaries) -> np.ndarray:
 # Labelling
 
 
+def _grid_units(x: np.ndarray):
+    """x in tag-grid units (0.1 ps) as int64, or None when x is empty or some
+    value is off the grid, not finite or beyond 2**62 units."""
+    units = np.rint(x * UNITS_PER_PS)
+    if x.size == 0 or not np.array_equal(units / UNITS_PER_PS, x):
+        return None
+    return units.astype(np.int64) if -(2**62) < units.min() and units.max() < 2**62 else None
+
+
 def _distinct_pairs(rise, fall):
     """Distinct (rise, fall) pairs, ascending by rise then fall, and how
     many events share each: (pair_rise, pair_fall, multiplicity).
 
-    Exact for any float delays.  Paired delays sit on the 0.1 ps tag grid,
-    so a large sample has far fewer distinct pairs than events.
+    Paired delays sit on the 0.1 ps tag grid, so a large sample has far
+    fewer distinct pairs than events.  When every delay passes the grid
+    check rint(x * 10) / 10 == x, each pair gets the int64 key
+    (R - R_min) * fall_span + (F - F_min) of its grid units R and F: the
+    keys ascend with (rise, fall), and the delays come back from them
+    bit-equal (a -0.0 as 0.0).  Off-grid or non-finite delays, and keys that would overflow
+    int64, fall back to np.unique on rise + 1j * fall, which is exact for
+    any floats; both give the same arrays.
     """
+    r, f = _grid_units(rise), _grid_units(fall)
+    if r is not None and f is not None:
+        r_min, f_min = int(r.min()), int(f.min())
+        fall_span = int(f.max()) - f_min + 1
+        if (int(r.max()) - r_min + 1) * fall_span < 2**63:
+            keys, multiplicity = np.unique((r - r_min) * fall_span + (f - f_min), return_counts=True)
+            return (keys // fall_span + r_min) / UNITS_PER_PS, (keys % fall_span + f_min) / UNITS_PER_PS, multiplicity
     pairs, multiplicity = np.unique(rise + 1j * fall, return_counts=True)
     return pairs.real.copy(), pairs.imag.copy(), multiplicity
 
@@ -341,6 +382,50 @@ def _distinct_pairs(rise, fall):
 def _valley(smoothed: np.ndarray, a: int, b: int) -> int:
     """Index of the lowest sample of smoothed[a..b], the first on a tie."""
     return a + int(np.argmin(smoothed[a : b + 1]))
+
+
+def _scan_workers() -> int:
+    """Threads for the reference scan: the CPUs this process may run on, at
+    most _MAX_SCAN_WORKERS."""
+    try:
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        n = os.cpu_count() or 1
+    return min(n, _MAX_SCAN_WORKERS)
+
+
+def _reference_score(pairs, theta: float):
+    """(resolved peak count, worst valley depth, concentration) of the
+    distinct pairs projected at theta.
+
+    The histogram is histogram_1d's, built in blocks of _SCAN_BLOCK pairs:
+    one pass finds the range of the coordinates, a second counts them.
+    """
+    pair_rise, pair_fall, multiplicity = pairs
+    c, s = math.cos(theta), math.sin(theta)
+    blocks = [slice(i, i + _SCAN_BLOCK) for i in range(0, pair_rise.size, _SCAN_BLOCK)]
+
+    def coords(block):  # project() on one block, without checking the pairs again
+        return pair_rise[block] * c + pair_fall[block] * s
+
+    lo, hi = math.inf, -math.inf
+    for block in blocks:
+        x = coords(block)
+        lo, hi = min(lo, x.min()), max(hi, x.max())
+    edges = _padded_edges(lo, hi, DEFAULT_BIN_WIDTH)
+    counts = np.zeros(edges.size - 1)
+    for block in blocks:
+        counts += np.bincount(_bin_index(coords(block), edges), weights=multiplicity[block], minlength=counts.size)
+    # integer sums far below 2**53, so exact in any order
+    counts = counts.astype(np.int64)
+    idx, _, smoothed = _peak_indices_ranked(counts)
+    p = counts / counts.sum()
+    depth = 0.0
+    if idx.size > 1:
+        depth = min(
+            1.0 - smoothed[_valley(smoothed, a, b)] / min(smoothed[a], smoothed[b]) for a, b in zip(idx[:-1], idx[1:])
+        )
+    return idx.size, depth, float(np.sum(p * p))
 
 
 def _reference_scan(pairs, angles):
@@ -354,23 +439,16 @@ def _reference_scan(pairs, angles):
     exactly the projection that destroys the labels.  ``pairs`` is the
     output of ``_distinct_pairs``; every score depends on the histogram
     counts only, so it equals the score of the per-event projection.
+
+    The angles are scored on a pool of _scan_workers() threads (numpy
+    releases the GIL in the heavy calls); each score depends on its angle
+    alone and the results are gathered in angle order, so the scores do not
+    depend on the thread count.
     """
-    pair_rise, pair_fall, multiplicity = pairs
-    n_peaks = np.zeros(angles.size, dtype=int)
-    depth = np.zeros(angles.size)
-    conc = np.zeros(angles.size)
-    for i, theta in enumerate(angles):
-        counts, _, _ = histogram_1d(project((pair_rise, pair_fall), theta), weights=multiplicity)
-        idx, _, smoothed = _peak_indices_ranked(counts)
-        p = counts / counts.sum()
-        n_peaks[i] = idx.size
-        conc[i] = float(np.sum(p * p))
-        if idx.size > 1:
-            depth[i] = min(
-                1.0 - smoothed[_valley(smoothed, a, b)] / min(smoothed[a], smoothed[b])
-                for a, b in zip(idx[:-1], idx[1:])
-            )
-    return n_peaks, depth, conc
+    with ThreadPoolExecutor(_scan_workers()) as pool:
+        scores = list(pool.map(lambda theta: _reference_score(pairs, theta), angles.tolist()))
+    n_peaks, depth, conc = zip(*scores)
+    return np.array(n_peaks, dtype=int), np.array(depth, dtype=float), np.array(conc, dtype=float)
 
 
 def _complete_centers(coords: np.ndarray, multiplicity: np.ndarray, init: np.ndarray, k: int) -> np.ndarray:
@@ -457,12 +535,14 @@ def _label_events(events, k):
     label every event with its cluster index (ascending along that axis).
 
     Every calibration mode starts from this one labelling; it works on the
-    distinct (rise, fall) pairs, so the events are collapsed once and the
-    angle scan never projects them again.  The reference projection is the
-    one with the most peaks among those whose worst valley is at least half
-    deep: ranked by peak count alone, a small sample's noise peaks at a
-    shallow projection would win.  Returns (_LabelledEvents, reference
-    angle).
+    distinct (rise, fall) pairs, so the events are collapsed once (on
+    integer keys when every delay lies on the 0.1 ps tag grid, see
+    ``_distinct_pairs``) and the angle scan never projects them again.  The
+    reference angles are scored on a small thread pool, with the same result
+    at any thread count.  The reference projection is the one with the most
+    peaks among those whose worst valley is at least half deep: ranked by
+    peak count alone, a small sample's noise peaks at a shallow projection
+    would win.  Returns (_LabelledEvents, reference angle).
     """
     rise, fall = _detected_arrays(events)
     if rise.size == 0:

@@ -615,9 +615,22 @@ def three_cluster_sample(n=20_000, seed=41):
 
 
 @pytest.mark.parametrize(
-    "sample, k", [("simulated", None), ("simulated", 3), ("simulated", 9), ("continuous", None), ("continuous", 5)]
+    "sample, k, block",
+    [
+        *(
+            pytest.param(sample, k, None, id=f"{sample}-{k}")
+            for sample, k in [
+                ("simulated", None), ("simulated", 3), ("simulated", 9), ("continuous", None), ("continuous", 5)
+            ]
+        ),
+        # the scan's histograms built from many blocks of pairs
+        pytest.param("simulated", None, 1000, id="simulated-None-blocks"),
+        pytest.param("continuous", None, 1000, id="continuous-None-blocks"),
+    ],
 )
-def test_distinct_pair_labelling_matches_per_event_scan(sample, k, events_a):
+def test_distinct_pair_labelling_matches_per_event_scan(sample, k, block, events_a, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
     rise, fall = events_a.detected() if sample == "simulated" else three_cluster_sample()
     n_peaks, depth, conc, theta_ref, labels = per_event_labelling(rise, fall, k)
 
@@ -636,6 +649,46 @@ def test_distinct_pair_labelling_matches_per_event_scan(sample, k, events_a):
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     np.testing.assert_array_equal(labelled.labels[pair_of_event], labels)
     np.testing.assert_array_equal(labelled.counts, np.bincount(labels, minlength=labelled.k))
+
+
+def on_grid_pairs(kind):
+    """(rise, fall) delays for the _distinct_pairs oracle; all but the last
+    two kinds lie on the 0.1 ps tag grid with keys that fit in int64."""
+    rng = np.random.default_rng(5)
+    if kind.startswith("simulated"):
+        pulse, jitter, spec = PulseModelParams(), JitterParams(), SourceSpec()
+        tags, _ = simulate_stream(spec, pulse, jitter, 20_000, seed=int(kind.split("-")[1]))
+        return pair_edges(tags, window_ps=8000.0, detector="A").detected()
+    if kind == "negative":
+        return rng.integers(-3000, 3000, 5000) / 10, rng.integers(-40, 5, 5000) / 10
+    if kind == "single pair":
+        return np.full(7, 123.4), np.full(7, -0.3)
+    if kind == "one off-grid value":
+        rise, fall = rng.integers(0, 300, 5000) / 10, rng.integers(1000, 1300, 5000) / 10
+        fall[17] += 0.01
+        return rise, fall
+    # "overflow": on the grid near +-1e17 ps, but (rise span) * (fall span) > 2**63 units
+    return np.array([1e17, -1e17, 0.5, 1e17, 0.5]), np.array([-1e17, 1e17, 3.0, -1e17, 3.1])
+
+
+@pytest.mark.parametrize(
+    "kind", ["simulated-3", "simulated-7", "negative", "single pair", "one off-grid value", "overflow"]
+)
+def test_distinct_pairs_are_bit_equal_to_complex_unique(kind):
+    rise, fall = on_grid_pairs(kind)
+    integer_keys = cal._grid_units(rise) is not None and cal._grid_units(fall) is not None
+    assert integer_keys == (kind != "one off-grid value")
+    pairs, counts = np.unique(rise + 1j * fall, return_counts=True)
+    got = cal._distinct_pairs(rise, fall)
+    for a, b in zip(got, (pairs.real, pairs.imag, counts)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_grid_units_refuse_values_beyond_int64_keys():
+    assert cal._grid_units(np.array([0.5, 1e18])) is None  # 1e19 units > 2**62
+    assert cal._grid_units(np.array([0.5, np.inf])) is None
+    assert cal._grid_units(np.array([0.5, np.nan])) is None
+    np.testing.assert_array_equal(cal._grid_units(np.array([-0.1, 2.5])), [-1, 25])
 
 
 def test_label_moments_match_direct_projection(events_a):
@@ -758,6 +811,27 @@ def test_component_count_must_be_a_positive_integer(events_a):
             with pytest.raises(ConfigError, match="k must be") as info:
                 calibrate()
             assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_delays_raise_config_error(events_a, bad):
+    rise, fall = (a.copy() for a in events_a.detected())
+    for delays in (rise, fall):
+        delays[3] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            calibrate_events((rise, fall), "optimal")
+        delays[3] = 50.0
+
+
+def test_delays_that_are_not_1d_raise_config_error(events_a):
+    rise, fall = events_a.detected()
+    n = rise.size // 2 * 2
+    with pytest.raises(ConfigError, match="1-D"):
+        calibrate_events((rise[:n].reshape(2, -1), fall[:n].reshape(2, -1)), "optimal")
+    with pytest.raises(ConfigError, match="1-D"):
+        calibrate_both((rise[0], fall[0]))
+    with pytest.raises(ConfigError, match="equal length"):
+        calibrate_both((rise[1:], fall))
 
 
 # ---------------------------------------------------------------- model object

@@ -319,6 +319,30 @@ def test_calibrate_skips_a_header_note_of_any_bytes(pipeline, tmp_path, capsys):
         assert digest(tmp_path / "out" / name) == digest(pipeline / name)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity on this platform")
+def test_calibration_does_not_depend_on_the_cpu_count(pipeline, tmp_path):
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("one CPU: the pinned and the free run would both use one thread")
+    env = {**os.environ, "PYTHONPATH": str(Path(pnrtiming.__file__).parents[1])}
+    outputs = {}
+    for name, pin in (("one_cpu", f"os.sched_setaffinity(0, {{{cpus[0]}}}); "), ("all_cpus", "")):
+        # the affinity is set in the child only, before it imports the package
+        code = f"import os, sys; {pin}from pnrtiming.cli import main; sys.exit(main(sys.argv[1:]))"
+        out = tmp_path / name
+        argv = ["calibrate", str(pipeline / "stream.pnrtag"), "--mode", "both", "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs[name] = done.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert {"calibration_optimal.json", "calibration_rising_only.json"} <= set(outputs["one_cpu"][1])
+    assert outputs["one_cpu"] == outputs["all_cpus"]
+
+
 def test_calibrate_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "calibrate", tmp_path / "nope.pnrtag", "--out", tmp_path)
     assert code == 2
