@@ -16,7 +16,6 @@ from .calibrate import (
     calibrate_events,
     classify,
     crosstalk_matrix,
-    mixture_pdf,
     project,
     total_offdiagonal,
     voigt_pdf,
@@ -79,7 +78,6 @@ __all__ = [
     "fit_poisson_mu",
     "hom_contrast",
     "iter_tag_blocks",
-    "mixture_pdf",
     "pair_edges",
     "project",
     "total_offdiagonal",

@@ -48,8 +48,8 @@ _GRID_ANGLES = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
 _SMOOTHING_SIGMA = 2.0
 _MIN_PROMINENCE = 0.05
 # reference scan: at most this many threads, since its peak search runs in
-# Python under the GIL; and pairs per block of each thread's work, since what
-# a thread allocates stays with its malloc arena after the scan, where the
+# Python under the GIL; and pairs per block of histogram_1d's work, since what
+# a scan thread allocates stays with its malloc arena after the scan, where the
 # caller cannot reuse it (blocks of 512 KB keep that to a few MB per thread)
 _MAX_SCAN_WORKERS = 4
 _SCAN_BLOCK = 65536
@@ -87,14 +87,6 @@ def voigt_pdf(x, component: VoigtComponent):
     z = ((x - component.center) + 1j * component.gamma) / (component.sigma * _SQRT2)
     out = wofz(z).real / (component.sigma * _SQRT2PI)
     return out if out.ndim else float(out)
-
-
-def mixture_pdf(x, components):
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    for comp in components:
-        total += comp.weight * voigt_pdf(x, comp)
-    return total
 
 
 @dataclass(eq=False)
@@ -171,19 +163,30 @@ def project(events, angle: float) -> np.ndarray:
     return rise * math.cos(angle) + fall * math.sin(angle)
 
 
-def histogram_1d(coords: np.ndarray, *, weights=None):
-    """(counts, centers, edges) of a regular 1-D histogram with
-    DEFAULT_BIN_WIDTH bins and three empty bins of margin on each side.
+def histogram_1d(rise, fall, angle: float, weights=None):
+    """(counts, centers, edges) of the coordinates rise * cos(angle) +
+    fall * sin(angle) in DEFAULT_BIN_WIDTH bins, with three empty bins of
+    margin on each side; ``weights`` gives each pair a multiplicity.
 
-    ``weights`` gives each coordinate a multiplicity, so distinct values
-    with their counts histogram like the expanded sample.
+    The pairs are projected in blocks of _SCAN_BLOCK, one pass for the range
+    and one for the counts, and are not checked again.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.size == 0:
+    if rise.size == 0:
         raise CalibrationError("no coordinates to histogram")
-    edges = _padded_edges(coords.min(), coords.max(), DEFAULT_BIN_WIDTH)
-    counts = np.bincount(_bin_index(coords, edges), weights=weights, minlength=edges.size - 1)
-    return counts.astype(np.int64, copy=False), 0.5 * (edges[:-1] + edges[1:]), edges
+    c, s = math.cos(angle), math.sin(angle)
+    blocks = [slice(i, i + _SCAN_BLOCK) for i in range(0, rise.size, _SCAN_BLOCK)]
+    lo, hi = math.inf, -math.inf
+    for block in blocks:
+        x = rise[block] * c + fall[block] * s
+        lo, hi = min(lo, x.min()), max(hi, x.max())
+    edges = _padded_edges(lo, hi, DEFAULT_BIN_WIDTH)
+    counts = np.zeros(edges.size - 1)
+    for block in blocks:
+        x = rise[block] * c + fall[block] * s
+        w = None if weights is None else weights[block]
+        counts += np.bincount(_bin_index(x, edges), weights=w, minlength=counts.size)
+    # integer sums far below 2**53, so exact in any order
+    return counts.astype(np.int64), 0.5 * (edges[:-1] + edges[1:]), edges
 
 
 def _bin_index(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -396,28 +399,9 @@ def _scan_workers() -> int:
 
 def _reference_score(pairs, theta: float):
     """(resolved peak count, worst valley depth, concentration) of the
-    distinct pairs projected at theta.
-
-    The histogram is histogram_1d's, built in blocks of _SCAN_BLOCK pairs:
-    one pass finds the range of the coordinates, a second counts them.
-    """
+    distinct pairs projected at theta."""
     pair_rise, pair_fall, multiplicity = pairs
-    c, s = math.cos(theta), math.sin(theta)
-    blocks = [slice(i, i + _SCAN_BLOCK) for i in range(0, pair_rise.size, _SCAN_BLOCK)]
-
-    def coords(block):  # project() on one block, without checking the pairs again
-        return pair_rise[block] * c + pair_fall[block] * s
-
-    lo, hi = math.inf, -math.inf
-    for block in blocks:
-        x = coords(block)
-        lo, hi = min(lo, x.min()), max(hi, x.max())
-    edges = _padded_edges(lo, hi, DEFAULT_BIN_WIDTH)
-    counts = np.zeros(edges.size - 1)
-    for block in blocks:
-        counts += np.bincount(_bin_index(coords(block), edges), weights=multiplicity[block], minlength=counts.size)
-    # integer sums far below 2**53, so exact in any order
-    counts = counts.astype(np.int64)
+    counts, _, _ = histogram_1d(pair_rise, pair_fall, theta, multiplicity)
     idx, _, smoothed = _peak_indices_ranked(counts)
     p = counts / counts.sum()
     depth = 0.0
@@ -553,7 +537,7 @@ def _label_events(events, k):
     order = np.lexsort((conc, depth, n_peaks, depth >= 0.5))
     theta_ref = float(_GRID_ANGLES[order[-1]])
     coords = project((pair_rise, pair_fall), theta_ref)
-    counts, centers, _ = histogram_1d(coords, weights=multiplicity)
+    counts, centers, _ = histogram_1d(pair_rise, pair_fall, theta_ref, multiplicity)
     idx, prom, smoothed = _peak_indices_ranked(counts)
     if idx.size == 0:
         raise CalibrationError("no peaks found at the reference projection")
@@ -600,19 +584,25 @@ def _gaussian_model(labelled, line_angle: float):
     return angle, center, sigma, weight, bounds, fallback, _bucket_masses(center, sigma, bounds)
 
 
-def _fit_summary(labelled, angle, center, sigma, weight) -> dict:
-    """Pearson chi-square of a Gaussian model against the histogram of the
-    events projected at angle, over the bins that expect at least 5 events.
+def expected_counts(n_events: int, components, edges) -> np.ndarray:
+    """Expected events per bin between ``edges`` for n_events drawn from the
+    weighted Gaussian components: exact bin masses (ndtr), not the density at
+    the bin centers.  A component with gamma > 0 raises ValueError."""
+    center, sigma, weight = _gaussian_arrays(components)
+    return n_events * (weight @ _bucket_masses(center, sigma, edges)[:, 1:-1])
 
-    Bin masses are exact Gaussian integrals (ndtr); ndf subtracts the 3k - 1
-    estimated parameters (centers, sigmas, weights summing to one) and 1.
-    """
+
+def _fit_summary(labelled, angle, components) -> dict:
+    """Pearson chi-square of a Gaussian model against the histogram of the
+    events projected at angle, over the bins where expected_counts gives at
+    least 5 events; ndf subtracts the 3k - 1 estimated parameters (centers,
+    sigmas, weights summing to one) and 1."""
     pair_rise, pair_fall, multiplicity = labelled.pairs
-    counts, _, edges = histogram_1d(project((pair_rise, pair_fall), angle), weights=multiplicity)
-    expected = labelled.n_events * (weight @ _bucket_masses(center, sigma, edges)[:, 1:-1])
+    counts, _, edges = histogram_1d(pair_rise, pair_fall, angle, multiplicity)
+    expected = expected_counts(labelled.n_events, components, edges)
     use = expected >= 5.0
     chi2 = float(np.sum((counts[use] - expected[use]) ** 2 / expected[use]))
-    ndf = max(int(np.count_nonzero(use)) - (3 * center.size - 1) - 1, 1)
+    ndf = max(int(np.count_nonzero(use)) - (3 * len(components) - 1) - 1, 1)
     return {"n_events": labelled.n_events, "chi2": chi2, "ndf": ndf, "chi2_ndf": chi2 / ndf}
 
 
@@ -625,7 +615,7 @@ def _finalize_model(labelled, line_angle, mode, detector, window_ps, extra):
     ]
     diagnostics = {
         "boundary_fallback_pairs": fallback,
-        "fit": _fit_summary(labelled, angle, center, sigma, weight),
+        "fit": _fit_summary(labelled, angle, components),
         **extra,
     }
     return CalibrationModel(

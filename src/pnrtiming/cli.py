@@ -93,9 +93,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_projection_csv(path, coords, model) -> None:
-    counts, centers, _ = cal.histogram_1d(coords)
-    fitted = coords.size * cal.DEFAULT_BIN_WIDTH * cal.mixture_pdf(centers, model.components)
+def _write_projection_csv(path, events, model) -> None:
+    rise, fall = events.detected()
+    counts, centers, edges = cal.histogram_1d(rise, fall, model.angle)
+    fitted = cal.expected_counts(rise.size, model.components, edges)
     textio.write_csv(path, "coordinate_ps,counts,fitted_counts", "{:.6g},{},{:.6g}", centers, counts, fitted)
 
 
@@ -120,8 +121,7 @@ def cmd_calibrate(args) -> int:
     summary = {"detector": args.detector, "window_ps": args.window, "detections": events.n_detections}
     for mode, model in models.items():
         model.save_json(out / f"calibration_{mode}.json")
-        coords = cal.project(events, model.angle)
-        _write_projection_csv(out / f"projection_{mode}.csv", coords, model)
+        _write_projection_csv(out / f"projection_{mode}.csv", events, model)
         _write_crosstalk_csv(out / f"crosstalk_{mode}.csv", model.crosstalk)
         summary[mode] = {
             "angle_rad": model.angle,
@@ -143,16 +143,14 @@ def cmd_decode(args) -> int:
     detector = args.detector or model.detector or "A"
     events = pair_edges(block, window, detector=detector)
     records = decode_events(events, model)
+    report = dict(records.diagnostics)
+    if args.truth:
+        report["confusion"] = confusion_report(records, TruthBlock.from_csv(args.truth), model).to_dict()
+    records.check_binary()
 
     out = _out_dir(args)
     records.to_csv(out / f"records_{detector}.csv")
     records.to_binary(out / f"records_{detector}.pnrec")
-    report = dict(records.diagnostics)
-
-    if args.truth:
-        truth = TruthBlock.from_csv(args.truth)
-        confusion = confusion_report(records, truth, model)
-        report["confusion"] = confusion.to_dict()
     textio.write_json(out / "decode_report.json", report)
     _emit(args, {k: report[k] for k in ("class_counts", "out_of_range", "triggers", "detections")})
     return 0

@@ -107,11 +107,15 @@ class PhotonRecordSet:
             raise StreamFormatError(f"{path}, line {line}: photon number {data[bad[0], 2]} outside [0, {_N_MAX}]")
         return cls(detector, window, data[:, 0], data[:, 1], data[:, 2].astype(np.int16))
 
-    def to_binary(self, path) -> None:
+    def check_binary(self) -> None:
+        """Raise DataError unless every record fits the .pnrec fields."""
         if len(self) and not 0 <= self.trigger_index.min() <= self.trigger_index.max() < 2**32:
             raise DataError(".pnrec stores trigger_index as u32; this set reaches beyond [0, 2**32)")
         if len(self) and self.n.max() > _N_MAX:
             raise DataError(f".pnrec stores n as u1; this set holds photon numbers above {_N_MAX}")
+
+    def to_binary(self, path) -> None:
+        self.check_binary()
         arr = np.empty(len(self), dtype=_REC_DTYPE)
         arr["trigger_index"] = self.trigger_index
         arr["n"] = self.n

@@ -43,6 +43,7 @@ _RECORD_DTYPE = np.dtype(
 )
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 16 bytes
 _CHUNK_BYTES = 1 << 22  # 4 MiB per read, a whole number of records
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(eq=False)
@@ -260,7 +261,8 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     f after r, provided f belongs to r, i.e. no other rise lies in [r, f).
     It is a detection when r and f both lie in [t, t + window].  The rule
     is the same whether or not the windows of neighbouring triggers
-    overlap.  Every detector tag not paired into a detection is counted
+    overlap.  A window that reaches past the int64 clock pairs as if it had
+    no end.  Every detector tag not paired into a detection is counted
     under ``orphan_edges``.  An unknown detector, or a window that is not
     positive and finite, raises ConfigError.
     """
@@ -275,7 +277,10 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     trig = tags.timestamps[tags.channels == CH_TRIGGER]
     rise = tags.timestamps[tags.channels == ch_rise]
     fall = tags.timestamps[tags.channels == ch_fall]
-    end = trig + int(round(window_ps * UNITS_PER_PS))
+    # the window end saturates at the clock's last tick rather than wrapping
+    units = min(int(round(window_ps * UNITS_PER_PS)), _INT64_MAX)
+    end = np.minimum(trig, _INT64_MAX - units)
+    end += units
 
     j = np.searchsorted(rise, trig)  # first rise at or after each trigger
     r, ok = _gather(rise, j)

@@ -25,7 +25,6 @@ from pnrtiming import (
     crosstalk_matrix,
     boundaries_with_fallback,
     decode_events,
-    mixture_pdf,
     pair_edges,
     project,
     simulate_stream,
@@ -37,6 +36,7 @@ from pnrtiming.calibrate import (
     classify,
     histogram_1d,
 )
+from pnrtiming.cli import _write_projection_csv
 from pnrtiming.errors import CalibrationError, ConfigError
 from pnrtiming.simulate import edge_delay_table
 from pnrtiming.timetags import EdgeEventSet
@@ -108,16 +108,6 @@ def test_voigt_profile_normalizes_to_one():
     left, _ = quad(lambda x: float(voigt_pdf(x, comp)), -np.inf, 1.0 - s)
     right, _ = quad(lambda x: float(voigt_pdf(x, comp)), 1.0 + s, np.inf)
     assert mid + left + right == pytest.approx(1.0, abs=1e-6)
-
-
-def test_mixture_pdf_is_weighted_sum():
-    comps = [
-        VoigtComponent(0.0, 1.0, 0.2, 0.3),
-        VoigtComponent(5.0, 0.8, 0.1, 0.7),
-    ]
-    xs = np.linspace(-3, 8, 50)
-    want = 0.3 * voigt_pdf(xs, comps[0]) + 0.7 * voigt_pdf(xs, comps[1])
-    np.testing.assert_allclose(mixture_pdf(xs, comps), want, rtol=1e-12)
 
 
 def test_voigt_component_validation():
@@ -371,34 +361,63 @@ def test_projection_axes():
         project(ev, 2 * math.pi)
 
 
+def numpy_histogram(coords):
+    """histogram_1d's bins for an array of coordinates, counted by np.histogram
+    on the whole array: the per-event oracle of the blocked histogram."""
+    edges = cal._padded_edges(coords.min(), coords.max(), cal.DEFAULT_BIN_WIDTH)
+    return np.histogram(coords, bins=edges)[0], 0.5 * (edges[:-1] + edges[1:]), edges
+
+
 def test_find_peaks_locates_a_gaussian_mode():
     rng = np.random.default_rng(9)
-    counts, centers, _ = histogram_1d(rng.normal(5.0, 1.0, 20_000))
+    counts, centers, _ = numpy_histogram(rng.normal(5.0, 1.0, 20_000))
     peaks = centers[cal._peak_indices_ranked(counts)[0]]
     assert peaks.size == 1
     assert abs(peaks[0] - 5.0) <= 0.5  # mode within one bin plus smoothing slack
 
 
-def test_weighted_histogram_counts_the_expanded_sample():
-    # values on a 0.1 ps grid, so some fall on the 0.5 ps bin edges
-    values = np.round(np.random.default_rng(4).normal(0.0, 5.0, 5000), 1)
-    distinct, multiplicity = np.unique(values, return_counts=True)
-    counts, _, edges = histogram_1d(distinct, weights=multiplicity)
-    np.testing.assert_array_equal(counts, np.histogram(values, bins=edges)[0])
-    np.testing.assert_array_equal(edges, histogram_1d(values)[2])
+# one pair per block, many blocks, and the default single block
+BLOCKS = [1, 1000, cal._SCAN_BLOCK]
 
 
-def test_histogram_bins_match_numpy_on_and_beside_the_edges():
+def test_weighted_histogram_counts_the_expanded_sample(monkeypatch):
+    # delays on the 0.1 ps tag grid, so pairs repeat and, at angle 0, some
+    # coordinates fall on the 0.5 ps bin edges
+    rng = np.random.default_rng(4)
+    rise = np.round(rng.normal(20.0, 3.0, 3000), 1)
+    fall = np.round(rng.normal(60.0, 3.0, 3000), 1)
+    pairs, multiplicity = np.unique(rise + 1j * fall, return_counts=True)
+    assert pairs.size < rise.size
+    for angle in (0.0, float(cal._GRID_ANGLES[17]), 4.0):
+        want = numpy_histogram(project((rise, fall), angle))
+        for block in BLOCKS:
+            monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
+            for got in (
+                histogram_1d(rise, fall, angle),
+                histogram_1d(pairs.real.copy(), pairs.imag.copy(), angle, multiplicity),
+            ):
+                for got_part, want_part in zip(got, want):
+                    np.testing.assert_array_equal(got_part, want_part)
+                assert got[0].dtype == np.int64
+
+
+def test_histogram_bins_match_numpy_on_and_beside_the_edges(monkeypatch):
     rng = np.random.default_rng(12)
     base = rng.normal(0.0, 30.0, 2000)
-    edges = histogram_1d(base)[2]
+    edges = numpy_histogram(base)[2]
     inner = edges[4:-4]
     coords = np.concatenate([base, inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf)])
     weights = rng.integers(1, 4, coords.size)
-    counts, _, got_edges = histogram_1d(coords, weights=weights)
-    np.testing.assert_array_equal(got_edges, edges)
-    np.testing.assert_array_equal(counts, np.histogram(coords, bins=edges, weights=weights)[0])
-    np.testing.assert_array_equal(histogram_1d(coords)[0], np.histogram(coords, bins=edges)[0])
+    for angle in (0.0, math.pi):
+        # at 0 and pi the pairs (coords * cos(angle), 0) project onto coords exactly
+        rise, fall = coords * math.cos(angle), np.zeros(coords.size)
+        np.testing.assert_array_equal(project((rise, fall), angle), coords)
+        for block in BLOCKS:
+            monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
+            counts, _, got_edges = histogram_1d(rise, fall, angle, weights)
+            np.testing.assert_array_equal(got_edges, edges)
+            np.testing.assert_array_equal(counts, np.histogram(coords, bins=edges, weights=weights)[0])
+            np.testing.assert_array_equal(histogram_1d(rise, fall, angle)[0], np.histogram(coords, bins=edges)[0])
 
 
 def scipy_peaks(x, least):
@@ -450,8 +469,7 @@ def test_peak_search_matches_scipy_find_peaks():
 def test_simulated_projection_shows_at_least_five_modes(events_a, optimal_model, default_params):
     pulse, _, _ = default_params
     theta = optimal_model.angle % math.pi
-    coords = project(events_a, theta)
-    counts, centers, _ = histogram_1d(coords)
+    counts, centers, _ = histogram_1d(*events_a.detected(), theta)
     peaks = centers[cal._peak_indices_ranked(counts)[0]]
     assert peaks.size >= 5
 
@@ -579,7 +597,7 @@ def per_event_labelling(rise, fall, k):
     depth = np.zeros(angles.size)
     conc = np.zeros(angles.size)
     for i, theta in enumerate(angles):
-        counts, _, _ = histogram_1d(rise * math.cos(theta) + fall * math.sin(theta))
+        counts, _, _ = numpy_histogram(rise * math.cos(theta) + fall * math.sin(theta))
         idx, _, smoothed = ranked_peaks(counts)
         p = counts / counts.sum()
         n_peaks[i] = idx.size
@@ -591,7 +609,7 @@ def per_event_labelling(rise, fall, k):
             )
     theta_ref = float(angles[np.lexsort((conc, depth, n_peaks, depth >= 0.5))[-1]])
     coords = rise * math.cos(theta_ref) + fall * math.sin(theta_ref)
-    counts, centers, _ = histogram_1d(coords)
+    counts, centers, _ = numpy_histogram(coords)
     idx, prom, smoothed = ranked_peaks(counts)
     k = idx.size if k is None else k
     if idx.size > k:
@@ -755,7 +773,7 @@ def test_components_are_the_label_moments(events_a, optimal_model, rising_model,
 
 def test_fit_diagnostics_are_the_pearson_chi2_of_the_event_histogram(events_a, optimal_model, rising_model):
     for model in (optimal_model, rising_model):
-        counts, _, edges = histogram_1d(project(events_a, model.angle))
+        counts, _, edges = numpy_histogram(project(events_a, model.angle))
         expected = events_a.n_detections * sum(
             c.weight * np.diff(norm.cdf(edges, c.center, c.sigma)) for c in model.components
         )
@@ -767,6 +785,29 @@ def test_fit_diagnostics_are_the_pearson_chi2_of_the_event_histogram(events_a, o
         assert fit["ndf"] == ndf
         assert fit["chi2"] == pytest.approx(chi2, rel=1e-9)
         assert fit["chi2_ndf"] == pytest.approx(chi2 / ndf, rel=1e-9)
+
+
+def test_expected_counts_are_the_bin_integrals_of_the_mixture(events_a, optimal_model, rising_model, tmp_path):
+    n = events_a.n_detections
+    for model in (optimal_model, rising_model):
+        _, _, edges = histogram_1d(*events_a.detected(), model.angle)
+        got = cal.expected_counts(n, model.components, edges)
+
+        def density(x):
+            return sum(
+                c.weight * math.exp(-0.5 * ((x - c.center) / c.sigma) ** 2) / (c.sigma * math.sqrt(2.0 * math.pi))
+                for c in model.components
+            )
+
+        use = np.flatnonzero(got >= 1.0)
+        assert use.size > 20
+        want = np.array([n * quad(density, edges[i], edges[i + 1], epsabs=0.0, epsrel=1e-13)[0] for i in use])
+        np.testing.assert_allclose(got[use], want, rtol=1e-9)
+        # the CLI's fitted_counts column holds these integrals to its 6 digits
+        _write_projection_csv(tmp_path / "projection.csv", events_a, model)
+        table = np.loadtxt(tmp_path / "projection.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 1], histogram_1d(*events_a.detected(), model.angle)[0])
+        np.testing.assert_allclose(table[use, 2], want, rtol=6e-6)
 
 
 @pytest.fixture(scope="module")

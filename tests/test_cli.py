@@ -349,6 +349,25 @@ def test_calibrate_missing_file_exits_2(tmp_path, capsys):
     assert err["exit_code"] == 2
 
 
+def test_a_window_past_the_clock_pairs_like_the_default(pipeline, tmp_path, capsys):
+    """--window 1e300 reaches past the int64 clock; its end saturates, so it
+    pairs as if it had no end, here like the default 8000 ps."""
+    stream = pipeline / "stream.pnrtag"
+    code, _, _ = run(capsys, "calibrate", stream, "--window", "1e300", "--out", tmp_path, "--quiet")
+    assert code == 0
+    for mode in ("optimal", "rising_only"):
+        wide = json.loads((tmp_path / f"calibration_{mode}.json").read_text())
+        default = json.loads((pipeline / f"calibration_{mode}.json").read_text())
+        assert (wide["window_ps"], default["window_ps"]) == (1e300, 8000.0)
+        assert wide["boundaries_ps"] == default["boundaries_ps"]
+    code, _, _ = run(capsys, "decode", stream, tmp_path / "calibration_optimal.json", "--out", tmp_path, "--quiet")
+    assert code == 0
+    wide = PhotonRecordSet.from_binary(tmp_path / "records_A.pnrec")
+    default = PhotonRecordSet.from_binary(pipeline / "records_A.pnrec")
+    assert wide.window_ps == 1e300
+    np.testing.assert_array_equal(wide.n, default.n)
+
+
 # ---- decode
 
 
@@ -408,6 +427,41 @@ def test_decode_stream_without_trigger_exits_4(pipeline, tmp_path, capsys):
     )
     assert code == 4
     assert "trigger" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "case, exit_code",
+    [("bad_truth", 2), ("missing_truth", 2), ("other_triggers", 4), ("n_past_255", 4)],
+)
+def test_failed_decode_writes_nothing(pipeline, tmp_path, capsys, case, exit_code):
+    """A truth file that cannot be read or matched, or records that .pnrec
+    cannot hold, fail before --out is created."""
+    calibration, argv = pipeline / "calibration_optimal.json", []
+    truth = (pipeline / "truth.csv").read_text().splitlines(keepends=True)
+    if case == "bad_truth":
+        argv = ["--truth", tmp_path / "truth.csv"]
+        argv[1].write_text("".join(truth[:3]) + "3,x,0\n")
+    elif case == "missing_truth":
+        argv = ["--truth", tmp_path / "missing.csv"]
+    elif case == "other_triggers":
+        argv = ["--truth", tmp_path / "truth.csv"]
+        shifted = [f"{int(i) + 1},{rest}" for i, rest in (t.split(",", 1) for t in truth[1:])]
+        argv[1].write_text(truth[0] + "".join(shifted))
+    else:
+        # 256 classes with every boundary below the data: each detection decodes to 256 photons
+        k = 256
+        model = json.loads(calibration.read_text())
+        model["components"] = [
+            {"center_ps": -1e4 + j, "sigma_ps": 1.0, "gamma_ps": 0.0, "weight": 1.0 / k} for j in range(k)
+        ]
+        model["boundaries_ps"] = [-1e4 + j + 0.5 for j in range(k - 1)]
+        model["crosstalk"] = np.eye(k).tolist()
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "decode", pipeline / "stream.pnrtag", calibration, *argv, "--out", out)
+    assert (code, err["exit_code"], stdout) == (exit_code, exit_code, None)
+    assert not out.exists()
 
 
 # ---- stats

@@ -22,7 +22,7 @@ from pnrtiming import (
     textio,
     write_stream,
 )
-from pnrtiming.calibrate import Histogram2D, histogram_1d, mixture_pdf
+from pnrtiming.calibrate import Histogram2D, expected_counts, histogram_1d
 from pnrtiming.cli import _write_crosstalk_csv, _write_projection_csv, main
 from pnrtiming.errors import ConfigError, StreamFormatError
 
@@ -112,12 +112,17 @@ def test_crosstalk_csv(tmp_path, size):
 def test_projection_csv(tmp_path, rows):
     # the padded histogram adds 6 margin bins of 0.5 ps to the span
     lo, hi = -100.0, -100.0 + 0.5 * (rows - 6)
-    coords = np.clip(np.concatenate([[lo, hi], np.random.default_rng(rows).normal(0.0, 400.0, 5000)]), lo, hi)
-    model = SimpleNamespace(components=[VoigtComponent(-50.0, 30.0, 1.0, 0.4), VoigtComponent(60.0, 20.0, 2.0, 0.6)])
+    rise = np.clip(np.concatenate([[lo, hi], np.random.default_rng(rows).normal(0.0, 400.0, 5000)]), lo, hi)
+    fall = np.zeros(rise.size)
+    events = SimpleNamespace(detected=lambda: (rise, fall))
+    # Gaussian components (gamma = 0), as every model the CLI builds has
+    model = SimpleNamespace(
+        angle=0.0, components=[VoigtComponent(-50.0, 30.0, 0.0, 0.4), VoigtComponent(60.0, 20.0, 0.0, 0.6)]
+    )
     path = tmp_path / "projection.csv"
-    _write_projection_csv(path, coords, model)
-    counts, centers, _ = histogram_1d(coords)
-    fitted = coords.size * 0.5 * mixture_pdf(centers, model.components)
+    _write_projection_csv(path, events, model)
+    counts, centers, edges = histogram_1d(rise, fall, 0.0)
+    fitted = expected_counts(rise.size, model.components, edges)
     assert counts.size == rows
     lines = [f"{x:.6g},{c},{m:.6g}\n" for x, c, m in zip(centers, counts, fitted)]
     assert_file_is(path, "coordinate_ps,counts,fitted_counts", lines)

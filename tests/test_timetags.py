@@ -82,19 +82,20 @@ def test_pairing_matches_brute_force_on_dense_streams(seed):
     rng = np.random.default_rng(seed)
     span = 400_000  # 40 ns at 0.1 ps units; windows overlap heavily
     block, trig, rise, fall = random_stream(rng, 60, 80, 80, span)
-    window_ps = 1500.0
-    events = pair_edges(block, window_ps=window_ps, detector="A")
-    expect = pair_oracle(trig, rise, fall, int(window_ps * UNITS_PER_PS))
+    # 1e300 ps reaches past the int64 clock: the oracle's window has no end
+    for window_ps in (1500.0, 1e300):
+        events = pair_edges(block, window_ps=window_ps, detector="A")
+        expect = pair_oracle(trig.tolist(), rise.tolist(), fall.tolist(), int(window_ps * UNITS_PER_PS))
 
-    assert len(events) == trig.size
-    for i, exp in enumerate(expect):
-        if exp is None:
-            assert not events.has_detection[i]
-        else:
-            r, f = exp
-            assert events.has_detection[i]
-            assert events.rise_delay[i] == pytest.approx((r - trig[i]) / UNITS_PER_PS)
-            assert events.fall_delay[i] == pytest.approx((f - trig[i]) / UNITS_PER_PS)
+        assert len(events) == trig.size
+        for i, exp in enumerate(expect):
+            if exp is None:
+                assert not events.has_detection[i]
+            else:
+                r, f = exp
+                assert events.has_detection[i]
+                assert events.rise_delay[i] == pytest.approx((r - trig[i]) / UNITS_PER_PS)
+                assert events.fall_delay[i] == pytest.approx((f - trig[i]) / UNITS_PER_PS)
 
 
 def test_pairing_matches_brute_force_on_sparse_stream():
@@ -139,12 +140,16 @@ def test_pairing_invariants_on_random_streams():
 # ---------------------------------------------------------------- pairing basics
 
 def test_single_event_example():
-    tags = block_of((0, 0), (1, 500), (2, 3000))
-    events = pair_edges(tags, window_ps=1000.0, detector="A")
-    assert len(events) == 1
-    assert events.has_detection.tolist() == [True]
-    assert events.rise_delay.tolist() == [50.0]
-    assert events.fall_delay.tolist() == [300.0]
+    # near the end of the int64 clock, and with windows whose end lies past
+    # it, the window end saturates instead of wrapping negative
+    for t0 in (0, 9 * 10**18):
+        tags = block_of((0, t0), (1, t0 + 500), (2, t0 + 3000))
+        for window_ps in (1000.0, 8000.0, 5e16, 1e300):
+            events = pair_edges(tags, window_ps=window_ps, detector="A")
+            assert len(events) == 1
+            assert events.has_detection.tolist() == [True]
+            assert events.rise_delay.tolist() == [50.0]
+            assert events.fall_delay.tolist() == [300.0]
 
 
 def test_trigger_without_detector_tags_is_zero_candidate():
