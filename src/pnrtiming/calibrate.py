@@ -112,26 +112,11 @@ class Histogram2D:
         textio.write_csv(path, header, row, self.rise_centers, *self.counts.T)
 
 
-def _detected_arrays(events) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(events, "detected"):
-        rise, fall = events.detected()
-    else:
-        rise, fall = events
-        rise = np.asarray(rise, dtype=float)
-        fall = np.asarray(fall, dtype=float)
-        if rise.ndim != 1 or fall.ndim != 1:
-            raise ConfigError(f"rise and fall delays must be 1-D arrays, not {rise.ndim}-D and {fall.ndim}-D")
-        if not (np.isfinite(rise).all() and np.isfinite(fall).all()):
-            raise ConfigError("rise and fall delays must be finite")
-    if rise.size != fall.size:
-        raise ConfigError("rise and fall arrays must have equal length")
-    return rise, fall
-
-
 def build_histogram(events) -> Histogram2D:
-    """2-D histogram of detected (rise, fall) delays in 1 ps bins, auto-ranged
-    with a three-bin margin on each side so no count lands on an outer edge."""
-    rise, fall = _detected_arrays(events)
+    """2-D histogram of the detected (rise, fall) delays of a pair_edges
+    result in 1 ps bins, auto-ranged with a three-bin margin on each side so
+    no count lands on an outer edge."""
+    rise, fall = events.detected()
     if rise.size == 0:
         raise CalibrationError("no detected events to histogram")
     rise_edges = _padded_edges(rise.min(), rise.max(), _HISTOGRAM2D_BIN)
@@ -150,7 +135,8 @@ def _padded_edges(lo: float, hi: float, width: float) -> np.ndarray:
 
 
 def project(events, angle: float) -> np.ndarray:
-    """Project detected events onto a separating-line normal.
+    """Project the detected events of a pair_edges result onto a
+    separating-line normal.
 
     Canonical lines live in [0, pi); angles in [pi, 2*pi) address the same
     line with the coordinate negated, which oriented calibrations use so
@@ -159,7 +145,7 @@ def project(events, angle: float) -> np.ndarray:
     """
     if not 0.0 <= angle < 2.0 * math.pi:
         raise ValueError("angle must lie in [0, 2*pi)")
-    rise, fall = _detected_arrays(events)
+    rise, fall = events.detected()
     return rise * math.cos(angle) + fall * math.sin(angle)
 
 
@@ -349,37 +335,26 @@ def classify(coords, boundaries) -> np.ndarray:
 # Labelling
 
 
-def _grid_units(x: np.ndarray):
-    """x in tag-grid units (0.1 ps) as int64, or None when x is empty or some
-    value is off the grid, not finite or beyond 2**62 units."""
-    units = np.rint(x * UNITS_PER_PS)
-    if x.size == 0 or not np.array_equal(units / UNITS_PER_PS, x):
-        return None
-    return units.astype(np.int64) if -(2**62) < units.min() and units.max() < 2**62 else None
+def _distinct_pairs(rise_units, fall_units):
+    """Distinct (rise, fall) delay pairs in ps, ascending by rise then fall,
+    and how many events share each: (pair_rise, pair_fall, multiplicity).
 
-
-def _distinct_pairs(rise, fall):
-    """Distinct (rise, fall) pairs, ascending by rise then fall, and how
-    many events share each: (pair_rise, pair_fall, multiplicity).
-
-    Paired delays sit on the 0.1 ps tag grid, so a large sample has far
-    fewer distinct pairs than events.  When every delay passes the grid
-    check rint(x * 10) / 10 == x, each pair gets the int64 key
-    (R - R_min) * fall_span + (F - F_min) of its grid units R and F: the
-    keys ascend with (rise, fall), and the delays come back from them
-    bit-equal (a -0.0 as 0.0).  Off-grid or non-finite delays, and keys that would overflow
-    int64, fall back to np.unique on rise + 1j * fall, which is exact for
-    any floats; both give the same arrays.
+    Paired delays are int64 tag-grid units (0.1 ps), so a large sample has
+    far fewer distinct pairs than events.  Each pair gets the int64 key
+    (R - R_min) * fall_span + (F - F_min), and the keys ascend with (R, F).
+    Only windows above ~3e8 ps can make the spans' product reach 2**63;
+    those pairs are collapsed as rows instead, in the same order.
     """
-    r, f = _grid_units(rise), _grid_units(fall)
-    if r is not None and f is not None:
-        r_min, f_min = int(r.min()), int(f.min())
-        fall_span = int(f.max()) - f_min + 1
-        if (int(r.max()) - r_min + 1) * fall_span < 2**63:
-            keys, multiplicity = np.unique((r - r_min) * fall_span + (f - f_min), return_counts=True)
-            return (keys // fall_span + r_min) / UNITS_PER_PS, (keys % fall_span + f_min) / UNITS_PER_PS, multiplicity
-    pairs, multiplicity = np.unique(rise + 1j * fall, return_counts=True)
-    return pairs.real.copy(), pairs.imag.copy(), multiplicity
+    r, f = rise_units, fall_units
+    r_min, f_min = int(r.min()), int(f.min())
+    fall_span = int(f.max()) - f_min + 1
+    if (int(r.max()) - r_min + 1) * fall_span < 2**63:
+        keys, multiplicity = np.unique((r - r_min) * fall_span + (f - f_min), return_counts=True)
+        r, f = keys // fall_span + r_min, keys % fall_span + f_min
+    else:
+        rows, multiplicity = np.unique(np.stack((r, f), axis=1), axis=0, return_counts=True)
+        r, f = rows[:, 0], rows[:, 1]
+    return r / UNITS_PER_PS, f / UNITS_PER_PS, multiplicity
 
 
 def _valley(smoothed: np.ndarray, a: int, b: int) -> int:
@@ -520,23 +495,23 @@ def _label_events(events, k):
 
     Every calibration mode starts from this one labelling; it works on the
     distinct (rise, fall) pairs, so the events are collapsed once (on
-    integer keys when every delay lies on the 0.1 ps tag grid, see
-    ``_distinct_pairs``) and the angle scan never projects them again.  The
-    reference angles are scored on a small thread pool, with the same result
-    at any thread count.  The reference projection is the one with the most
-    peaks among those whose worst valley is at least half deep: ranked by
-    peak count alone, a small sample's noise peaks at a shallow projection
-    would win.  Returns (_LabelledEvents, reference angle).
+    integer keys, see ``_distinct_pairs``) and the angle scan never
+    projects them again.  The reference angles are scored on a small thread
+    pool, with the same result at any thread count.  The reference
+    projection is the one with the most peaks among those whose worst valley
+    is at least half deep: ranked by peak count alone, a small sample's
+    noise peaks at a shallow projection would win.  Returns
+    (_LabelledEvents, reference angle).
     """
-    rise, fall = _detected_arrays(events)
-    if rise.size == 0:
+    n_events = events.n_detections
+    if n_events == 0:
         raise CalibrationError("no detected events to calibrate")
-    pairs = _distinct_pairs(rise, fall)
+    pairs = _distinct_pairs(events.rise_units, events.fall_units)
     pair_rise, pair_fall, multiplicity = pairs
     n_peaks, depth, conc = _reference_scan(pairs, _GRID_ANGLES)
     order = np.lexsort((conc, depth, n_peaks, depth >= 0.5))
     theta_ref = float(_GRID_ANGLES[order[-1]])
-    coords = project((pair_rise, pair_fall), theta_ref)
+    coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
     counts, centers, _ = histogram_1d(pair_rise, pair_fall, theta_ref, multiplicity)
     idx, prom, smoothed = _peak_indices_ranked(counts)
     if idx.size == 0:
@@ -552,8 +527,8 @@ def _label_events(events, k):
         # too few resolved peaks: split the most populated cells of the events
         peak_centers = _complete_centers(coords, multiplicity, centers[idx], k)
         cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
-    if rise.size < 50 * k:
-        raise CalibrationError(f"need at least {50 * k} detected events, got {rise.size}")
+    if n_events < 50 * k:
+        raise CalibrationError(f"need at least {50 * k} detected events, got {n_events}")
     return _LabelledEvents(pairs, np.searchsorted(cut, coords), k), theta_ref
 
 
@@ -820,7 +795,8 @@ def calibrate_events(
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> CalibrationModel:
-    """Build one CalibrationModel in the requested mode.
+    """Build one CalibrationModel in the requested mode from a pair_edges
+    result.
 
     Events are labelled once at a well-separated reference projection,
     found by scanning the distinct (rise, fall) pairs with their
@@ -845,9 +821,9 @@ def calibrate_both(
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> dict:
-    """Rising-only and optimal-angle models from one labelling, so they
-    share one component count and their crosstalk matrices compare photon
-    class by photon class."""
+    """Rising-only and optimal-angle models of a pair_edges result from one
+    labelling, so they share one component count and their crosstalk
+    matrices compare photon class by photon class."""
     fits = _calibrate(events, (OPTIMAL, RISING_ONLY), k, detector, window_ps)
     return {RISING_ONLY: fits[RISING_ONLY], OPTIMAL: fits[OPTIMAL]}
 

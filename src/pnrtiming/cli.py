@@ -184,11 +184,7 @@ def cmd_jpnd(args) -> int:
     records_a = _load_records(args.records_a)
     records_b = _load_records(args.records_b)
     jpnd = ps.build_jpnd(records_a, records_b, n_max=args.n_max)
-    m = jpnd.padded(max(jpnd.n_max, 2)).matrix  # an outcome past n_max counts 0
-    report: dict = {
-        "n_triggers": jpnd.total,
-        "two_photon": {"(2,0)": int(m[2, 0]), "(0,2)": int(m[0, 2]), "(1,1)": int(m[1, 1])},
-    }
+    report: dict = {"n_triggers": jpnd.total, "two_photon": ps.two_photon_counts(jpnd)}
     try:
         report["efficiency"] = ps.estimate_efficiency(jpnd)._asdict()
     except InsufficientDataError as exc:

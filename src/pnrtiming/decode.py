@@ -79,7 +79,9 @@ class PhotonRecordSet:
         return counts
 
     def to_csv(self, path) -> None:
-        header = f"# detector={self.detector} window_ps={self.window_ps:g}\ntrigger_index,trigger_time,n"
+        # the shortest text that reads back as the same double: 8000, 6500.25, 12345678.9
+        window = repr(float(self.window_ps)).removesuffix(".0")
+        header = f"# detector={self.detector} window_ps={window}\ntrigger_index,trigger_time,n"
         textio.write_csv(path, header, "{},{},{}", self.trigger_index, self.trigger_time, self.n)
 
     @classmethod
@@ -172,16 +174,9 @@ def decode_events(events, model: CalibrationModel) -> PhotonRecordSet:
             f"events from detector {events.detector!r} cannot be decoded with a "
             f"calibration for detector {model.detector!r}"
         )
-    detected = events.has_detection
-    rise = events.rise_delay
-    fall = events.fall_delay
-    bad = detected & ~(np.isfinite(rise) & np.isfinite(fall))
-    if np.any(bad):
-        raise DataError(f"non-finite edge delay at event index {int(np.argmax(bad))}")
-
     coords = project(events, model.angle)
     n = np.zeros(len(events), dtype=np.int16)
-    n[detected] = classify(coords, model.boundaries).astype(np.int16) + 1
+    n[events.detection] = classify(coords, model.boundaries).astype(np.int16) + 1
 
     first, last = model.components[0], model.components[-1]
     lo = first.center - 8.0 * (first.sigma + first.gamma)
@@ -190,7 +185,7 @@ def decode_events(events, model: CalibrationModel) -> PhotonRecordSet:
     records = PhotonRecordSet(
         detector=events.detector,
         window_ps=events.window_ps,
-        trigger_index=events.trigger_index.copy(),
+        trigger_index=np.arange(len(events), dtype=np.int64),
         trigger_time=events.trigger_time.copy(),
         n=n,
     )
@@ -200,7 +195,7 @@ def decode_events(events, model: CalibrationModel) -> PhotonRecordSet:
         "class_counts": records.class_counts(model.k).tolist(),
         "out_of_range": out_of_range,
         "triggers": int(len(events)),
-        "detections": int(np.count_nonzero(detected)),
+        "detections": events.n_detections,
     }
     return records
 

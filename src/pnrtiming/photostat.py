@@ -295,43 +295,31 @@ def estimate_efficiency(jpnd: JointDistribution) -> EfficiencyEstimate:
     )
 
 
+def two_photon_counts(jpnd: JointDistribution) -> dict:
+    """Counts of the two-photon outcomes {"(2,0)", "(0,2)", "(1,1)"}; an
+    outcome past the distribution's n_max counts 0."""
+    m = jpnd.padded(max(jpnd.n_max, 2)).matrix
+    return {"(2,0)": int(m[2, 0]), "(0,2)": int(m[0, 2]), "(1,1)": int(m[1, 1])}
+
+
 @dataclass(eq=False)
 class HomContrast:
-    """Two-photon outcome counts for interfering vs split configurations
-    and the coincidence suppression ratio between them."""
+    """Two-photon outcome counts (``two_photon_counts``) for interfering vs
+    split configurations and the coincidence suppression ratio between them."""
 
-    noon_20: int
-    noon_02: int
-    noon_11: int
-    split_20: int
-    split_02: int
-    split_11: int
+    noon: dict
+    split: dict
     ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "noon": {"(2,0)": self.noon_20, "(0,2)": self.noon_02, "(1,1)": self.noon_11},
-            "split": {"(2,0)": self.split_20, "(0,2)": self.split_02, "(1,1)": self.split_11},
-            "suppression_ratio": self.ratio,
-        }
+        return {"noon": self.noon, "split": self.split, "suppression_ratio": self.ratio}
 
 
 def hom_contrast(jpnd_noon: JointDistribution, jpnd_split: JointDistribution) -> HomContrast:
     """Suppression ratio R = counts(1,1) in the interfering configuration
     over counts(1,1) in the split configuration, with the raw two-photon
     outcome counts of both."""
-    size = max(jpnd_noon.matrix.shape[0], jpnd_split.matrix.shape[0], 3)
-    noon = jpnd_noon.padded(size - 1).matrix
-    split = jpnd_split.padded(size - 1).matrix
-    split_11 = int(split[1, 1])
-    if split_11 == 0:
+    noon, split = two_photon_counts(jpnd_noon), two_photon_counts(jpnd_split)
+    if split["(1,1)"] == 0:
         raise InsufficientDataError("split configuration has no (1,1) coincidences; ratio undefined")
-    return HomContrast(
-        noon_20=int(noon[2, 0]),
-        noon_02=int(noon[0, 2]),
-        noon_11=int(noon[1, 1]),
-        split_20=int(split[2, 0]),
-        split_02=int(split[0, 2]),
-        split_11=split_11,
-        ratio=int(noon[1, 1]) / split_11,
-    )
+    return HomContrast(noon, split, noon["(1,1)"] / split["(1,1)"])

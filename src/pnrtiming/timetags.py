@@ -209,28 +209,48 @@ def read_tag_block(source) -> TagBlock:
 
 @dataclass(eq=False)
 class EdgeEventSet:
-    """Per-trigger pairing result; one entry per channel-0 tag, in trigger order."""
+    """Pairing result for one detector: the time of every channel-0 tag, in
+    trigger order, and for each trigger with a detection its index and its
+    edge delays after it, on the tag grid (0.1 ps units, like timestamps).
+
+    ``detection`` lists the indices of the triggers with a detection in
+    strictly ascending order, and ``rise_units``/``fall_units`` hold one
+    int64 delay per detection.  Arrays that are not 1-D integer arrays, delay
+    arrays whose lengths differ from ``detection``'s, or indices that are not
+    strictly ascending within [0, len) raise ConfigError.
+    """
 
     detector: str
     window_ps: float
-    trigger_index: np.ndarray  # int64
-    trigger_time: np.ndarray  # int64, 0.1 ps units
-    rise_delay: np.ndarray  # float64 ps, NaN where has_detection is False
-    fall_delay: np.ndarray
-    has_detection: np.ndarray  # bool
+    trigger_time: np.ndarray
+    detection: np.ndarray
+    rise_units: np.ndarray
+    fall_units: np.ndarray
     orphan_edges: int = 0
 
+    def __post_init__(self):
+        for name in ("trigger_time", "detection", "rise_units", "fall_units"):
+            a = np.asarray(getattr(self, name))
+            # an empty list arrives as float64
+            if a.ndim != 1 or a.dtype == bool or (a.size and not np.can_cast(a.dtype, np.int64)):
+                raise ConfigError(f"{name} must be a 1-D integer array, not {a.ndim}-D {a.dtype}")
+            setattr(self, name, a.astype(np.int64, copy=False))
+        d = self.detection
+        if not d.size == self.rise_units.size == self.fall_units.size:
+            raise ConfigError("detection, rise_units and fall_units must have equal length")
+        if d.size and (d[0] < 0 or d[-1] >= len(self) or not np.all(d[1:] > d[:-1])):
+            raise ConfigError(f"detection must be strictly ascending trigger indices in [0, {len(self)})")
+
     def __len__(self) -> int:
-        return self.trigger_index.size
+        return self.trigger_time.size
 
     def detected(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rise, fall) delay arrays of the detected events only."""
-        m = self.has_detection
-        return self.rise_delay[m], self.fall_delay[m]
+        """(rise, fall) delays of the detected events in ps."""
+        return self.rise_units / UNITS_PER_PS, self.fall_units / UNITS_PER_PS
 
     @property
     def n_detections(self) -> int:
-        return int(np.count_nonzero(self.has_detection))
+        return self.detection.size
 
     def diagnostics(self) -> dict:
         n_det = self.n_detections
@@ -291,18 +311,23 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     after, has_after = _gather(rise, j + 1)
     ok &= ~has_after | (after >= f)  # the fall belongs to r: no other rise before it
 
-    rise_delay = (r - trig) / UNITS_PER_PS
-    fall_delay = (f - trig) / UNITS_PER_PS
-    rise_delay[~ok] = np.nan
-    fall_delay[~ok] = np.nan
-    n_det = int(np.count_nonzero(ok))
+    detection = np.flatnonzero(ok)
+    # each of these is trigger-sized; freed here, they leave room for the
+    # detection-sized gathers below instead of adding to the peak memory
+    del end, j, ok, has_fall, after, has_after
+    rise_units = r[detection]
+    del r
+    fall_units = f[detection]
+    del f
+    t = trig[detection]
+    rise_units -= t
+    fall_units -= t
     return EdgeEventSet(
         detector=detector,
         window_ps=float(window_ps),
-        trigger_index=np.arange(trig.size, dtype=np.int64),
         trigger_time=trig,
-        rise_delay=rise_delay,
-        fall_delay=fall_delay,
-        has_detection=ok,
-        orphan_edges=rise.size + fall.size - 2 * n_det,
+        detection=detection,
+        rise_units=rise_units,
+        fall_units=fall_units,
+        orphan_edges=rise.size + fall.size - 2 * detection.size,
     )

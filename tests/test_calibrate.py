@@ -17,6 +17,7 @@ from pnrtiming import (
     JitterParams,
     PulseModelParams,
     SourceSpec,
+    TagBlock,
     VoigtComponent,
     build_histogram,
     calibrate_both,
@@ -39,20 +40,14 @@ from pnrtiming.calibrate import (
 from pnrtiming.cli import _write_projection_csv
 from pnrtiming.errors import CalibrationError, ConfigError
 from pnrtiming.simulate import edge_delay_table
-from pnrtiming.timetags import EdgeEventSet
+from pnrtiming.timetags import UNITS_PER_PS, EdgeEventSet
 
 
 def make_events(rise, fall):
-    n = len(rise)
-    return EdgeEventSet(
-        detector="A",
-        window_ps=10_000.0,
-        trigger_index=np.arange(n, dtype=np.int64),
-        trigger_time=np.zeros(n, dtype=np.int64),
-        rise_delay=np.asarray(rise, dtype=float),
-        fall_delay=np.asarray(fall, dtype=float),
-        has_detection=np.ones(n, dtype=bool),
-    )
+    """One detection per trigger, with the delays in ps rounded onto the 0.1 ps tag grid."""
+    rise_units, fall_units = (np.rint(np.asarray(x, dtype=float) * UNITS_PER_PS).astype(np.int64) for x in (rise, fall))
+    n = rise_units.size
+    return EdgeEventSet("A", 10_000.0, np.zeros(n, dtype=np.int64), np.arange(n), rise_units, fall_units)
 
 
 # ---------------------------------------------------------------- voigt oracle
@@ -389,7 +384,7 @@ def test_weighted_histogram_counts_the_expanded_sample(monkeypatch):
     pairs, multiplicity = np.unique(rise + 1j * fall, return_counts=True)
     assert pairs.size < rise.size
     for angle in (0.0, float(cal._GRID_ANGLES[17]), 4.0):
-        want = numpy_histogram(project((rise, fall), angle))
+        want = numpy_histogram(rise * math.cos(angle) + fall * math.sin(angle))
         for block in BLOCKS:
             monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
             for got in (
@@ -411,7 +406,7 @@ def test_histogram_bins_match_numpy_on_and_beside_the_edges(monkeypatch):
     for angle in (0.0, math.pi):
         # at 0 and pi the pairs (coords * cos(angle), 0) project onto coords exactly
         rise, fall = coords * math.cos(angle), np.zeros(coords.size)
-        np.testing.assert_array_equal(project((rise, fall), angle), coords)
+        np.testing.assert_array_equal(rise * math.cos(angle) + fall * math.sin(angle), coords)
         for block in BLOCKS:
             monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
             counts, _, got_edges = histogram_1d(rise, fall, angle, weights)
@@ -502,8 +497,8 @@ def test_optimal_projection_beats_rising_only(optimal_model, rising_model):
 def test_angle_is_stable_across_disjoint_halves(events_a):
     rise, fall = events_a.detected()
     half = rise.size // 2
-    first = calibrate_events((rise[:half], fall[:half]), mode="optimal")
-    second = calibrate_events((rise[half:], fall[half:]), mode="optimal")
+    first = calibrate_events(make_events(rise[:half], fall[:half]), mode="optimal")
+    second = calibrate_events(make_events(rise[half:], fall[half:]), mode="optimal")
     a1 = first.angle % math.pi
     a2 = second.angle % math.pi
     assert abs(a1 - a2) <= math.radians(2.0)
@@ -541,10 +536,10 @@ def test_small_samples_pick_the_deep_reference_projection():
 
 def test_angle_search_rejects_empty_and_tiny_samples():
     with pytest.raises(CalibrationError, match="no detected events"):
-        calibrate_events((np.array([]), np.array([])), mode="optimal")
+        calibrate_events(make_events([], []), mode="optimal")
     rng = np.random.default_rng(2)
     with pytest.raises(CalibrationError):
-        calibrate_events((rng.normal(0, 1, 30), rng.normal(5, 1, 30)), mode="optimal")
+        calibrate_events(make_events(rng.normal(0, 1, 30), rng.normal(5, 1, 30)), mode="optimal")
 
 
 def complete_centers_per_event(coords, init, k):
@@ -569,7 +564,7 @@ def complete_centers_per_event(coords, init, k):
 @pytest.mark.parametrize("sample", ["simulated", "small"])
 def test_complete_centers_match_the_expanded_sample(sample, events_a):
     if sample == "simulated":
-        pair_rise, pair_fall, multiplicity = cal._distinct_pairs(*events_a.detected())
+        pair_rise, pair_fall, multiplicity = cal._distinct_pairs(events_a.rise_units, events_a.fall_units)
         coords = pair_rise * math.cos(2.34) + pair_fall * math.sin(2.34)
     else:
         rng = np.random.default_rng(3)
@@ -623,13 +618,13 @@ def per_event_labelling(rise, fall, k):
 
 
 def three_cluster_sample(n=20_000, seed=41):
-    # continuous delays: every (rise, fall) pair is distinct
+    # continuous draws, rounded onto the tag grid by make_events
     rng = np.random.default_rng(seed)
     cls = rng.integers(0, 3, n)
     shared = rng.normal(0.0, 2.0, n)
     rise = np.array([30.0, 20.0, 10.0])[cls] + shared + rng.normal(0, 1.0, n)
     fall = np.array([100.0, 106.0, 112.0])[cls] + shared + rng.normal(0, 1.0, n)
-    return rise, fall
+    return make_events(rise, fall)
 
 
 @pytest.mark.parametrize(
@@ -649,64 +644,58 @@ def three_cluster_sample(n=20_000, seed=41):
 def test_distinct_pair_labelling_matches_per_event_scan(sample, k, block, events_a, monkeypatch):
     if block is not None:
         monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
-    rise, fall = events_a.detected() if sample == "simulated" else three_cluster_sample()
+    events = events_a if sample == "simulated" else three_cluster_sample()
+    rise, fall = events.detected()
     n_peaks, depth, conc, theta_ref, labels = per_event_labelling(rise, fall, k)
 
-    pairs = cal._distinct_pairs(rise, fall)
+    pairs = cal._distinct_pairs(events.rise_units, events.fall_units)
     assert pairs[2].sum() == rise.size
-    if sample == "simulated":
-        assert pairs[0].size < rise.size  # delays on the tag grid repeat
+    assert pairs[0].size < rise.size  # delays on the tag grid repeat
     angles = np.deg2rad(np.arange(0.0, 180.0, 2.0))
     got = cal._reference_scan(pairs, angles)
     np.testing.assert_array_equal(got[0], n_peaks)
     np.testing.assert_array_equal(got[1], depth)
     np.testing.assert_array_equal(got[2], conc)
 
-    labelled, got_theta = cal._label_events((rise, fall), k)
+    labelled, got_theta = cal._label_events(events, k)
     assert got_theta == theta_ref
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     np.testing.assert_array_equal(labelled.labels[pair_of_event], labels)
     np.testing.assert_array_equal(labelled.counts, np.bincount(labels, minlength=labelled.k))
 
 
-def on_grid_pairs(kind):
-    """(rise, fall) delays for the _distinct_pairs oracle; all but the last
-    two kinds lie on the 0.1 ps tag grid with keys that fit in int64."""
+def pair_sample(kind):
+    """Events for the _distinct_pairs oracle; only the "overflow" kind has
+    (rise span) * (fall span) of at least 2**63 units."""
     rng = np.random.default_rng(5)
     if kind.startswith("simulated"):
         pulse, jitter, spec = PulseModelParams(), JitterParams(), SourceSpec()
         tags, _ = simulate_stream(spec, pulse, jitter, 20_000, seed=int(kind.split("-")[1]))
-        return pair_edges(tags, window_ps=8000.0, detector="A").detected()
+        return pair_edges(tags, window_ps=8000.0, detector="A")
     if kind == "negative":
-        return rng.integers(-3000, 3000, 5000) / 10, rng.integers(-40, 5, 5000) / 10
+        return make_events(rng.integers(-3000, 3000, 5000) / 10, rng.integers(-40, 5, 5000) / 10)
     if kind == "single pair":
-        return np.full(7, 123.4), np.full(7, -0.3)
-    if kind == "one off-grid value":
-        rise, fall = rng.integers(0, 300, 5000) / 10, rng.integers(1000, 1300, 5000) / 10
-        fall[17] += 0.01
-        return rise, fall
-    # "overflow": on the grid near +-1e17 ps, but (rise span) * (fall span) > 2**63 units
-    return np.array([1e17, -1e17, 0.5, 1e17, 0.5]), np.array([-1e17, 1e17, 3.0, -1e17, 3.1])
+        return make_events(np.full(7, 123.4), np.full(7, -0.3))
+    # "overflow": triggers 1e9 ps apart, paired at 1e300 ps, with rise delays
+    # spanning 3.2e9 units and fall delays 9.2e9
+    trig = np.arange(300, dtype=np.int64) * 10**10
+    rise = trig + rng.choice([0, 1, 3_200_000_000, 3_200_000_001], trig.size)
+    fall = rise + rng.choice([1, 3_300_000_000, 6_000_000_000], trig.size)
+    channels = np.repeat([0, 1, 2], trig.size)
+    tags = TagBlock(channels, np.concatenate([trig, rise, fall])).sorted()
+    return pair_edges(tags, window_ps=1e300, detector="A")
 
 
-@pytest.mark.parametrize(
-    "kind", ["simulated-3", "simulated-7", "negative", "single pair", "one off-grid value", "overflow"]
-)
+@pytest.mark.parametrize("kind", ["simulated-3", "simulated-7", "negative", "single pair", "overflow"])
 def test_distinct_pairs_are_bit_equal_to_complex_unique(kind):
-    rise, fall = on_grid_pairs(kind)
-    integer_keys = cal._grid_units(rise) is not None and cal._grid_units(fall) is not None
-    assert integer_keys == (kind != "one off-grid value")
+    events = pair_sample(kind)
+    spans = [int(u.max()) - int(u.min()) + 1 for u in (events.rise_units, events.fall_units)]
+    assert (spans[0] * spans[1] >= 2**63) == (kind == "overflow")
+    rise, fall = events.detected()
     pairs, counts = np.unique(rise + 1j * fall, return_counts=True)
-    got = cal._distinct_pairs(rise, fall)
+    got = cal._distinct_pairs(events.rise_units, events.fall_units)
     for a, b in zip(got, (pairs.real, pairs.imag, counts)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_grid_units_refuse_values_beyond_int64_keys():
-    assert cal._grid_units(np.array([0.5, 1e18])) is None  # 1e19 units > 2**62
-    assert cal._grid_units(np.array([0.5, np.inf])) is None
-    assert cal._grid_units(np.array([0.5, np.nan])) is None
-    np.testing.assert_array_equal(cal._grid_units(np.array([-0.1, 2.5])), [-1, 25])
 
 
 def test_label_moments_match_direct_projection(events_a):
@@ -843,7 +832,7 @@ def test_labels_with_too_few_events_raise_in_every_mode():
     fall = np.repeat([100.0, 140.0], 3000)
     for mode in ("optimal", "rising_only"):
         with pytest.raises(CalibrationError, match="fewer than 5 events"):
-            calibrate_events((rise, fall), mode=mode, k=5)
+            calibrate_events(make_events(rise, fall), mode=mode, k=5)
 
 
 def test_component_count_must_be_a_positive_integer(events_a):
@@ -856,23 +845,22 @@ def test_component_count_must_be_a_positive_integer(events_a):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_delays_raise_config_error(events_a, bad):
-    rise, fall = (a.copy() for a in events_a.detected())
-    for delays in (rise, fall):
+    # calibration takes delays only as an EdgeEventSet's int64 tag units
+    for field in ("rise_units", "fall_units"):
+        delays = getattr(events_a, field).astype(float)
         delays[3] = bad
-        with pytest.raises(ConfigError, match="finite"):
-            calibrate_events((rise, fall), "optimal")
-        delays[3] = 50.0
+        arrays = {"rise_units": events_a.rise_units, "fall_units": events_a.fall_units, field: delays}
+        with pytest.raises(ConfigError, match=f"{field} must be a 1-D integer array"):
+            EdgeEventSet("A", 8000.0, events_a.trigger_time, events_a.detection, **arrays)
 
 
 def test_delays_that_are_not_1d_raise_config_error(events_a):
-    rise, fall = events_a.detected()
+    detection, rise, fall = events_a.detection, events_a.rise_units, events_a.fall_units
     n = rise.size // 2 * 2
     with pytest.raises(ConfigError, match="1-D"):
-        calibrate_events((rise[:n].reshape(2, -1), fall[:n].reshape(2, -1)), "optimal")
-    with pytest.raises(ConfigError, match="1-D"):
-        calibrate_both((rise[0], fall[0]))
+        EdgeEventSet("A", 8000.0, events_a.trigger_time, detection[:n], rise[:n].reshape(2, -1), fall[:n])
     with pytest.raises(ConfigError, match="equal length"):
-        calibrate_both((rise[1:], fall))
+        EdgeEventSet("A", 8000.0, events_a.trigger_time, detection, rise[1:], fall)
 
 
 # ---------------------------------------------------------------- model object

@@ -19,6 +19,7 @@ from pnrtiming import (
     simulate_stream,
 )
 from pnrtiming.errors import DataError, StreamFormatError
+from pnrtiming.timetags import UNITS_PER_PS
 
 # ---- helpers
 
@@ -39,21 +40,15 @@ def toy_model(k=4, angle=0.0, detector="A"):
 
 
 def make_events(rise, fall, detected=None, detector="A"):
+    """Events from per-trigger delays in ps, rounded onto the 0.1 ps tag
+    grid; only the triggers in ``detected`` (default: those with a finite
+    rise delay) have a detection."""
     rise = np.asarray(rise, dtype=float)
     fall = np.asarray(fall, dtype=float)
-    if detected is None:
-        detected = np.isfinite(rise)
-    detected = np.asarray(detected, dtype=bool)
-    n = rise.size
-    return EdgeEventSet(
-        detector=detector,
-        window_ps=8000.0,
-        trigger_index=np.arange(n, dtype=np.int64),
-        trigger_time=np.arange(n, dtype=np.int64) * 100_000,
-        rise_delay=rise,
-        fall_delay=fall,
-        has_detection=detected,
-    )
+    detected = np.isfinite(rise) if detected is None else np.asarray(detected, dtype=bool)
+    rise_units, fall_units = (np.rint(x[detected] * UNITS_PER_PS).astype(np.int64) for x in (rise, fall))
+    trigger_time = np.arange(rise.size, dtype=np.int64) * 100_000
+    return EdgeEventSet(detector, 8000.0, trigger_time, np.flatnonzero(detected), rise_units, fall_units)
 
 
 class FakeTruth:
@@ -104,7 +99,7 @@ def test_output_alignment_and_metadata():
     events = make_events([10.0, np.nan, 20.0, 40.0], [0.0, np.nan, 0.0, 0.0], [True, False, True, True])
     records = decode_events(events, model)
     assert len(records) == len(events)
-    assert_array_equal(records.trigger_index, events.trigger_index)
+    assert_array_equal(records.trigger_index, np.arange(4))
     assert_array_equal(records.trigger_time, events.trigger_time)
     assert records.detector == "A"
     assert records.window_ps == 8000.0
@@ -117,20 +112,6 @@ def test_detector_mismatch_is_rejected():
     events = make_events([10.0], [0.0], detector="B")
     with pytest.raises(DataError, match="detector"):
         decode_events(events, model)
-
-
-def test_non_finite_delay_reports_event_index():
-    model = toy_model()
-    rise = np.array([10.0, 20.0, 30.0, np.nan, 10.0])
-    events = make_events(rise, np.zeros(5), detected=np.ones(5, dtype=bool))
-    with pytest.raises(DataError, match="index 3"):
-        decode_events(events, model)
-
-
-def test_nan_on_undetected_rows_is_harmless():
-    model = toy_model()
-    events = make_events([np.nan, 20.0], [np.nan, 0.0], [False, True])
-    assert_array_equal(decode_events(events, model).n, [0, 2])
 
 
 def test_out_of_range_lands_in_outer_class():
@@ -317,6 +298,16 @@ def test_csv_round_trip(tmp_path):
     assert_array_equal(back.trigger_index, records.trigger_index)
     assert_array_equal(back.trigger_time, records.trigger_time)
     assert_array_equal(back.n, records.n)
+
+
+@pytest.mark.parametrize("window", [12345678.9, 1234.5678])
+def test_csv_and_binary_read_back_the_exact_window(tmp_path, window):
+    records = PhotonRecordSet("A", window, np.arange(3), np.arange(3) * 10, [0, 1, 2])
+    records.to_csv(tmp_path / "records.csv")
+    records.to_binary(tmp_path / "records.pnrec")
+    assert (tmp_path / "records.csv").read_text().splitlines()[0] == f"# detector=A window_ps={window!r}"
+    assert PhotonRecordSet.from_csv(tmp_path / "records.csv").window_ps == window
+    assert PhotonRecordSet.from_binary(tmp_path / "records.pnrec").window_ps == window
 
 
 @pytest.mark.parametrize("n, line", [(70_000, 4), (-1, 6), (256, 3)])

@@ -377,9 +377,9 @@ def test_ideal_interference_suppresses_coincidences():
     split = SourceSpec(kind="spdc_pairs", pair_prob=1.0, efficiency_a=1.0, efficiency_b=1.0)
     contrast = hom_contrast(jpnd_from_spec(noon, 20_000, seed=15), jpnd_from_spec(split, 20_000, seed=16))
     assert contrast.ratio == 0.0
-    assert contrast.noon_11 == 0
-    assert contrast.noon_20 + contrast.noon_02 == 20_000
-    assert contrast.split_11 == 20_000
+    assert contrast.noon["(1,1)"] == 0
+    assert contrast.noon["(2,0)"] + contrast.noon["(0,2)"] == 20_000
+    assert contrast.split["(1,1)"] == 20_000
 
 
 def test_partial_visibility_ratio_matches_outcome_model():
@@ -391,7 +391,7 @@ def test_partial_visibility_ratio_matches_outcome_model():
     target = (1.0 - v) / 2.0
     sigma = np.sqrt(target * (1.0 - target) / n)
     assert abs(contrast.ratio - target) < 3.0 * sigma
-    assert contrast.noon_20 + contrast.noon_02 > contrast.noon_11
+    assert contrast.noon["(2,0)"] + contrast.noon["(0,2)"] > contrast.noon["(1,1)"]
 
 
 def test_ratio_undefined_without_split_coincidences():

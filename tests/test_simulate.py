@@ -208,25 +208,23 @@ def test_noiseless_pairing_recovers_the_delay_table():
     spec = SourceSpec()
     tags, truth = simulate_stream(spec, pulse, NO_JITTER, 5000, seed=12)
     events = pair_edges(tags, window_ps=8000.0, detector="A")
-    np.testing.assert_array_equal(events.has_detection, truth.true_n_a >= 1)
+    np.testing.assert_array_equal(events.detection, np.flatnonzero(truth.true_n_a >= 1))
 
     rise_tab, fall_tab = edge_delay_table(pulse)
-    n_eff = np.minimum(truth.true_n_a, pulse.max_photons)
-    det = events.has_detection
-    want_rise = pulse.propagation_delay_ps + rise_tab[n_eff[det] - 1]
-    want_fall = pulse.propagation_delay_ps + fall_tab[n_eff[det] - 1]
+    n_eff = np.minimum(truth.true_n_a, pulse.max_photons)[events.detection]
+    want_rise = pulse.propagation_delay_ps + rise_tab[n_eff - 1]
+    want_fall = pulse.propagation_delay_ps + fall_tab[n_eff - 1]
+    rise, fall = events.detected()
     # exact up to the 0.1 ps timestamp quantization
-    assert np.max(np.abs(events.rise_delay[det] - want_rise)) <= 0.05
-    assert np.max(np.abs(events.fall_delay[det] - want_fall)) <= 0.05
+    assert np.max(np.abs(rise - want_rise)) <= 0.05
+    assert np.max(np.abs(fall - want_fall)) <= 0.05
 
 
 def test_jitter_scales_match_the_model(sim_50k):
     tags, truth = sim_50k
     events = pair_edges(tags, window_ps=8000.0, detector="A")
-    n_eff = np.minimum(truth.true_n_a, 6)
-    mask = events.has_detection & (n_eff == 3)
-    rise = events.rise_delay[mask]
-    fall = events.fall_delay[mask]
+    three = np.minimum(truth.true_n_a, 6)[events.detection] == 3
+    rise, fall = (delays[three] for delays in events.detected())
     expect_rms = math.hypot(8.1, 1.3)
     assert rise.std() == pytest.approx(expect_rms, rel=0.05)
     assert fall.std() == pytest.approx(expect_rms, rel=0.05)
@@ -284,7 +282,7 @@ def test_repetition_rate_leaves_delays_unchanged():
     fast, _ = simulate_stream(SourceSpec(repetition_rate_hz=5e5), pulse, jitter, 2000, seed=15)
     ev_slow = pair_edges(slow, window_ps=8000.0, detector="A")
     ev_fast = pair_edges(fast, window_ps=8000.0, detector="A")
-    np.testing.assert_array_equal(ev_slow.has_detection, ev_fast.has_detection)
+    np.testing.assert_array_equal(ev_slow.detection, ev_fast.detection)
     np.testing.assert_allclose(ev_slow.detected()[0], ev_fast.detected()[0])
     np.testing.assert_allclose(ev_slow.detected()[1], ev_fast.detected()[1])
 
@@ -312,7 +310,7 @@ def test_trigger_clock_must_fit_64_bit_timestamps():
 def test_detection_exists_iff_photons_arrived(sim_50k):
     tags, truth = sim_50k
     events = pair_edges(tags, window_ps=8000.0, detector="A")
-    np.testing.assert_array_equal(events.has_detection, truth.true_n_a >= 1)
+    np.testing.assert_array_equal(events.detection, np.flatnonzero(truth.true_n_a >= 1))
     assert events.orphan_edges == 0
 
 

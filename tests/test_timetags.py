@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnrtiming import (
+    EdgeEventSet,
     TagBlock,
     default_params,
     iter_tag_blocks,
@@ -17,7 +18,7 @@ from pnrtiming import (
     simulate_stream,
     write_stream,
 )
-from pnrtiming.errors import DataError, StreamFormatError
+from pnrtiming.errors import ConfigError, DataError, StreamFormatError
 from pnrtiming.timetags import RECORD_SIZE, UNITS_PER_PS, _HEADER_FIXED
 
 
@@ -65,37 +66,65 @@ def pair_oracle(trig, rise, fall, window):
     return out
 
 
-def random_stream(rng, n_trig, n_rise, n_fall, span):
-    trig = np.sort(rng.integers(0, span, n_trig))
-    rise = np.sort(rng.integers(0, span, n_rise))
-    fall = np.sort(rng.integers(0, span, n_fall))
-    ch = np.concatenate(
-        [np.zeros(n_trig, int), np.ones(n_rise, int), np.full(n_fall, 2)]
-    )
+def stream_of(trig, rise, fall):
+    """(TagBlock, trig, rise, fall) of three sorted timestamp arrays on detector A."""
+    ch = np.concatenate([np.zeros(trig.size, int), np.ones(rise.size, int), np.full(fall.size, 2)])
     ts = np.concatenate([trig, rise, fall])
     order = np.lexsort((ch, ts))
     return TagBlock(ch[order], ts[order]), trig, rise, fall
 
 
+def random_stream(rng, n_trig, n_rise, n_fall, span, rise_from=0):
+    return stream_of(
+        np.sort(rng.integers(0, span, n_trig)),
+        np.sort(rng.integers(rise_from, span, n_rise)),
+        np.sort(rng.integers(0, span, n_fall)),
+    )
+
+
+def paired(events):
+    """Per trigger, its (rise, fall) delays in tag units, or None."""
+    out = [None] * len(events)
+    for i, r, f in zip(events.detection.tolist(), events.rise_units.tolist(), events.fall_units.tolist()):
+        out[i] = (r, f)
+    return out
+
+
+def oracle_delays(trig, rise, fall, window_ps):
+    """pair_oracle's pairs as delays after their triggers, in tag units."""
+    expect = pair_oracle(trig.tolist(), rise.tolist(), fall.tolist(), round(window_ps * UNITS_PER_PS))
+    return [None if pair is None else (pair[0] - t, pair[1] - t) for t, pair in zip(trig.tolist(), expect)]
+
+
+def oracle_inputs(rng):
+    """(stream, windows in ps) pairs: dense overlapping windows, then the
+    adversarial cases."""
+    # 40 ns at 0.1 ps units; windows overlap heavily, and 1e300 ps reaches
+    # past the int64 clock: the oracle's window has no end
+    yield random_stream(rng, 60, 80, 80, 400_000), (1500.0, 1e300)
+    # 30 ps: equal timestamps across channels are common
+    yield random_stream(rng, 60, 80, 80, 300), (1.0, 10.0, 1e300)
+    # falls before any rise
+    yield random_stream(rng, 60, 40, 80, 400_000, rise_from=200_000), (1500.0, 1e300)
+    # empty detector channels
+    for n_rise, n_fall in ((0, 80), (80, 0), (0, 0)):
+        yield random_stream(rng, 60, n_rise, n_fall, 400_000), (1500.0,)
+    # a 500 ps trigger period, and windows at it, 0.1 ps below and 0.1 ps
+    # above; edges sit on and next to the window ends and the next trigger
+    trig = np.arange(60, dtype=np.int64) * 5000
+    offsets = np.array([0, 1, 2500, 4999, 5000, 5001])
+    rise, fall = (np.sort(rng.choice(trig, 80) + rng.choice(offsets, 80)) for _ in range(2))
+    yield stream_of(trig, rise, fall), (500.0, 499.9, 500.1)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_pairing_matches_brute_force_on_dense_streams(seed):
     rng = np.random.default_rng(seed)
-    span = 400_000  # 40 ns at 0.1 ps units; windows overlap heavily
-    block, trig, rise, fall = random_stream(rng, 60, 80, 80, span)
-    # 1e300 ps reaches past the int64 clock: the oracle's window has no end
-    for window_ps in (1500.0, 1e300):
-        events = pair_edges(block, window_ps=window_ps, detector="A")
-        expect = pair_oracle(trig.tolist(), rise.tolist(), fall.tolist(), int(window_ps * UNITS_PER_PS))
-
-        assert len(events) == trig.size
-        for i, exp in enumerate(expect):
-            if exp is None:
-                assert not events.has_detection[i]
-            else:
-                r, f = exp
-                assert events.has_detection[i]
-                assert events.rise_delay[i] == pytest.approx((r - trig[i]) / UNITS_PER_PS)
-                assert events.fall_delay[i] == pytest.approx((f - trig[i]) / UNITS_PER_PS)
+    for (block, trig, rise, fall), windows in oracle_inputs(rng):
+        for window_ps in windows:
+            events = pair_edges(block, window_ps=window_ps, detector="A")
+            assert len(events) == trig.size
+            assert paired(events) == oracle_delays(trig, rise, fall, window_ps)
 
 
 def test_pairing_matches_brute_force_on_sparse_stream():
@@ -103,24 +132,11 @@ def test_pairing_matches_brute_force_on_sparse_stream():
     rng = np.random.default_rng(42)
     trig = np.arange(50, dtype=np.int64) * 100_000
     rise = np.sort(rng.choice(trig, 30, replace=False) + rng.integers(0, 3000, 30))
-    fall = rise + rng.integers(1, 5000, 30)
-    ch = np.concatenate([np.zeros(50, int), np.ones(30, int), np.full(30, 2)])
-    ts = np.concatenate([trig, rise, fall])
-    order = np.lexsort((ch, ts))
-    block = TagBlock(ch[order], ts[order])
+    fall = np.sort(rise + rng.integers(1, 5000, 30))
+    block = stream_of(trig, rise, fall)[0]
 
     events = pair_edges(block, window_ps=900.0, detector="A")
-    expect = pair_oracle(trig, np.sort(rise), np.sort(fall), 9000)
-    got = [
-        (events.rise_delay[i], events.fall_delay[i]) if events.has_detection[i] else None
-        for i in range(len(events))
-    ]
-    want = [
-        ((r - t) / UNITS_PER_PS, (f - t) / UNITS_PER_PS) if pair else None
-        for t, pair in zip(trig, expect)
-        for r, f in [pair if pair else (0, 0)]
-    ]
-    assert got == want
+    assert paired(events) == oracle_delays(trig, rise, fall, 900.0)
 
 
 def test_pairing_invariants_on_random_streams():
@@ -147,16 +163,14 @@ def test_single_event_example():
         for window_ps in (1000.0, 8000.0, 5e16, 1e300):
             events = pair_edges(tags, window_ps=window_ps, detector="A")
             assert len(events) == 1
-            assert events.has_detection.tolist() == [True]
-            assert events.rise_delay.tolist() == [50.0]
-            assert events.fall_delay.tolist() == [300.0]
+            assert paired(events) == [(500, 3000)]
+            assert [d.tolist() for d in events.detected()] == [[50.0], [300.0]]
 
 
 def test_trigger_without_detector_tags_is_zero_candidate():
     events = pair_edges(block_of((0, 1000)), window_ps=1000.0, detector="A")
     assert len(events) == 1
-    assert not events.has_detection[0]
-    assert np.isnan(events.rise_delay[0])
+    assert paired(events) == [None]
     assert events.diagnostics() == {
         "triggers": 1,
         "detections": 0,
@@ -170,13 +184,13 @@ def test_rise_never_consumed_twice():
     # latest one at or before the rise, may claim it
     tags = block_of((0, 0), (0, 100), (1, 200), (2, 800))
     events = pair_edges(tags, window_ps=1000.0, detector="A")
-    assert list(events.has_detection) == [False, True]
+    assert events.detection.tolist() == [1]
 
 
 def test_second_rise_before_the_fall_is_not_a_detection():
     tags = block_of((0, 0), (1, 100), (1, 200), (2, 800))
     events = pair_edges(tags, window_ps=1000.0, detector="A")
-    assert not events.has_detection[0]
+    assert events.n_detections == 0
     assert events.orphan_edges == 3
 
 
@@ -186,7 +200,7 @@ def test_overlapping_windows_at_200_mhz_find_every_detection():
     spec = dataclasses.replace(spec, repetition_rate_hz=2e8)
     tags, truth = simulate_stream(spec, pulse, jitter, 20_000, seed=7)
     events = pair_edges(tags, window_ps=8000.0, detector="A")
-    np.testing.assert_array_equal(events.has_detection, truth.true_n_a > 0)
+    np.testing.assert_array_equal(events.detection, np.flatnonzero(truth.true_n_a > 0))
     _, fall = events.detected()
     assert np.all(fall < 5000.0)  # each pulse sits before the next trigger
     assert events.orphan_edges == 0
@@ -195,15 +209,14 @@ def test_overlapping_windows_at_200_mhz_find_every_detection():
 def test_fall_without_rise_is_orphan_not_crash():
     tags = block_of((0, 0), (2, 500))
     events = pair_edges(tags, window_ps=1000.0, detector="A")
-    assert not events.has_detection[0]
+    assert events.n_detections == 0
     assert events.orphan_edges == 1
 
 
 def test_detector_b_uses_channels_3_and_4():
     tags = block_of((0, 0), (3, 400), (4, 900))
     events = pair_edges(tags, window_ps=1000.0, detector="B")
-    assert events.has_detection[0]
-    assert events.rise_delay[0] == 40.0
+    assert paired(events) == [(400, 900)]
     assert pair_edges(tags, window_ps=1000.0, detector="A").n_detections == 0
 
 
@@ -215,6 +228,36 @@ def test_pair_edges_rejects_bad_arguments():
             pair_edges(block_of((0, 0)), window_ps=window)
     with pytest.raises(DataError, match="must be sorted"):
         pair_edges(block_of((0, 100), (1, 0)), window_ps=1000.0)
+
+
+def event_set(trigger_time=(0, 10, 20), detection=(0, 2), rise=(5, 7), fall=(9, 8)):
+    return EdgeEventSet("A", 1000.0, trigger_time, detection, rise, fall)
+
+
+def test_edge_event_set_holds_int64_delays_of_the_detections():
+    events = event_set()
+    assert len(events) == 3 and events.n_detections == 2
+    for a in (events.trigger_time, events.detection, events.rise_units, events.fall_units):
+        assert a.dtype == np.int64
+    assert [d.tolist() for d in events.detected()] == [[0.5, 0.7], [0.9, 0.8]]
+    assert event_set(detection=[], rise=[], fall=[]).n_detections == 0
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"fall": [True, False]}, "fall_units must be a 1-D integer array"),
+        ({"detection": np.array([0, 2], dtype=np.uint64)}, "detection must be a 1-D integer array"),
+        ({"trigger_time": [[0, 10, 20]]}, "trigger_time must be a 1-D integer array"),
+        ({"detection": [2, 0]}, "strictly ascending"),
+        ({"detection": [1, 1]}, "strictly ascending"),
+        ({"detection": [-1, 2]}, "strictly ascending"),
+        ({"detection": [0, 3]}, "strictly ascending"),
+    ],
+)
+def test_edge_event_set_refuses_malformed_arrays(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        event_set(**fields)
 
 
 # ---------------------------------------------------------------- stream I/O
