@@ -11,11 +11,11 @@ from .calibrate import (
     VoigtComponent,
     adjacent_pair_crosstalk,
     boundaries_with_fallback,
-    build_histogram,
     calibrate_both,
     calibrate_events,
     classify,
     crosstalk_matrix,
+    distinct_pairs,
     project,
     total_offdiagonal,
     voigt_pdf,
@@ -64,7 +64,6 @@ __all__ = [
     "VoigtComponent",
     "adjacent_pair_crosstalk",
     "boundaries_with_fallback",
-    "build_histogram",
     "build_jpnd",
     "calibrate_both",
     "calibrate_events",
@@ -73,6 +72,7 @@ __all__ = [
     "crosstalk_matrix",
     "decode_events",
     "default_params",
+    "distinct_pairs",
     "edge_delays",
     "estimate_efficiency",
     "fit_poisson_mu",

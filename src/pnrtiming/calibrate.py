@@ -40,7 +40,6 @@ OPTIMAL = "optimal"
 _MODES = (RISING_ONLY, OPTIMAL)
 
 DEFAULT_BIN_WIDTH = 0.5  # ps
-_HISTOGRAM2D_BIN = 1.0  # ps, rise and fall
 # labelling and the angle scan: candidate-angle step, histogram smoothing
 # (sigma in bins), least peak prominence as a fraction of the smoothed maximum
 _GRID_STEP_DEG = 2.0
@@ -89,40 +88,34 @@ def voigt_pdf(x, component: VoigtComponent):
     return out if out.ndim else float(out)
 
 
-@dataclass(eq=False)
-class Histogram2D:
-    """Counts on a regular (rise, fall) grid; axes carry the bin edges in ps."""
+def distinct_pairs(events):
+    """The calibration sample of a pair_edges result: its distinct (rise,
+    fall) delay pairs in int64 tag units (0.1 ps), ascending by rise then
+    fall, and how many detections share each, as (rise_units, fall_units,
+    multiplicity).  No detections raise CalibrationError.
 
-    rise_edges: np.ndarray
-    fall_edges: np.ndarray
-    counts: np.ndarray
+    A large sample has far fewer distinct pairs than detections.  Each pair
+    gets the int64 key (R - R_min) * fall_span + (F - F_min), and the keys
+    ascend with (R, F).  Only windows above ~3e8 ps can make the spans'
+    product reach 2**63; those pairs are collapsed as rows instead, in the
+    same order.
+    """
+    r, f = events.rise_units, events.fall_units
+    if r.size == 0:
+        raise CalibrationError("no detected events to calibrate")
+    r_min, f_min = int(r.min()), int(f.min())
+    fall_span = int(f.max()) - f_min + 1
+    if (int(r.max()) - r_min + 1) * fall_span < 2**63:
+        keys, multiplicity = np.unique((r - r_min) * fall_span + (f - f_min), return_counts=True)
+        return keys // fall_span + r_min, keys % fall_span + f_min, multiplicity
+    rows, multiplicity = np.unique(np.stack((r, f), axis=1), axis=0, return_counts=True)
+    return rows[:, 0], rows[:, 1], multiplicity
 
-    @property
-    def rise_centers(self) -> np.ndarray:
-        return 0.5 * (self.rise_edges[:-1] + self.rise_edges[1:])
 
-    @property
-    def fall_centers(self) -> np.ndarray:
-        return 0.5 * (self.fall_edges[:-1] + self.fall_edges[1:])
-
-    def to_csv(self, path) -> None:
-        """Dense grid CSV: first row fall-bin centers, first column rise-bin centers."""
-        header = "rise_ps\\fall_ps," + ",".join(f"{v:.6g}" for v in self.fall_centers)
-        row = "{:.6g}" + ",{}" * self.counts.shape[1]
-        textio.write_csv(path, header, row, self.rise_centers, *self.counts.T)
-
-
-def build_histogram(events) -> Histogram2D:
-    """2-D histogram of the detected (rise, fall) delays of a pair_edges
-    result in 1 ps bins, auto-ranged with a three-bin margin on each side so
-    no count lands on an outer edge."""
-    rise, fall = events.detected()
-    if rise.size == 0:
-        raise CalibrationError("no detected events to histogram")
-    rise_edges = _padded_edges(rise.min(), rise.max(), _HISTOGRAM2D_BIN)
-    fall_edges = _padded_edges(fall.min(), fall.max(), _HISTOGRAM2D_BIN)
-    counts, _, _ = np.histogram2d(rise, fall, bins=(rise_edges, fall_edges))
-    return Histogram2D(rise_edges, fall_edges, counts.astype(np.int64))
+def pairs_in_ps(table):
+    """A distinct_pairs table with its delays in ps: (rise, fall, multiplicity)."""
+    rise_units, fall_units, multiplicity = table
+    return rise_units / UNITS_PER_PS, fall_units / UNITS_PER_PS, multiplicity
 
 
 def _padded_edges(lo: float, hi: float, width: float) -> np.ndarray:
@@ -149,14 +142,16 @@ def project(events, angle: float) -> np.ndarray:
     return rise * math.cos(angle) + fall * math.sin(angle)
 
 
-def histogram_1d(rise, fall, angle: float, weights=None):
-    """(counts, centers, edges) of the coordinates rise * cos(angle) +
-    fall * sin(angle) in DEFAULT_BIN_WIDTH bins, with three empty bins of
-    margin on each side; ``weights`` gives each pair a multiplicity.
+def histogram_1d(pairs, angle: float):
+    """(counts, centers, edges) of the detections projected at angle, from
+    their distinct pairs in ps (``pairs_in_ps``): each pair's coordinate
+    rise * cos(angle) + fall * sin(angle) counts with its multiplicity, in
+    DEFAULT_BIN_WIDTH bins with three empty bins of margin on each side.
 
     The pairs are projected in blocks of _SCAN_BLOCK, one pass for the range
     and one for the counts, and are not checked again.
     """
+    rise, fall, multiplicity = pairs
     if rise.size == 0:
         raise CalibrationError("no coordinates to histogram")
     c, s = math.cos(angle), math.sin(angle)
@@ -169,8 +164,7 @@ def histogram_1d(rise, fall, angle: float, weights=None):
     counts = np.zeros(edges.size - 1)
     for block in blocks:
         x = rise[block] * c + fall[block] * s
-        w = None if weights is None else weights[block]
-        counts += np.bincount(_bin_index(x, edges), weights=w, minlength=counts.size)
+        counts += np.bincount(_bin_index(x, edges), weights=multiplicity[block], minlength=counts.size)
     # integer sums far below 2**53, so exact in any order
     return counts.astype(np.int64), 0.5 * (edges[:-1] + edges[1:]), edges
 
@@ -335,28 +329,6 @@ def classify(coords, boundaries) -> np.ndarray:
 # Labelling
 
 
-def _distinct_pairs(rise_units, fall_units):
-    """Distinct (rise, fall) delay pairs in ps, ascending by rise then fall,
-    and how many events share each: (pair_rise, pair_fall, multiplicity).
-
-    Paired delays are int64 tag-grid units (0.1 ps), so a large sample has
-    far fewer distinct pairs than events.  Each pair gets the int64 key
-    (R - R_min) * fall_span + (F - F_min), and the keys ascend with (R, F).
-    Only windows above ~3e8 ps can make the spans' product reach 2**63;
-    those pairs are collapsed as rows instead, in the same order.
-    """
-    r, f = rise_units, fall_units
-    r_min, f_min = int(r.min()), int(f.min())
-    fall_span = int(f.max()) - f_min + 1
-    if (int(r.max()) - r_min + 1) * fall_span < 2**63:
-        keys, multiplicity = np.unique((r - r_min) * fall_span + (f - f_min), return_counts=True)
-        r, f = keys // fall_span + r_min, keys % fall_span + f_min
-    else:
-        rows, multiplicity = np.unique(np.stack((r, f), axis=1), axis=0, return_counts=True)
-        r, f = rows[:, 0], rows[:, 1]
-    return r / UNITS_PER_PS, f / UNITS_PER_PS, multiplicity
-
-
 def _valley(smoothed: np.ndarray, a: int, b: int) -> int:
     """Index of the lowest sample of smoothed[a..b], the first on a tie."""
     return a + int(np.argmin(smoothed[a : b + 1]))
@@ -375,8 +347,7 @@ def _scan_workers() -> int:
 def _reference_score(pairs, theta: float):
     """(resolved peak count, worst valley depth, concentration) of the
     distinct pairs projected at theta."""
-    pair_rise, pair_fall, multiplicity = pairs
-    counts, _, _ = histogram_1d(pair_rise, pair_fall, theta, multiplicity)
+    counts, _, _ = histogram_1d(pairs, theta)
     idx, _, smoothed = _peak_indices_ranked(counts)
     p = counts / counts.sum()
     depth = 0.0
@@ -395,9 +366,10 @@ def _reference_scan(pairs, angles):
     smaller of the two peak heights, measures how cleanly the projection can
     be split into labels.  Concentration sum(p^2) alone would be a trap: it
     is maximized by collapsing all clusters onto each other, which is
-    exactly the projection that destroys the labels.  ``pairs`` is the
-    output of ``_distinct_pairs``; every score depends on the histogram
-    counts only, so it equals the score of the per-event projection.
+    exactly the projection that destroys the labels.  ``pairs`` holds the
+    distinct pairs in ps (``pairs_in_ps``); every score depends on the
+    histogram counts only, so it equals the score of the per-event
+    projection.
 
     The angles are scored on a pool of _scan_workers() threads (numpy
     releases the GIL in the heavy calls); each score depends on its angle
@@ -445,12 +417,12 @@ class _LabelledEvents:
     """The distinct (rise, fall) pairs of the detected events, with fixed
     cluster labels from a well-separated projection.
 
-    ``pairs`` is the output of ``_distinct_pairs`` and ``labels`` holds one
-    label per pair; an event's label is the label of its pair.  Every
-    per-label statistic is weighted by the pair multiplicities, so it is the
-    statistic of the events themselves.  Per label the mean delays and their
-    centred second moments are kept, from which the projected moments at any
-    angle follow in closed form.
+    ``pairs`` holds the distinct pairs in ps (``pairs_in_ps``) and
+    ``labels`` one label per pair; an event's label is the label of its
+    pair.  Every per-label statistic is weighted by the pair multiplicities,
+    so it is the statistic of the events themselves.  Per label the mean
+    delays and their centred second moments are kept, from which the
+    projected moments at any angle follow in closed form.
     """
 
     def __init__(self, pairs, labels, k):
@@ -495,7 +467,7 @@ def _label_events(events, k):
 
     Every calibration mode starts from this one labelling; it works on the
     distinct (rise, fall) pairs, so the events are collapsed once (on
-    integer keys, see ``_distinct_pairs``) and the angle scan never
+    integer keys, see ``distinct_pairs``) and the angle scan never
     projects them again.  The reference angles are scored on a small thread
     pool, with the same result at any thread count.  The reference
     projection is the one with the most peaks among those whose worst valley
@@ -503,16 +475,14 @@ def _label_events(events, k):
     noise peaks at a shallow projection would win.  Returns
     (_LabelledEvents, reference angle).
     """
+    pairs = pairs_in_ps(distinct_pairs(events))
     n_events = events.n_detections
-    if n_events == 0:
-        raise CalibrationError("no detected events to calibrate")
-    pairs = _distinct_pairs(events.rise_units, events.fall_units)
     pair_rise, pair_fall, multiplicity = pairs
     n_peaks, depth, conc = _reference_scan(pairs, _GRID_ANGLES)
     order = np.lexsort((conc, depth, n_peaks, depth >= 0.5))
     theta_ref = float(_GRID_ANGLES[order[-1]])
     coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
-    counts, centers, _ = histogram_1d(pair_rise, pair_fall, theta_ref, multiplicity)
+    counts, centers, _ = histogram_1d(pairs, theta_ref)
     idx, prom, smoothed = _peak_indices_ranked(counts)
     if idx.size == 0:
         raise CalibrationError("no peaks found at the reference projection")
@@ -567,14 +537,20 @@ def expected_counts(n_events: int, components, edges) -> np.ndarray:
     return n_events * (weight @ _bucket_masses(center, sigma, edges)[:, 1:-1])
 
 
+def fitted_histogram(pairs, angle: float, components):
+    """(counts, centers, expected) of a Gaussian model at angle: histogram_1d
+    of the distinct pairs in ps, and expected_counts over its bins for as
+    many events as the pairs stand for."""
+    counts, centers, edges = histogram_1d(pairs, angle)
+    return counts, centers, expected_counts(int(pairs[2].sum()), components, edges)
+
+
 def _fit_summary(labelled, angle, components) -> dict:
     """Pearson chi-square of a Gaussian model against the histogram of the
     events projected at angle, over the bins where expected_counts gives at
     least 5 events; ndf subtracts the 3k - 1 estimated parameters (centers,
     sigmas, weights summing to one) and 1."""
-    pair_rise, pair_fall, multiplicity = labelled.pairs
-    counts, _, edges = histogram_1d(pair_rise, pair_fall, angle, multiplicity)
-    expected = expected_counts(labelled.n_events, components, edges)
+    counts, _, expected = fitted_histogram(labelled.pairs, angle, components)
     use = expected >= 5.0
     chi2 = float(np.sum((counts[use] - expected[use]) ** 2 / expected[use]))
     ndf = max(int(np.count_nonzero(use)) - (3 * len(components) - 1) - 1, 1)

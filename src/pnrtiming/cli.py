@@ -24,7 +24,7 @@ from . import textio
 from .decode import PhotonRecordSet, confusion_report, decode_events
 from .errors import ConfigError, DataError, InsufficientDataError, PnrError
 from .simulate import JitterParams, PulseModelParams, SourceSpec, TruthBlock, simulate_stream
-from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, pair_edges, read_tag_block, write_stream
+from .timetags import DETECTOR_CHANNELS, pair_edges, read_tag_block, write_stream
 
 DEFAULT_WINDOW_PS = 8000.0
 DEFAULT_SEED = 1234
@@ -93,10 +93,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_projection_csv(path, events, model) -> None:
-    rise, fall = events.detected()
-    counts, centers, edges = cal.histogram_1d(rise, fall, model.angle)
-    fitted = cal.expected_counts(rise.size, model.components, edges)
+def _write_histogram2d_csv(path, table) -> None:
+    textio.write_csv(path, "rise_units,fall_units,count", "{},{},{}", *table)
+
+
+def _write_projection_csv(path, pairs, model) -> None:
+    counts, centers, fitted = cal.fitted_histogram(pairs, model.angle, model.components)
     textio.write_csv(path, "coordinate_ps,counts,fitted_counts", "{:.6g},{},{:.6g}", centers, counts, fitted)
 
 
@@ -116,12 +118,14 @@ def cmd_calibrate(args) -> int:
         models = {args.mode: model}
 
     out = _out_dir(args)
-    cal.build_histogram(events).to_csv(out / "histogram2d.csv")
+    table = cal.distinct_pairs(events)
+    _write_histogram2d_csv(out / "histogram2d.csv", table)
+    pairs = cal.pairs_in_ps(table)
 
     summary = {"detector": args.detector, "window_ps": args.window, "detections": events.n_detections}
     for mode, model in models.items():
         model.save_json(out / f"calibration_{mode}.json")
-        _write_projection_csv(out / f"projection_{mode}.csv", events, model)
+        _write_projection_csv(out / f"projection_{mode}.csv", pairs, model)
         _write_crosstalk_csv(out / f"crosstalk_{mode}.csv", model.crosstalk)
         summary[mode] = {
             "angle_rad": model.angle,
@@ -137,11 +141,11 @@ def cmd_calibrate(args) -> int:
 def cmd_decode(args) -> int:
     model = cal.CalibrationModel.load_json(args.calibration)
     block = read_tag_block(args.tagfile)
-    if not np.any(block.channels == CH_TRIGGER):
-        raise DataError("stream has no trigger channel; zero-photon events cannot be inferred")
     window = args.window if args.window is not None else (model.window_ps or DEFAULT_WINDOW_PS)
     detector = args.detector or model.detector or "A"
     events = pair_edges(block, window, detector=detector)
+    if len(events) == 0:
+        raise DataError("stream has no trigger channel; zero-photon events cannot be inferred")
     records = decode_events(events, model)
     report = dict(records.diagnostics)
     if args.truth:

@@ -19,13 +19,13 @@ from pnrtiming import (
     SourceSpec,
     TagBlock,
     VoigtComponent,
-    build_histogram,
     calibrate_both,
     calibrate_events,
     confusion_report,
     crosstalk_matrix,
     boundaries_with_fallback,
     decode_events,
+    distinct_pairs,
     pair_edges,
     project,
     simulate_stream,
@@ -36,10 +36,12 @@ from pnrtiming.calibrate import (
     CalibrationModel,
     classify,
     histogram_1d,
+    pairs_in_ps,
 )
-from pnrtiming.cli import _write_projection_csv
+from pnrtiming.cli import _write_histogram2d_csv, _write_projection_csv
 from pnrtiming.errors import CalibrationError, ConfigError
 from pnrtiming.simulate import edge_delay_table
+from pnrtiming.textio import read_csv
 from pnrtiming.timetags import UNITS_PER_PS, EdgeEventSet
 
 
@@ -317,27 +319,30 @@ def test_classify_ties_go_to_the_lower_class():
 # ---------------------------------------------------------------- histograms, peaks
 
 def test_single_event_histogram_has_one_count():
-    h = build_histogram(make_events([10.0], [200.0]))
-    assert h.counts.sum() == 1
-    assert h.counts.max() == 1
+    table = distinct_pairs(make_events([10.0], [200.0]))
+    assert [a.tolist() for a in table] == [[100], [2000], [1]]
 
 
 def test_histogram_conserves_counts(events_a):
-    h = build_histogram(events_a)
-    assert h.counts.sum() == events_a.n_detections
+    rise, fall, count = distinct_pairs(events_a)
+    assert count.sum() == events_a.n_detections
+    assert count.min() >= 1
+    # strictly ascending by (rise, fall), so every pair is listed once
+    assert np.all((rise[1:] > rise[:-1]) | ((rise[1:] == rise[:-1]) & (fall[1:] > fall[:-1])))
 
 
 def test_histogram_rejects_empty_input():
     with pytest.raises(CalibrationError, match="no detected events"):
-        build_histogram(make_events([], []))
+        distinct_pairs(make_events([], []))
 
 
 def test_histogram_csv_has_header_and_rows(events_a, tmp_path):
-    h = build_histogram(events_a)
+    table = distinct_pairs(events_a)
     out = tmp_path / "h.csv"
-    h.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == h.counts.shape[0] + 1
+    _write_histogram2d_csv(out, table)
+    header, rows = read_csv(out, 1, 3)
+    assert header == ["rise_units,fall_units,count"]
+    np.testing.assert_array_equal(rows, np.stack(table, axis=1))
 
 
 def test_projection_axes():
@@ -388,8 +393,8 @@ def test_weighted_histogram_counts_the_expanded_sample(monkeypatch):
         for block in BLOCKS:
             monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
             for got in (
-                histogram_1d(rise, fall, angle),
-                histogram_1d(pairs.real.copy(), pairs.imag.copy(), angle, multiplicity),
+                histogram_1d((rise, fall, np.ones(rise.size, dtype=np.int64)), angle),
+                histogram_1d((pairs.real.copy(), pairs.imag.copy(), multiplicity), angle),
             ):
                 for got_part, want_part in zip(got, want):
                     np.testing.assert_array_equal(got_part, want_part)
@@ -409,10 +414,13 @@ def test_histogram_bins_match_numpy_on_and_beside_the_edges(monkeypatch):
         np.testing.assert_array_equal(rise * math.cos(angle) + fall * math.sin(angle), coords)
         for block in BLOCKS:
             monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
-            counts, _, got_edges = histogram_1d(rise, fall, angle, weights)
+            counts, _, got_edges = histogram_1d((rise, fall, weights), angle)
             np.testing.assert_array_equal(got_edges, edges)
             np.testing.assert_array_equal(counts, np.histogram(coords, bins=edges, weights=weights)[0])
-            np.testing.assert_array_equal(histogram_1d(rise, fall, angle)[0], np.histogram(coords, bins=edges)[0])
+            ones = np.ones(coords.size, dtype=np.int64)
+            np.testing.assert_array_equal(
+                histogram_1d((rise, fall, ones), angle)[0], np.histogram(coords, bins=edges)[0]
+            )
 
 
 def scipy_peaks(x, least):
@@ -464,7 +472,7 @@ def test_peak_search_matches_scipy_find_peaks():
 def test_simulated_projection_shows_at_least_five_modes(events_a, optimal_model, default_params):
     pulse, _, _ = default_params
     theta = optimal_model.angle % math.pi
-    counts, centers, _ = histogram_1d(*events_a.detected(), theta)
+    counts, centers, _ = histogram_1d(pairs_in_ps(distinct_pairs(events_a)), theta)
     peaks = centers[cal._peak_indices_ranked(counts)[0]]
     assert peaks.size >= 5
 
@@ -564,7 +572,7 @@ def complete_centers_per_event(coords, init, k):
 @pytest.mark.parametrize("sample", ["simulated", "small"])
 def test_complete_centers_match_the_expanded_sample(sample, events_a):
     if sample == "simulated":
-        pair_rise, pair_fall, multiplicity = cal._distinct_pairs(events_a.rise_units, events_a.fall_units)
+        pair_rise, pair_fall, multiplicity = pairs_in_ps(distinct_pairs(events_a))
         coords = pair_rise * math.cos(2.34) + pair_fall * math.sin(2.34)
     else:
         rng = np.random.default_rng(3)
@@ -648,7 +656,7 @@ def test_distinct_pair_labelling_matches_per_event_scan(sample, k, block, events
     rise, fall = events.detected()
     n_peaks, depth, conc, theta_ref, labels = per_event_labelling(rise, fall, k)
 
-    pairs = cal._distinct_pairs(events.rise_units, events.fall_units)
+    pairs = pairs_in_ps(distinct_pairs(events))
     assert pairs[2].sum() == rise.size
     assert pairs[0].size < rise.size  # delays on the tag grid repeat
     angles = np.deg2rad(np.arange(0.0, 180.0, 2.0))
@@ -665,7 +673,7 @@ def test_distinct_pair_labelling_matches_per_event_scan(sample, k, block, events
 
 
 def pair_sample(kind):
-    """Events for the _distinct_pairs oracle; only the "overflow" kind has
+    """Events for the distinct_pairs oracle; only the "overflow" kind has
     (rise span) * (fall span) of at least 2**63 units."""
     rng = np.random.default_rng(5)
     if kind.startswith("simulated"):
@@ -693,8 +701,9 @@ def test_distinct_pairs_are_bit_equal_to_complex_unique(kind):
     assert (spans[0] * spans[1] >= 2**63) == (kind == "overflow")
     rise, fall = events.detected()
     pairs, counts = np.unique(rise + 1j * fall, return_counts=True)
-    got = cal._distinct_pairs(events.rise_units, events.fall_units)
-    for a, b in zip(got, (pairs.real, pairs.imag, counts)):
+    table = distinct_pairs(events)
+    assert all(a.dtype == np.int64 for a in table)
+    for a, b in zip(pairs_in_ps(table), (pairs.real, pairs.imag, counts)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -778,8 +787,9 @@ def test_fit_diagnostics_are_the_pearson_chi2_of_the_event_histogram(events_a, o
 
 def test_expected_counts_are_the_bin_integrals_of_the_mixture(events_a, optimal_model, rising_model, tmp_path):
     n = events_a.n_detections
+    pairs = pairs_in_ps(distinct_pairs(events_a))
     for model in (optimal_model, rising_model):
-        _, _, edges = histogram_1d(*events_a.detected(), model.angle)
+        _, _, edges = histogram_1d(pairs, model.angle)
         got = cal.expected_counts(n, model.components, edges)
 
         def density(x):
@@ -793,9 +803,9 @@ def test_expected_counts_are_the_bin_integrals_of_the_mixture(events_a, optimal_
         want = np.array([n * quad(density, edges[i], edges[i + 1], epsabs=0.0, epsrel=1e-13)[0] for i in use])
         np.testing.assert_allclose(got[use], want, rtol=1e-9)
         # the CLI's fitted_counts column holds these integrals to its 6 digits
-        _write_projection_csv(tmp_path / "projection.csv", events_a, model)
+        _write_projection_csv(tmp_path / "projection.csv", pairs, model)
         table = np.loadtxt(tmp_path / "projection.csv", delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(table[:, 1], histogram_1d(*events_a.detected(), model.angle)[0])
+        np.testing.assert_array_equal(table[:, 1], histogram_1d(pairs, model.angle)[0])
         np.testing.assert_allclose(table[use, 2], want, rtol=6e-6)
 
 

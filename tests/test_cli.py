@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 import pnrtiming
-from pnrtiming import PhotonRecordSet, SourceSpec, errors, sample_source
+from pnrtiming import (
+    PhotonRecordSet,
+    SourceSpec,
+    TagBlock,
+    distinct_pairs,
+    errors,
+    pair_edges,
+    read_tag_block,
+    sample_source,
+    write_stream,
+)
 from pnrtiming.cli import main
 from pnrtiming.timetags import _HEADER_FIXED, _RECORD_DTYPE
 
@@ -267,6 +277,46 @@ def test_calibrate_writes_models_and_reports(pipeline):
     assert (pipeline / "histogram2d.csv").exists()
 
 
+def test_projection_csv_is_the_fit_table(pipeline):
+    """Each projection CSV holds the histogram and expected counts that the
+    model's diagnostics.fit was computed from, to the CSV's 6 digits."""
+    for mode in ("optimal", "rising_only"):
+        model = json.loads((pipeline / f"calibration_{mode}.json").read_text())
+        fit, k = model["diagnostics"]["fit"], len(model["components"])
+        table = np.loadtxt(pipeline / f"projection_{mode}.csv", delimiter=",", skiprows=1)
+        counts, fitted = table[:, 1], table[:, 2]
+        assert counts.sum() == fit["n_events"]
+        use = fitted >= 5.0
+        c, e = counts[use], fitted[use]
+        assert int(np.count_nonzero(use)) - (3 * k - 1) - 1 == fit["ndf"]
+        # each fitted count is rounded by at most 5e-6 of itself, which moves
+        # its term (c - e)**2 / e by at most |c**2 - e**2| / e * 5e-6
+        slack = float(np.sum(np.abs(c * c - e * e) / e)) * 5e-6
+        assert abs(float(np.sum((c - e) ** 2 / e)) - fit["chi2"]) <= slack
+
+
+def test_calibrate_far_out_detection_keeps_the_table_small(pipeline, tmp_path, capsys):
+    """One detection far from the clusters, like a dark count, adds one row to
+    histogram2d.csv rather than a dense grid reaching out to it."""
+    block = read_tag_block(pipeline / "stream.pnrtag")
+    events = pair_edges(block, 8000.0, detector="A")
+    trig = events.trigger_time
+    # the first trigger with no detector A tag before the next trigger
+    a_tags = block.timestamps[(block.channels == 1) | (block.channels == 2)]
+    first, last = np.searchsorted(a_tags, trig[:-1]), np.searchsorted(a_tags, trig[1:])
+    t = int(trig[np.flatnonzero(first == last)[0]])
+    channels = np.concatenate([block.channels, [1, 2]]).astype(np.uint8)
+    stamps = np.concatenate([block.timestamps, [t + 50_000, t + 79_000]])  # (5,000, 7,900) ps
+    path = tmp_path / "outlier.pnrtag"
+    write_stream(TagBlock(channels, stamps).sorted(), path)
+    code, _, err = run(capsys, "calibrate", path, "--out", tmp_path / "out", "--quiet")
+    assert (code, err) == (0, None)
+    pairs = distinct_pairs(pair_edges(read_tag_block(path), 8000.0, detector="A"))
+    assert pairs[0].size == distinct_pairs(events)[0].size + 1
+    lines = (tmp_path / "out" / "histogram2d.csv").read_text().splitlines()
+    assert len(lines) == pairs[0].size + 1
+
+
 def test_calibrate_summary_shows_crosstalk_gain(tmp_path, capsys, pipeline):
     code, out, _ = run(capsys, "calibrate", pipeline / "stream.pnrtag", "--out", tmp_path)
     assert code == 0
@@ -431,18 +481,24 @@ def test_decode_stream_without_trigger_exits_4(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case, exit_code",
-    [("bad_truth", 2), ("missing_truth", 2), ("other_triggers", 4), ("n_past_255", 4)],
+    [("bad_truth", 2), ("missing_truth", 2), ("other_triggers", 4), ("n_past_255", 4), ("no_trigger", 4)],
 )
 def test_failed_decode_writes_nothing(pipeline, tmp_path, capsys, case, exit_code):
-    """A truth file that cannot be read or matched, or records that .pnrec
-    cannot hold, fail before --out is created."""
-    calibration, argv = pipeline / "calibration_optimal.json", []
+    """A truth file that cannot be read or matched, records that .pnrec
+    cannot hold, or a stream of detector edges with no trigger, fail before
+    --out is created."""
+    stream, calibration, argv = pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json", []
     truth = (pipeline / "truth.csv").read_text().splitlines(keepends=True)
     if case == "bad_truth":
         argv = ["--truth", tmp_path / "truth.csv"]
         argv[1].write_text("".join(truth[:3]) + "3,x,0\n")
     elif case == "missing_truth":
         argv = ["--truth", tmp_path / "missing.csv"]
+    elif case == "no_trigger":
+        block = read_tag_block(stream)
+        keep = block.channels != 0
+        stream = tmp_path / "headless.pnrtag"
+        write_stream(TagBlock(block.channels[keep], block.timestamps[keep]), stream)
     elif case == "other_triggers":
         argv = ["--truth", tmp_path / "truth.csv"]
         shifted = [f"{int(i) + 1},{rest}" for i, rest in (t.split(",", 1) for t in truth[1:])]
@@ -459,7 +515,7 @@ def test_failed_decode_writes_nothing(pipeline, tmp_path, capsys, case, exit_cod
         calibration = tmp_path / "calibration.json"
         calibration.write_text(json.dumps(model))
     out = tmp_path / "out"
-    code, stdout, err = run(capsys, "decode", pipeline / "stream.pnrtag", calibration, *argv, "--out", out)
+    code, stdout, err = run(capsys, "decode", stream, calibration, *argv, "--out", out)
     assert (code, err["exit_code"], stdout) == (exit_code, exit_code, None)
     assert not out.exists()
 

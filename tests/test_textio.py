@@ -22,8 +22,8 @@ from pnrtiming import (
     textio,
     write_stream,
 )
-from pnrtiming.calibrate import Histogram2D, expected_counts, histogram_1d
-from pnrtiming.cli import _write_crosstalk_csv, _write_projection_csv, main
+from pnrtiming.calibrate import expected_counts, histogram_1d
+from pnrtiming.cli import _write_crosstalk_csv, _write_histogram2d_csv, _write_projection_csv, main
 from pnrtiming.errors import ConfigError, StreamFormatError
 
 # on both sides of the writer's 65,536-row chunk
@@ -64,15 +64,13 @@ def test_truth_csv(tmp_path, rows):
 @pytest.mark.parametrize("rows", ROWS)
 def test_histogram2d_csv(tmp_path, rows):
     rng = np.random.default_rng(rows)
-    rise_edges = -1234.5678 + 0.37 * np.arange(rows + 1)
-    fall_edges = 2000.0 + np.array([0.0, 1.0, 1.5, 2.25])
-    counts = rng.integers(0, 10**9, (rows, 3), dtype=np.int64)
-    hist = Histogram2D(rise_edges, fall_edges, counts)
+    # int64 values of either sign and past 32 bits
+    rise, fall = int64_column(rng, rows), int64_column(rng, rows)
+    count = rng.integers(1, 10**9, rows, dtype=np.int64)
     path = tmp_path / "hist.csv"
-    hist.to_csv(path)
-    header = "rise_ps\\fall_ps," + ",".join(f"{v:.6g}" for v in hist.fall_centers)
-    lines = [f"{rc:.6g}," + ",".join(str(int(v)) for v in row) + "\n" for rc, row in zip(hist.rise_centers, counts)]
-    assert_file_is(path, header, lines)
+    _write_histogram2d_csv(path, (rise, fall, count))
+    lines = [f"{r},{f},{c}\n" for r, f, c in zip(rise, fall, count)]
+    assert_file_is(path, "rise_units,fall_units,count", lines)
 
 
 @pytest.mark.parametrize("kind", ["int", "float"])
@@ -114,14 +112,14 @@ def test_projection_csv(tmp_path, rows):
     lo, hi = -100.0, -100.0 + 0.5 * (rows - 6)
     rise = np.clip(np.concatenate([[lo, hi], np.random.default_rng(rows).normal(0.0, 400.0, 5000)]), lo, hi)
     fall = np.zeros(rise.size)
-    events = SimpleNamespace(detected=lambda: (rise, fall))
+    pairs = rise, fall, np.ones(rise.size, dtype=np.int64)
     # Gaussian components (gamma = 0), as every model the CLI builds has
     model = SimpleNamespace(
         angle=0.0, components=[VoigtComponent(-50.0, 30.0, 0.0, 0.4), VoigtComponent(60.0, 20.0, 0.0, 0.6)]
     )
     path = tmp_path / "projection.csv"
-    _write_projection_csv(path, events, model)
-    counts, centers, edges = histogram_1d(rise, fall, 0.0)
+    _write_projection_csv(path, pairs, model)
+    counts, centers, edges = histogram_1d(pairs, 0.0)
     fitted = expected_counts(rise.size, model.components, edges)
     assert counts.size == rows
     lines = [f"{x:.6g},{c},{m:.6g}\n" for x, c, m in zip(centers, counts, fitted)]
