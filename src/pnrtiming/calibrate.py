@@ -182,10 +182,10 @@ def _bin_index(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _peak_indices_ranked(counts: np.ndarray):
     """Smooth with a Gaussian kernel of _SMOOTHING_SIGMA bins and keep the local
     maxima whose prominence reaches _MIN_PROMINENCE of the smoothed maximum; returns
-    (indices, prominences, smoothed counts)."""
+    (indices, smoothed counts)."""
     smoothed = gaussian_filter1d(np.asarray(counts, dtype=float), _SMOOTHING_SIGMA)
-    idx, prominences = _prominent_peaks(smoothed, _MIN_PROMINENCE * max(smoothed.max(), 1e-12))
-    return idx, prominences, smoothed
+    idx, _ = _prominent_peaks(smoothed, _MIN_PROMINENCE * max(smoothed.max(), 1e-12))
+    return idx, smoothed
 
 
 def _prominent_peaks(x: np.ndarray, least: float):
@@ -348,7 +348,7 @@ def _reference_score(pairs, theta: float):
     """(resolved peak count, worst valley depth, concentration) of the
     distinct pairs projected at theta."""
     counts, _, _ = histogram_1d(pairs, theta)
-    idx, _, smoothed = _peak_indices_ranked(counts)
+    idx, smoothed = _peak_indices_ranked(counts)
     p = counts / counts.sum()
     depth = 0.0
     if idx.size > 1:
@@ -380,37 +380,6 @@ def _reference_scan(pairs, angles):
         scores = list(pool.map(lambda theta: _reference_score(pairs, theta), angles.tolist()))
     n_peaks, depth, conc = zip(*scores)
     return np.array(n_peaks, dtype=int), np.array(depth, dtype=float), np.array(conc, dtype=float)
-
-
-def _complete_centers(coords: np.ndarray, multiplicity: np.ndarray, init: np.ndarray, k: int) -> np.ndarray:
-    """Pad initial centers (at most k of them) so exactly k remain.
-
-    The sample is given as distinct coordinates with their multiplicities.
-    Padding splits the most populated cell at the median of its events and
-    puts a center at the median of each half, as on the expanded sample.
-    """
-    centers = sorted(np.asarray(init, dtype=float).tolist())
-    while len(centers) < k:
-        mids = 0.5 * (np.array(centers[:-1]) + np.array(centers[1:])) if len(centers) > 1 else np.array([])
-        labels = np.searchsorted(mids, coords)
-        counts = np.bincount(labels, weights=multiplicity, minlength=len(centers))
-        j = int(np.argmax(counts))
-        order = np.argsort(coords[labels == j])
-        cell = coords[labels == j][order]
-        reach = np.cumsum(multiplicity[labels == j][order])  # events up to and including each value
-        n = int(reach[-1]) if reach.size else 0
-        if n < 4:
-            # nothing to split; nudge a duplicate next to the heaviest center
-            centers.append(centers[j] + 1e-3 * (1 + j))
-        else:
-            # the middle ranks of the lower and the upper half of the events
-            half = n // 2
-            ranks = [(half - 1) // 2, half // 2, half + (n - half - 1) // 2, half + (n - half) // 2]
-            v = cell[np.searchsorted(reach, ranks, side="right")].tolist()
-            centers[j] = 0.5 * (v[0] + v[1])
-            centers.append(0.5 * (v[2] + v[3]))
-        centers.sort()
-    return np.array(centers)
 
 
 class _LabelledEvents:
@@ -461,9 +430,10 @@ class _LabelledEvents:
         return mean, np.sqrt(np.maximum(var, 1e-9))
 
 
-def _label_events(events, k):
+def _label_events(events):
     """Pick a well-separated projection, split it at histogram valleys, and
-    label every event with its cluster index (ascending along that axis).
+    label every event with its cluster index (ascending along that axis):
+    one label per resolved peak, so the peak count is the component count.
 
     Every calibration mode starts from this one labelling; it works on the
     distinct (rise, fall) pairs, so the events are collapsed once (on
@@ -477,26 +447,17 @@ def _label_events(events, k):
     """
     pairs = pairs_in_ps(distinct_pairs(events))
     n_events = events.n_detections
-    pair_rise, pair_fall, multiplicity = pairs
+    pair_rise, pair_fall, _ = pairs
     n_peaks, depth, conc = _reference_scan(pairs, _GRID_ANGLES)
     order = np.lexsort((conc, depth, n_peaks, depth >= 0.5))
     theta_ref = float(_GRID_ANGLES[order[-1]])
     coords = pair_rise * math.cos(theta_ref) + pair_fall * math.sin(theta_ref)
     counts, centers, _ = histogram_1d(pairs, theta_ref)
-    idx, prom, smoothed = _peak_indices_ranked(counts)
+    idx, smoothed = _peak_indices_ranked(counts)
     if idx.size == 0:
         raise CalibrationError("no peaks found at the reference projection")
-    if k is None:
-        k = int(idx.size)
-    if idx.size > k:
-        keep = np.sort(np.argsort(prom)[::-1][:k])
-        idx = idx[keep]
-    if idx.size == k:
-        cut = centers[[_valley(smoothed, a, b) for a, b in zip(idx[:-1], idx[1:])]]
-    else:
-        # too few resolved peaks: split the most populated cells of the events
-        peak_centers = _complete_centers(coords, multiplicity, centers[idx], k)
-        cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
+    k = int(idx.size)
+    cut = centers[[_valley(smoothed, a, b) for a, b in zip(idx[:-1], idx[1:])]]
     if n_events < 50 * k:
         raise CalibrationError(f"need at least {50 * k} detected events, got {n_events}")
     return _LabelledEvents(pairs, np.searchsorted(cut, coords), k), theta_ref
@@ -632,15 +593,12 @@ def _angle_scan(labelled):
     }
 
 
-def _calibrate(events, modes, k, detector, window_ps):
+def _calibrate(events, modes, detector, window_ps):
     """Label the events once, then build every mode in ``modes`` from that
-    one labelling; returns {mode: CalibrationModel}.  k must be None or an
-    integer of at least 1 (ConfigError)."""
-    if k is not None and (not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1):
-        raise ConfigError(f"k must be None or an integer of at least 1, not {k!r}")
-    labelled, theta_ref = _label_events(events, k)
+    one labelling; returns {mode: CalibrationModel}."""
+    labelled, theta_ref = _label_events(events)
     if np.any(labelled.counts < 5):
-        raise CalibrationError("a cluster label has fewer than 5 events; reduce k or take more data")
+        raise CalibrationError("a cluster label has fewer than 5 events; take more data")
     models = {}
     for mode in modes:
         extra = {"reference_angle": theta_ref, "k": labelled.k}
@@ -766,7 +724,6 @@ class CalibrationModel:
 def calibrate_events(
     events,
     mode: str = OPTIMAL,
-    k: int | None = None,
     *,
     detector: str | None = None,
     window_ps: float | None = None,
@@ -776,7 +733,8 @@ def calibrate_events(
 
     Events are labelled once at a well-separated reference projection,
     found by scanning the distinct (rise, fall) pairs with their
-    multiplicities.  In the optimal mode each trial angle is then scored
+    multiplicities; the model has one component per peak resolved there.
+    In the optimal mode each trial angle is then scored
     from per-label Gaussian moments, which follow in closed form from the
     label means and (co)variances of rise and fall, so a trial costs O(k)
     and the scan is deterministic.  The scan covers a full grid on [0, pi)
@@ -787,12 +745,11 @@ def calibrate_events(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    return _calibrate(events, (mode,), k, detector, window_ps)[mode]
+    return _calibrate(events, (mode,), detector, window_ps)[mode]
 
 
 def calibrate_both(
     events,
-    k: int | None = None,
     *,
     detector: str | None = None,
     window_ps: float | None = None,
@@ -800,7 +757,7 @@ def calibrate_both(
     """Rising-only and optimal-angle models of a pair_edges result from one
     labelling, so they share one component count and their crosstalk
     matrices compare photon class by photon class."""
-    fits = _calibrate(events, (OPTIMAL, RISING_ONLY), k, detector, window_ps)
+    fits = _calibrate(events, (OPTIMAL, RISING_ONLY), detector, window_ps)
     return {RISING_ONLY: fits[RISING_ONLY], OPTIMAL: fits[OPTIMAL]}
 
 

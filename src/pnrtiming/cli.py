@@ -99,7 +99,9 @@ def _write_histogram2d_csv(path, table) -> None:
 
 def _write_projection_csv(path, pairs, model) -> None:
     counts, centers, fitted = cal.fitted_histogram(pairs, model.angle, model.components)
-    textio.write_csv(path, "coordinate_ps,counts,fitted_counts", "{:.6g},{},{:.6g}", centers, counts, fitted)
+    # a bin centre as the shortest text that reads back as the same double:
+    # centres 0.5 ps apart keep distinct labels at any coordinate
+    textio.write_csv(path, "coordinate_ps,counts,fitted_counts", "{!r},{},{:.6g}", centers, counts, fitted)
 
 
 def _write_crosstalk_csv(path, crosstalk) -> None:
@@ -112,9 +114,9 @@ def cmd_calibrate(args) -> int:
     block = read_tag_block(args.tagfile)
     events = pair_edges(block, args.window, detector=args.detector)
     if args.mode == "both":
-        models = cal.calibrate_both(events, args.k, detector=args.detector, window_ps=args.window)
+        models = cal.calibrate_both(events, detector=args.detector, window_ps=args.window)
     else:
-        model = cal.calibrate_events(events, args.mode, args.k, detector=args.detector, window_ps=args.window)
+        model = cal.calibrate_events(events, args.mode, detector=args.detector, window_ps=args.window)
         models = {args.mode: model}
 
     out = _out_dir(args)
@@ -236,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=detectors, default="A")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW_PS, help="pairing window in ps")
     p.add_argument("--mode", choices=(cal.RISING_ONLY, cal.OPTIMAL, "both"), default="both")
-    p.add_argument("--k", type=int, default=None, help="component count (default: found peaks)")
     add_common(p)
     p.set_defaults(func=cmd_calibrate)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import textio
 from .calibrate import CalibrationModel, classify, project
 from .errors import DataError, StreamFormatError
-from .photostat import joint_counts
+from .photostat import MAX_PHOTON_NUMBER, joint_counts
 from .timetags import DETECTOR_CHANNELS
 
 _REC_MAGIC = b"PNRREC01"
@@ -33,7 +33,6 @@ _REC_DTYPE = np.dtype(
         ("trigger_time", "<i8"),
     ]
 )
-_N_MAX = np.iinfo(_REC_DTYPE["n"]).max  # the largest photon number a record holds
 _INT16_MAX = np.iinfo(np.int16).max  # the largest photon number a record set holds
 
 
@@ -103,18 +102,20 @@ class PhotonRecordSet:
             raise StreamFormatError(f"{path}, line 1: window_ps {meta['window_ps']!r} is not a number") from None
         if not 0.0 <= window < math.inf:
             raise StreamFormatError(f"{path}, line 1: window_ps must be finite and non-negative, not {window:g}")
-        bad = np.flatnonzero((data[:, 2] < 0) | (data[:, 2] > _N_MAX))
+        bad = np.flatnonzero((data[:, 2] < 0) | (data[:, 2] > MAX_PHOTON_NUMBER))
         if bad.size:
             line = textio.row_line(path, len(header), int(bad[0]))
-            raise StreamFormatError(f"{path}, line {line}: photon number {data[bad[0], 2]} outside [0, {_N_MAX}]")
+            raise StreamFormatError(
+                f"{path}, line {line}: photon number {data[bad[0], 2]} outside [0, {MAX_PHOTON_NUMBER}]"
+            )
         return cls(detector, window, data[:, 0], data[:, 1], data[:, 2].astype(np.int16))
 
     def check_binary(self) -> None:
         """Raise DataError unless every record fits the .pnrec fields."""
         if len(self) and not 0 <= self.trigger_index.min() <= self.trigger_index.max() < 2**32:
             raise DataError(".pnrec stores trigger_index as u32; this set reaches beyond [0, 2**32)")
-        if len(self) and self.n.max() > _N_MAX:
-            raise DataError(f".pnrec stores n as u1; this set holds photon numbers above {_N_MAX}")
+        if len(self) and self.n.max() > MAX_PHOTON_NUMBER:
+            raise DataError(f".pnrec stores n as u1; this set holds photon numbers above {MAX_PHOTON_NUMBER}")
 
     def to_binary(self, path) -> None:
         self.check_binary()
@@ -145,13 +146,14 @@ class PhotonRecordSet:
             raise StreamFormatError(f"unknown detector byte {det_byte}", byte_offset=10)
         if not 0.0 <= window < math.inf:
             raise StreamFormatError(f"window_ps must be finite and non-negative, not {window:g}", byte_offset=16)
-        body = raw[_REC_HEADER.size :]
-        if len(body) != count * _REC_DTYPE.itemsize:
+        payload = len(raw) - _REC_HEADER.size
+        if payload != count * _REC_DTYPE.itemsize:
             raise StreamFormatError(
-                f"expected {count} records, found {len(body)} payload bytes",
-                byte_offset=_REC_HEADER.size + (len(body) // _REC_DTYPE.itemsize) * _REC_DTYPE.itemsize,
+                f"expected {count} records, found {payload} payload bytes",
+                byte_offset=_REC_HEADER.size + (payload // _REC_DTYPE.itemsize) * _REC_DTYPE.itemsize,
             )
-        arr = np.frombuffer(body, dtype=_REC_DTYPE)
+        # a view of the records in place, not a copy of the payload
+        arr = np.frombuffer(raw, dtype=_REC_DTYPE, offset=_REC_HEADER.size)
         return cls(
             chr(det_byte),
             window,

@@ -19,6 +19,9 @@ from scipy.special import gammaln, pdtrc, xlogy
 from . import textio
 from .errors import ConfigError, DataError, InsufficientDataError
 
+# the largest photon number that a .pnrec record and the records CSV hold
+MAX_PHOTON_NUMBER = 255
+
 
 @dataclass(eq=False)
 class NumberDistribution:
@@ -57,9 +60,13 @@ class NumberDistribution:
     def folded(self, tail_from: int) -> np.ndarray:
         """Counts with every photon number >= tail_from summed into one
         final category; result has tail_from + 1 entries.  A tail_from
-        below 0 raises ConfigError."""
+        below 0, or above both MAX_PHOTON_NUMBER and the largest photon
+        number counted, raises ConfigError."""
         if tail_from < 0:
             raise ConfigError(f"the fold must start at 0 or above, not {tail_from}")
+        limit = max(MAX_PHOTON_NUMBER, self.counts.size - 1)
+        if tail_from > limit:
+            raise ConfigError(f"the fold must start at {limit} or below, not {tail_from}")
         head = self.counts[:tail_from]
         if head.size < tail_from:
             head = np.concatenate([head, np.zeros(tail_from - head.size, dtype=head.dtype)])
@@ -235,7 +242,8 @@ def joint_counts(index_a, n_a, index_b, n_b, n_max: int | None = None, sides=("A
     Both sides must list the same trigger indices in the same order; if not,
     DataError names up to ten indices found on one side only, calling
     the sides by ``sides``.  The matrix spans the largest photon number, or
-    0..n_max, which must not be below it (ConfigError).
+    0..n_max, which must not be below it nor above both it and
+    MAX_PHOTON_NUMBER (ConfigError).
     """
     index_a = np.asarray(index_a, dtype=np.int64)
     index_b = np.asarray(index_b, dtype=np.int64)
@@ -252,6 +260,9 @@ def joint_counts(index_a, n_a, index_b, n_b, n_max: int | None = None, sides=("A
     if n_max is not None:
         if n_max + 1 < size:
             raise ConfigError(f"photon numbers reach {size - 1}, above n_max={n_max}")
+        limit = max(MAX_PHOTON_NUMBER, size - 1)
+        if n_max > limit:
+            raise ConfigError(f"n_max must be at most {limit}, not {n_max}")
         size = n_max + 1
     return np.bincount(n_a * size + n_b, minlength=size * size).reshape(size, size)
 

@@ -463,10 +463,8 @@ def test_peak_search_matches_scipy_find_peaks():
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         counts = rng.poisson(rng.uniform(0.0, 40.0), n)
-        idx, prom, smoothed = cal._peak_indices_ranked(counts)
-        want = scipy_peaks(smoothed, 0.05 * max(smoothed.max(), 1e-12))
-        np.testing.assert_array_equal(idx, want[0])
-        np.testing.assert_array_equal(prom, want[1])
+        idx, smoothed = cal._peak_indices_ranked(counts)
+        np.testing.assert_array_equal(idx, scipy_peaks(smoothed, 0.05 * max(smoothed.max(), 1e-12))[0])
 
 
 def test_simulated_projection_shows_at_least_five_modes(events_a, optimal_model, default_params):
@@ -521,8 +519,9 @@ def test_no_shared_jitter_leaves_nothing_to_exploit():
     rise = np.array([20.0, 10.0, 0.0])[cls] + rng.normal(0, 1.0, n)
     fall = 100.0 + rng.normal(0, 1.0, n)
     ev = make_events(rise, fall)
-    opt = calibrate_events(ev, mode="optimal", k=3)
-    ris = calibrate_events(ev, mode="rising_only", k=3)
+    opt = calibrate_events(ev, mode="optimal")
+    ris = calibrate_events(ev, mode="rising_only")
+    assert opt.k == ris.k == 3
     assert math.degrees(opt.angle % math.pi) == pytest.approx(0.0, abs=3.0)
     t_opt = total_offdiagonal(opt.crosstalk)
     t_ris = total_offdiagonal(ris.crosstalk)
@@ -550,50 +549,15 @@ def test_angle_search_rejects_empty_and_tiny_samples():
         calibrate_events(make_events(rng.normal(0, 1, 30), rng.normal(5, 1, 30)), mode="optimal")
 
 
-def complete_centers_per_event(coords, init, k):
-    """Pad initial centers so exactly k remain: padding splits the most
-    populated cell at its median and puts a center at the median of each
-    half."""
-    centers = list(np.sort(np.asarray(init, dtype=float)))
-    while len(centers) < k:
-        mids = 0.5 * (np.array(centers[:-1]) + np.array(centers[1:])) if len(centers) > 1 else np.array([])
-        labels = np.searchsorted(mids, coords)
-        j = int(np.argmax(np.bincount(labels, minlength=len(centers))))
-        cell = np.sort(coords[labels == j])
-        if cell.size < 4:
-            centers.append(centers[j] + 1e-3 * (1 + j))
-        else:
-            centers[j] = float(np.median(cell[: cell.size // 2]))
-            centers.append(float(np.median(cell[cell.size // 2 :])))
-        centers.sort()
-    return np.array(centers)
-
-
-@pytest.mark.parametrize("sample", ["simulated", "small"])
-def test_complete_centers_match_the_expanded_sample(sample, events_a):
-    if sample == "simulated":
-        pair_rise, pair_fall, multiplicity = pairs_in_ps(distinct_pairs(events_a))
-        coords = pair_rise * math.cos(2.34) + pair_fall * math.sin(2.34)
-    else:
-        rng = np.random.default_rng(3)
-        coords = np.sort(rng.normal(0.0, 10.0, 40))
-        multiplicity = rng.integers(1, 5, coords.size)
-    expanded = np.repeat(coords, multiplicity)
-    for init, ks in ((coords[:1], (2, 5, 12)), (np.quantile(expanded, [0.2, 0.5, 0.8]), (5, 12))):
-        for k in ks:
-            want = complete_centers_per_event(expanded, init, k)
-            np.testing.assert_array_equal(cal._complete_centers(coords, multiplicity, init, k), want)
-
-
-def per_event_labelling(rise, fall, k):
+def per_event_labelling(rise, fall):
     """Reference scan and labelling, at the default calibration settings,
     that project and histogram every event at every angle; returns
     (n_peaks, depth, conc, theta_ref, labels)."""
 
     def ranked_peaks(counts):
         smoothed = gaussian_filter1d(counts.astype(float), 2.0)
-        idx, props = scipy_find_peaks(smoothed, prominence=0.05 * max(smoothed.max(), 1e-12))
-        return idx, props["prominences"], smoothed
+        idx, _ = scipy_find_peaks(smoothed, prominence=0.05 * max(smoothed.max(), 1e-12))
+        return idx, smoothed
 
     angles = np.deg2rad(np.arange(0.0, 180.0, 2.0))
     n_peaks = np.zeros(angles.size, dtype=int)
@@ -601,7 +565,7 @@ def per_event_labelling(rise, fall, k):
     conc = np.zeros(angles.size)
     for i, theta in enumerate(angles):
         counts, _, _ = numpy_histogram(rise * math.cos(theta) + fall * math.sin(theta))
-        idx, _, smoothed = ranked_peaks(counts)
+        idx, smoothed = ranked_peaks(counts)
         p = counts / counts.sum()
         n_peaks[i] = idx.size
         conc[i] = float(np.sum(p * p))
@@ -613,15 +577,8 @@ def per_event_labelling(rise, fall, k):
     theta_ref = float(angles[np.lexsort((conc, depth, n_peaks, depth >= 0.5))[-1]])
     coords = rise * math.cos(theta_ref) + fall * math.sin(theta_ref)
     counts, centers, _ = numpy_histogram(coords)
-    idx, prom, smoothed = ranked_peaks(counts)
-    k = idx.size if k is None else k
-    if idx.size > k:
-        idx = idx[np.sort(np.argsort(prom)[::-1][:k])]
-    if idx.size == k:
-        cut = np.array([centers[a + int(np.argmin(smoothed[a : b + 1]))] for a, b in zip(idx[:-1], idx[1:])])
-    else:
-        peak_centers = complete_centers_per_event(coords, centers[idx], k)
-        cut = 0.5 * (peak_centers[:-1] + peak_centers[1:])
+    idx, smoothed = ranked_peaks(counts)
+    cut = np.array([centers[a + int(np.argmin(smoothed[a : b + 1]))] for a, b in zip(idx[:-1], idx[1:])])
     return n_peaks, depth, conc, theta_ref, np.searchsorted(cut, coords)
 
 
@@ -636,25 +593,21 @@ def three_cluster_sample(n=20_000, seed=41):
 
 
 @pytest.mark.parametrize(
-    "sample, k, block",
+    "sample, block",
     [
-        *(
-            pytest.param(sample, k, None, id=f"{sample}-{k}")
-            for sample, k in [
-                ("simulated", None), ("simulated", 3), ("simulated", 9), ("continuous", None), ("continuous", 5)
-            ]
-        ),
+        pytest.param("simulated", None, id="simulated-None"),
+        pytest.param("continuous", None, id="continuous-None"),
         # the scan's histograms built from many blocks of pairs
-        pytest.param("simulated", None, 1000, id="simulated-None-blocks"),
-        pytest.param("continuous", None, 1000, id="continuous-None-blocks"),
+        pytest.param("simulated", 1000, id="simulated-None-blocks"),
+        pytest.param("continuous", 1000, id="continuous-None-blocks"),
     ],
 )
-def test_distinct_pair_labelling_matches_per_event_scan(sample, k, block, events_a, monkeypatch):
+def test_distinct_pair_labelling_matches_per_event_scan(sample, block, events_a, monkeypatch):
     if block is not None:
         monkeypatch.setattr(cal, "_SCAN_BLOCK", block)
     events = events_a if sample == "simulated" else three_cluster_sample()
     rise, fall = events.detected()
-    n_peaks, depth, conc, theta_ref, labels = per_event_labelling(rise, fall, k)
+    n_peaks, depth, conc, theta_ref, labels = per_event_labelling(rise, fall)
 
     pairs = pairs_in_ps(distinct_pairs(events))
     assert pairs[2].sum() == rise.size
@@ -665,7 +618,7 @@ def test_distinct_pair_labelling_matches_per_event_scan(sample, k, block, events
     np.testing.assert_array_equal(got[1], depth)
     np.testing.assert_array_equal(got[2], conc)
 
-    labelled, got_theta = cal._label_events(events, k)
+    labelled, got_theta = cal._label_events(events)
     assert got_theta == theta_ref
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     np.testing.assert_array_equal(labelled.labels[pair_of_event], labels)
@@ -709,7 +662,7 @@ def test_distinct_pairs_are_bit_equal_to_complex_unique(kind):
 
 def test_label_moments_match_direct_projection(events_a):
     rise, fall = events_a.detected()
-    labelled, _ = cal._label_events(events_a, None)
+    labelled, _ = cal._label_events(events_a)
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     labels = labelled.labels[pair_of_event]
     rng = np.random.default_rng(12)
@@ -748,7 +701,7 @@ def test_model_objective_is_the_model_crosstalk(optimal_model):
 
 def test_components_are_the_label_moments(events_a, optimal_model, rising_model, default_params):
     rise, fall = events_a.detected()
-    labelled, _ = cal._label_events(events_a, None)
+    labelled, _ = cal._label_events(events_a)
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     labels = labelled.labels[pair_of_event]
     pulse, _, _ = default_params
@@ -837,20 +790,13 @@ def test_public_boundaries_and_crosstalk_reproduce_the_model(acceptance_fixture)
 
 
 def test_labels_with_too_few_events_raise_in_every_mode():
-    # two clusters of one repeated pair each: the padded labels stay empty
-    rise = np.repeat([0.0, 40.0], 3000)
-    fall = np.repeat([100.0, 140.0], 3000)
+    # three clusters of one repeated pair each, the middle one with 4 events:
+    # enough events for three components, too few in one label
+    rise = np.repeat([0.0, 20.0, 40.0], [75, 4, 75])
+    fall = np.repeat([100.0, 120.0, 140.0], [75, 4, 75])
     for mode in ("optimal", "rising_only"):
-        with pytest.raises(CalibrationError, match="fewer than 5 events"):
-            calibrate_events(make_events(rise, fall), mode=mode, k=5)
-
-
-def test_component_count_must_be_a_positive_integer(events_a):
-    for k in (0, 2.5, True):
-        for calibrate in (lambda: calibrate_events(events_a, k=k), lambda: calibrate_both(events_a, k)):
-            with pytest.raises(ConfigError, match="k must be") as info:
-                calibrate()
-            assert isinstance(info.value, ValueError)
+        with pytest.raises(CalibrationError, match="a cluster label has fewer than 5 events"):
+            calibrate_events(make_events(rise, fall), mode=mode)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

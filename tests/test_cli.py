@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: files, summaries, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pnrtiming
 from pnrtiming import (
@@ -134,7 +139,6 @@ def test_malformed_config_json(tmp_path, capsys):
         ("calibrate", "{stream}", "--window", "-5"),
         ("calibrate", "{stream}", "--window", "0"),
         ("calibrate", "{stream}", "--window", "inf"),
-        ("calibrate", "{stream}", "--k", "0"),
         ("decode", "{stream}", "{calibration}", "--window", "-5"),
         ("decode", "{stream}", "{calibration}", "--window", "0"),
         ("stats", "{records}", "--tail-from", "0"),
@@ -169,6 +173,13 @@ def test_malformed_config_json(tmp_path, capsys):
         ("simulate", "--config", "{mu_inf}"),
         ("simulate", "--config", "{tagger_jitter_inf}"),
         ("decode", "{stream}", "{boundary_nan}"),
+        # a table by photon number reaches at most 255, the most a record holds
+        ("stats", "{records}", "--n-max", "256"),
+        ("stats", "{records}", "--n-max", "1000000000000"),
+        ("stats", "{records}", "--tail-from", "256"),
+        ("stats", "{records}", "--tail-from", "1000000000000"),
+        ("jpnd", "{records}", "{records}", "--n-max", "256"),
+        ("jpnd", "{records}", "{records}", "--n-max", "1000000000"),
     ],
 )
 def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
@@ -247,6 +258,63 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     assert err["exit_code"] == 2
     if not malformed_file:
         assert not (tmp_path / "out").exists()
+
+
+def test_photon_number_tables_take_the_record_ceiling(pipeline, tmp_path, capsys):
+    records = pipeline / "records_A.pnrec"
+    code, _, err = run(capsys, "stats", records, "--n-max", 255, "--tail-from", 255, "--out", tmp_path / "stats")
+    assert (code, err) == (0, None)
+    table = (tmp_path / "stats" / "number_distribution.csv").read_text().splitlines()
+    assert table[-1].startswith("255,") and len(table) == 257
+    code, _, err = run(capsys, "jpnd", records, records, "--n-max", 255, "--out", tmp_path / "jpnd")
+    assert (code, err) == (0, None)
+    assert len((tmp_path / "jpnd" / "jpnd.csv").read_text().splitlines()) == 257
+
+
+def test_calibrate_takes_no_component_count(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["calibrate", str(pipeline / "stream.pnrtag"), "--k", "3", "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "--k" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.sampled_from([("stats", "--n-max"), ("stats", "--tail-from"), ("jpnd", "--n-max")]),
+            st.integers(-(2**70), 2**70),
+        ),
+        st.tuples(st.just(("decode", "--window")), st.floats(allow_nan=True, allow_infinity=True)),
+    )
+)
+@example((("stats", "--n-max"), 255))
+@example((("jpnd", "--n-max"), 256))
+@example((("stats", "--tail-from"), -(2**70)))
+@example((("decode", "--window"), 1e300))
+@example((("decode", "--window"), 5e-324))
+@example((("decode", "--window"), math.nan))
+def test_numeric_options_exit_cleanly(pipeline, tmp_path_factory, draw):
+    """Any value of a numeric option gives a documented exit code, and a
+    failure exactly one JSON object on stderr, never a traceback."""
+    (command, option), value = draw
+    inputs = {
+        "stats": [pipeline / "records_A.pnrec"],
+        "jpnd": [pipeline / "records_A.pnrec"] * 2,
+        "decode": [pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json"],
+    }[command]
+    argv = [command, *map(str, inputs), f"{option}={value!r}", "--out", str(tmp_path_factory.mktemp("fuzz")), "--quiet"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        error = json.loads(err.getvalue())
+        assert isinstance(error, dict) and error["exit_code"] == code
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():

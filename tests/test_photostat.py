@@ -20,8 +20,8 @@ from pnrtiming import (
     hom_contrast,
     sample_source,
 )
-from pnrtiming.errors import DataError, InsufficientDataError
-from pnrtiming.photostat import _poisson_pmf, joint_counts
+from pnrtiming.errors import ConfigError, DataError, InsufficientDataError
+from pnrtiming.photostat import MAX_PHOTON_NUMBER, _poisson_pmf, joint_counts
 
 # ---- helpers
 
@@ -232,6 +232,29 @@ def test_joint_counts_match_a_brute_force_count():
         assert {ij: c for ij, c in np.ndenumerate(matrix) if c} == pairs
     with pytest.raises(ValueError, match="n_max=4"):
         joint_counts(idx, n_a, idx, n_b, 4)
+
+
+def test_tables_by_photon_number_stop_at_the_record_ceiling():
+    # 255 is the most a .pnrec or records CSV holds; a table the data needs
+    # is never refused, a larger one is
+    assert MAX_PHOTON_NUMBER == 255
+    small, wide = NumberDistribution([5, 4, 3]), NumberDistribution(np.ones(301, dtype=np.int64))
+    assert small.folded(255).size == 256
+    assert wide.folded(300).size == 301
+    idx = np.arange(3)
+    assert joint_counts(idx, [0, 1, 2], idx, [2, 1, 0], 255).shape == (256, 256)
+    assert joint_counts(idx, [0, 1, 300], idx, [2, 1, 0], 300).shape == (301, 301)
+    for too_big in (256, 2**70):
+        with pytest.raises(ConfigError, match="255 or below"):
+            small.folded(too_big)
+        with pytest.raises(ConfigError, match="at most 255"):
+            joint_counts(idx, [0, 1, 2], idx, [2, 1, 0], too_big)
+    with pytest.raises(ConfigError, match="300 or below"):
+        wide.folded(301)
+    with pytest.raises(ConfigError, match="at most 300"):
+        joint_counts(idx, [0, 1, 300], idx, [2, 1, 0], 301)
+    with pytest.raises(ConfigError, match="255 or below"):
+        fit_poisson_mu(NumberDistribution([500, 40, 3]), tail_from=256)
 
 
 def test_jpnd_validation():

@@ -122,11 +122,26 @@ def test_projection_csv(tmp_path, rows):
     counts, centers, edges = histogram_1d(pairs, 0.0)
     fitted = expected_counts(rise.size, model.components, edges)
     assert counts.size == rows
-    lines = [f"{x:.6g},{c},{m:.6g}\n" for x, c, m in zip(centers, counts, fitted)]
+    lines = [f"{x!r},{c},{m:.6g}\n" for x, c, m in zip(centers.tolist(), counts, fitted)]
     assert_file_is(path, "coordinate_ps,counts,fitted_counts", lines)
 
 
-@pytest.mark.parametrize("tail_from", [1, 4, 65_534, 65_535, 65_536])
+def test_projection_csv_labels_stay_exact_far_out(tmp_path):
+    # bins 0.5 ps apart near 2e5 ps, where 6 significant digits repeat labels
+    rng = np.random.default_rng(8)
+    rise = 200_000.0 + rng.integers(0, 4000, 3000) / 10
+    pairs = rise, np.zeros(rise.size), np.ones(rise.size, dtype=np.int64)
+    model = SimpleNamespace(angle=0.0, components=[VoigtComponent(200_200.0, 50.0, 0.0, 1.0)])
+    path = tmp_path / "projection.csv"
+    _write_projection_csv(path, pairs, model)
+    _, centers, _ = histogram_1d(pairs, 0.0)
+    labels = [line.split(",", 1)[0] for line in path.read_text().splitlines()[1:]]
+    assert len(set(labels)) == len(labels) == centers.size > 800
+    assert [float(x) for x in labels] == centers.tolist()
+
+
+# up to the largest photon number a record holds, the largest fold stats takes
+@pytest.mark.parametrize("tail_from", [1, 4, 254, 255])
 def test_poisson_fit_csv(tmp_path, tail_from):
     n = np.random.default_rng(tail_from).poisson(2.0, 500)
     records = tmp_path / "records.csv"
