@@ -30,6 +30,7 @@ from scipy.special import ndtr, wofz
 
 from . import textio
 from .errors import CalibrationError, ConfigError
+from .photostat import MAX_PHOTON_NUMBER
 from .timetags import DETECTOR_CHANNELS, UNITS_PER_PS
 
 _SQRT2 = math.sqrt(2.0)
@@ -457,6 +458,8 @@ def _label_events(events):
     if idx.size == 0:
         raise CalibrationError("no peaks found at the reference projection")
     k = int(idx.size)
+    if k > MAX_PHOTON_NUMBER:
+        raise CalibrationError(f"{k} peaks resolved; a calibration holds at most {MAX_PHOTON_NUMBER}")
     cut = centers[[_valley(smoothed, a, b) for a, b in zip(idx[:-1], idx[1:])]]
     if n_events < 50 * k:
         raise CalibrationError(f"need at least {50 * k} detected events, got {n_events}")
@@ -640,8 +643,9 @@ class CalibrationModel:
             raise ValueError(f"mode must be one of {_MODES}")
         if not 0.0 <= self.angle < 2.0 * math.pi:
             raise ValueError("angle must lie in [0, 2*pi)")
-        if not self.components:
-            raise ValueError("at least one component required")
+        k = len(self.components)
+        if not 1 <= k <= MAX_PHOTON_NUMBER:
+            raise ValueError(f"need 1 to {MAX_PHOTON_NUMBER} components, one per photon number, not {k}")
         if self.detector not in (None, *DETECTOR_CHANNELS):
             raise ValueError(f"detector must be one of {sorted(DETECTOR_CHANNELS)} or None, not {self.detector!r}")
         window = self.window_ps
@@ -650,7 +654,6 @@ class CalibrationModel:
             raise ValueError(f"window_ps must be a positive, finite number of ps, not {window!r}")
         self.boundaries = np.asarray(self.boundaries, dtype=float)
         self.crosstalk = np.asarray(self.crosstalk, dtype=float)
-        k = len(self.components)
         centers = np.array([c.center for c in self.components])
         if np.any(np.diff(centers) <= 0):
             raise ValueError("components must be ordered by ascending center")

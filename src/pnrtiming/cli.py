@@ -4,8 +4,8 @@ Every command is deterministic given its inputs and seed, writes fixed
 file names under --out, and prints a small summary JSON on stdout unless
 --quiet.  Failures print a machine-readable error JSON on stderr and exit
 with the failing class's ``exit_code`` (see ``errors``): 2 for I/O errors
-(OSError), ConfigError and StreamFormatError; 3 for CalibrationError; 4
-for DataError; 5 for InsufficientDataError.
+(OSError), ConfigError (also a refused argument) and StreamFormatError; 3
+for CalibrationError; 4 for DataError; 5 for InsufficientDataError.
 """
 
 from __future__ import annotations
@@ -212,8 +212,13 @@ def cmd_jpnd(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a refused argument ends in the JSON error; subparsers share the class
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pnrtiming",
         description="Photon-number resolution from rise/fall pulse timing: "
         "simulate tag streams, calibrate projections, decode photon numbers, "
@@ -269,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (PnrError, OSError) as exc:
         code = exc.exit_code if isinstance(exc, PnrError) else 2

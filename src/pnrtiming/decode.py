@@ -33,12 +33,12 @@ _REC_DTYPE = np.dtype(
         ("trigger_time", "<i8"),
     ]
 )
-_INT16_MAX = np.iinfo(np.int16).max  # the largest photon number a record set holds
 
 
 @dataclass(eq=False)
 class PhotonRecordSet:
-    """Decoded photon numbers for one detector, one record per trigger."""
+    """Decoded photon numbers for one detector, one record per trigger; ``n``
+    is uint8, and one outside [0, MAX_PHOTON_NUMBER] raises ValueError."""
 
     detector: str
     window_ps: float
@@ -54,15 +54,15 @@ class PhotonRecordSet:
             raise ValueError(f"window_ps must be finite and non-negative, not {self.window_ps:g}")
         self.trigger_index = np.asarray(self.trigger_index, dtype=np.int64)
         self.trigger_time = np.asarray(self.trigger_time, dtype=np.int64)
-        # checked before the int16 cast, which would truncate 2.7 to 2 and
-        # wrap 70000 to 4464; an empty list arrives as float64
+        # checked before the uint8 cast, which would truncate 2.7 to 2 and
+        # wrap 300 to 44; an empty list arrives as float64
         n = np.asarray(self.n)
         if n.size and not np.issubdtype(n.dtype, np.integer):
             raise ValueError(f"photon numbers must be integers, not {n.dtype}")
-        if n.size and (n.min() < 0 or n.max() > _INT16_MAX):
-            first = n.flat[np.flatnonzero((n < 0) | (n > _INT16_MAX))[0]]
-            raise ValueError(f"photon numbers must be non-negative and at most {_INT16_MAX}, not {first}")
-        self.n = n.astype(np.int16, copy=False)
+        if n.size and (n.min() < 0 or n.max() > MAX_PHOTON_NUMBER):
+            first = n.flat[np.flatnonzero((n < 0) | (n > MAX_PHOTON_NUMBER))[0]]
+            raise ValueError(f"photon numbers must be non-negative and at most {MAX_PHOTON_NUMBER}, not {first}")
+        self.n = n.astype(np.uint8, copy=False)
         if not (self.trigger_index.shape == self.trigger_time.shape == self.n.shape):
             raise ValueError("record arrays must share one shape")
 
@@ -88,8 +88,8 @@ class PhotonRecordSet:
         """Records from ``to_csv``'s table; the ``# detector=... window_ps=...``
         line above the column names may be missing, and then the window is 0.
         A detector other than A or B, a window that is not a finite
-        non-negative number, or a photon number outside the .pnrec range
-        [0, 255] raises StreamFormatError naming its line."""
+        non-negative number, or a photon number outside [0, MAX_PHOTON_NUMBER]
+        raises StreamFormatError naming its line."""
         header, data = textio.read_csv(path, 1, 3)
         first = header[0] if header else ""
         meta = dict(tok.partition("=")[::2] for tok in first[1:].split()) if first.startswith("#") else {}
@@ -102,20 +102,13 @@ class PhotonRecordSet:
             raise StreamFormatError(f"{path}, line 1: window_ps {meta['window_ps']!r} is not a number") from None
         if not 0.0 <= window < math.inf:
             raise StreamFormatError(f"{path}, line 1: window_ps must be finite and non-negative, not {window:g}")
-        bad = np.flatnonzero((data[:, 2] < 0) | (data[:, 2] > MAX_PHOTON_NUMBER))
-        if bad.size:
-            line = textio.row_line(path, len(header), int(bad[0]))
-            raise StreamFormatError(
-                f"{path}, line {line}: photon number {data[bad[0], 2]} outside [0, {MAX_PHOTON_NUMBER}]"
-            )
-        return cls(detector, window, data[:, 0], data[:, 1], data[:, 2].astype(np.int16))
+        textio.check_photon_numbers(path, header, data[:, 2:], MAX_PHOTON_NUMBER)
+        return cls(detector, window, data[:, 0], data[:, 1], data[:, 2])
 
     def check_binary(self) -> None:
-        """Raise DataError unless every record fits the .pnrec fields."""
+        """Raise DataError unless every trigger index fits the .pnrec u32."""
         if len(self) and not 0 <= self.trigger_index.min() <= self.trigger_index.max() < 2**32:
             raise DataError(".pnrec stores trigger_index as u32; this set reaches beyond [0, 2**32)")
-        if len(self) and self.n.max() > MAX_PHOTON_NUMBER:
-            raise DataError(f".pnrec stores n as u1; this set holds photon numbers above {MAX_PHOTON_NUMBER}")
 
     def to_binary(self, path) -> None:
         self.check_binary()
@@ -130,7 +123,7 @@ class PhotonRecordSet:
         )
         with textio.open_output(path, "wb") as f:
             f.write(header)
-            f.write(arr.tobytes())
+            f.write(arr)
 
     @classmethod
     def from_binary(cls, path) -> "PhotonRecordSet":
@@ -152,14 +145,14 @@ class PhotonRecordSet:
                 f"expected {count} records, found {payload} payload bytes",
                 byte_offset=_REC_HEADER.size + (payload // _REC_DTYPE.itemsize) * _REC_DTYPE.itemsize,
             )
-        # a view of the records in place, not a copy of the payload
+        # a view of the payload; each column is copied, so the set does not pin it
         arr = np.frombuffer(raw, dtype=_REC_DTYPE, offset=_REC_HEADER.size)
         return cls(
             chr(det_byte),
             window,
             arr["trigger_index"].astype(np.int64),
             arr["trigger_time"].astype(np.int64),
-            arr["n"].astype(np.int16),
+            arr["n"].copy(),
         )
 
 
@@ -177,8 +170,8 @@ def decode_events(events, model: CalibrationModel) -> PhotonRecordSet:
             f"calibration for detector {model.detector!r}"
         )
     coords = project(events, model.angle)
-    n = np.zeros(len(events), dtype=np.int16)
-    n[events.detection] = classify(coords, model.boundaries).astype(np.int16) + 1
+    n = np.zeros(len(events), dtype=np.uint8)
+    n[events.detection] = classify(coords, model.boundaries) + 1
 
     first, last = model.components[0], model.components[-1]
     lo = first.center - 8.0 * (first.sigma + first.gamma)

@@ -19,7 +19,7 @@ from scipy.special import gammaln, pdtrc, xlogy
 from . import textio
 from .errors import ConfigError, DataError, InsufficientDataError
 
-# the largest photon number that a .pnrec record and the records CSV hold
+# the largest photon number a record set, .pnrec, a records or truth CSV and a calibration hold
 MAX_PHOTON_NUMBER = 255
 
 

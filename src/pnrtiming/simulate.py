@@ -27,7 +27,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import textio
-from .errors import ConfigError, StreamFormatError
+from .errors import ConfigError
+from .photostat import MAX_PHOTON_NUMBER
 from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, UNITS_PER_PS, TagBlock
 
 _CHUNK = 1 << 16  # triggers per RNG chunk; fixed so output is worker-count independent
@@ -221,13 +222,10 @@ class TruthBlock:
 
     @classmethod
     def from_csv(cls, path) -> "TruthBlock":
-        """Truth from ``to_csv``'s table; a negative photon number raises
-        StreamFormatError naming its line."""
+        """Truth from ``to_csv``'s table; a photon number outside
+        [0, MAX_PHOTON_NUMBER] raises StreamFormatError naming its line."""
         header, data = textio.read_csv(path, 1, 3)
-        if data[:, 1:].min(initial=0) < 0:
-            row = int(np.flatnonzero((data[:, 1:] < 0).any(axis=1))[0])
-            line = textio.row_line(path, len(header), row)
-            raise StreamFormatError(f"{path}, line {line}: negative photon number in {data[row].tolist()}")
+        textio.check_photon_numbers(path, header, data[:, 1:], MAX_PHOTON_NUMBER)
         return cls(data[:, 0], data[:, 1], data[:, 2])
 
 

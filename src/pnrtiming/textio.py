@@ -82,19 +82,25 @@ def _data_lines(path, skip: int):
                 yield lineno, line
 
 
-def row_line(path, skip: int, row: int) -> int:
-    """1-based line number of table row ``row`` (0-based) of a table read by
-    ``read_csv`` below ``skip`` header lines."""
-    return next(islice(_data_lines(path, skip), row, None))[0]
+def check_photon_numbers(path, header: list, values: np.ndarray, top: int) -> None:
+    """Raise StreamFormatError naming the line of the first value outside
+    [0, top] in ``values``, columns of a table that ``read_csv`` returned."""
+    bad = np.flatnonzero((values < 0) | (values > top))
+    if bad.size:
+        row, col = divmod(int(bad[0]), values.shape[1])
+        line = next(islice(_data_lines(path, len(header)), row, None))[0]
+        raise StreamFormatError(f"{path}, line {line}: photon number {values[row, col]} outside [0, {top}]")
 
 
 def _bad_row_message(path, skip: int, ncols: int, exc: ValueError) -> str:
-    """Name the first line below the header that is not ``ncols`` integers;
-    np.loadtxt counts data rows in its errors, not lines."""
-    row = re.compile(",".join([r"\s*[+-]?\d+\s*"] * ncols))
+    """Name the first line below the header that is not ``ncols`` integers
+    in the int64 range; np.loadtxt counts data rows in its errors, not lines."""
+    # a field is a sign and at most 19 digits after any leading zeros: int() takes those
+    row = re.compile(",".join([r"\s*([+-]?)0*([1-9]\d{0,18}|0)\s*"] * ncols))
     for lineno, line in _data_lines(path, skip):
-        if not row.fullmatch(line.split("#", 1)[0].strip()):
-            return f"{path}, line {lineno}: expected {ncols} integer fields, got {line.rstrip()!r}"
+        match = row.fullmatch(line.split("#", 1)[0].strip())
+        if not match or any(int(d) > 2**63 - (s != "-") for s, d in zip(match.groups()[::2], match.groups()[1::2])):
+            return f"{path}, line {lineno}: expected {ncols} int64 fields, got {line.rstrip()!r}"
     return f"{path}: {exc}"
 
 

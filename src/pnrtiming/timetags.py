@@ -114,16 +114,15 @@ def write_stream(tags: TagBlock, sink) -> int:
     records = np.zeros(len(tags), dtype=_RECORD_DTYPE)
     records["channel"] = tags.channels
     records["timestamp"] = tags.timestamps
-    payload = records.tobytes()
 
     f, should_close = _open_sink(sink)
     try:
         f.write(header)
-        f.write(payload)
+        f.write(records)  # the array's own buffer, not a copy of it
     finally:
         if should_close:
             f.close()
-    return len(header) + len(payload)
+    return len(header) + records.nbytes
 
 
 def _read_full(f, n: int) -> bytes:
@@ -297,8 +296,8 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     trig = tags.timestamps[tags.channels == CH_TRIGGER]
     rise = tags.timestamps[tags.channels == ch_rise]
     fall = tags.timestamps[tags.channels == ch_fall]
-    # the window end saturates at the clock's last tick rather than wrapping
-    units = min(int(round(window_ps * UNITS_PER_PS)), _INT64_MAX)
+    # the window end saturates at the clock's last tick, neither wrapping nor reaching inf
+    units = min(int(round(min(window_ps * UNITS_PER_PS, 2.0**63))), _INT64_MAX)
     end = np.minimum(trig, _INT64_MAX - units)
     end += units
 

@@ -799,6 +799,34 @@ def test_labels_with_too_few_events_raise_in_every_mode():
             calibrate_events(make_events(rise, fall), mode=mode)
 
 
+@pytest.mark.parametrize("k", [255, 256])
+def test_a_calibration_resolves_at_most_255_peaks(k):
+    # k tight clusters 6 ps apart on both delays; component j decodes to
+    # j + 1 photons, and a record holds at most 255
+    rng = np.random.default_rng(0)
+    cluster = np.repeat(np.arange(k), 60)
+    rise = 100 + 6.0 * cluster + rng.uniform(-0.3, 0.3, cluster.size)
+    fall = 5000 + 6.0 * cluster + rng.uniform(-0.3, 0.3, cluster.size)
+    events = make_events(rise, fall)
+    if k == 256:
+        with pytest.raises(CalibrationError, match="256 peaks resolved; a calibration holds at most 255"):
+            calibrate_events(events, "optimal")
+    else:
+        model = calibrate_events(events, "optimal")
+        assert model.k == 255
+        assert decode_events(events, model).n.max() == 255
+
+
+def test_model_refuses_more_components_than_photon_numbers():
+    components = [VoigtComponent(float(j), 0.1, 0.0, 1 / 256) for j in range(256)]
+    with pytest.raises(ValueError, match="need 1 to 255 components, one per photon number, not 256"):
+        CalibrationModel("optimal", 0.0, components, np.arange(255) + 0.5, np.eye(256))
+    model = CalibrationModel("optimal", 0.0, components[:2], [0.5], np.eye(2)).to_dict()
+    model["components"] *= 128
+    with pytest.raises(ConfigError, match="not 256"):
+        CalibrationModel.from_dict(model)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_delays_raise_config_error(events_a, bad):
     # calibration takes delays only as an EdgeEventSet's int64 tag units

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -44,7 +45,7 @@ def run(capsys, *argv):
 
 
 def write_records(path, n, detector="A"):
-    n = np.asarray(n, dtype=np.int16)
+    n = np.asarray(n)
     idx = np.arange(n.size, dtype=np.int64)
     PhotonRecordSet(detector, 8000.0, idx, idx * 100_000, n).to_csv(path)
 
@@ -180,6 +181,10 @@ def test_malformed_config_json(tmp_path, capsys):
         ("stats", "{records}", "--tail-from", "1000000000000"),
         ("jpnd", "{records}", "{records}", "--n-max", "256"),
         ("jpnd", "{records}", "{records}", "--n-max", "1000000000"),
+        # arguments the parser refuses give the same JSON error
+        ("stats", "{records}", "--n-max", "abc"),
+        ("calibrate", "{stream}", "--k", "3"),
+        (),
     ],
 )
 def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
@@ -253,7 +258,7 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv), "--out", tmp_path / "out")
     assert code == 2
     assert out is None
-    malformed_file = argv[-1].strip("{}") in malformed
+    malformed_file = bool(argv) and argv[-1].strip("{}") in malformed
     assert err["error"] == ("StreamFormatError" if malformed_file else "ConfigError")
     assert err["exit_code"] == 2
     if not malformed_file:
@@ -272,11 +277,35 @@ def test_photon_number_tables_take_the_record_ceiling(pipeline, tmp_path, capsys
 
 
 def test_calibrate_takes_no_component_count(pipeline, tmp_path, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["calibrate", str(pipeline / "stream.pnrtag"), "--k", "3", "--out", str(tmp_path / "out")])
-    assert info.value.code == 2
-    assert "--k" in capsys.readouterr().err
+    code, out, err = run(capsys, "calibrate", pipeline / "stream.pnrtag", "--k", 3, "--out", tmp_path / "out")
+    assert (code, out, err["error"], err["exit_code"]) == (2, None, "ConfigError", 2)
+    assert err["message"] == "unrecognized arguments: --k 3"
     assert not (tmp_path / "out").exists()
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["decode", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage: pnrtiming" in capsys.readouterr().out
+
+
+def exit_cleanly(*argv):
+    """Run ``main`` quietly and check the exit-code contract: a documented
+    code, and for a failure exactly one JSON error object on stderr, never a
+    traceback.  Returns (code, error object or None)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*map(str, argv), "--quiet"])
+    assert code in (0, 2, 3, 4, 5)
+    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        return code, None
+    error = json.loads(err.getvalue())
+    assert isinstance(error, dict) and error["exit_code"] == code
+    return code, error
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,6 +324,7 @@ def test_calibrate_takes_no_component_count(pipeline, tmp_path, capsys):
 @example((("decode", "--window"), 1e300))
 @example((("decode", "--window"), 5e-324))
 @example((("decode", "--window"), math.nan))
+@example((("decode", "--window"), 1.797693134862316e307))  # times 10 tag units per ps is inf
 def test_numeric_options_exit_cleanly(pipeline, tmp_path_factory, draw):
     """Any value of a numeric option gives a documented exit code, and a
     failure exactly one JSON object on stderr, never a traceback."""
@@ -304,17 +334,75 @@ def test_numeric_options_exit_cleanly(pipeline, tmp_path_factory, draw):
         "jpnd": [pipeline / "records_A.pnrec"] * 2,
         "decode": [pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json"],
     }[command]
-    argv = [command, *map(str, inputs), f"{option}={value!r}", "--out", str(tmp_path_factory.mktemp("fuzz")), "--quiet"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3, 4, 5)
-    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
-    if code == 0:
-        assert err.getvalue() == ""
+    exit_cleanly(command, *inputs, f"{option}={value!r}", "--out", tmp_path_factory.mktemp("fuzz"))
+
+
+# offset and struct format of each .pnrec header field after the magic
+PNREC_FIELDS = {"version": (8, "<H"), "detector": (10, "B"), "count": (12, "<I"), "window_ps": (16, "<d")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("version"), st.integers(0, 2**16 - 1)),
+        st.tuples(st.just("detector"), st.integers(0, 255)),
+        st.tuples(st.just("count"), st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("window_ps"), st.floats(allow_nan=True, allow_infinity=True)),
+    )
+)
+@example(("version", 2))
+@example(("detector", ord("B")))
+@example(("count", 0))
+@example(("window_ps", math.nan))
+@example(("window_ps", -math.inf))
+@example(("window_ps", 5e-324))
+def test_pnrec_header_mutations_exit_cleanly(pipeline, tmp_path_factory, mutation):
+    """A .pnrec with any value in one header field is read, or refused with
+    the exit-code contract."""
+    name, value = mutation
+    offset, fmt = PNREC_FIELDS[name]
+    original = (pipeline / "records_A.pnrec").read_bytes()
+    data = bytearray(original)
+    struct.pack_into(fmt, data, offset, value)
+    directory = tmp_path_factory.mktemp("pnrec")
+    (directory / "records.pnrec").write_bytes(data)
+    code, error = exit_cleanly("stats", directory / "records.pnrec", "--out", directory / "out")
+    readable = (
+        value == struct.unpack_from(fmt, original, offset)[0]
+        or (name == "detector" and value == ord("B"))
+        or (name == "window_ps" and 0.0 <= value < math.inf)
+    )
+    assert code == (0 if readable else 2), error
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["records", "truth"]),
+    st.sampled_from(["index", "n"]),
+    st.integers(0, 4),
+    st.sampled_from([-1, 256, 10**8, 2**70]),
+)
+def test_csv_cell_mutations_exit_cleanly(pipeline, tmp_path_factory, table, column, row, value):
+    """A records or truth CSV with one index or photon-number cell set to a
+    value out of range is read, or refused with the exit-code contract; a
+    refused file names the line."""
+    source = pipeline / ("records_A.csv" if table == "records" else "truth.csv")
+    lines = source.read_text().splitlines(keepends=True)
+    header = 2 if table == "records" else 1
+    fields = lines[header + row].rstrip("\n").split(",")
+    fields[0 if column == "index" else {"records": 2, "truth": 1}[table]] = str(value)
+    lines[header + row] = ",".join(fields) + "\n"
+    directory = tmp_path_factory.mktemp("csv")
+    path = directory / source.name
+    path.write_text("".join(lines))
+    if table == "records":
+        argv = ["stats", path]
     else:
-        error = json.loads(err.getvalue())
-        assert isinstance(error, dict) and error["exit_code"] == code
+        argv = ["decode", pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json", "--truth", path]
+    code, error = exit_cleanly(*argv, "--out", directory / "out")
+    if value == 2**70 or column == "n":
+        assert code == 2 and f"line {header + row + 1}:" in error["message"], error
+    assert not (code and (directory / "out").exists())
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():
@@ -549,12 +637,12 @@ def test_decode_stream_without_trigger_exits_4(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case, exit_code",
-    [("bad_truth", 2), ("missing_truth", 2), ("other_triggers", 4), ("n_past_255", 4), ("no_trigger", 4)],
+    [("bad_truth", 2), ("missing_truth", 2), ("other_triggers", 4), ("n_past_255", 2), ("no_trigger", 4)],
 )
 def test_failed_decode_writes_nothing(pipeline, tmp_path, capsys, case, exit_code):
-    """A truth file that cannot be read or matched, records that .pnrec
-    cannot hold, or a stream of detector edges with no trigger, fail before
-    --out is created."""
+    """A truth file that cannot be read or matched, a calibration with more
+    components than photon numbers a record holds, or a stream of detector
+    edges with no trigger, fail before --out is created."""
     stream, calibration, argv = pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json", []
     truth = (pipeline / "truth.csv").read_text().splitlines(keepends=True)
     if case == "bad_truth":
@@ -572,7 +660,7 @@ def test_failed_decode_writes_nothing(pipeline, tmp_path, capsys, case, exit_cod
         shifted = [f"{int(i) + 1},{rest}" for i, rest in (t.split(",", 1) for t in truth[1:])]
         argv[1].write_text(truth[0] + "".join(shifted))
     else:
-        # 256 classes with every boundary below the data: each detection decodes to 256 photons
+        # 256 classes with every boundary below the data, which would decode each detection to 256
         k = 256
         model = json.loads(calibration.read_text())
         model["components"] = [
@@ -585,6 +673,20 @@ def test_failed_decode_writes_nothing(pipeline, tmp_path, capsys, case, exit_cod
     out = tmp_path / "out"
     code, stdout, err = run(capsys, "decode", stream, calibration, *argv, "--out", out)
     assert (code, err["exit_code"], stdout) == (exit_code, exit_code, None)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [256, 10**8])
+def test_decode_refuses_truth_photon_numbers_past_255(pipeline, tmp_path, capsys, value):
+    # the confusion matrix is sized by the largest truth value: 10**8 asked for 71.1 PiB
+    truth = (pipeline / "truth.csv").read_text().splitlines(keepends=True)
+    truth[5] = f"{truth[5].split(',')[0]},{value},0\n"
+    path, out = tmp_path / "truth.csv", tmp_path / "out"
+    path.write_text("".join(truth))
+    calibration = pipeline / "calibration_optimal.json"
+    code, stdout, err = run(capsys, "decode", pipeline / "stream.pnrtag", calibration, "--truth", path, "--out", out)
+    assert (code, stdout, err["error"], err["exit_code"]) == (2, None, "StreamFormatError", 2)
+    assert f"truth.csv, line 6: photon number {value} outside [0, 255]" in err["message"]
     assert not out.exists()
 
 

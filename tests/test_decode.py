@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from pnrtiming import (
@@ -266,16 +268,17 @@ def test_record_set_validation():
         PhotonRecordSet("A", 8000.0, np.arange(3), np.zeros(2), np.zeros(3, dtype=int))
     with pytest.raises(ValueError, match="non-negative"):
         PhotonRecordSet("A", 8000.0, np.arange(2), np.zeros(2), [1, -1])
-    # an int16 cast would wrap 70000 to 4464, or raise OverflowError on a list
-    for n in (np.array([1, 70000]), [1, 70000]):
-        with pytest.raises(ValueError, match="70000"):
+    # a uint8 cast would wrap 256 to 0 and 70000 to 112
+    for n in (np.array([1, 256]), [1, 256], np.array([1, 70000]), [1, 70000]):
+        with pytest.raises(ValueError, match=f"at most 255, not {n[1]}"):
             PhotonRecordSet("A", 8000.0, np.arange(2), np.zeros(2), n)
-    assert PhotonRecordSet("A", 8000.0, np.arange(2), np.zeros(2), np.array([0, 32767])).n.tolist() == [0, 32767]
-    # the int16 cast would truncate 2.7 to 2 and turn NaN into 0
+    records = PhotonRecordSet("A", 8000.0, np.arange(2), np.zeros(2), np.array([0, 255]))
+    assert records.n.tolist() == [0, 255] and records.n.dtype == np.uint8
+    # the uint8 cast would truncate 2.7 to 2 and turn NaN into 0
     for n in (np.array([0.0, 2.7]), np.array([np.nan, 1.0]), [0, 2.0]):
         with pytest.raises(ValueError, match="integers"):
             PhotonRecordSet("A", 8000.0, [0, 1], [0, 1], n)
-    assert PhotonRecordSet("A", 8000.0, [], [], []).n.dtype == np.int16
+    assert PhotonRecordSet("A", 8000.0, [], [], []).n.dtype == np.uint8
 
 
 @pytest.mark.parametrize("detector", ["", "Bx"])
@@ -347,12 +350,41 @@ def test_csv_without_metadata_line_keeps_its_first_record(tmp_path):
     assert_array_equal(back.n, [1, 2, 0])
 
 
-def test_binary_refuses_photon_numbers_beyond_u1(tmp_path):
-    records = PhotonRecordSet("A", 8000.0, [0, 1], [0, 10], [255, 300])
-    path = tmp_path / "wide.pnrec"
-    with pytest.raises(DataError, match="u1"):
-        records.to_binary(path)
-    assert not path.exists()
+def test_binary_refuses_photon_numbers_beyond_u1():
+    # refused when the set is built, so no set holds what .pnrec cannot store
+    with pytest.raises(ValueError, match="at most 255, not 300"):
+        PhotonRecordSet("A", 8000.0, [0, 1], [0, 10], [255, 300])
+
+
+@st.composite
+def record_rows(draw):
+    """(trigger_index, trigger_time, n) rows in the .pnrec field ranges,
+    with photon numbers drawn past 255 in about half the examples."""
+    top = draw(st.sampled_from([255, 2**15 - 1]))
+    return draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(-(2**63), 2**63 - 1), st.integers(0, top))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from("AB"), st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), record_rows())
+def test_every_record_set_reads_back_equal(tmp_path_factory, detector, window, rows):
+    """Any set that can be built reads back equal from the records CSV and
+    from .pnrec; construction refuses only photon numbers that they cannot hold."""
+    index, time, n = (np.array(column, dtype=np.int64) for column in zip(*rows)) if rows else ([], [], [])
+    try:
+        records = PhotonRecordSet(detector, window, index, time, n)
+    except ValueError:
+        assert max(n) > 255
+        return
+    directory = tmp_path_factory.mktemp("records")
+    records.to_csv(directory / "records.csv")
+    records.to_binary(directory / "records.pnrec")
+    for back in (
+        PhotonRecordSet.from_csv(directory / "records.csv"),
+        PhotonRecordSet.from_binary(directory / "records.pnrec"),
+    ):
+        assert (back.detector, back.window_ps, back.n.dtype) == (detector, window, np.uint8)
+        for name in ("trigger_index", "trigger_time", "n"):
+            assert_array_equal(getattr(back, name), getattr(records, name))
 
 
 def test_binary_round_trip(tmp_path):

@@ -33,7 +33,7 @@ def expected_counts(mu, total, tail_from=4):
 
 
 def records_from_counts(n, detector="A"):
-    n = np.asarray(n, dtype=np.int16)
+    n = np.asarray(n)
     idx = np.arange(n.size, dtype=np.int64)
     return PhotonRecordSet(detector, 8000.0, idx, idx * 100_000, n)
 

@@ -341,6 +341,15 @@ def test_truth_csv_refuses_negative_photon_numbers(tmp_path):
         TruthBlock.from_csv(path)
 
 
+@pytest.mark.parametrize("value", [256, 10**8])
+def test_truth_csv_refuses_photon_numbers_past_255(tmp_path, value):
+    # the confusion matrix is sized by the largest truth value; 10**8 asked for 71.1 PiB
+    path = tmp_path / "truth.csv"
+    path.write_text(f"trigger_index,true_n_a,true_n_b\n0,255,0\n1,0,{value}\n")
+    with pytest.raises(StreamFormatError, match=rf"line 3: photon number {value} outside \[0, 255\]"):
+        TruthBlock.from_csv(path)
+
+
 def test_truth_block_csv_round_trip(tmp_path):
     truth = TruthBlock(
         np.arange(4, dtype=np.int64),

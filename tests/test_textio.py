@@ -45,7 +45,7 @@ def int64_column(rng, rows):
 def test_record_set_csv(tmp_path, rows):
     rng = np.random.default_rng(rows)
     idx, time = int64_column(rng, rows), int64_column(rng, rows)
-    n = rng.integers(0, 2**15, rows).astype(np.int16)
+    n = rng.integers(0, 256, rows).astype(np.uint8)
     path = tmp_path / "records.csv"
     PhotonRecordSet("B", 6500.25, idx, time, n).to_csv(path)
     header = "# detector=B window_ps=6500.25\ntrigger_index,trigger_time,n"
@@ -155,7 +155,7 @@ def test_poisson_fit_csv(tmp_path, tail_from):
 def test_chunked_write_memory_is_bounded(tmp_path):
     rows = 500_000
     idx = np.arange(rows, dtype=np.int64) + 2**40
-    records = PhotonRecordSet("A", 8000.0, idx, idx * 1000, np.full(rows, 3, dtype=np.int16))
+    records = PhotonRecordSet("A", 8000.0, idx, idx * 1000, np.full(rows, 3, dtype=np.uint8))
     tracemalloc.start()
     try:
         records.to_csv(tmp_path / "records.csv")
@@ -179,6 +179,11 @@ def test_chunked_write_memory_is_bounded(tmp_path):
         (b"0,1\n1,2\n", 2),  # every row short
         (b"0,1,0,4\n", 2),  # a row too long
         (b"# note\n\n0,1,0\n1,1,1\n2,2\n", 6),  # comment and blank lines count as lines
+        (b"0,1,0\n9223372036854775808,0,0\n", 3),  # past int64
+        (b"0,1,0\n-9223372036854775809,0,0\n", 3),  # past int64
+        (b"-9223372036854775808,0,0\n9223372036854775807,0,0\n1,2,x\n", 4),  # the int64 ends are integers
+        # leading zeros do not count as digits; int() refuses text past 4,300 digits
+        pytest.param(b"0," + b"0" * 5000 + b"1,0\n1,2,x\n", 3, id="5000 leading zeros-3"),
     ],
 )
 def test_malformed_row_names_its_line(tmp_path, body, line):
