@@ -25,13 +25,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
-from scipy.special import ndtr, wofz
 
 from . import textio
 from .errors import CalibrationError, ConfigError
 from .photostat import MAX_PHOTON_NUMBER
 from .timetags import DETECTOR_CHANNELS, UNITS_PER_PS
+
+# scipy.special is imported inside the functions that call it, so importing
+# the package loads numpy and no scipy module
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -83,6 +84,8 @@ def voigt_pdf(x, component: VoigtComponent):
     Evaluated through the Faddeeva function; the component weight is not
     applied here, so the profile integrates to one.
     """
+    from scipy.special import wofz
+
     x = np.asarray(x, dtype=float)
     z = ((x - component.center) + 1j * component.gamma) / (component.sigma * _SQRT2)
     out = wofz(z).real / (component.sigma * _SQRT2PI)
@@ -180,11 +183,30 @@ def _bin_index(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _smoothed(x: np.ndarray) -> np.ndarray:
+    """x smoothed by a Gaussian kernel of _SMOOTHING_SIGMA bins, bit for bit
+    scipy.ndimage.gaussian_filter1d(x, _SMOOTHING_SIGMA): its weights, its
+    radius int(4 sigma + 0.5), its "reflect" edges (numpy's "symmetric", which
+    wraps again when x is shorter than the radius) and its summation order."""
+    radius = int(4.0 * _SMOOTHING_SIGMA + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (_SMOOTHING_SIGMA * _SMOOTHING_SIGMA) * offsets**2)
+    weights = phi / phi.sum()
+    padded = np.pad(x, radius, mode="symmetric")
+    n = x.size
+    # the centre term, then (x[i - j] + x[i + j]) * w[j] for j from the radius
+    # down to 1: summed in another order, the last bit differs in most cases
+    out = x * weights[radius]
+    for j in range(radius, 0, -1):
+        out += (padded[radius - j : radius - j + n] + padded[radius + j : radius + j + n]) * weights[radius + j]
+    return out
+
+
 def _peak_indices_ranked(counts: np.ndarray):
     """Smooth with a Gaussian kernel of _SMOOTHING_SIGMA bins and keep the local
     maxima whose prominence reaches _MIN_PROMINENCE of the smoothed maximum; returns
     (indices, smoothed counts)."""
-    smoothed = gaussian_filter1d(np.asarray(counts, dtype=float), _SMOOTHING_SIGMA)
+    smoothed = _smoothed(np.asarray(counts, dtype=float))
     idx, _ = _prominent_peaks(smoothed, _MIN_PROMINENCE * max(smoothed.max(), 1e-12))
     return idx, smoothed
 
@@ -287,6 +309,8 @@ def _pair_boundaries(center, sigma, weight):
 def _bucket_masses(center, sigma, boundaries):
     """Row i holds the mass of Gaussian component i in each decision bucket
     (outer buckets are half-open), from ndtr."""
+    from scipy.special import ndtr
+
     k = center.size
     z = (boundaries[None, :] - center[:, None]) / sigma[:, None]
     cum = np.concatenate([np.zeros((k, 1)), ndtr(z), np.ones((k, 1))], axis=1)

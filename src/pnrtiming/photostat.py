@@ -13,14 +13,77 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln, pdtrc, xlogy
 
 from . import textio
 from .errors import ConfigError, DataError, InsufficientDataError
 
+# scipy.special is imported inside the functions that call it, so importing
+# the package loads numpy and no scipy module
+
 # the largest photon number a record set, .pnrec, a records or truth CSV and a calibration hold
 MAX_PHOTON_NUMBER = 255
+
+_BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENTQ_RTOL, maxiter: int = 100) -> float:
+    """Root of f in [a, b], step for step scipy.optimize.brentq (its
+    Zeros/brentq.c, with the same defaults), so it returns the same double.
+
+    A bracket without a sign change, a NaN value of f, xtol <= 0 or rtol
+    below 4 eps raises ValueError; no convergence within maxiter iterations
+    raises RuntimeError.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 @dataclass(eq=False)
@@ -80,6 +143,8 @@ class NumberDistribution:
 
 def _poisson_pmf(k, mu):
     """Poisson pmf at integer k >= 0 and mu >= 0, computed as scipy.stats.poisson.pmf computes it."""
+    from scipy.special import gammaln, xlogy
+
     return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
@@ -135,6 +200,8 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
     mu = 0 exactly; all counts in the tail category leave mu unbounded.  A
     tail_from below 1 raises ConfigError.
     """
+    from scipy.special import pdtrc
+
     if tail_from < 1:
         raise ConfigError(f"tail_from must be at least 1, not {tail_from}")
     counts = dist.folded(tail_from).astype(float)
@@ -173,7 +240,7 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
             lo /= 8.0
         while score(hi) < 0.0:
             hi *= 8.0
-        mu = float(brentq(score, lo, hi, xtol=1e-12, rtol=8.9e-16))
+        mu = _brentq(score, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
         # stderr from the observed information d2NLL/dmu2, in closed form: the
         # hazard h = pmf(tail_from - 1) / sf has dh/dmu = h ((tail_from - 1)/mu - 1 - h)

@@ -24,11 +24,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import textio
 from .errors import ConfigError
-from .photostat import MAX_PHOTON_NUMBER
+from .photostat import MAX_PHOTON_NUMBER, _brentq
 from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, UNITS_PER_PS, TagBlock
 
 _CHUNK = 1 << 16  # triggers per RNG chunk; fixed so output is worker-count independent
@@ -124,13 +123,13 @@ def edge_delays(n: int, params: PulseModelParams) -> tuple[float, float]:
     def over(t):
         return float(pulse_value(t, n, params)) - thr
 
-    rise = brentq(over, 0.0, t_peak, xtol=1e-9)
+    rise = _brentq(over, 0.0, t_peak, xtol=1e-9)
     tau_f = 1000.0 * params.kinetic_inductance_time_ns
     hi = t_peak + tau_f * math.log(v_peak / thr) + 1.0
     while over(hi) >= 0.0:
         hi *= 2.0
-    fall = brentq(over, t_peak, hi, xtol=1e-9)
-    return float(rise), float(fall)
+    fall = _brentq(over, t_peak, hi, xtol=1e-9)
+    return rise, fall
 
 
 def edge_delay_table(params: PulseModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +263,8 @@ def _sample_counts_chunk(spec: SourceSpec, m: int, rng) -> tuple[np.ndarray, np.
 
 def sample_source(spec: SourceSpec, n_triggers: int, seed: int) -> TruthBlock:
     """Draw per-trigger photon numbers (post-loss) for both detector arms;
-    n_triggers and seed must be non-negative integers (ConfigError)."""
+    n_triggers and seed must be non-negative integers, and a draw above
+    MAX_PHOTON_NUMBER raises ConfigError naming its trigger."""
     for name, value in (("n_triggers", n_triggers), ("seed", seed)):
         if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
             raise ConfigError(f"{name} must be a non-negative integer, not {value!r}")
@@ -273,6 +273,14 @@ def sample_source(spec: SourceSpec, n_triggers: int, seed: int) -> TruthBlock:
     for idx, start, stop in _chunk_ranges(n_triggers):
         rng = np.random.default_rng([seed, idx, 0])
         a, b = _sample_counts_chunk(spec, stop - start, rng)
+        over = np.flatnonzero((a > MAX_PHOTON_NUMBER) | (b > MAX_PHOTON_NUMBER))
+        if over.size:
+            i = int(over[0])
+            arm, n = ("A", a[i]) if a[i] > MAX_PHOTON_NUMBER else ("B", b[i])
+            raise ConfigError(
+                f"trigger {start + i} draws {n} photons on detector {arm}, above {MAX_PHOTON_NUMBER}; "
+                "lower the source's mean photon number"
+            )
         n_a[start:stop] = a
         n_b[start:stop] = b
     return TruthBlock(np.arange(n_triggers, dtype=np.int64), n_a, n_b)

@@ -467,6 +467,21 @@ def test_peak_search_matches_scipy_find_peaks():
         np.testing.assert_array_equal(idx, scipy_peaks(smoothed, 0.05 * max(smoothed.max(), 1e-12))[0])
 
 
+def test_smoother_matches_scipy_gaussian_filter1d():
+    """Bit for bit: every length 1..19, shorter than the kernel radius of 8
+    where the reflected edges wrap more than once, and histogram-sized inputs."""
+    rng = np.random.default_rng(19)
+    lengths = list(range(1, 20)) * 30 + rng.integers(20, 4000, 200).tolist()
+    for trial, n in enumerate(lengths):
+        if trial % 3 == 0:
+            x = rng.poisson(rng.uniform(0.0, 400.0), n).astype(float)
+        elif trial % 3 == 1:
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 7)
+        else:
+            x = np.repeat(rng.integers(0, 50, n), rng.integers(1, 6, n))[:n].astype(float)
+        np.testing.assert_array_equal(cal._smoothed(x), gaussian_filter1d(x, 2.0))
+
+
 def test_simulated_projection_shows_at_least_five_modes(events_a, optimal_model, default_params):
     pulse, _, _ = default_params
     theta = optimal_model.angle % math.pi

@@ -108,6 +108,16 @@ def test_simulate_dark_source(tmp_path, capsys):
     assert out["detected_mean_a"] == 0.0
 
 
+def test_simulate_refuses_photon_numbers_above_the_range(tmp_path, capsys):
+    # decode --truth could not read the truth file back
+    config = tmp_path / "bright.json"
+    config.write_text(json.dumps({"source": {"mu": 400.0}, "n_triggers": 200}))
+    code, out, err = run(capsys, "simulate", "--config", config, "--out", tmp_path / "out")
+    assert (code, out, err["error"]) == (2, None, "ConfigError")
+    assert "trigger 0 draws 381 photons on detector A, above 255" in err["message"]
+    assert not (tmp_path / "out" / "stream.pnrtag").exists() and not (tmp_path / "out" / "truth.csv").exists()
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"sourc": {"mu": 1.0}}))
@@ -405,20 +415,38 @@ def test_csv_cell_mutations_exit_cleanly(pipeline, tmp_path_factory, table, colu
     assert not (code and (directory / "out").exists())
 
 
-def test_import_leaves_scipy_signal_and_stats_unloaded():
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_simulate_and_decode_load_no_scipy_stats_only_special(pipeline, tmp_path):
+    """Importing the package and running simulate and decode load no scipy
+    module; stats then loads what importing scipy.special loads, and nothing
+    more (which scipy.special itself pulls in varies with the scipy version)."""
     src = Path(pnrtiming.__file__).resolve().parents[1]
-    code = (
-        "import sys, pnrtiming, pnrtiming.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert done.stdout.strip() == "[]"
+    out = tmp_path / "run"
+    script = f"""
+import json, sys
+import pnrtiming, pnrtiming.cli
+seen = [{SCIPY_MODULES}]
+main = pnrtiming.cli.main
+assert main(["simulate", "--n-triggers", "2000", "--seed", "5", "--out", {str(out)!r}, "--quiet"]) == 0
+assert main(["decode", {str(out / "stream.pnrtag")!r}, {str(pipeline / "calibration_optimal.json")!r},
+             "--truth", {str(out / "truth.csv")!r}, "--out", {str(out)!r}, "--quiet"]) == 0
+seen.append({SCIPY_MODULES})
+assert main(["stats", {str(out / "records_A.pnrec")!r}, "--out", {str(out)!r}, "--quiet"]) == 0
+seen.append({SCIPY_MODULES})
+print(json.dumps(seen))
+"""
+
+    def run(code):
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return json.loads(done.stdout)
+
+    after_import, after_decode, after_stats = run(script)
+    assert after_import == [] and after_decode == []
+    assert "scipy.special" in after_stats
+    assert after_stats == run(f"import json, sys, scipy.special; print(json.dumps({SCIPY_MODULES}))")
 
 
 # ---- calibrate

@@ -1,10 +1,12 @@
 """Photon statistics: truncated-Poisson fits, joint distributions, efficiency."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.optimize import brentq
 from scipy.special import pdtrc
 from scipy.stats import poisson
 
@@ -21,7 +23,8 @@ from pnrtiming import (
     sample_source,
 )
 from pnrtiming.errors import ConfigError, DataError, InsufficientDataError
-from pnrtiming.photostat import MAX_PHOTON_NUMBER, _poisson_pmf, joint_counts
+import pnrtiming.photostat as ps
+from pnrtiming.photostat import MAX_PHOTON_NUMBER, _brentq, _poisson_pmf, joint_counts
 
 # ---- helpers
 
@@ -104,6 +107,78 @@ def test_distribution_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "n,count,probability"
     assert lines[1] == "0,3,0.75"
+
+
+# ---- _brentq, against scipy.optimize.brentq
+
+
+def outcome(solver, *args, **kwargs):
+    """The root a solver returns, or the class of the error it raises."""
+    try:
+        return solver(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [{}, {"xtol": 1e-9}, {"xtol": 1e-12, "rtol": 8.9e-16}],
+    ids=["defaults", "edge_delays", "fit_poisson_mu"],
+)
+def test_brentq_matches_scipy_bit_for_bit(tolerances):
+    """Random smooth functions on random brackets, some without a sign
+    change, at scipy's defaults and at both call sites' tolerances."""
+    rng = np.random.default_rng(31)
+    kinds = [
+        lambda x, c: c[0] * (x - c[1]) ** 3 + c[2] * (x - c[1]),
+        lambda x, c: np.exp(c[0] * x) - np.exp(c[1]) + c[2] * np.sin(3.0 * x),
+        lambda x, c: np.tanh(c[0] * (x - c[1])) + c[2] * 1e-3 * x,
+        lambda x, c: c[3] / (1.0 + x * x) - 0.5 * abs(c[3]),
+    ]
+    roots = 0
+    for trial in range(1200):
+        c = rng.normal(size=4) * rng.choice([1.0, 10.0])
+        a, b = np.sort(rng.uniform(-20.0, 20.0, 2)).tolist()
+        f = lambda x, kind=kinds[trial % len(kinds)], c=c: float(kind(x, c))
+        got = outcome(_brentq, f, a, b, **tolerances)
+        assert got == outcome(brentq, f, a, b, **tolerances)
+        roots += isinstance(got, float)
+    assert roots > 300
+
+
+def test_brentq_ends_and_errors_match_scipy():
+    line = lambda x: x - 1.0
+    for a, b in ((1.0, 3.0), (-2.0, 1.0)):  # the root sits exactly on an end
+        assert _brentq(line, a, b) == brentq(line, a, b) == 1.0
+    for solver in (_brentq, brentq):
+        with pytest.raises(ValueError):  # no sign change
+            solver(line, 2.0, 3.0)
+        with pytest.raises(ValueError):  # rtol below 4 eps
+            solver(line, 0.0, 3.0, rtol=4.0 * np.finfo(float).eps / 2)
+        with pytest.raises(ValueError):
+            solver(line, 0.0, 3.0, xtol=0.0)
+        with pytest.raises(ValueError):  # a NaN value
+            solver(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 3.0)
+        with pytest.raises(RuntimeError):  # not converged
+            solver(lambda x: x**3 - 2.0, 0.0, 3.0, maxiter=2)
+
+
+def test_fit_poisson_mu_roots_as_scipy_brentq_does(monkeypatch):
+    rng = np.random.default_rng(37)
+    cases = []
+    for _ in range(150):
+        tail_from = int(rng.integers(1, 9))
+        poisson_counts = np.bincount(rng.poisson(rng.uniform(0.05, 12.0), int(rng.integers(100, 5000))))
+        for counts in (poisson_counts, rng.uniform(0.0, 1e4, int(rng.integers(2, 12)))):
+            dist = NumberDistribution(counts)
+            if dist.total >= 100 and dist.folded(tail_from)[-1] < dist.total:
+                cases.append((dist, tail_from, fit_poisson_mu(dist, tail_from)))
+    assert len(cases) > 250
+    monkeypatch.setattr(ps, "_brentq", brentq)
+    for dist, tail_from, got in cases:
+        want = fit_poisson_mu(dist, tail_from)
+        assert (got.mu, got.chi2_pearson) == (want.mu, want.chi2_pearson)
+        assert_array_equal(got.stderr, want.stderr)
 
 
 # ---- fit_poisson_mu

@@ -5,8 +5,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import chisquare, poisson
 
+import pnrtiming.simulate as sim
 from pnrtiming import (
     JitterParams,
     PulseModelParams,
@@ -92,6 +94,22 @@ def test_vanishing_threshold_sends_rise_to_zero():
     for n in range(1, 7):
         rise, _ = edge_delays(n, params)
         assert rise < 0.1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        PulseModelParams(),
+        PulseModelParams(kinetic_inductance_time_ns=1.2, hotspot_rise_scale_ps=90.0, saturation=0.6, threshold=0.55),
+        PulseModelParams(kinetic_inductance_time_ns=0.3, hotspot_rise_scale_ps=400.0, saturation=1.0, threshold=0.15, max_photons=9),
+        PulseModelParams(threshold=0.05, saturation=0.1, max_photons=12),
+    ],
+)
+def test_edge_delays_root_as_scipy_brentq_does(params, monkeypatch):
+    """The edge delays are the doubles scipy.optimize.brentq finds, for every n."""
+    got = [edge_delays(n, params) for n in range(1, params.max_photons + 1)]
+    monkeypatch.setattr(sim, "_brentq", brentq)
+    assert got == [edge_delays(n, params) for n in range(1, params.max_photons + 1)]
 
 
 def test_edge_delays_rejects_out_of_range_n():
@@ -331,6 +349,15 @@ def test_source_draw_takes_only_non_negative_integers():
     for n_triggers, seed in ((True, 1), (2.5, 1), (10, False), (10, "x"), (10, -1)):
         with pytest.raises(ConfigError, match="must be a non-negative integer"):
             sample_source(spec, n_triggers, seed)
+
+
+def test_source_draw_refuses_photon_numbers_above_the_range():
+    # a truth file with such a draw could not be read back
+    with pytest.raises(ConfigError, match=r"trigger 0 draws 381 photons on detector A, above 255"):
+        sample_source(SourceSpec(mu=400.0), 200, seed=1234)
+    spec = SourceSpec(mu=400.0, efficiency_a=0.5, coherent_channel="both")
+    with pytest.raises(ConfigError, match=r"trigger \d+ draws \d+ photons on detector B"):
+        sample_source(spec, 200, seed=1234)
 
 
 def test_truth_csv_refuses_negative_photon_numbers(tmp_path):
