@@ -545,9 +545,10 @@ def _fit_summary(labelled, angle, components) -> dict:
     return {"n_events": labelled.n_events, "chi2": chi2, "ndf": ndf, "chi2_ndf": chi2 / ndf}
 
 
-def _finalize_model(labelled, line_angle, mode, detector, window_ps, extra):
+def _finalize_model(labelled, line_angle, mode, events, extra):
     """The mode's CalibrationModel: the labels' Gaussian model on the
-    separating line at line_angle, with its boundary and fit diagnostics."""
+    separating line at line_angle, with its boundary and fit diagnostics,
+    for the detector and window the events were paired with."""
     angle, center, sigma, weight, boundaries, fallback, crosstalk = _gaussian_model(labelled, line_angle)
     components = [
         VoigtComponent(c, s, 0.0, w) for c, s, w in zip(center.tolist(), sigma.tolist(), weight.tolist())
@@ -563,8 +564,8 @@ def _finalize_model(labelled, line_angle, mode, detector, window_ps, extra):
         components=components,
         boundaries=boundaries,
         crosstalk=crosstalk,
-        detector=detector,
-        window_ps=window_ps,
+        detector=events.detector,
+        window_ps=events.window_ps,
         diagnostics=diagnostics,
     )
 
@@ -618,24 +619,6 @@ def _angle_scan(labelled):
         "objective_at_zero": at_zero,
         "objective_at_half_pi": at_half_pi,
     }
-
-
-def _calibrate(events, modes, detector, window_ps):
-    """Label the events once, then build every mode in ``modes`` from that
-    one labelling; returns {mode: CalibrationModel}."""
-    labelled, theta_ref = _label_events(events)
-    if np.any(labelled.counts < 5):
-        raise CalibrationError("a cluster label has fewer than 5 events; take more data")
-    models = {}
-    for mode in modes:
-        extra = {"reference_angle": theta_ref, "k": labelled.k}
-        if mode == OPTIMAL:
-            theta, scan = _angle_scan(labelled)
-            extra.update(scan, line_angle=theta)
-        else:
-            theta = 0.0
-        models[mode] = _finalize_model(labelled, theta, mode, detector, window_ps, extra)
-    return models
 
 
 # ---------------------------------------------------------------------------
@@ -755,24 +738,11 @@ def calibrate_events(
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> CalibrationModel:
-    """Build one CalibrationModel in the requested mode from a pair_edges
-    result.
-
-    Events are labelled once at a well-separated reference projection,
-    found by scanning the distinct (rise, fall) pairs with their
-    multiplicities; the model has one component per peak resolved there.
-    In the optimal mode each trial angle is then scored
-    from per-label Gaussian moments, which follow in closed form from the
-    label means and (co)variances of rise and fall, so a trial costs O(k)
-    and the scan is deterministic.  The scan covers a full grid on [0, pi)
-    including the rising-only (0) and falling-only (pi/2) axes and refines
-    the best bracket by golden section.  Either mode's model is built from
-    the label moments at its angle (0 for rising-only): one Gaussian
-    component per label, with no fit to the events.
-    """
+    """The model of ``calibrate_both(events)`` in the requested mode; an
+    unknown mode raises ValueError."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    return _calibrate(events, (mode,), detector, window_ps)[mode]
+    return calibrate_both(events, detector=detector, window_ps=window_ps)[mode]
 
 
 def calibrate_both(
@@ -781,11 +751,37 @@ def calibrate_both(
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> dict:
-    """Rising-only and optimal-angle models of a pair_edges result from one
-    labelling, so they share one component count and their crosstalk
-    matrices compare photon class by photon class."""
-    fits = _calibrate(events, (OPTIMAL, RISING_ONLY), detector, window_ps)
-    return {RISING_ONLY: fits[RISING_ONLY], OPTIMAL: fits[OPTIMAL]}
+    """Rising-only and optimal-angle CalibrationModels of a pair_edges
+    result, {mode: model}, from one labelling, so they share one component
+    count and their crosstalk matrices compare photon class by photon class.
+
+    Events are labelled once at a well-separated reference projection,
+    found by scanning the distinct (rise, fall) pairs with their
+    multiplicities; a model has one component per peak resolved there.
+    For the optimal model each trial angle is then scored from per-label
+    Gaussian moments, which follow in closed form from the label means and
+    (co)variances of rise and fall, so a trial costs O(k) and the scan is
+    deterministic.  The scan covers a full grid on [0, pi) including the
+    rising-only (0) and falling-only (pi/2) axes and refines the best
+    bracket by golden section.  Either model is built from the label
+    moments at its angle (0 for rising-only): one Gaussian component per
+    label, with no fit to the events.
+
+    Both models carry the events' detector and window.  ``detector`` and
+    ``window_ps`` may only repeat them: any other value raises ConfigError.
+    """
+    for name, value in (("detector", detector), ("window_ps", window_ps)):
+        if value is not None and value != getattr(events, name):
+            raise ConfigError(f"{name} {value!r} is not the events' {name}, {getattr(events, name)!r}")
+    labelled, theta_ref = _label_events(events)
+    if np.any(labelled.counts < 5):
+        raise CalibrationError("a cluster label has fewer than 5 events; take more data")
+    extra = {"reference_angle": theta_ref, "k": labelled.k}
+    theta, scan = _angle_scan(labelled)
+    return {
+        RISING_ONLY: _finalize_model(labelled, 0.0, RISING_ONLY, events, extra),
+        OPTIMAL: _finalize_model(labelled, theta, OPTIMAL, events, {**extra, **scan, "line_angle": theta}),
+    }
 
 
 def total_offdiagonal(crosstalk: np.ndarray, weights=None) -> float:

@@ -113,11 +113,8 @@ def _write_crosstalk_csv(path, crosstalk) -> None:
 def cmd_calibrate(args) -> int:
     block = read_tag_block(args.tagfile)
     events = pair_edges(block, args.window, detector=args.detector)
-    if args.mode == "both":
-        models = cal.calibrate_both(events, detector=args.detector, window_ps=args.window)
-    else:
-        model = cal.calibrate_events(events, args.mode, detector=args.detector, window_ps=args.window)
-        models = {args.mode: model}
+    models = cal.calibrate_both(events)
+    modes = models if args.mode == "both" else (args.mode,)
 
     out = _out_dir(args)
     table = cal.distinct_pairs(events)
@@ -125,7 +122,8 @@ def cmd_calibrate(args) -> int:
     pairs = cal.pairs_in_ps(table)
 
     summary = {"detector": args.detector, "window_ps": args.window, "detections": events.n_detections}
-    for mode, model in models.items():
+    for mode in modes:
+        model = models[mode]
         model.save_json(out / f"calibration_{mode}.json")
         _write_projection_csv(out / f"projection_{mode}.csv", pairs, model)
         _write_crosstalk_csv(out / f"crosstalk_{mode}.csv", model.crosstalk)
@@ -187,6 +185,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_jpnd(args) -> int:
+    if (args.split_a is None) != (args.split_b is None):
+        raise ConfigError("--split-a and --split-b must be given together")
     records_a = _load_records(args.records_a)
     records_b = _load_records(args.records_b)
     jpnd = ps.build_jpnd(records_a, records_b, n_max=args.n_max)
@@ -198,9 +198,7 @@ def cmd_jpnd(args) -> int:
             raise
         report["efficiency"] = {"error": str(exc)}
 
-    if args.split_a is not None or args.split_b is not None:
-        if args.split_a is None or args.split_b is None:
-            raise ConfigError("--split-a and --split-b must be given together")
+    if args.split_a is not None:
         split_a, split_b = _load_records(args.split_a), _load_records(args.split_b)
         split = ps.build_jpnd(split_a, split_b, n_max=args.n_max)
         report["hom_contrast"] = ps.hom_contrast(jpnd, split).to_dict()
@@ -279,13 +277,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PnrError, OSError) as exc:
         code = exc.exit_code if isinstance(exc, PnrError) else 2
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
+        error = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        if getattr(exc, "byte_offset", None) is not None:
+            error["byte_offset"] = exc.byte_offset
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return code
 
 

@@ -1,8 +1,10 @@
 """Voigt density vs quadrature oracles; closed-form Gaussian boundaries and crosstalk vs grid,
 root-bracketing and Monte-Carlo oracles; labelling, label-moment models, angle search."""
 
+import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from pnrtiming.calibrate import (
     pairs_in_ps,
 )
 from pnrtiming.cli import _write_histogram2d_csv, _write_projection_csv
-from pnrtiming.errors import CalibrationError, ConfigError
+from pnrtiming.errors import CalibrationError, ConfigError, DataError
 from pnrtiming.simulate import edge_delay_table
 from pnrtiming.textio import read_csv
 from pnrtiming.timetags import UNITS_PER_PS, EdgeEventSet
@@ -243,6 +245,21 @@ def test_far_separated_components_give_identity():
     comps = [VoigtComponent(i * sep, 1.0, 0.0, 1 / 3) for i in range(3)]
     m = crosstalk_matrix(comps, crossings(comps))
     np.testing.assert_allclose(m, np.eye(3), atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "boundaries, message",
+    [
+        ([2.5], "need exactly k-1 boundaries"),
+        ([2.5, 7.5, 9.0], "need exactly k-1 boundaries"),
+        ([7.5, 2.5], "boundaries must be strictly ascending"),
+        ([2.5, 2.5], "boundaries must be strictly ascending"),
+    ],
+)
+def test_crosstalk_matrix_refuses_bad_boundaries(boundaries, message):
+    comps = [VoigtComponent(c, 1.0, 0.0, 1 / 3) for c in (0.0, 5.0, 10.0)]
+    with pytest.raises(ValueError, match=message):
+        crosstalk_matrix(comps, boundaries)
 
 
 def test_crosstalk_rows_sum_to_one():
@@ -706,6 +723,45 @@ def test_calibrate_both_labels_the_events_once(events_a, monkeypatch):
     assert optimal.diagnostics["reference_angle"] == rising.diagnostics["reference_angle"]
 
 
+@pytest.mark.parametrize("mode", ["optimal", "rising_only"])
+def test_calibrate_events_is_one_model_of_calibrate_both(events_a, mode):
+    assert calibrate_events(events_a, mode).to_dict() == calibrate_both(events_a)[mode].to_dict()
+
+
+def test_calibrate_events_refuses_an_unknown_mode(events_a):
+    with pytest.raises(ValueError, match="mode must be one of"):
+        calibrate_events(events_a, "sideways")
+
+
+def test_models_name_the_detector_and_window_of_their_events(events_a):
+    events_b = dataclasses.replace(events_a, detector="B", window_ps=5000.0)
+    models = calibrate_both(events_b)
+    for model in models.values():
+        assert (model.detector, model.window_ps) == ("B", 5000.0)
+        assert (model.to_dict()["detector"], model.to_dict()["window_ps"]) == ("B", 5000.0)
+    # the keywords may repeat the events' own values, and change nothing then
+    same = calibrate_both(events_b, detector="B", window_ps=5000.0)
+    assert {m: x.to_dict() for m, x in same.items()} == {m: x.to_dict() for m, x in models.items()}
+    with pytest.raises(DataError, match="detector 'A' cannot be decoded with a calibration for detector 'B'"):
+        decode_events(events_a, models["optimal"])
+
+
+@pytest.mark.parametrize(
+    "keywords, message",
+    [
+        ({"detector": "A"}, "detector 'A' is not the events' detector, 'B'"),
+        ({"window_ps": 8000.0}, "window_ps 8000.0 is not the events' window_ps, 5000.0"),
+        ({"detector": "B", "window_ps": 5000.5}, "window_ps 5000.5"),
+    ],
+)
+def test_calibration_keywords_that_disagree_with_the_events_raise(events_a, keywords, message):
+    events_b = dataclasses.replace(events_a, detector="B", window_ps=5000.0)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        calibrate_both(events_b, **keywords)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        calibrate_events(events_b, "rising_only", **keywords)
+
+
 # ---------------------------------------------------------------- label-moment models
 
 
@@ -933,3 +989,14 @@ def test_model_validation_catches_inconsistencies():
         CalibrationModel(**{**ok, "crosstalk": np.array([[0.9, 0.2], [0.1, 0.9]])})
     with pytest.raises(ValueError):
         CalibrationModel(**{**ok, "components": comps[::-1]})
+    comps.append(VoigtComponent(10.0, 1.0, 0.0, 0.5))
+    three = {**ok, "components": comps, "boundaries": [2.5, 7.5], "crosstalk": np.eye(3)}
+    CalibrationModel(**three)
+    for change, message in (
+        ({"boundaries": [7.5, 2.5]}, "boundaries must be strictly ascending"),
+        ({"crosstalk": np.eye(2)}, "crosstalk must be k x k"),
+        ({"crosstalk": np.eye(3)[:, :2]}, "crosstalk must be k x k"),
+        ({"crosstalk": [[1.1, -0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "crosstalk entries must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CalibrationModel(**{**three, **change})

@@ -18,14 +18,18 @@ from hypothesis import strategies as st
 
 import pnrtiming
 from pnrtiming import (
+    JitterParams,
     PhotonRecordSet,
+    PulseModelParams,
     SourceSpec,
     TagBlock,
+    calibrate_both,
     distinct_pairs,
     errors,
     pair_edges,
     read_tag_block,
     sample_source,
+    simulate_stream,
     write_stream,
 )
 from pnrtiming.cli import main
@@ -167,6 +171,9 @@ def test_malformed_config_json(tmp_path, capsys):
         ("jpnd", "{records}", "{records}", "--n-max", "1"),
         ("simulate", "--seed", "-1"),
         ("simulate", "--config", "{n_triggers_bool}"),
+        ("simulate", "--config", "{n_triggers_zero}"),
+        ("simulate", "--config", "{n_triggers_fraction}"),
+        ("simulate", "--config", "{config_list}"),
         ("simulate", "--config", "{seed_text}"),
         ("simulate", "--config", "{rate_tiny}"),
         ("simulate", "--config", "{rate_slow}"),
@@ -203,6 +210,9 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     configs = {
         "pileup": {"source": {"repetition_rate_hz": 4e8}},
         "n_triggers_bool": {"n_triggers": True},
+        "n_triggers_zero": {"n_triggers": 0},
+        "n_triggers_fraction": {"n_triggers": 2.5},
+        "config_list": [{"n_triggers": 10}],
         "seed_text": {"n_triggers": 10, "seed": "x"},
         "rate_tiny": {"source": {"repetition_rate_hz": 1e-300}, "n_triggers": 10},
         "rate_slow": {"source": {"repetition_rate_hz": 1e-3}, "n_triggers": 1000},
@@ -577,6 +587,24 @@ def test_calibration_does_not_depend_on_the_cpu_count(pipeline, tmp_path):
     assert outputs["one_cpu"] == outputs["all_cpus"]
 
 
+def test_stream_format_error_reports_its_byte_offset(pipeline, tmp_path, capsys):
+    raw = bytearray((pipeline / "stream.pnrtag").read_bytes())
+    raw[_HEADER_FIXED.size + 1000 * _RECORD_DTYPE.itemsize] = 0xFF  # channel byte of record 1000
+    path = tmp_path / "corrupt.pnrtag"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "calibrate", path, "--out", tmp_path / "out")
+    assert (code, out) == (2, None)
+    assert err == {
+        "error": "StreamFormatError",
+        "message": "channel 255 out of range",
+        "exit_code": 2,
+        "byte_offset": 16 + 16 * 1000,
+    }
+    # an error without an offset keeps the three keys
+    code, _, err = run(capsys, "calibrate", tmp_path / "missing.pnrtag", "--out", tmp_path / "out")
+    assert sorted(err) == ["error", "exit_code", "message"]
+
+
 def test_calibrate_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "calibrate", tmp_path / "nope.pnrtag", "--out", tmp_path)
     assert code == 2
@@ -628,6 +656,27 @@ def test_decode_rerun_is_byte_identical(pipeline, tmp_path, capsys):
     )
     assert code == 0
     assert digest(tmp_path / "records_A.pnrec") == digest(pipeline / "records_A.pnrec")
+
+
+def test_library_calibration_decodes_its_own_detector_at_its_own_window(tmp_path, capsys):
+    tags, _ = simulate_stream(SourceSpec(coherent_channel="both"), PulseModelParams(), JitterParams(), 30_000, seed=3)
+    stream = tmp_path / "stream.pnrtag"
+    write_stream(tags, stream)
+    models = calibrate_both(pair_edges(tags, 5000.0, "B"))
+    models["optimal"].save_json(tmp_path / "calibration.json")
+    code, out, err = run(capsys, "decode", stream, tmp_path / "calibration.json", "--out", tmp_path / "out")
+    assert (code, err) == (0, None)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "decode_report.json",
+        "records_B.csv",
+        "records_B.pnrec",
+    ]
+    for records in (
+        PhotonRecordSet.from_binary(tmp_path / "out" / "records_B.pnrec"),
+        PhotonRecordSet.from_csv(tmp_path / "out" / "records_B.csv"),
+    ):
+        assert (records.detector, records.window_ps) == ("B", 5000.0)
+    assert out["detections"] == int(np.count_nonzero(records.n))
 
 
 def test_decode_detector_mismatch_exits_4(pipeline, tmp_path, capsys):
@@ -880,6 +929,19 @@ def test_jpnd_split_without_coincidences_exits_5(tmp_path, capsys):
     assert (code, out) == (5, None)
     assert err["error"] == "InsufficientDataError"
     assert "no (1,1) coincidences" in err["message"]
+
+
+@pytest.mark.parametrize("given", ["--split-a", "--split-b"])
+def test_jpnd_split_option_given_alone_exits_2(tmp_path, capsys, given):
+    # channel B records no detections, so the efficiency estimate has too few counts;
+    # the usage error comes first all the same, before any records file is read
+    write_records(tmp_path / "a.csv", [2, 0, 1], "A")
+    write_records(tmp_path / "b.csv", [0, 0, 0], "B")
+    for main_pair in ((tmp_path / "a.csv", tmp_path / "b.csv"), (tmp_path / "missing_a.csv", tmp_path / "b.csv")):
+        code, out, err = run(capsys, "jpnd", *main_pair, given, tmp_path / "a.csv", "--out", tmp_path / "out")
+        assert (code, out, err["error"], err["exit_code"]) == (2, None, "ConfigError", 2)
+        assert err["message"] == "--split-a and --split-b must be given together"
+        assert not (tmp_path / "out").exists()
 
 
 def test_each_error_class_carries_its_exit_code():

@@ -134,8 +134,12 @@ def test_param_validation():
         PulseModelParams(propagation_delay_ps=-1.0)
     with pytest.raises(ValueError):
         JitterParams(detector_rms=-0.1)
+    with pytest.raises(ValueError, match="max_photons must be at least 1"):
+        PulseModelParams(max_photons=0)
     with pytest.raises(ValueError):
         SourceSpec(kind="thermal")
+    with pytest.raises(ValueError, match="coherent_channel must be 'A', 'B', or 'both'"):
+        SourceSpec(coherent_channel="C")
     with pytest.raises(ValueError):
         SourceSpec(efficiency_a=1.2)
     for rate in (0.0, float("inf"), float("nan")):
@@ -303,6 +307,17 @@ def test_repetition_rate_leaves_delays_unchanged():
     np.testing.assert_array_equal(ev_slow.detection, ev_fast.detection)
     np.testing.assert_allclose(ev_slow.detected()[0], ev_fast.detected()[0])
     np.testing.assert_allclose(ev_slow.detected()[1], ev_fast.detected()[1])
+
+
+@pytest.mark.parametrize("rate", [3e5, 76e6])
+def test_trigger_period_off_the_tag_grid_rounds_each_trigger(rate):
+    # 1e13 / rate tag units is no whole number, so each nominal time is rounded on its own
+    spec = SourceSpec(repetition_rate_hz=rate, trigger_channel_jitter_ps=0.0)
+    tags, _ = simulate_stream(spec, PulseModelParams(), NO_JITTER, 20_000, seed=5)
+    trig = tags.timestamps[tags.channels == CH_TRIGGER]
+    i = np.arange(20_000)
+    assert 1e13 / rate != round(1e13 / rate)
+    np.testing.assert_array_equal(trig, np.rint(i * 1e13 / rate).astype(np.int64))
 
 
 def test_trigger_period_must_outlast_the_pulse():

@@ -355,6 +355,15 @@ def test_unsupported_version_rejected():
         read_tag_block(io.BytesIO(bytes(raw)))
 
 
+def test_unsupported_resolution_code_rejected():
+    buf = io.BytesIO()
+    write_stream(block_of((0, 0)), buf)
+    raw = bytearray(buf.getvalue())
+    raw[10] = 2  # resolution u16 little-endian low byte, after the magic and the version
+    with pytest.raises(StreamFormatError, match="unsupported resolution code 2"):
+        read_tag_block(io.BytesIO(bytes(raw)))
+
+
 def test_truncated_record_reports_byte_offset():
     buf = io.BytesIO()
     write_stream(block_of((0, 0), (1, 10)), buf)
