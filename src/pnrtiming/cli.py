@@ -153,22 +153,14 @@ def cmd_decode(args) -> int:
     records.check_binary()
 
     out = _out_dir(args)
-    records.to_csv(out / f"records_{detector}.csv")
     records.to_binary(out / f"records_{detector}.pnrec")
     textio.write_json(out / "decode_report.json", report)
     _emit(args, {k: report[k] for k in ("class_counts", "out_of_range", "triggers", "detections")})
     return 0
 
 
-def _load_records(path) -> PhotonRecordSet:
-    p = Path(path)
-    if p.suffix == ".pnrec":
-        return PhotonRecordSet.from_binary(p)
-    return PhotonRecordSet.from_csv(p)
-
-
 def cmd_stats(args) -> int:
-    dist = ps.NumberDistribution.from_records(_load_records(args.records))
+    dist = ps.NumberDistribution.from_records(PhotonRecordSet.from_binary(args.records))
     # --n-max truncates the written distribution only; the fit sees every count
     table = dist if args.n_max is None else ps.NumberDistribution(dist.folded(args.n_max))
     fit = ps.fit_poisson_mu(dist, tail_from=args.tail_from)
@@ -187,9 +179,8 @@ def cmd_stats(args) -> int:
 def cmd_jpnd(args) -> int:
     if (args.split_a is None) != (args.split_b is None):
         raise ConfigError("--split-a and --split-b must be given together")
-    records_a = _load_records(args.records_a)
-    records_b = _load_records(args.records_b)
-    jpnd = ps.build_jpnd(records_a, records_b, n_max=args.n_max)
+    read = PhotonRecordSet.from_binary
+    jpnd = ps.build_jpnd(read(args.records_a), read(args.records_b), n_max=args.n_max)
     report: dict = {"n_triggers": jpnd.total, "two_photon": ps.two_photon_counts(jpnd)}
     try:
         report["efficiency"] = ps.estimate_efficiency(jpnd)._asdict()
@@ -199,8 +190,7 @@ def cmd_jpnd(args) -> int:
         report["efficiency"] = {"error": str(exc)}
 
     if args.split_a is not None:
-        split_a, split_b = _load_records(args.split_a), _load_records(args.split_b)
-        split = ps.build_jpnd(split_a, split_b, n_max=args.n_max)
+        split = ps.build_jpnd(read(args.split_a), read(args.split_b), n_max=args.n_max)
         report["hom_contrast"] = ps.hom_contrast(jpnd, split).to_dict()
 
     out = _out_dir(args)
@@ -254,17 +244,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stats", help="photon-number distribution and truncated-Poisson fit")
-    p.add_argument("records", help="decoded records (.csv or .pnrec)")
+    p.add_argument("records", help="decoded records (.pnrec)")
     p.add_argument("--tail-from", type=int, default=4, help="photon numbers >= this share one fit category")
     p.add_argument("--n-max", type=int, default=None, help="display truncation for the distribution")
     add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("jpnd", help="joint photon-number distribution of two decoded channels")
-    p.add_argument("records_a", help="decoded records for detector A (.csv or .pnrec)")
-    p.add_argument("records_b", help="decoded records for detector B (.csv or .pnrec)")
-    p.add_argument("--split-a", default=None, help="split-pair records for detector A (enables contrast)")
-    p.add_argument("--split-b", default=None, help="split-pair records for detector B (enables contrast)")
+    p.add_argument("records_a", help="decoded records for detector A (.pnrec)")
+    p.add_argument("records_b", help="decoded records for detector B (.pnrec)")
+    p.add_argument("--split-a", default=None, help="split-pair records for detector A (.pnrec; enables contrast)")
+    p.add_argument("--split-b", default=None, help="split-pair records for detector B (.pnrec; enables contrast)")
     p.add_argument("--n-max", type=int, default=None, help="matrix truncation")
     add_common(p)
     p.set_defaults(func=cmd_jpnd)

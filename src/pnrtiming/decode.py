@@ -4,6 +4,9 @@ Each detected event is projected onto the calibrated axis and bucketed by
 the decision boundaries; bucket index j means j + 1 photons.  Triggers
 without a paired detection decode to zero photons.  A coordinate exactly
 on a boundary goes to the lower photon number.
+
+Decoded records have one file form, the binary ``.pnrec``
+(``PhotonRecordSet.to_binary`` and ``from_binary``).
 """
 
 from __future__ import annotations
@@ -76,34 +79,6 @@ class PhotonRecordSet:
         if n_max is not None and counts.size > length:
             raise ValueError(f"records contain photon numbers above n_max={n_max}")
         return counts
-
-    def to_csv(self, path) -> None:
-        # the shortest text that reads back as the same double: 8000, 6500.25, 12345678.9
-        window = repr(float(self.window_ps)).removesuffix(".0")
-        header = f"# detector={self.detector} window_ps={window}\ntrigger_index,trigger_time,n"
-        textio.write_csv(path, header, "{},{},{}", self.trigger_index, self.trigger_time, self.n)
-
-    @classmethod
-    def from_csv(cls, path) -> "PhotonRecordSet":
-        """Records from ``to_csv``'s table; the ``# detector=... window_ps=...``
-        line above the column names may be missing, and then the window is 0.
-        A detector other than A or B, a window that is not a finite
-        non-negative number, or a photon number outside [0, MAX_PHOTON_NUMBER]
-        raises StreamFormatError naming its line."""
-        header, data = textio.read_csv(path, 1, 3)
-        first = header[0] if header else ""
-        meta = dict(tok.partition("=")[::2] for tok in first[1:].split()) if first.startswith("#") else {}
-        detector = meta.get("detector", "A")
-        if detector not in DETECTOR_CHANNELS:
-            raise StreamFormatError(f"{path}, line 1: detector must be A or B, not {detector!r}")
-        try:
-            window = float(meta.get("window_ps", 0.0))
-        except ValueError:
-            raise StreamFormatError(f"{path}, line 1: window_ps {meta['window_ps']!r} is not a number") from None
-        if not 0.0 <= window < math.inf:
-            raise StreamFormatError(f"{path}, line 1: window_ps must be finite and non-negative, not {window:g}")
-        textio.check_photon_numbers(path, header, data[:, 2:], MAX_PHOTON_NUMBER)
-        return cls(detector, window, data[:, 0], data[:, 1], data[:, 2])
 
     def check_binary(self) -> None:
         """Raise DataError unless every trigger index fits the .pnrec u32."""

@@ -17,7 +17,7 @@ class ConfigError(PnrError, ValueError):
 
 class StreamFormatError(PnrError):
     """Malformed input file: a binary stream or record file with a bad magic,
-    a bad channel or a truncated record, or a CSV table with a short or
+    a bad channel or a truncated record, or a truth CSV with a short or
     non-integer row."""
 
     exit_code = 2

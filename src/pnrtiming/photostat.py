@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, InsufficientDataError
 # scipy.special is imported inside the functions that call it, so importing
 # the package loads numpy and no scipy module
 
-# the largest photon number a record set, .pnrec, a records or truth CSV and a calibration hold
+# the largest photon number a record set, .pnrec, a truth CSV and a calibration hold
 MAX_PHOTON_NUMBER = 255
 
 _BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)

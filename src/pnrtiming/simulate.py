@@ -73,8 +73,8 @@ class PulseModelParams:
     saturation                 : geometric amplitude compression, in (0, 1]
     threshold                  : discriminator level, in single-photon
                                  amplitudes; must sit below every peak
-    max_photons                : highest photon number with a distinct waveform;
-                                 larger counts reuse the max_photons pulse
+    max_photons                : highest photon number with a distinct waveform,
+                                 in [1, 255]; larger counts reuse its pulse
     propagation_delay_ps       : fixed cabling/amplifier delay between the
                                  optical trigger and the electrical pulse;
                                  keeps jittered rise tags after the trigger
@@ -98,8 +98,9 @@ class PulseModelParams:
             raise ValueError("saturation must lie in (0, 1]")
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
-        if self.max_photons < 1:
-            raise ValueError("max_photons must be at least 1")
+        # checked before the loop below, which runs once per photon number
+        if not 1 <= self.max_photons <= MAX_PHOTON_NUMBER:
+            raise ConfigError(f"max_photons must be at least 1 and at most {MAX_PHOTON_NUMBER}, not {self.max_photons}")
         for n in range(1, self.max_photons + 1):
             _, v_peak = pulse_peak(n, self)
             if v_peak <= self.threshold:

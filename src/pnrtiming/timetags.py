@@ -206,6 +206,15 @@ def read_tag_block(source) -> TagBlock:
     )
 
 
+def _check_pairing(detector: str, window_ps: float) -> None:
+    """Raise ConfigError for an unknown detector, or for a window that is not
+    positive and finite: the rule of pair_edges and of every EdgeEventSet."""
+    if detector not in DETECTOR_CHANNELS:
+        raise ConfigError(f"unknown detector {detector!r}")
+    if not 0 < window_ps < np.inf:
+        raise ConfigError(f"window must be positive and finite, not {window_ps}")
+
+
 @dataclass(eq=False)
 class EdgeEventSet:
     """Pairing result for one detector: the time of every channel-0 tag, in
@@ -214,9 +223,10 @@ class EdgeEventSet:
 
     ``detection`` lists the indices of the triggers with a detection in
     strictly ascending order, and ``rise_units``/``fall_units`` hold one
-    int64 delay per detection.  Arrays that are not 1-D integer arrays, delay
-    arrays whose lengths differ from ``detection``'s, or indices that are not
-    strictly ascending within [0, len) raise ConfigError.
+    int64 delay per detection.  A detector or window that pair_edges
+    refuses, arrays that are not 1-D integer arrays, delay arrays whose
+    lengths differ from ``detection``'s, or indices that are not strictly
+    ascending within [0, len) raise ConfigError.
     """
 
     detector: str
@@ -228,6 +238,7 @@ class EdgeEventSet:
     orphan_edges: int = 0
 
     def __post_init__(self):
+        _check_pairing(self.detector, self.window_ps)
         for name in ("trigger_time", "detection", "rise_units", "fall_units"):
             a = np.asarray(getattr(self, name))
             # an empty list arrives as float64
@@ -285,10 +296,7 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     under ``orphan_edges``.  An unknown detector, or a window that is not
     positive and finite, raises ConfigError.
     """
-    if detector not in DETECTOR_CHANNELS:
-        raise ConfigError(f"unknown detector {detector!r}")
-    if not 0 < window_ps < np.inf:
-        raise ConfigError(f"window must be positive and finite, not {window_ps}")
+    _check_pairing(detector, window_ps)
     if not tags.is_sorted():
         raise DataError("tags must be sorted by (timestamp, channel) before pairing")
 

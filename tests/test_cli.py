@@ -51,7 +51,7 @@ def run(capsys, *argv):
 def write_records(path, n, detector="A"):
     n = np.asarray(n)
     idx = np.arange(n.size, dtype=np.int64)
-    PhotonRecordSet(detector, 8000.0, idx, idx * 100_000, n).to_csv(path)
+    PhotonRecordSet(detector, 8000.0, idx, idx * 100_000, n).to_binary(path)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,20 @@ def test_simulate_refuses_photon_numbers_above_the_range(tmp_path, capsys):
     assert not (tmp_path / "out" / "stream.pnrtag").exists() and not (tmp_path / "out" / "truth.csv").exists()
 
 
+def test_simulate_refuses_max_photons_past_255_before_any_pulse(tmp_path, capsys, monkeypatch):
+    # the pulse-peak check runs once per photon number up to max_photons: hours at 10**9
+    def no_pulse(n, params):
+        raise AssertionError(f"pulse peak of n={n} computed before max_photons was checked")
+
+    monkeypatch.setattr(pnrtiming.simulate, "pulse_peak", no_pulse)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pulse": {"max_photons": 10**9}, "n_triggers": 10}))
+    code, out, err = run(capsys, "simulate", "--config", config, "--out", tmp_path / "out")
+    assert (code, out, err["error"], err["exit_code"]) == (2, None, "ConfigError", 2)
+    assert "max_photons must be at least 1 and at most 255, not 1000000000" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"sourc": {"mu": 1.0}}))
@@ -178,13 +192,13 @@ def test_malformed_config_json(tmp_path, capsys):
         ("simulate", "--config", "{rate_tiny}"),
         ("simulate", "--config", "{rate_slow}"),
         ("simulate", "--config", "{pulse_amplitude}"),
-        ("stats", "{window_text_csv}"),
-        ("jpnd", "{records}", "{window_text_csv}"),
-        ("stats", "{window_nan_csv}"),
-        ("stats", "{window_negative_csv}"),
-        ("jpnd", "{records}", "{window_nan_csv}"),
-        ("jpnd", "{records}", "{window_negative_csv}"),
-        ("stats", "{detector_c_csv}"),
+        ("stats", "{window_inf_pnrec}"),
+        ("jpnd", "{records}", "{short_records}"),
+        ("stats", "{window_nan_pnrec}"),
+        ("stats", "{window_negative_pnrec}"),
+        ("jpnd", "{records}", "{window_nan_pnrec}"),
+        ("jpnd", "{records}", "{window_negative_pnrec}"),
+        ("stats", "{version_pnrec}"),
         ("stats", "{detector_c_pnrec}"),
         ("simulate", "--config", "{threshold_nan}"),
         ("simulate", "--config", "{fall_time_inf}"),
@@ -246,24 +260,22 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
     truth[3] = truth[3].rsplit(",", 1)[0] + "\n"
     short_truth = tmp_path / "truth.csv"
     short_truth.write_text("".join(truth))
-    short_records = tmp_path / "records.csv"
-    write_records(short_records, [1, 2, 3])
-    short_records.write_text(short_records.read_text().rsplit(",", 1)[0])  # cut mid-row
+    original = (pipeline / "records_A.pnrec").read_bytes()
+    short_records = tmp_path / "short_records.pnrec"
+    short_records.write_bytes(original[:-5])  # cut mid-record
     malformed = {"short_truth": short_truth, "short_records": short_records}
-    for name, first_line in (
-        ("window_text_csv", "# detector=B window_ps=abc"),
-        ("window_nan_csv", "# detector=B window_ps=nan"),
-        ("window_negative_csv", "# detector=B window_ps=-5"),
-        ("detector_c_csv", "# detector=C window_ps=8000"),
+    for name, field, value in (
+        ("version_pnrec", "version", 2),
+        ("detector_c_pnrec", "detector", ord("C")),
+        ("window_nan_pnrec", "window_ps", math.nan),
+        ("window_inf_pnrec", "window_ps", math.inf),
+        ("window_negative_pnrec", "window_ps", -5.0),
     ):
-        malformed[name] = tmp_path / f"{name}.csv"
-        write_records(malformed[name], [1, 2, 3])
-        rows = malformed[name].read_text().splitlines(keepends=True)[1:]
-        malformed[name].write_text(first_line + "\n" + "".join(rows))
-    pnrec = bytearray((pipeline / "records_A.pnrec").read_bytes())
-    pnrec[10] = ord("C")  # the detector byte, after the magic and the version
-    malformed["detector_c_pnrec"] = tmp_path / "detector_c.pnrec"
-    malformed["detector_c_pnrec"].write_bytes(pnrec)
+        pnrec = bytearray(original)
+        offset, fmt = PNREC_FIELDS[field]
+        struct.pack_into(fmt, pnrec, offset, value)
+        malformed[name] = tmp_path / f"{name}.pnrec"
+        malformed[name].write_bytes(pnrec)
     paths = {
         "stream": pipeline / "stream.pnrtag",
         "calibration": pipeline / "calibration_optimal.json",
@@ -396,32 +408,22 @@ def test_pnrec_header_mutations_exit_cleanly(pipeline, tmp_path_factory, mutatio
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(["records", "truth"]),
-    st.sampled_from(["index", "n"]),
-    st.integers(0, 4),
-    st.sampled_from([-1, 256, 10**8, 2**70]),
-)
-def test_csv_cell_mutations_exit_cleanly(pipeline, tmp_path_factory, table, column, row, value):
-    """A records or truth CSV with one index or photon-number cell set to a
-    value out of range is read, or refused with the exit-code contract; a
-    refused file names the line."""
-    source = pipeline / ("records_A.csv" if table == "records" else "truth.csv")
-    lines = source.read_text().splitlines(keepends=True)
-    header = 2 if table == "records" else 1
-    fields = lines[header + row].rstrip("\n").split(",")
-    fields[0 if column == "index" else {"records": 2, "truth": 1}[table]] = str(value)
-    lines[header + row] = ",".join(fields) + "\n"
+@given(st.sampled_from(["index", "n"]), st.integers(0, 4), st.sampled_from([-1, 256, 10**8, 2**70]))
+def test_csv_cell_mutations_exit_cleanly(pipeline, tmp_path_factory, column, row, value):
+    """A truth CSV with one index or photon-number cell set to a value out
+    of range is read, or refused with the exit-code contract; a refused file
+    names the line."""
+    lines = (pipeline / "truth.csv").read_text().splitlines(keepends=True)
+    fields = lines[1 + row].rstrip("\n").split(",")
+    fields[0 if column == "index" else 1] = str(value)
+    lines[1 + row] = ",".join(fields) + "\n"
     directory = tmp_path_factory.mktemp("csv")
-    path = directory / source.name
+    path = directory / "truth.csv"
     path.write_text("".join(lines))
-    if table == "records":
-        argv = ["stats", path]
-    else:
-        argv = ["decode", pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json", "--truth", path]
+    argv = ["decode", pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json", "--truth", path]
     code, error = exit_cleanly(*argv, "--out", directory / "out")
     if value == 2**70 or column == "n":
-        assert code == 2 and f"line {header + row + 1}:" in error["message"], error
+        assert code == 2 and f"line {row + 2}:" in error["message"], error
     assert not (code and (directory / "out").exists())
 
 
@@ -641,7 +643,7 @@ def test_decode_reports_and_confusion(pipeline):
     # the raw matrix keeps truth unclamped, so n >= 7 events land off-diagonal
     assert report["confusion"]["overall_accuracy"] > 0.9
     assert report["confusion"]["prediction"]["max_abs_z"] < 4.0
-    assert (pipeline / "records_A.csv").exists()
+    assert (pipeline / "records_A.pnrec").exists() and not (pipeline / "records_A.csv").exists()
 
 
 def test_decode_rerun_is_byte_identical(pipeline, tmp_path, capsys):
@@ -666,16 +668,9 @@ def test_library_calibration_decodes_its_own_detector_at_its_own_window(tmp_path
     models["optimal"].save_json(tmp_path / "calibration.json")
     code, out, err = run(capsys, "decode", stream, tmp_path / "calibration.json", "--out", tmp_path / "out")
     assert (code, err) == (0, None)
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-        "decode_report.json",
-        "records_B.csv",
-        "records_B.pnrec",
-    ]
-    for records in (
-        PhotonRecordSet.from_binary(tmp_path / "out" / "records_B.pnrec"),
-        PhotonRecordSet.from_csv(tmp_path / "out" / "records_B.csv"),
-    ):
-        assert (records.detector, records.window_ps) == ("B", 5000.0)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["decode_report.json", "records_B.pnrec"]
+    records = PhotonRecordSet.from_binary(tmp_path / "out" / "records_B.pnrec")
+    assert (records.detector, records.window_ps) == ("B", 5000.0)
     assert out["detections"] == int(np.count_nonzero(records.n))
 
 
@@ -791,7 +786,7 @@ def test_stats_n_max_truncates_the_table_not_the_fit(pipeline, tmp_path, capsys)
 
 
 def test_stats_single_record_exits_5(tmp_path, capsys):
-    path = tmp_path / "one.csv"
+    path = tmp_path / "one.pnrec"
     write_records(path, [2])
     code, _, err = run(capsys, "stats", path, "--out", tmp_path)
     assert code == 5
@@ -799,7 +794,7 @@ def test_stats_single_record_exits_5(tmp_path, capsys):
 
 
 def test_stats_on_a_header_only_table_writes_one_json_error(tmp_path):
-    path = tmp_path / "empty.csv"
+    path = tmp_path / "empty.pnrec"
     write_records(path, [])
     env = {**os.environ, "PYTHONPATH": str(Path(pnrtiming.__file__).parents[1])}
     done = subprocess.run(
@@ -813,7 +808,7 @@ def test_stats_on_a_header_only_table_writes_one_json_error(tmp_path):
 
 
 def test_stats_top_heavy_exits_5(tmp_path, capsys):
-    path = tmp_path / "tail.csv"
+    path = tmp_path / "tail.pnrec"
     write_records(path, np.full(500, 6))
     code, _, err = run(capsys, "stats", path, "--out", tmp_path)
     assert code == 5
@@ -864,19 +859,19 @@ def test_jpnd_report_with_contrast(tmp_path, capsys):
     split = SourceSpec(kind="spdc_pairs", pair_prob=0.9, efficiency_a=0.8, efficiency_b=0.8)
     truth_n = sample_source(noon, 50_000, seed=31)
     truth_s = sample_source(split, 50_000, seed=32)
-    write_records(tmp_path / "noon_a.csv", truth_n.true_n_a, "A")
-    write_records(tmp_path / "noon_b.csv", truth_n.true_n_b, "B")
-    write_records(tmp_path / "split_a.csv", truth_s.true_n_a, "A")
-    write_records(tmp_path / "split_b.csv", truth_s.true_n_b, "B")
+    write_records(tmp_path / "noon_a.pnrec", truth_n.true_n_a, "A")
+    write_records(tmp_path / "noon_b.pnrec", truth_n.true_n_b, "B")
+    write_records(tmp_path / "split_a.pnrec", truth_s.true_n_a, "A")
+    write_records(tmp_path / "split_b.pnrec", truth_s.true_n_b, "B")
     code, out, _ = run(
         capsys,
         "jpnd",
-        tmp_path / "noon_a.csv",
-        tmp_path / "noon_b.csv",
+        tmp_path / "noon_a.pnrec",
+        tmp_path / "noon_b.pnrec",
         "--split-a",
-        tmp_path / "split_a.csv",
+        tmp_path / "split_a.pnrec",
         "--split-b",
-        tmp_path / "split_b.csv",
+        tmp_path / "split_b.pnrec",
         "--out",
         tmp_path,
     )
@@ -892,19 +887,19 @@ def test_jpnd_report_with_contrast(tmp_path, capsys):
 def test_jpnd_efficiency_estimate(tmp_path, capsys):
     split = SourceSpec(kind="spdc_pairs", pair_prob=0.9, efficiency_a=0.30, efficiency_b=0.30)
     truth = sample_source(split, 200_000, seed=33)
-    write_records(tmp_path / "a.csv", truth.true_n_a, "A")
-    write_records(tmp_path / "b.csv", truth.true_n_b, "B")
-    code, out, _ = run(capsys, "jpnd", tmp_path / "a.csv", tmp_path / "b.csv", "--out", tmp_path)
+    write_records(tmp_path / "a.pnrec", truth.true_n_a, "A")
+    write_records(tmp_path / "b.pnrec", truth.true_n_b, "B")
+    code, out, _ = run(capsys, "jpnd", tmp_path / "a.pnrec", tmp_path / "b.pnrec", "--out", tmp_path)
     assert code == 0
     assert out["efficiency"]["eta_a"] == pytest.approx(0.30, abs=0.01)
     assert out["efficiency"]["eta_b"] == pytest.approx(0.30, abs=0.01)
 
 
 def test_jpnd_misaligned_records_exit_4(tmp_path, capsys):
-    write_records(tmp_path / "a.csv", [1, 1, 1], "A")
+    write_records(tmp_path / "a.pnrec", [1, 1, 1], "A")
     b = PhotonRecordSet("B", 8000.0, np.arange(3) + 9, np.zeros(3, dtype=np.int64), [1, 1, 1])
-    b.to_csv(tmp_path / "b.csv")
-    code, _, err = run(capsys, "jpnd", tmp_path / "a.csv", tmp_path / "b.csv", "--out", tmp_path)
+    b.to_binary(tmp_path / "b.pnrec")
+    code, _, err = run(capsys, "jpnd", tmp_path / "a.pnrec", tmp_path / "b.pnrec", "--out", tmp_path)
     assert code == 4
     assert err["error"] == "DataError"
 
@@ -913,16 +908,16 @@ def test_jpnd_split_without_coincidences_exits_5(tmp_path, capsys):
     # the split set's (1,1) cell, the ratio's denominator, is empty
     sets = {"a": ([2, 0, 1], "A"), "b": ([0, 2, 1], "B"), "sa": ([1, 0, 2], "A"), "sb": ([0, 1, 0], "B")}
     for name, (n, detector) in sets.items():
-        write_records(tmp_path / f"{name}.csv", n, detector)
+        write_records(tmp_path / f"{name}.pnrec", n, detector)
     code, out, err = run(
         capsys,
         "jpnd",
-        tmp_path / "a.csv",
-        tmp_path / "b.csv",
+        tmp_path / "a.pnrec",
+        tmp_path / "b.pnrec",
         "--split-a",
-        tmp_path / "sa.csv",
+        tmp_path / "sa.pnrec",
         "--split-b",
-        tmp_path / "sb.csv",
+        tmp_path / "sb.pnrec",
         "--out",
         tmp_path / "out",
     )
@@ -935,12 +930,33 @@ def test_jpnd_split_without_coincidences_exits_5(tmp_path, capsys):
 def test_jpnd_split_option_given_alone_exits_2(tmp_path, capsys, given):
     # channel B records no detections, so the efficiency estimate has too few counts;
     # the usage error comes first all the same, before any records file is read
-    write_records(tmp_path / "a.csv", [2, 0, 1], "A")
-    write_records(tmp_path / "b.csv", [0, 0, 0], "B")
-    for main_pair in ((tmp_path / "a.csv", tmp_path / "b.csv"), (tmp_path / "missing_a.csv", tmp_path / "b.csv")):
-        code, out, err = run(capsys, "jpnd", *main_pair, given, tmp_path / "a.csv", "--out", tmp_path / "out")
+    write_records(tmp_path / "a.pnrec", [2, 0, 1], "A")
+    write_records(tmp_path / "b.pnrec", [0, 0, 0], "B")
+    for main_pair in ((tmp_path / "a.pnrec", tmp_path / "b.pnrec"), (tmp_path / "missing_a.pnrec", tmp_path / "b.pnrec")):
+        code, out, err = run(capsys, "jpnd", *main_pair, given, tmp_path / "a.pnrec", "--out", tmp_path / "out")
         assert (code, out, err["error"], err["exit_code"]) == (2, None, "ConfigError", 2)
         assert err["message"] == "--split-a and --split-b must be given together"
+        assert not (tmp_path / "out").exists()
+
+
+def test_stats_and_jpnd_refuse_a_records_csv(pipeline, tmp_path):
+    """Records have one file form, .pnrec: a records table in text, as
+    earlier versions wrote it, is refused with one JSON error and no output."""
+    records = PhotonRecordSet.from_binary(pipeline / "records_A.pnrec")
+    rows = zip(records.trigger_index.tolist(), records.trigger_time.tolist(), records.n.tolist())
+    text = tmp_path / "records_A.csv"
+    table = "".join(f"{i},{t},{n}\n" for i, t, n in rows)
+    text.write_text("# detector=A window_ps=8000\ntrigger_index,trigger_time,n\n" + table)
+    pnrec = pipeline / "records_A.pnrec"
+    for argv in (
+        ("stats", text),
+        ("jpnd", text, pnrec),
+        ("jpnd", pnrec, text),
+        ("jpnd", pnrec, pnrec, "--split-a", pnrec, "--split-b", text),
+    ):
+        code, error = exit_cleanly(*argv, "--out", tmp_path / "out")
+        assert (code, error["error"], error["byte_offset"]) == (2, "StreamFormatError", 0), argv
+        assert error["message"] == "bad record magic b'# detect'"
         assert not (tmp_path / "out").exists()
 
 
@@ -968,13 +984,13 @@ def test_pipeline_rerun_is_byte_identical(tmp_path, capsys):
             ("calibrate", out / "stream.pnrtag", "--mode", "both"),
             ("decode", out / "stream.pnrtag", out / "calibration_optimal.json", "--truth", out / "truth.csv"),
             ("stats", out / "records_A.pnrec"),
-            ("jpnd", out / "records_A.pnrec", out / "records_A.csv",
-             "--split-a", out / "records_A.csv", "--split-b", out / "records_A.pnrec"),
+            ("jpnd", out / "records_A.pnrec", out / "records_A.pnrec",
+             "--split-a", out / "records_A.pnrec", "--split-b", out / "records_A.pnrec"),
         ):
             code, _, _ = run(capsys, *argv, "--out", out, "--quiet")
             assert code == 0
     names = sorted(p.name for p in (tmp_path / "one").iterdir())
-    assert len(names) == 17
+    assert len(names) == 16
     assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
     for name in names:
         assert digest(tmp_path / "one" / name) == digest(tmp_path / "two" / name), name

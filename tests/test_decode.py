@@ -288,66 +288,11 @@ def test_record_set_refuses_an_unknown_detector(detector):
         PhotonRecordSet(detector, 8000.0, [0], [0], [1])
 
 
-def test_csv_round_trip(tmp_path):
-    records = PhotonRecordSet("B", 6500.0, np.arange(4), np.array([0, 10, 20, 30]) * 10**6, [0, 3, 1, 2])
-    path = tmp_path / "records.csv"
-    records.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# detector=B window_ps=6500"
-    assert lines[1] == "trigger_index,trigger_time,n"
-    back = PhotonRecordSet.from_csv(path)
-    assert back.detector == "B"
-    assert back.window_ps == 6500.0
-    assert_array_equal(back.trigger_index, records.trigger_index)
-    assert_array_equal(back.trigger_time, records.trigger_time)
-    assert_array_equal(back.n, records.n)
-
-
 @pytest.mark.parametrize("window", [12345678.9, 1234.5678])
-def test_csv_and_binary_read_back_the_exact_window(tmp_path, window):
+def test_binary_reads_back_the_exact_window(tmp_path, window):
     records = PhotonRecordSet("A", window, np.arange(3), np.arange(3) * 10, [0, 1, 2])
-    records.to_csv(tmp_path / "records.csv")
     records.to_binary(tmp_path / "records.pnrec")
-    assert (tmp_path / "records.csv").read_text().splitlines()[0] == f"# detector=A window_ps={window!r}"
-    assert PhotonRecordSet.from_csv(tmp_path / "records.csv").window_ps == window
     assert PhotonRecordSet.from_binary(tmp_path / "records.pnrec").window_ps == window
-
-
-@pytest.mark.parametrize("n, line", [(70_000, 4), (-1, 6), (256, 3)])
-def test_csv_photon_number_outside_u1_names_its_line(tmp_path, n, line):
-    path = tmp_path / "records.csv"
-    rows = ["0,0,1", "1,10,2", "2,20,3", "3,30,4"]
-    rows[line - 3] = f"{line - 3},{10 * (line - 3)},{n}"
-    path.write_text("# detector=A window_ps=8000\ntrigger_index,trigger_time,n\n" + "\n".join(rows) + "\n")
-    with pytest.raises(StreamFormatError, match=f"line {line}: photon number {n} outside"):
-        PhotonRecordSet.from_csv(path)
-
-
-@pytest.mark.parametrize(
-    "first, message",
-    [
-        ("# detector=A window_ps=abc", "window_ps 'abc' is not a number"),
-        ("# detector=C window_ps=8000", "A or B"),
-        ("# detector=A window_ps=nan", "finite and non-negative, not nan"),
-        ("# detector=A window_ps=inf", "finite and non-negative, not inf"),
-        ("# detector=A window_ps=-inf", "finite and non-negative, not -inf"),
-        ("# detector=A window_ps=-5", "finite and non-negative, not -5"),
-    ],
-)
-def test_csv_bad_metadata_line_names_line_1(tmp_path, first, message):
-    path = tmp_path / "records.csv"
-    path.write_text(first + "\ntrigger_index,trigger_time,n\n0,0,1\n")
-    with pytest.raises(StreamFormatError, match=f"line 1: .*{message}"):
-        PhotonRecordSet.from_csv(path)
-
-
-def test_csv_without_metadata_line_keeps_its_first_record(tmp_path):
-    path = tmp_path / "records.csv"
-    path.write_text("trigger_index,trigger_time,n\n0,0,1\n1,10,2\n2,20,0\n")
-    back = PhotonRecordSet.from_csv(path)
-    assert (back.detector, back.window_ps) == ("A", 0.0)
-    assert_array_equal(back.trigger_index, [0, 1, 2])
-    assert_array_equal(back.n, [1, 2, 0])
 
 
 def test_binary_refuses_photon_numbers_beyond_u1():
@@ -367,8 +312,8 @@ def record_rows(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from("AB"), st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), record_rows())
 def test_every_record_set_reads_back_equal(tmp_path_factory, detector, window, rows):
-    """Any set that can be built reads back equal from the records CSV and
-    from .pnrec; construction refuses only photon numbers that they cannot hold."""
+    """Any set that can be built reads back equal from .pnrec; construction
+    refuses only photon numbers that it cannot hold."""
     index, time, n = (np.array(column, dtype=np.int64) for column in zip(*rows)) if rows else ([], [], [])
     try:
         records = PhotonRecordSet(detector, window, index, time, n)
@@ -376,15 +321,11 @@ def test_every_record_set_reads_back_equal(tmp_path_factory, detector, window, r
         assert max(n) > 255
         return
     directory = tmp_path_factory.mktemp("records")
-    records.to_csv(directory / "records.csv")
     records.to_binary(directory / "records.pnrec")
-    for back in (
-        PhotonRecordSet.from_csv(directory / "records.csv"),
-        PhotonRecordSet.from_binary(directory / "records.pnrec"),
-    ):
-        assert (back.detector, back.window_ps, back.n.dtype) == (detector, window, np.uint8)
-        for name in ("trigger_index", "trigger_time", "n"):
-            assert_array_equal(getattr(back, name), getattr(records, name))
+    back = PhotonRecordSet.from_binary(directory / "records.pnrec")
+    assert (back.detector, back.window_ps, back.n.dtype) == (detector, window, np.uint8)
+    for name in ("trigger_index", "trigger_time", "n"):
+        assert_array_equal(getattr(back, name), getattr(records, name))
 
 
 def test_binary_round_trip(tmp_path):

@@ -310,7 +310,7 @@ def test_joint_counts_match_a_brute_force_count():
 
 
 def test_tables_by_photon_number_stop_at_the_record_ceiling():
-    # 255 is the most a .pnrec or records CSV holds; a table the data needs
+    # 255 is the most a .pnrec holds; a table the data needs
     # is never refused, a larger one is
     assert MAX_PHOTON_NUMBER == 255
     small, wide = NumberDistribution([5, 4, 3]), NumberDistribution(np.ones(301, dtype=np.int64))

@@ -147,6 +147,17 @@ def test_param_validation():
             SourceSpec(repetition_rate_hz=rate)
 
 
+@pytest.mark.parametrize("max_photons", [256, 10**9])
+def test_max_photons_past_255_is_refused_before_any_pulse(monkeypatch, max_photons):
+    # the pulse-peak check runs once per photon number up to max_photons: hours at 10**9
+    def no_pulse(n, params):
+        raise AssertionError(f"pulse peak of n={n} computed before max_photons was checked")
+
+    monkeypatch.setattr(sim, "pulse_peak", no_pulse)
+    with pytest.raises(ConfigError, match=f"at most 255, not {max_photons}"):
+        PulseModelParams(max_photons=max_photons)
+
+
 @pytest.mark.parametrize(
     "cls, name",
     [(cls, f.name) for cls in (SourceSpec, PulseModelParams, JitterParams) for f in fields(cls) if f.type == "float"],

@@ -42,17 +42,6 @@ def int64_column(rng, rows):
 
 
 @pytest.mark.parametrize("rows", ROWS)
-def test_record_set_csv(tmp_path, rows):
-    rng = np.random.default_rng(rows)
-    idx, time = int64_column(rng, rows), int64_column(rng, rows)
-    n = rng.integers(0, 256, rows).astype(np.uint8)
-    path = tmp_path / "records.csv"
-    PhotonRecordSet("B", 6500.25, idx, time, n).to_csv(path)
-    header = "# detector=B window_ps=6500.25\ntrigger_index,trigger_time,n"
-    assert_file_is(path, header, [f"{idx[i]},{time[i]},{n[i]}\n" for i in range(rows)])
-
-
-@pytest.mark.parametrize("rows", ROWS)
 def test_truth_csv(tmp_path, rows):
     rng = np.random.default_rng(rows)
     idx, a, b = int64_column(rng, rows), int64_column(rng, rows), int64_column(rng, rows)
@@ -144,10 +133,11 @@ def test_projection_csv_labels_stay_exact_far_out(tmp_path):
 @pytest.mark.parametrize("tail_from", [1, 4, 254, 255])
 def test_poisson_fit_csv(tmp_path, tail_from):
     n = np.random.default_rng(tail_from).poisson(2.0, 500)
-    records = tmp_path / "records.csv"
-    PhotonRecordSet("A", 8000.0, np.arange(n.size), np.zeros(n.size, dtype=np.int64), n).to_csv(records)
-    assert main(["stats", str(records), "--tail-from", str(tail_from), "--out", str(tmp_path), "--quiet"]) == 0
-    fit = fit_poisson_mu(NumberDistribution.from_records(PhotonRecordSet.from_csv(records)), tail_from=tail_from)
+    records = PhotonRecordSet("A", 8000.0, np.arange(n.size), np.zeros(n.size, dtype=np.int64), n)
+    records.to_binary(tmp_path / "records.pnrec")
+    argv = ["stats", str(tmp_path / "records.pnrec"), "--tail-from", str(tail_from), "--out", str(tmp_path)]
+    assert main([*argv, "--quiet"]) == 0
+    fit = fit_poisson_mu(NumberDistribution.from_records(records), tail_from=tail_from)
     lines = [f"{label},{obs},{exp:.6g}\n" for label, obs, exp in zip(fit.labels, fit.counts, fit.expected)]
     assert_file_is(tmp_path / "poisson_fit.csv", "category,observed,expected", lines)
 
@@ -155,10 +145,10 @@ def test_poisson_fit_csv(tmp_path, tail_from):
 def test_chunked_write_memory_is_bounded(tmp_path):
     rows = 500_000
     idx = np.arange(rows, dtype=np.int64) + 2**40
-    records = PhotonRecordSet("A", 8000.0, idx, idx * 1000, np.full(rows, 3, dtype=np.uint8))
+    truth = TruthBlock(idx, idx * 1000, np.full(rows, 3, dtype=np.uint8))
     tracemalloc.start()
     try:
-        records.to_csv(tmp_path / "records.csv")
+        truth.to_csv(tmp_path / "truth.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,11 +185,11 @@ def test_malformed_row_names_its_line(tmp_path, body, line):
 
 def test_read_csv_returns_header_and_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
-    PhotonRecordSet("B", 1.5, [], [], []).to_csv(path)
+    path.write_text("# a comment line\ntrigger_index,true_n_a,true_n_b\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty table is legal input, not a warning
         header, data = textio.read_csv(path, 1, 3)
-    assert header == ["# detector=B window_ps=1.5", "trigger_index,trigger_time,n"]
+    assert header == ["# a comment line", "trigger_index,true_n_a,true_n_b"]
     assert data.shape == (0, 3) and data.dtype == np.int64
 
 
@@ -222,8 +212,8 @@ def test_json_documents_end_with_a_newline(tmp_path):
 # ---- overwriting
 
 
-def write_records_csv(path, rows):
-    PhotonRecordSet("A", 8000.0, np.arange(rows), np.arange(rows), np.ones(rows, dtype=int)).to_csv(path)
+def write_truth_csv(path, rows):
+    TruthBlock(np.arange(rows), np.ones(rows, dtype=int), np.zeros(rows, dtype=int)).to_csv(path)
 
 
 def write_records_pnrec(path, rows):
@@ -238,7 +228,7 @@ def write_tag_stream(path, rows):
     write_stream(TagBlock(np.zeros(rows, dtype=np.uint8), np.arange(rows, dtype=np.int64)), path)
 
 
-WRITERS = [write_records_csv, write_records_pnrec, write_json_doc, write_tag_stream]
+WRITERS = [write_truth_csv, write_records_pnrec, write_json_doc, write_tag_stream]
 
 
 @pytest.mark.parametrize("writer", WRITERS, ids=lambda w: w.__name__)

@@ -230,8 +230,8 @@ def test_pair_edges_rejects_bad_arguments():
         pair_edges(block_of((0, 100), (1, 0)), window_ps=1000.0)
 
 
-def event_set(trigger_time=(0, 10, 20), detection=(0, 2), rise=(5, 7), fall=(9, 8)):
-    return EdgeEventSet("A", 1000.0, trigger_time, detection, rise, fall)
+def event_set(trigger_time=(0, 10, 20), detection=(0, 2), rise=(5, 7), fall=(9, 8), detector="A", window=1000.0):
+    return EdgeEventSet(detector, window, trigger_time, detection, rise, fall)
 
 
 def test_edge_event_set_holds_int64_delays_of_the_detections():
@@ -253,6 +253,12 @@ def test_edge_event_set_holds_int64_delays_of_the_detections():
         ({"detection": [1, 1]}, "strictly ascending"),
         ({"detection": [-1, 2]}, "strictly ascending"),
         ({"detection": [0, 3]}, "strictly ascending"),
+        # what pair_edges refuses, with its messages; calibration used to run on such a set
+        ({"detector": "C"}, "unknown detector 'C'"),
+        ({"window": -1.0}, "window must be positive and finite, not -1.0"),
+        ({"window": float("nan")}, "window must be positive and finite, not nan"),
+        ({"window": float("inf")}, "window must be positive and finite, not inf"),
+        ({"window": 0.0}, "window must be positive and finite, not 0.0"),
     ],
 )
 def test_edge_event_set_refuses_malformed_arrays(fields, message):
