@@ -19,7 +19,6 @@ projected coordinate.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ import numpy as np
 from . import textio
 from .errors import CalibrationError, ConfigError
 from .photostat import MAX_PHOTON_NUMBER
-from .timetags import DETECTOR_CHANNELS, UNITS_PER_PS
+from .timetags import UNITS_PER_PS, _check_pairing
 
 # scipy.special is imported inside the functions that call it, so importing
 # the package loads numpy and no scipy module
@@ -632,8 +631,9 @@ class CalibrationModel:
     Component index j corresponds to photon number j + 1; the angle is
     oriented so photon number ascends with the projected coordinate (it may
     therefore exceed pi even though separating lines repeat modulo pi).
-    ``detector`` is "A", "B" or None, and ``window_ps`` a positive, finite
-    pairing window or None.
+    ``detector`` and ``window_ps`` are the pairing of the events it was
+    calibrated from, and decode pairs a stream with them; one that
+    pair_edges refuses raises ConfigError.
     """
 
     mode: str
@@ -641,8 +641,8 @@ class CalibrationModel:
     components: list
     boundaries: np.ndarray
     crosstalk: np.ndarray
-    detector: str | None = None
-    window_ps: float | None = None
+    detector: str
+    window_ps: float
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -653,12 +653,7 @@ class CalibrationModel:
         k = len(self.components)
         if not 1 <= k <= MAX_PHOTON_NUMBER:
             raise ValueError(f"need 1 to {MAX_PHOTON_NUMBER} components, one per photon number, not {k}")
-        if self.detector not in (None, *DETECTOR_CHANNELS):
-            raise ValueError(f"detector must be one of {sorted(DETECTOR_CHANNELS)} or None, not {self.detector!r}")
-        window = self.window_ps
-        real = isinstance(window, numbers.Real) and not isinstance(window, bool)
-        if window is not None and not (real and 0 < window < math.inf):
-            raise ValueError(f"window_ps must be a positive, finite number of ps, not {window!r}")
+        _check_pairing(self.detector, self.window_ps)
         self.boundaries = np.asarray(self.boundaries, dtype=float)
         self.crosstalk = np.asarray(self.crosstalk, dtype=float)
         centers = np.array([c.center for c in self.components])
@@ -716,8 +711,8 @@ class CalibrationModel:
                 components=comps,
                 boundaries=np.asarray(data["boundaries_ps"], dtype=float),
                 crosstalk=np.asarray(data["crosstalk"], dtype=float),
-                detector=data.get("detector"),
-                window_ps=data.get("window_ps"),
+                detector=data["detector"],
+                window_ps=data["window_ps"],
                 diagnostics=data.get("diagnostics", {}),
             )
         except (KeyError, TypeError, ValueError) as exc:

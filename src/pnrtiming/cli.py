@@ -141,9 +141,7 @@ def cmd_calibrate(args) -> int:
 def cmd_decode(args) -> int:
     model = cal.CalibrationModel.load_json(args.calibration)
     block = read_tag_block(args.tagfile)
-    window = args.window if args.window is not None else (model.window_ps or DEFAULT_WINDOW_PS)
-    detector = args.detector or model.detector or "A"
-    events = pair_edges(block, window, detector=detector)
+    events = pair_edges(block, model.window_ps, detector=model.detector)
     if len(events) == 0:
         raise DataError("stream has no trigger channel; zero-photon events cannot be inferred")
     records = decode_events(events, model)
@@ -153,7 +151,7 @@ def cmd_decode(args) -> int:
     records.check_binary()
 
     out = _out_dir(args)
-    records.to_binary(out / f"records_{detector}.pnrec")
+    records.to_binary(out / f"records_{model.detector}.pnrec")
     textio.write_json(out / "decode_report.json", report)
     _emit(args, {k: report[k] for k in ("class_counts", "out_of_range", "triggers", "detections")})
     return 0
@@ -213,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "and analyze photon statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    detectors = tuple(DETECTOR_CHANNELS)
 
     def add_common(p):
         p.add_argument("--out", default=".", help="output directory (created if missing)")
@@ -228,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="label clusters, pick the projection angle, set boundaries and crosstalk")
     p.add_argument("tagfile", help="input .pnrtag stream")
-    p.add_argument("--detector", choices=detectors, default="A")
+    p.add_argument("--detector", choices=tuple(DETECTOR_CHANNELS), default="A")
     p.add_argument("--window", type=float, default=DEFAULT_WINDOW_PS, help="pairing window in ps")
     p.add_argument("--mode", choices=(cal.RISING_ONLY, cal.OPTIMAL, "both"), default="both")
     add_common(p)
@@ -236,9 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode photon numbers per trigger using a calibration")
     p.add_argument("tagfile", help="input .pnrtag stream")
-    p.add_argument("calibration", help="calibration JSON from the calibrate command")
-    p.add_argument("--detector", choices=detectors, default=None, help="default: calibration's detector")
-    p.add_argument("--window", type=float, default=None, help="pairing window (default: calibration's)")
+    p.add_argument("calibration", help="calibration JSON from calibrate; its detector and window pair the stream")
     p.add_argument("--truth", default=None, help="truth CSV; adds a confusion report")
     add_common(p)
     p.set_defaults(func=cmd_decode)

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import textio
 from .calibrate import CalibrationModel, classify, project
-from .errors import DataError, StreamFormatError
+from .errors import ConfigError, DataError, StreamFormatError
 from .photostat import MAX_PHOTON_NUMBER, joint_counts
-from .timetags import DETECTOR_CHANNELS
+from .timetags import DETECTOR_CHANNELS, _check_pairing
 
 _REC_MAGIC = b"PNRREC01"
 _REC_VERSION = 1
@@ -41,7 +41,8 @@ _REC_DTYPE = np.dtype(
 @dataclass(eq=False)
 class PhotonRecordSet:
     """Decoded photon numbers for one detector, one record per trigger; ``n``
-    is uint8, and one outside [0, MAX_PHOTON_NUMBER] raises ValueError."""
+    is uint8, and one outside [0, MAX_PHOTON_NUMBER] raises ValueError.  A
+    detector or window that pair_edges refuses raises ConfigError."""
 
     detector: str
     window_ps: float
@@ -51,10 +52,7 @@ class PhotonRecordSet:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.detector not in DETECTOR_CHANNELS:
-            raise ValueError(f"detector must be one of {sorted(DETECTOR_CHANNELS)}, not {self.detector!r}")
-        if not 0.0 <= self.window_ps < math.inf:
-            raise ValueError(f"window_ps must be finite and non-negative, not {self.window_ps:g}")
+        _check_pairing(self.detector, self.window_ps)
         self.trigger_index = np.asarray(self.trigger_index, dtype=np.int64)
         self.trigger_time = np.asarray(self.trigger_time, dtype=np.int64)
         # checked before the uint8 cast, which would truncate 2.7 to 2 and
@@ -77,7 +75,7 @@ class PhotonRecordSet:
         length = (n_max + 1) if n_max is not None else int(self.n.max(initial=0)) + 1
         counts = np.bincount(self.n, minlength=length)
         if n_max is not None and counts.size > length:
-            raise ValueError(f"records contain photon numbers above n_max={n_max}")
+            raise ConfigError(f"photon numbers reach {counts.size - 1}, above n_max={n_max}")
         return counts
 
     def check_binary(self) -> None:
@@ -112,8 +110,8 @@ class PhotonRecordSet:
             raise StreamFormatError(f"unsupported record version {version}", byte_offset=8)
         if chr(det_byte) not in DETECTOR_CHANNELS:
             raise StreamFormatError(f"unknown detector byte {det_byte}", byte_offset=10)
-        if not 0.0 <= window < math.inf:
-            raise StreamFormatError(f"window_ps must be finite and non-negative, not {window:g}", byte_offset=16)
+        if not 0.0 < window < math.inf:
+            raise StreamFormatError(f"window must be positive and finite, not {window!r}", byte_offset=16)
         payload = len(raw) - _REC_HEADER.size
         if payload != count * _REC_DTYPE.itemsize:
             raise StreamFormatError(
@@ -139,7 +137,7 @@ def decode_events(events, model: CalibrationModel) -> PhotonRecordSet:
     by more than 8*(sigma+gamma) still land in the outer buckets but are
     tallied in the out_of_range diagnostic.
     """
-    if model.detector is not None and events.detector != model.detector:
+    if events.detector != model.detector:
         raise DataError(
             f"events from detector {events.detector!r} cannot be decoded with a "
             f"calibration for detector {model.detector!r}"

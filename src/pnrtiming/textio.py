@@ -49,18 +49,15 @@ def write_csv(path, header: str, row_format: str, *columns) -> None:
 
 def read_csv(path, header_rows: int, ncols: int) -> tuple[list, np.ndarray]:
     """(header lines, int64 array of shape (rows, ncols)) of an integer table
-    below ``header_rows`` header lines, not counting the lines starting with
-    ``#`` above them, which are returned with the header; ``#`` starts a
+    below the first ``header_rows`` lines; in the table, ``#`` starts a
     comment.  A table with no rows is legal and reads without a warning."""
     header = []
     try:
         # bytes decoded line by line: a text-mode read decodes ahead, so a bad
-        # byte in the table would fail here, before the header is counted
+        # byte in the table would fail here, before the header is read
         with open(path, "rb") as f:
-            names = 0
-            while names < header_rows and (line := f.readline()):
+            for line in islice(f, header_rows):
                 header.append(line.decode("utf-8").strip())
-                names += not header[-1].startswith("#")
         # by path: handed the open file, np.loadtxt reads it slower, through Python
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

@@ -12,6 +12,8 @@ Channel map: 0 = trigger photodiode, 1/2 = detector A rising/falling,
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -208,11 +210,13 @@ def read_tag_block(source) -> TagBlock:
 
 def _check_pairing(detector: str, window_ps: float) -> None:
     """Raise ConfigError for an unknown detector, or for a window that is not
-    positive and finite: the rule of pair_edges and of every EdgeEventSet."""
+    a positive, finite real number (a bool is not one): the one rule of
+    pair_edges, EdgeEventSet, CalibrationModel and PhotonRecordSet."""
     if detector not in DETECTOR_CHANNELS:
         raise ConfigError(f"unknown detector {detector!r}")
-    if not 0 < window_ps < np.inf:
-        raise ConfigError(f"window must be positive and finite, not {window_ps}")
+    real = isinstance(window_ps, numbers.Real) and not isinstance(window_ps, bool)
+    if not (real and 0 < window_ps < math.inf):
+        raise ConfigError(f"window must be positive and finite, not {window_ps!r}")
 
 
 @dataclass(eq=False)
@@ -293,8 +297,8 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     is the same whether or not the windows of neighbouring triggers
     overlap.  A window that reaches past the int64 clock pairs as if it had
     no end.  Every detector tag not paired into a detection is counted
-    under ``orphan_edges``.  An unknown detector, or a window that is not
-    positive and finite, raises ConfigError.
+    under ``orphan_edges``.  An unknown detector, or a window that is not a
+    positive, finite real number, raises ConfigError.
     """
     _check_pairing(detector, window_ps)
     if not tags.is_sorted():

@@ -194,7 +194,7 @@ def test_boundaries_and_crosstalk_refuse_lorentzian_components():
         with pytest.raises(ValueError, match="gamma"):
             call()
     # a stored gamma > 0 calibration still loads and decodes by its boundaries
-    model = CalibrationModel.from_dict(CalibrationModel("optimal", 0.0, comps, [4.0], np.eye(2)).to_dict())
+    model = CalibrationModel.from_dict(CalibrationModel("optimal", 0.0, comps, [4.0], np.eye(2), "A", 8000.0).to_dict())
     assert decode_events(make_events([1.0, 7.0], [0.0, 0.0]), model).n.tolist() == [1, 2]
 
 
@@ -891,8 +891,8 @@ def test_a_calibration_resolves_at_most_255_peaks(k):
 def test_model_refuses_more_components_than_photon_numbers():
     components = [VoigtComponent(float(j), 0.1, 0.0, 1 / 256) for j in range(256)]
     with pytest.raises(ValueError, match="need 1 to 255 components, one per photon number, not 256"):
-        CalibrationModel("optimal", 0.0, components, np.arange(255) + 0.5, np.eye(256))
-    model = CalibrationModel("optimal", 0.0, components[:2], [0.5], np.eye(2)).to_dict()
+        CalibrationModel("optimal", 0.0, components, np.arange(255) + 0.5, np.eye(256), "A", 8000.0)
+    model = CalibrationModel("optimal", 0.0, components[:2], [0.5], np.eye(2), "A", 8000.0).to_dict()
     model["components"] *= 128
     with pytest.raises(ConfigError, match="not 256"):
         CalibrationModel.from_dict(model)
@@ -977,6 +977,8 @@ def test_model_validation_catches_inconsistencies():
         components=comps,
         boundaries=np.array([2.5]),
         crosstalk=np.array([[0.9, 0.1], [0.1, 0.9]]),
+        detector="A",
+        window_ps=8000.0,
     )
     CalibrationModel(**ok)
     with pytest.raises(ValueError):
@@ -1000,3 +1002,34 @@ def test_model_validation_catches_inconsistencies():
     ):
         with pytest.raises(ValueError, match=message):
             CalibrationModel(**{**three, **change})
+
+
+WINDOW_RULE = "window must be positive and finite, not "
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"detector": None}, "unknown detector None"),
+        ({"detector": "C"}, "unknown detector 'C'"),
+        ({"window_ps": None}, WINDOW_RULE + "None"),
+        ({"window_ps": True}, WINDOW_RULE + "True"),
+        ({"window_ps": "8000"}, WINDOW_RULE + "'8000'"),
+        ({"window_ps": 0.0}, WINDOW_RULE + "0.0"),
+        ({"window_ps": math.inf}, WINDOW_RULE + "inf"),
+    ],
+)
+def test_model_refuses_a_detector_or_window_that_pairing_refuses(optimal_model, change, message):
+    fields = {name: getattr(optimal_model, name) for name in ("mode", "angle", "components", "boundaries", "crosstalk")}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        CalibrationModel(**fields, **{"detector": "A", "window_ps": 8000.0, **change})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        CalibrationModel.from_dict({**optimal_model.to_dict(), **change})
+
+
+@pytest.mark.parametrize("key", ["detector", "window_ps"])
+def test_model_document_names_its_detector_and_window(optimal_model, key):
+    data = optimal_model.to_dict()
+    del data[key]
+    with pytest.raises(ConfigError, match=re.escape(f"invalid calibration (KeyError: '{key}')")):
+        CalibrationModel.from_dict(data)

@@ -168,8 +168,8 @@ def test_malformed_config_json(tmp_path, capsys):
         ("calibrate", "{stream}", "--window", "-5"),
         ("calibrate", "{stream}", "--window", "0"),
         ("calibrate", "{stream}", "--window", "inf"),
-        ("decode", "{stream}", "{calibration}", "--window", "-5"),
-        ("decode", "{stream}", "{calibration}", "--window", "0"),
+        ("decode", "{stream}", "{window_zero}"),
+        ("decode", "{stream}", "{window_null}"),
         ("stats", "{records}", "--tail-from", "0"),
         ("simulate", "--config", "{pileup}", "--n-triggers", "10"),
         ("decode", "{stream}", "{no_components}"),
@@ -216,6 +216,10 @@ def test_malformed_config_json(tmp_path, capsys):
         ("stats", "{records}", "--n-max", "abc"),
         ("calibrate", "{stream}", "--k", "3"),
         (),
+        # a calibration names one detector and one window: no null, no default
+        ("decode", "{stream}", "{detector_null}"),
+        ("decode", "{stream}", "{no_detector}"),
+        ("decode", "{stream}", "{no_window}"),
     ],
 )
 def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
@@ -240,13 +244,18 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         configs[name] = tmp_path / f"{name}.json"
         configs[name].write_text(json.dumps(config))
     model = json.loads((pipeline / "calibration_optimal.json").read_text())
-    no_components = tmp_path / "no_components.json"
-    no_components.write_text(json.dumps({k: v for k, v in model.items() if k != "components"}))
+    missing = {}
+    for name, key in (("no_components", "components"), ("no_detector", "detector"), ("no_window", "window_ps")):
+        missing[name] = tmp_path / f"{name}.json"
+        missing[name].write_text(json.dumps({k: v for k, v in model.items() if k != key}))
     bad_fields = {}
     for name, key, value in (
         ("detector_c", "detector", "C"),
+        ("detector_null", "detector", None),
         ("window_text", "window_ps", "abc"),
         ("window_negative", "window_ps", -5),
+        ("window_zero", "window_ps", 0),
+        ("window_null", "window_ps", None),
         ("boundary_nan", "boundaries_ps", [float("nan"), *model["boundaries_ps"][1:]]),
     ):
         bad_fields[name] = tmp_path / f"{name}.json"
@@ -281,7 +290,7 @@ def test_out_of_range_options_exit_2(pipeline, tmp_path, capsys, argv):
         "calibration": pipeline / "calibration_optimal.json",
         "records": pipeline / "records_A.pnrec",
         **configs,
-        "no_components": no_components,
+        **missing,
         "unnormalised": unnormalised,
         "not_json": not_json,
         **malformed,
@@ -342,21 +351,14 @@ def exit_cleanly(*argv):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.one_of(
-        st.tuples(
-            st.sampled_from([("stats", "--n-max"), ("stats", "--tail-from"), ("jpnd", "--n-max")]),
-            st.integers(-(2**70), 2**70),
-        ),
-        st.tuples(st.just(("decode", "--window")), st.floats(allow_nan=True, allow_infinity=True)),
+    st.tuples(
+        st.sampled_from([("stats", "--n-max"), ("stats", "--tail-from"), ("jpnd", "--n-max")]),
+        st.integers(-(2**70), 2**70),
     )
 )
 @example((("stats", "--n-max"), 255))
 @example((("jpnd", "--n-max"), 256))
 @example((("stats", "--tail-from"), -(2**70)))
-@example((("decode", "--window"), 1e300))
-@example((("decode", "--window"), 5e-324))
-@example((("decode", "--window"), math.nan))
-@example((("decode", "--window"), 1.797693134862316e307))  # times 10 tag units per ps is inf
 def test_numeric_options_exit_cleanly(pipeline, tmp_path_factory, draw):
     """Any value of a numeric option gives a documented exit code, and a
     failure exactly one JSON object on stderr, never a traceback."""
@@ -364,9 +366,73 @@ def test_numeric_options_exit_cleanly(pipeline, tmp_path_factory, draw):
     inputs = {
         "stats": [pipeline / "records_A.pnrec"],
         "jpnd": [pipeline / "records_A.pnrec"] * 2,
-        "decode": [pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json"],
     }[command]
     exit_cleanly(command, *inputs, f"{option}={value!r}", "--out", tmp_path_factory.mktemp("fuzz"))
+
+
+MISSING = object()  # a calibration key left out of the document
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.just("window_ps"),
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.integers(-(2**70), 2**70),
+                st.booleans(),
+                st.none(),
+                st.text(max_size=4),
+                st.lists(st.floats(), max_size=1),
+                st.just(MISSING),
+            ),
+        ),
+        st.tuples(
+            st.just("detector"),
+            st.one_of(
+                st.sampled_from("AB"),
+                st.text(max_size=3),
+                st.integers(),
+                st.none(),
+                st.lists(st.just("A"), max_size=1),
+                st.just(MISSING),
+            ),
+        ),
+    )
+)
+@example(("window_ps", 5e-324))
+@example(("window_ps", 1e300))
+@example(("window_ps", 1.797693134862316e307))  # times 10 tag units per ps is inf
+@example(("window_ps", 0))
+@example(("window_ps", True))
+@example(("window_ps", MISSING))
+@example(("detector", "B"))
+@example(("detector", None))
+@example(("detector", ["A"]))
+def test_calibration_pairing_fields_exit_cleanly(pipeline, tmp_path_factory, mutation):
+    """decode pairs with the calibration's detector and window: any value
+    of either field decodes into records_<detector>.pnrec, or is refused with
+    one ConfigError before any output, never a traceback."""
+    key, value = mutation
+    model = json.loads((pipeline / "calibration_optimal.json").read_text())
+    if value is MISSING:
+        del model[key]
+    else:
+        model[key] = value
+    directory = tmp_path_factory.mktemp("calibration")
+    (directory / "calibration.json").write_text(json.dumps(model))
+    code, error = exit_cleanly(
+        "decode", pipeline / "stream.pnrtag", directory / "calibration.json", "--out", directory / "out"
+    )
+    window, detector = model.get("window_ps"), model.get("detector")
+    real = isinstance(window, (int, float)) and not isinstance(window, bool)
+    if detector in ("A", "B") and real and 0 < window < math.inf:
+        assert code == 0
+        assert (directory / "out" / f"records_{detector}.pnrec").exists()
+    else:
+        assert (code, error["error"]) == (2, "ConfigError")
+        assert not (directory / "out").exists()
 
 
 # offset and struct format of each .pnrec header field after the magic
@@ -388,6 +454,7 @@ PNREC_FIELDS = {"version": (8, "<H"), "detector": (10, "B"), "count": (12, "<I")
 @example(("window_ps", math.nan))
 @example(("window_ps", -math.inf))
 @example(("window_ps", 5e-324))
+@example(("window_ps", 0.0))
 def test_pnrec_header_mutations_exit_cleanly(pipeline, tmp_path_factory, mutation):
     """A .pnrec with any value in one header field is read, or refused with
     the exit-code contract."""
@@ -402,7 +469,7 @@ def test_pnrec_header_mutations_exit_cleanly(pipeline, tmp_path_factory, mutatio
     readable = (
         value == struct.unpack_from(fmt, original, offset)[0]
         or (name == "detector" and value == ord("B"))
-        or (name == "window_ps" and 0.0 <= value < math.inf)
+        or (name == "window_ps" and 0.0 < value < math.inf)
     )
     assert code == (0 if readable else 2), error
 
@@ -674,19 +741,17 @@ def test_library_calibration_decodes_its_own_detector_at_its_own_window(tmp_path
     assert out["detections"] == int(np.count_nonzero(records.n))
 
 
-def test_decode_detector_mismatch_exits_4(pipeline, tmp_path, capsys):
-    code, _, err = run(
-        capsys,
-        "decode",
-        pipeline / "stream.pnrtag",
-        pipeline / "calibration_optimal.json",
-        "--detector",
-        "B",
-        "--out",
-        tmp_path,
-    )
-    assert code == 4
-    assert err["error"] == "DataError"
+def test_decode_takes_no_detector_or_window_option(pipeline, tmp_path, capsys):
+    """decode pairs with the calibration's detector and window; an option
+    that would override them is refused with one JSON error and no output."""
+    for option in (("--window", "5"), ("--detector", "B")):
+        code, out, err = run(
+            capsys, "decode", pipeline / "stream.pnrtag", pipeline / "calibration_optimal.json", *option,
+            "--out", tmp_path / "out",
+        )
+        assert (code, out, err["error"], err["exit_code"]) == (2, None, "ConfigError", 2)
+        assert err["message"] == f"unrecognized arguments: {' '.join(option)}"
+        assert not (tmp_path / "out").exists()
 
 
 def test_decode_stream_without_trigger_exits_4(pipeline, tmp_path, capsys):

@@ -185,12 +185,20 @@ def test_malformed_row_names_its_line(tmp_path, body, line):
 
 def test_read_csv_returns_header_and_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text("# a comment line\ntrigger_index,true_n_a,true_n_b\n")
+    path.write_text("trigger_index,true_n_a,true_n_b\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty table is legal input, not a warning
         header, data = textio.read_csv(path, 1, 3)
-    assert header == ["# a comment line", "trigger_index,true_n_a,true_n_b"]
+    assert header == ["trigger_index,true_n_a,true_n_b"]
     assert data.shape == (0, 3) and data.dtype == np.int64
+
+
+def test_read_csv_reads_exactly_its_header_rows(tmp_path):
+    # a "#" line is a header row like any other, so the column names below it are a bad row
+    path = tmp_path / "truth.csv"
+    path.write_text("# a comment line\ntrigger_index,true_n_a,true_n_b\n0,1,0\n")
+    with pytest.raises(StreamFormatError, match="line 2: expected 3 int64 fields"):
+        TruthBlock.from_csv(path)
 
 
 @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe\x00", b""])

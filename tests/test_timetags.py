@@ -230,6 +230,13 @@ def test_pair_edges_rejects_bad_arguments():
         pair_edges(block_of((0, 100), (1, 0)), window_ps=1000.0)
 
 
+@pytest.mark.parametrize("window", [True, "1000", None])
+def test_pair_edges_takes_only_a_real_number_as_window(window):
+    # True used to pair as a 1 ps window
+    with pytest.raises(ConfigError, match=f"window must be positive and finite, not {window!r}"):
+        pair_edges(block_of((0, 0), (1, 5), (2, 8)), window)
+
+
 def event_set(trigger_time=(0, 10, 20), detection=(0, 2), rise=(5, 7), fall=(9, 8), detector="A", window=1000.0):
     return EdgeEventSet(detector, window, trigger_time, detection, rise, fall)
 
@@ -259,6 +266,7 @@ def test_edge_event_set_holds_int64_delays_of_the_detections():
         ({"window": float("nan")}, "window must be positive and finite, not nan"),
         ({"window": float("inf")}, "window must be positive and finite, not inf"),
         ({"window": 0.0}, "window must be positive and finite, not 0.0"),
+        ({"window": True}, "window must be positive and finite, not True"),
     ],
 )
 def test_edge_event_set_refuses_malformed_arrays(fields, message):
