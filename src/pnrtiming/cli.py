@@ -111,8 +111,8 @@ def _write_crosstalk_csv(path, crosstalk) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    block = read_tag_block(args.tagfile)
-    events = pair_edges(block, args.window, detector=args.detector)
+    # the block is a temporary, freed once it is paired
+    events = pair_edges(read_tag_block(args.tagfile), args.window, detector=args.detector)
     models = cal.calibrate_both(events)
     modes = models if args.mode == "both" else (args.mode,)
 
@@ -140,11 +140,11 @@ def cmd_calibrate(args) -> int:
 
 def cmd_decode(args) -> int:
     model = cal.CalibrationModel.load_json(args.calibration)
-    block = read_tag_block(args.tagfile)
-    events = pair_edges(block, model.window_ps, detector=model.detector)
+    events = pair_edges(read_tag_block(args.tagfile), model.window_ps, detector=model.detector)
     if len(events) == 0:
         raise DataError("stream has no trigger channel; zero-photon events cannot be inferred")
     records = decode_events(events, model)
+    del events  # the records hold their own copy of the trigger times
     report = dict(records.diagnostics)
     if args.truth:
         report["confusion"] = confusion_report(records, TruthBlock.from_csv(args.truth), model).to_dict()

@@ -300,7 +300,7 @@ def _quantize(ps: np.ndarray) -> np.ndarray:
 
 
 def _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, n_a, n_b, rise_tab, fall_tab):
-    """(channels, timestamps) of one chunk's tags, unsorted, for the chunk's
+    """One chunk's tags, sorted by (timestamp, channel), for the chunk's
     photon numbers n_a and n_b; only the timing noise is drawn here."""
     m = stop - start
     noise_rng = np.random.default_rng([seed, idx, 1])
@@ -331,7 +331,7 @@ def _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, n_a, n_b, rise_
         stamps.append(rise_ts)
         channels.append(np.full(k, ch_fall, dtype=np.uint8))
         stamps.append(fall_ts)
-    return np.concatenate(channels), np.concatenate(stamps)
+    return TagBlock(np.concatenate(channels), np.concatenate(stamps)).sorted()
 
 
 def simulate_stream(
@@ -349,9 +349,12 @@ def simulate_stream(
     drawn per fixed-size trigger chunk from seeds derived as (seed, chunk
     index, stream), photon numbers from stream 0 and timing noise from
     stream 1, so the output is byte-identical for a given seed regardless of
-    ``workers``.  A trigger period no longer than the longest pulse, or a
-    run whose n_triggers periods reach 2**63 timestamp units, raises
-    ConfigError.
+    ``workers``.  Each chunk is sorted on its own and copied into the
+    stream as it is made, so the stream is built with about its own size
+    in memory; the whole stream is sorted again only when trigger jitter
+    makes one chunk's tags sort before the previous chunk's.  A trigger
+    period no longer than the longest pulse, or a run whose n_triggers
+    periods reach 2**63 timestamp units, raises ConfigError.
     """
     truth = sample_source(spec, n_triggers, seed)
     rise_tab, fall_tab = edge_delay_table(pulse)
@@ -372,15 +375,24 @@ def simulate_stream(
         n_a, n_b = truth.true_n_a[start:stop], truth.true_n_b[start:stop]
         return _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, n_a, n_b, rise_tab, fall_tab)
 
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    def chunks():
+        if workers > 1 and len(jobs) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(run, jobs)  # in chunk order
+        else:
+            yield from map(run, jobs)
 
-    channels = np.concatenate([r[0] for r in results])
-    stamps = np.concatenate([r[1] for r in results])
-    return TagBlock(channels, stamps).sorted(), truth
+    # one trigger tag per trigger, and a rise and a fall per detection on each arm
+    n_tags = n_triggers + 2 * int(np.count_nonzero(truth.true_n_a) + np.count_nonzero(truth.true_n_b))
+    channels, stamps, n = np.empty(n_tags, np.uint8), np.empty(n_tags, np.int64), 0
+    for chunk in chunks():
+        channels[n : n + len(chunk)] = chunk.channels
+        stamps[n : n + len(chunk)] = chunk.timestamps
+        n += len(chunk)
+    tags = TagBlock(channels, stamps)
+    if not tags.is_sorted():
+        tags = tags.sorted()
+    return tags, truth
 
 
 def default_params() -> tuple[PulseModelParams, JitterParams, SourceSpec]:

@@ -12,6 +12,7 @@ Channel map: 0 = trigger photodiode, 1/2 = detector A rising/falling,
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import struct
@@ -44,7 +45,8 @@ _RECORD_DTYPE = np.dtype(
     ]
 )
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 16 bytes
-_CHUNK_BYTES = 1 << 22  # 4 MiB per read, a whole number of records
+_CHUNK_BYTES = 1 << 22  # 4 MiB per read or write, a whole number of records
+_CHUNK_RECORDS = _CHUNK_BYTES // RECORD_SIZE
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -79,15 +81,18 @@ class TagBlock:
 
 def _first_out_of_order(block: TagBlock) -> int | None:
     """Index of the first tag that sorts before its predecessor by
-    (timestamp, channel), or None when the block is in order."""
+    (timestamp, channel), or None when the block is in order.  The tags are
+    compared one chunk at a time, so the check's masks stay chunk-sized."""
     ts, ch = block.timestamps, block.channels
-    if ts.size < 2:
-        return None
-    bad = ts[1:] < ts[:-1]
-    tie = np.flatnonzero(ts[1:] == ts[:-1])
-    bad[tie[ch[tie + 1] < ch[tie]]] = True
-    i = int(np.argmax(bad))
-    return i + 1 if bad[i] else None
+    for start in range(1, ts.size, _CHUNK_RECORDS):
+        stop = min(start + _CHUNK_RECORDS, ts.size)
+        bad = ts[start:stop] < ts[start - 1 : stop - 1]
+        tie = np.flatnonzero(ts[start:stop] == ts[start - 1 : stop - 1]) + start
+        bad[tie[ch[tie] < ch[tie - 1]] - start] = True
+        i = int(np.argmax(bad))
+        if bad[i]:
+            return start + i
+    return None
 
 
 def _open_sink(sink):
@@ -106,25 +111,30 @@ def write_stream(tags: TagBlock, sink) -> int:
     """Serialize a TagBlock to a byte sink, with an empty header note;
     returns the number of bytes written.
 
-    Tags must already be sorted by (timestamp, channel); violations raise
-    DataError rather than silently reordering.
+    The records go out through one reused 4 MiB buffer, so writing needs
+    at most that much memory beyond the block.  Tags must already be
+    sorted by (timestamp, channel); violations raise DataError, before
+    anything is written, rather than silently reordering.
     """
     bad = _first_out_of_order(tags)
     if bad is not None:
         raise DataError(f"tags out of order at record {bad}")
     header = _HEADER_FIXED.pack(MAGIC, FORMAT_VERSION, RESOLUTION_CODE, CHANNEL_COUNT, 0)
-    records = np.zeros(len(tags), dtype=_RECORD_DTYPE)
-    records["channel"] = tags.channels
-    records["timestamp"] = tags.timestamps
+    n = len(tags)
+    records = np.zeros(min(n, _CHUNK_RECORDS), dtype=_RECORD_DTYPE)
 
     f, should_close = _open_sink(sink)
     try:
         f.write(header)
-        f.write(records)  # the array's own buffer, not a copy of it
+        for start in range(0, n, _CHUNK_RECORDS):
+            part = records[: min(n - start, _CHUNK_RECORDS)]
+            part["channel"] = tags.channels[start : start + part.size]
+            part["timestamp"] = tags.timestamps[start : start + part.size]
+            f.write(part)  # the buffer itself, not a copy of it
     finally:
         if should_close:
             f.close()
-    return len(header) + records.nbytes
+    return len(header) + n * RECORD_SIZE
 
 
 def _read_full(f, n: int) -> bytes:
@@ -184,35 +194,73 @@ def iter_tag_blocks(source) -> Iterator[TagBlock]:
         while True:
             buf = _read_full(f, _CHUNK_BYTES)
             n, tail = divmod(len(buf), RECORD_SIZE)
+            full = len(buf) == _CHUNK_BYTES
             if n:
                 records = np.frombuffer(buf, dtype=_RECORD_DTYPE, count=n)
                 _check_channels(records["channel"], channel_count, offset)
                 yield TagBlock(records["channel"], records["timestamp"])
+                del records
+            del buf  # during the next read, only a caller that kept its chunk holds these bytes
             offset += n * RECORD_SIZE
             if tail:
                 raise StreamFormatError(f"truncated record: {tail} trailing bytes", byte_offset=offset)
-            if len(buf) < _CHUNK_BYTES:
+            if not full:
                 return
     finally:
         if should_close:
             f.close()
 
 
+def _bytes_left(f) -> int:
+    """Bytes from the position of ``f`` to its end, or 0 for a source that
+    cannot seek."""
+    try:
+        pos = f.tell()
+        end = f.seek(0, io.SEEK_END)
+        f.seek(pos)
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return 0
+    return max(end - pos, 0)
+
+
 def read_tag_block(source) -> TagBlock:
-    """Load a whole stream into one TagBlock: the chunks of iter_tag_blocks, concatenated."""
-    blocks = list(iter_tag_blocks(source))
-    if not blocks:
-        return TagBlock(np.empty(0, np.uint8), np.empty(0, np.int64))
-    return TagBlock(
-        np.concatenate([b.channels for b in blocks]), np.concatenate([b.timestamps for b in blocks])
-    )
+    """Load a whole stream into one TagBlock, filled chunk by chunk from
+    iter_tag_blocks.
+
+    The columns are sized, at the first chunk, for the records the source
+    says remain, and grow by doubling when it yields more (or cannot say),
+    so reading a file needs about the block itself plus one 4 MiB chunk.
+    Errors are those of iter_tag_blocks.
+    """
+    f, should_close = _open_source(source)
+    channels, timestamps, n = np.empty(0, np.uint8), np.empty(0, np.int64), 0
+    try:
+        for chunk in iter_tag_blocks(f):
+            m = len(chunk)
+            if n + m > channels.size:
+                size = max(n + m + _bytes_left(f) // RECORD_SIZE, 2 * channels.size)
+                # in place: no view of either column exists here
+                channels.resize(size, refcheck=False)
+                timestamps.resize(size, refcheck=False)
+            channels[n : n + m] = chunk.channels
+            timestamps[n : n + m] = chunk.timestamps
+            n += m
+            del chunk  # before the next read, so one chunk is held at a time
+    finally:
+        if should_close:
+            f.close()
+    channels.resize(n, refcheck=False)
+    timestamps.resize(n, refcheck=False)
+    return TagBlock(channels, timestamps)
 
 
 def _check_pairing(detector: str, window_ps: float) -> None:
-    """Raise ConfigError for an unknown detector, or for a window that is not
-    a positive, finite real number (a bool is not one): the one rule of
-    pair_edges, EdgeEventSet, CalibrationModel and PhotonRecordSet."""
-    if detector not in DETECTOR_CHANNELS:
+    """Raise ConfigError for a detector that is not one of the named strs,
+    or for a window that is not a positive, finite real number (a bool is
+    not one): the one rule of pair_edges, EdgeEventSet, CalibrationModel and
+    PhotonRecordSet."""
+    # a str first, so an unhashable detector never reaches the dict lookup
+    if not isinstance(detector, str) or detector not in DETECTOR_CHANNELS:
         raise ConfigError(f"unknown detector {detector!r}")
     real = isinstance(window_ps, numbers.Real) and not isinstance(window_ps, bool)
     if not (real and 0 < window_ps < math.inf):
@@ -308,24 +356,34 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     trig = tags.timestamps[tags.channels == CH_TRIGGER]
     rise = tags.timestamps[tags.channels == ch_rise]
     fall = tags.timestamps[tags.channels == ch_fall]
+    n_edges = rise.size + fall.size
+    # Each rise's own fall: the first fall after it, when no other rise lies
+    # before that fall, i.e. when the next rise's first later fall is a later
+    # one.  Found per rise, so the fall column is freed before the
+    # trigger-sized gathers; each array is freed after its last use.
+    first_fall = np.searchsorted(fall, rise, side="right")
+    owns_fall = first_fall < fall.size
+    owns_fall[:-1] &= first_fall[:-1] < first_fall[1:]
+    own_fall, _ = _gather(fall, first_fall)
+    del fall, first_fall
+
+    j = np.searchsorted(rise, trig)  # first rise at or after each trigger
+    r, ok = _gather(rise, j)
+    del rise
+    ok[:-1] &= r[:-1] < trig[1:]  # the next trigger owns a rise at or after it
+    ok &= _gather(owns_fall, j)[0]
+    f, _ = _gather(own_fall, j)
+    del own_fall, owns_fall, j
     # the window end saturates at the clock's last tick, neither wrapping nor reaching inf
     units = min(int(round(min(window_ps * UNITS_PER_PS, 2.0**63))), _INT64_MAX)
     end = np.minimum(trig, _INT64_MAX - units)
     end += units
-
-    j = np.searchsorted(rise, trig)  # first rise at or after each trigger
-    r, ok = _gather(rise, j)
     ok &= r <= end
-    ok[:-1] &= r[:-1] < trig[1:]  # the next trigger owns a rise at or after it
-    f, has_fall = _gather(fall, np.searchsorted(fall, r, side="right"))
-    ok &= has_fall & (f <= end)
-    after, has_after = _gather(rise, j + 1)
-    ok &= ~has_after | (after >= f)  # the fall belongs to r: no other rise before it
+    ok &= f <= end
+    del end
 
     detection = np.flatnonzero(ok)
-    # each of these is trigger-sized; freed here, they leave room for the
-    # detection-sized gathers below instead of adding to the peak memory
-    del end, j, ok, has_fall, after, has_after
+    del ok
     rise_units = r[detection]
     del r
     fall_units = f[detection]
@@ -340,5 +398,5 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
         detection=detection,
         rise_units=rise_units,
         fall_units=fall_units,
-        orphan_edges=rise.size + fall.size - 2 * detection.size,
+        orphan_edges=n_edges - 2 * detection.size,
     )

@@ -282,9 +282,10 @@ def test_record_set_validation():
     assert PhotonRecordSet("A", 8000.0, [], [], []).n.dtype == np.uint8
 
 
-@pytest.mark.parametrize("detector", ["", "Bx"])
+@pytest.mark.parametrize("detector", ["", "Bx", ["A"]])
 def test_record_set_refuses_an_unknown_detector(detector):
-    # "" used to end to_binary in an IndexError, and "Bx" was written as B
+    # "" used to end to_binary in an IndexError, "Bx" was written as B, and
+    # ["A"] raised a bare TypeError from the detector lookup
     with pytest.raises(ConfigError, match="unknown detector"):
         PhotonRecordSet(detector, 8000.0, [0], [0], [1])
 

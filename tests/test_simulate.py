@@ -13,6 +13,7 @@ from pnrtiming import (
     JitterParams,
     PulseModelParams,
     SourceSpec,
+    TagBlock,
     TruthBlock,
     edge_delays,
     pair_edges,
@@ -276,6 +277,29 @@ def test_simulated_streams_are_seed_deterministic_and_worker_invariant():
     np.testing.assert_array_equal(a.timestamps, b.timestamps)
     c, _ = simulate_stream(spec, pulse, jitter, 150_000, seed=14)
     assert not np.array_equal(a.timestamps, c.timestamps)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("trigger_jitter_ps, interleaved", [(0.0, False), (3e7, True)])
+def test_chunk_sorted_stream_is_the_whole_array_sort(monkeypatch, workers, trigger_jitter_ps, interleaved):
+    # 16 chunks of 64 triggers; trigger jitter of three periods moves trigger
+    # tags across chunk edges, so the chunks' runs interleave
+    monkeypatch.setattr(sim, "_CHUNK", 64)
+    spec = SourceSpec(coherent_channel="both", trigger_channel_jitter_ps=trigger_jitter_ps)
+    pulse, jitter = PulseModelParams(), JitterParams()
+    tags, truth = simulate_stream(spec, pulse, jitter, 1000, seed=5, workers=workers)
+
+    rise_tab, fall_tab = edge_delay_table(pulse)
+    chunks = [
+        sim._simulate_chunk(spec, pulse, jitter, 5, idx, start, stop,
+                            truth.true_n_a[start:stop], truth.true_n_b[start:stop], rise_tab, fall_tab)
+        for idx, start, stop in sim._chunk_ranges(1000)
+    ]
+    joined = TagBlock(np.concatenate([c.channels for c in chunks]), np.concatenate([c.timestamps for c in chunks]))
+    assert joined.is_sorted() is not interleaved  # the whole-stream sort runs only when interleaved
+    want = joined.sorted()
+    assert tags.channels.tobytes() == want.channels.tobytes()
+    assert tags.timestamps.tobytes() == want.timestamps.tobytes()
 
 
 @pytest.mark.parametrize(

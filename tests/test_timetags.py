@@ -2,6 +2,8 @@
 
 import dataclasses
 import io
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from pnrtiming import (
     simulate_stream,
     write_stream,
 )
+from pnrtiming import timetags
 from pnrtiming.errors import ConfigError, DataError, StreamFormatError
-from pnrtiming.timetags import RECORD_SIZE, UNITS_PER_PS, _HEADER_FIXED
+from pnrtiming.timetags import _CHUNK_BYTES, _HEADER_FIXED, _RECORD_DTYPE, RECORD_SIZE, UNITS_PER_PS
 
 
 def block_of(*pairs):
@@ -221,8 +224,9 @@ def test_detector_b_uses_channels_3_and_4():
 
 
 def test_pair_edges_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        pair_edges(block_of((0, 0)), window_ps=1000.0, detector="C")
+    for detector in ("C", ["A"]):
+        with pytest.raises(ConfigError, match="unknown detector"):
+            pair_edges(block_of((0, 0)), window_ps=1000.0, detector=detector)
     for window in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             pair_edges(block_of((0, 0)), window_ps=window)
@@ -267,6 +271,8 @@ def test_edge_event_set_holds_int64_delays_of_the_detections():
         ({"window": float("inf")}, "window must be positive and finite, not inf"),
         ({"window": 0.0}, "window must be positive and finite, not 0.0"),
         ({"window": True}, "window must be positive and finite, not True"),
+        # an unhashable detector used to raise a bare TypeError from the lookup
+        ({"detector": ["A"]}, r"unknown detector \['A'\]"),
     ],
 )
 def test_edge_event_set_refuses_malformed_arrays(fields, message):
@@ -420,6 +426,62 @@ def test_short_reads_give_the_same_block_and_truncation_offset():
     assert offsets[0] == offsets[1] == len(raw) - RECORD_SIZE
 
 
+class NoSeekReader:
+    """A source with ``read`` alone: no fileno, tell or seek, like a socket."""
+
+    def __init__(self, raw):
+        self._f = io.BytesIO(raw)
+
+    def read(self, n=-1):
+        return self._f.read(n)
+
+
+class PipeLikeReader(io.BytesIO):
+    """A source whose seek and tell raise, as a pipe's file object's do."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+class UnderReportingReader(io.BytesIO):
+    """A source whose end, by seek, lies halfway: it yields more than it says remains."""
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        pos = super().seek(offset, whence)
+        return pos // 2 if whence == io.SEEK_END else pos
+
+
+@pytest.mark.parametrize("source", [io.BytesIO, NoSeekReader, PipeLikeReader, UnderReportingReader, SevenByteReader])
+def test_read_tag_block_is_the_chunks_joined_from_any_source(monkeypatch, source):
+    # 3,000 records in chunks of 256: the columns grow by doubling whenever
+    # the source cannot say, or under-reports, what remains
+    monkeypatch.setattr(timetags, "_CHUNK_BYTES", 1 << 12)
+    rng = np.random.default_rng(23)
+    block = TagBlock(rng.integers(0, 5, 3000), np.sort(rng.integers(0, 10**12, 3000))).sorted()
+    buf = io.BytesIO()
+    write_stream(block, buf)
+    raw = with_note(buf.getvalue(), b"any source")
+    chunks = list(iter_tag_blocks(io.BytesIO(raw)))
+    assert len(chunks) == 12
+    back = read_tag_block(source(raw))
+    for name in ("channels", "timestamps"):
+        want, got = np.concatenate([getattr(c, name) for c in chunks]), getattr(back, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    offsets = []
+    for read in (read_tag_block, lambda f: list(iter_tag_blocks(f))):
+        with pytest.raises(StreamFormatError) as err:
+            read(source(raw[:-5]))
+        offsets.append(err.value.byte_offset)
+    assert offsets[0] == offsets[1] == len(raw) - RECORD_SIZE
+
+
 def test_write_reports_the_first_out_of_order_record():
     ts = np.array([0, 5, 5, 9, 9, 3])
     ch = np.array([0, 1, 2, 2, 1, 0])  # record 4 breaks the channel order, record 5 the time order
@@ -427,6 +489,23 @@ def test_write_reports_the_first_out_of_order_record():
         write_stream(TagBlock(ch, ts), io.BytesIO())
     assert not TagBlock(ch, ts).is_sorted()
     assert TagBlock(ch[:4], ts[:4]).is_sorted()
+
+
+@pytest.mark.parametrize("records_per_chunk", [1, 2, 3])
+def test_order_check_and_write_run_across_chunk_edges(monkeypatch, records_per_chunk):
+    monkeypatch.setattr(timetags, "_CHUNK_RECORDS", records_per_chunk)
+    ts = np.array([0, 5, 5, 9, 9, 3])
+    ch = np.array([0, 1, 2, 2, 1, 0])  # as above: record 4 breaks the channel order
+    with pytest.raises(DataError, match="record 4$"):
+        write_stream(TagBlock(ch, ts), io.BytesIO())
+    assert TagBlock(ch[:4], ts[:4]).is_sorted() and not TagBlock(ch[3:], ts[3:]).is_sorted()
+
+    block = TagBlock(ch[:4], ts[:4])
+    buf = io.BytesIO()
+    write_stream(block, buf)
+    records = np.zeros(4, dtype=_RECORD_DTYPE)
+    records["channel"], records["timestamp"] = block.channels, block.timestamps
+    assert buf.getvalue() == _HEADER_FIXED.pack(b"PNRTAG01", 1, 1, 5, 0) + records.tobytes()
 
 
 def test_out_of_range_channel_in_payload():
@@ -443,3 +522,59 @@ def test_tag_block_validates_shapes_and_channels():
         TagBlock(np.zeros(3, np.uint8), np.zeros(2, np.int64))
     with pytest.raises(ValueError):
         TagBlock(np.array([9], np.uint8), np.array([0], np.int64))
+
+
+# ---------------------------------------------------------------- memory
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def sorted_random_block(seed, n):
+    rng = np.random.default_rng(seed)
+    return TagBlock(rng.integers(0, 5, n), np.sort(rng.integers(0, 10**12, n))).sorted()
+
+
+def test_read_tag_block_needs_the_block_and_one_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(timetags, "_CHUNK_BYTES", 1 << 16)
+    n = 50_000  # 12.2 chunks of 4,096 records
+    block = sorted_random_block(19, n)
+    write_stream(block, tmp_path / "stream.pnrtag")
+    back, peak = traced_peak(lambda: read_tag_block(tmp_path / "stream.pnrtag"))
+    np.testing.assert_array_equal(back.channels, block.channels)
+    np.testing.assert_array_equal(back.timestamps, block.timestamps)
+    # 9 bytes a tag; holding every chunk's bytes beside the joined block took 2.8 blocks
+    assert peak <= 9 * n + 1.5 * (1 << 16)
+
+
+def test_write_stream_needs_one_record_buffer_beyond_its_input():
+    n = 600_000  # 2.3 buffers of records
+    block = sorted_random_block(17, n)
+    with open(os.devnull, "wb") as sink:
+        written, peak = traced_peak(lambda: write_stream(block, sink))
+    assert written == _HEADER_FIXED.size + n * RECORD_SIZE
+    # a record copy of the whole stream took 9.2 MiB here
+    assert peak <= _CHUNK_BYTES + (1 << 16)
+
+    buf = io.BytesIO()
+    write_stream(block, buf)
+    records = np.zeros(n, dtype=_RECORD_DTYPE)
+    records["channel"], records["timestamp"] = block.channels, block.timestamps
+    assert buf.getvalue()[_HEADER_FIXED.size :] == records.tobytes()
+
+
+def test_pair_edges_peaks_below_seven_trigger_arrays():
+    # every trigger detected, so every gather is trigger-sized; the result
+    # itself is four such arrays
+    n = 200_000
+    trig = np.arange(n, dtype=np.int64) * 1_000_000
+    block = TagBlock(np.tile(np.array([0, 1, 2], np.uint8), n), (trig[:, None] + [0, 100_000, 300_000]).ravel())
+    events, peak = traced_peak(lambda: pair_edges(block, 50_000.0))
+    assert events.n_detections == n and events.orphan_edges == 0
+    # 5.5 int64 arrays of n; a gather per trigger of every column took 9.4
+    assert peak < 7 * 8 * n
