@@ -8,11 +8,13 @@ resulting photon statistics.
 
 from .calibrate import (
     CalibrationModel,
+    PairTable,
     VoigtComponent,
     adjacent_pair_crosstalk,
     boundaries_with_fallback,
     calibrate_both,
     calibrate_events,
+    calibrate_pairs,
     classify,
     crosstalk_matrix,
     distinct_pairs,
@@ -56,6 +58,7 @@ __all__ = [
     "JitterParams",
     "JointDistribution",
     "NumberDistribution",
+    "PairTable",
     "PhotonRecordSet",
     "PulseModelParams",
     "SourceSpec",
@@ -67,6 +70,7 @@ __all__ = [
     "build_jpnd",
     "calibrate_both",
     "calibrate_events",
+    "calibrate_pairs",
     "classify",
     "confusion_report",
     "crosstalk_matrix",

@@ -91,11 +91,36 @@ def voigt_pdf(x, component: VoigtComponent):
     return out if out.ndim else float(out)
 
 
-def distinct_pairs(events):
-    """The calibration sample of a pair_edges result: its distinct (rise,
-    fall) delay pairs in int64 tag units (0.1 ps), ascending by rise then
-    fall, and how many detections share each, as (rise_units, fall_units,
-    multiplicity).  No detections raise CalibrationError.
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """The calibration sample: the distinct (rise, fall) delay pairs of the
+    detections of one detector at one pairing window, in int64 tag units
+    (0.1 ps), ascending by rise then fall, and how many detections share
+    each pair.  ``distinct_pairs`` builds it from a pair_edges result; a
+    detector or window that pair_edges refuses raises ConfigError.
+    """
+
+    detector: str
+    window_ps: float
+    rise_units: np.ndarray
+    fall_units: np.ndarray
+    multiplicity: np.ndarray
+
+    def __post_init__(self):
+        _check_pairing(self.detector, self.window_ps)
+
+    @property
+    def n_detections(self) -> int:
+        return int(self.multiplicity.sum())
+
+    def in_ps(self):
+        """(rise, fall, multiplicity) with the delays in ps."""
+        return self.rise_units / UNITS_PER_PS, self.fall_units / UNITS_PER_PS, self.multiplicity
+
+
+def distinct_pairs(events) -> PairTable:
+    """The PairTable of a pair_edges result, with its detector and window.
+    No detections raise CalibrationError.
 
     A large sample has far fewer distinct pairs than detections.  Each pair
     gets the int64 key (R - R_min) * fall_span + (F - F_min), and the keys
@@ -110,15 +135,11 @@ def distinct_pairs(events):
     fall_span = int(f.max()) - f_min + 1
     if (int(r.max()) - r_min + 1) * fall_span < 2**63:
         keys, multiplicity = np.unique((r - r_min) * fall_span + (f - f_min), return_counts=True)
-        return keys // fall_span + r_min, keys % fall_span + f_min, multiplicity
-    rows, multiplicity = np.unique(np.stack((r, f), axis=1), axis=0, return_counts=True)
-    return rows[:, 0], rows[:, 1], multiplicity
-
-
-def pairs_in_ps(table):
-    """A distinct_pairs table with its delays in ps: (rise, fall, multiplicity)."""
-    rise_units, fall_units, multiplicity = table
-    return rise_units / UNITS_PER_PS, fall_units / UNITS_PER_PS, multiplicity
+        rise_units, fall_units = keys // fall_span + r_min, keys % fall_span + f_min
+    else:
+        rows, multiplicity = np.unique(np.stack((r, f), axis=1), axis=0, return_counts=True)
+        rise_units, fall_units = rows[:, 0], rows[:, 1]
+    return PairTable(events.detector, events.window_ps, rise_units, fall_units, multiplicity)
 
 
 def _padded_edges(lo: float, hi: float, width: float) -> np.ndarray:
@@ -147,7 +168,7 @@ def project(events, angle: float) -> np.ndarray:
 
 def histogram_1d(pairs, angle: float):
     """(counts, centers, edges) of the detections projected at angle, from
-    their distinct pairs in ps (``pairs_in_ps``): each pair's coordinate
+    their distinct pairs in ps (``PairTable.in_ps``): each pair's coordinate
     rise * cos(angle) + fall * sin(angle) counts with its multiplicity, in
     DEFAULT_BIN_WIDTH bins with three empty bins of margin on each side.
 
@@ -391,7 +412,7 @@ def _reference_scan(pairs, angles):
     be split into labels.  Concentration sum(p^2) alone would be a trap: it
     is maximized by collapsing all clusters onto each other, which is
     exactly the projection that destroys the labels.  ``pairs`` holds the
-    distinct pairs in ps (``pairs_in_ps``); every score depends on the
+    distinct pairs in ps (``PairTable.in_ps``); every score depends on the
     histogram counts only, so it equals the score of the per-event
     projection.
 
@@ -410,7 +431,7 @@ class _LabelledEvents:
     """The distinct (rise, fall) pairs of the detected events, with fixed
     cluster labels from a well-separated projection.
 
-    ``pairs`` holds the distinct pairs in ps (``pairs_in_ps``) and
+    ``pairs`` holds the distinct pairs in ps (``PairTable.in_ps``) and
     ``labels`` one label per pair; an event's label is the label of its
     pair.  Every per-label statistic is weighted by the pair multiplicities,
     so it is the statistic of the events themselves.  Per label the mean
@@ -454,23 +475,22 @@ class _LabelledEvents:
         return mean, np.sqrt(np.maximum(var, 1e-9))
 
 
-def _label_events(events):
+def _label_events(table):
     """Pick a well-separated projection, split it at histogram valleys, and
     label every event with its cluster index (ascending along that axis):
     one label per resolved peak, so the peak count is the component count.
 
     Every calibration mode starts from this one labelling; it works on the
-    distinct (rise, fall) pairs, so the events are collapsed once (on
-    integer keys, see ``distinct_pairs``) and the angle scan never
-    projects them again.  The reference angles are scored on a small thread
-    pool, with the same result at any thread count.  The reference
-    projection is the one with the most peaks among those whose worst valley
-    is at least half deep: ranked by peak count alone, a small sample's
-    noise peaks at a shallow projection would win.  Returns
+    distinct (rise, fall) pairs of a PairTable, so the angle scan never
+    projects the events one by one.  The reference angles are scored on a
+    small thread pool, with the same result at any thread count.  The
+    reference projection is the one with the most peaks among those whose
+    worst valley is at least half deep: ranked by peak count alone, a small
+    sample's noise peaks at a shallow projection would win.  Returns
     (_LabelledEvents, reference angle).
     """
-    pairs = pairs_in_ps(distinct_pairs(events))
-    n_events = events.n_detections
+    pairs = table.in_ps()
+    n_events = table.n_detections
     pair_rise, pair_fall, _ = pairs
     n_peaks, depth, conc = _reference_scan(pairs, _GRID_ANGLES)
     order = np.lexsort((conc, depth, n_peaks, depth >= 0.5))
@@ -544,10 +564,10 @@ def _fit_summary(labelled, angle, components) -> dict:
     return {"n_events": labelled.n_events, "chi2": chi2, "ndf": ndf, "chi2_ndf": chi2 / ndf}
 
 
-def _finalize_model(labelled, line_angle, mode, events, extra):
+def _finalize_model(labelled, line_angle, mode, table, extra):
     """The mode's CalibrationModel: the labels' Gaussian model on the
     separating line at line_angle, with its boundary and fit diagnostics,
-    for the detector and window the events were paired with."""
+    for the table's detector and window."""
     angle, center, sigma, weight, boundaries, fallback, crosstalk = _gaussian_model(labelled, line_angle)
     components = [
         VoigtComponent(c, s, 0.0, w) for c, s, w in zip(center.tolist(), sigma.tolist(), weight.tolist())
@@ -563,8 +583,8 @@ def _finalize_model(labelled, line_angle, mode, events, extra):
         components=components,
         boundaries=boundaries,
         crosstalk=crosstalk,
-        detector=events.detector,
-        window_ps=events.window_ps,
+        detector=table.detector,
+        window_ps=table.window_ps,
         diagnostics=diagnostics,
     )
 
@@ -746,9 +766,22 @@ def calibrate_both(
     detector: str | None = None,
     window_ps: float | None = None,
 ) -> dict:
-    """Rising-only and optimal-angle CalibrationModels of a pair_edges
-    result, {mode: model}, from one labelling, so they share one component
-    count and their crosstalk matrices compare photon class by photon class.
+    """``calibrate_pairs(distinct_pairs(events))`` of a pair_edges result.
+
+    Both models carry the events' detector and window.  ``detector`` and
+    ``window_ps`` may only repeat them: any other value raises ConfigError.
+    """
+    for name, value in (("detector", detector), ("window_ps", window_ps)):
+        if value is not None and value != getattr(events, name):
+            raise ConfigError(f"{name} {value!r} is not the events' {name}, {getattr(events, name)!r}")
+    return calibrate_pairs(distinct_pairs(events))
+
+
+def calibrate_pairs(table: PairTable) -> dict:
+    """Rising-only and optimal-angle CalibrationModels of a PairTable,
+    {mode: model}, from one labelling, so they share one component count and
+    their crosstalk matrices compare photon class by photon class.  Both
+    models carry the table's detector and window.
 
     Events are labelled once at a well-separated reference projection,
     found by scanning the distinct (rise, fall) pairs with their
@@ -761,21 +794,15 @@ def calibrate_both(
     bracket by golden section.  Either model is built from the label
     moments at its angle (0 for rising-only): one Gaussian component per
     label, with no fit to the events.
-
-    Both models carry the events' detector and window.  ``detector`` and
-    ``window_ps`` may only repeat them: any other value raises ConfigError.
     """
-    for name, value in (("detector", detector), ("window_ps", window_ps)):
-        if value is not None and value != getattr(events, name):
-            raise ConfigError(f"{name} {value!r} is not the events' {name}, {getattr(events, name)!r}")
-    labelled, theta_ref = _label_events(events)
+    labelled, theta_ref = _label_events(table)
     if np.any(labelled.counts < 5):
         raise CalibrationError("a cluster label has fewer than 5 events; take more data")
     extra = {"reference_angle": theta_ref, "k": labelled.k}
     theta, scan = _angle_scan(labelled)
     return {
-        RISING_ONLY: _finalize_model(labelled, 0.0, RISING_ONLY, events, extra),
-        OPTIMAL: _finalize_model(labelled, theta, OPTIMAL, events, {**extra, **scan, "line_angle": theta}),
+        RISING_ONLY: _finalize_model(labelled, 0.0, RISING_ONLY, table, extra),
+        OPTIMAL: _finalize_model(labelled, theta, OPTIMAL, table, {**extra, **scan, "line_angle": theta}),
     }
 
 

@@ -94,7 +94,8 @@ def cmd_simulate(args) -> int:
 
 
 def _write_histogram2d_csv(path, table) -> None:
-    textio.write_csv(path, "rise_units,fall_units,count", "{},{},{}", *table)
+    columns = table.rise_units, table.fall_units, table.multiplicity
+    textio.write_csv(path, "rise_units,fall_units,count", "{},{},{}", *columns)
 
 
 def _write_projection_csv(path, pairs, model) -> None:
@@ -111,17 +112,16 @@ def _write_crosstalk_csv(path, crosstalk) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    # the block is a temporary, freed once it is paired
-    events = pair_edges(read_tag_block(args.tagfile), args.window, detector=args.detector)
-    models = cal.calibrate_both(events)
+    # the block and its events are temporaries, freed once collapsed into the table
+    table = cal.distinct_pairs(pair_edges(read_tag_block(args.tagfile), args.window, detector=args.detector))
+    models = cal.calibrate_pairs(table)
     modes = models if args.mode == "both" else (args.mode,)
 
     out = _out_dir(args)
-    table = cal.distinct_pairs(events)
     _write_histogram2d_csv(out / "histogram2d.csv", table)
-    pairs = cal.pairs_in_ps(table)
+    pairs = table.in_ps()
 
-    summary = {"detector": args.detector, "window_ps": args.window, "detections": events.n_detections}
+    summary = {"detector": table.detector, "window_ps": table.window_ps, "detections": table.n_detections}
     for mode in modes:
         model = models[mode]
         model.save_json(out / f"calibration_{mode}.json")

@@ -257,8 +257,8 @@ def read_tag_block(source) -> TagBlock:
 def _check_pairing(detector: str, window_ps: float) -> None:
     """Raise ConfigError for a detector that is not one of the named strs,
     or for a window that is not a positive, finite real number (a bool is
-    not one): the one rule of pair_edges, EdgeEventSet, CalibrationModel and
-    PhotonRecordSet."""
+    not one): the one rule of pair_edges, EdgeEventSet, PairTable,
+    CalibrationModel and PhotonRecordSet."""
     # a str first, so an unhashable detector never reaches the dict lookup
     if not isinstance(detector, str) or detector not in DETECTOR_CHANNELS:
         raise ConfigError(f"unknown detector {detector!r}")

@@ -23,6 +23,7 @@ from pnrtiming import (
     VoigtComponent,
     calibrate_both,
     calibrate_events,
+    calibrate_pairs,
     confusion_report,
     crosstalk_matrix,
     boundaries_with_fallback,
@@ -37,8 +38,8 @@ from pnrtiming import (
 from pnrtiming.calibrate import (
     CalibrationModel,
     classify,
+    PairTable,
     histogram_1d,
-    pairs_in_ps,
 )
 from pnrtiming.cli import _write_histogram2d_csv, _write_projection_csv
 from pnrtiming.errors import CalibrationError, ConfigError, DataError
@@ -337,12 +338,14 @@ def test_classify_ties_go_to_the_lower_class():
 
 def test_single_event_histogram_has_one_count():
     table = distinct_pairs(make_events([10.0], [200.0]))
-    assert [a.tolist() for a in table] == [[100], [2000], [1]]
+    assert [a.tolist() for a in (table.rise_units, table.fall_units, table.multiplicity)] == [[100], [2000], [1]]
+    assert (table.detector, table.window_ps, table.n_detections) == ("A", 10_000.0, 1)
 
 
 def test_histogram_conserves_counts(events_a):
-    rise, fall, count = distinct_pairs(events_a)
-    assert count.sum() == events_a.n_detections
+    table = distinct_pairs(events_a)
+    rise, fall, count = table.rise_units, table.fall_units, table.multiplicity
+    assert count.sum() == table.n_detections == events_a.n_detections
     assert count.min() >= 1
     # strictly ascending by (rise, fall), so every pair is listed once
     assert np.all((rise[1:] > rise[:-1]) | ((rise[1:] == rise[:-1]) & (fall[1:] > fall[:-1])))
@@ -359,7 +362,7 @@ def test_histogram_csv_has_header_and_rows(events_a, tmp_path):
     _write_histogram2d_csv(out, table)
     header, rows = read_csv(out, 1, 3)
     assert header == ["rise_units,fall_units,count"]
-    np.testing.assert_array_equal(rows, np.stack(table, axis=1))
+    np.testing.assert_array_equal(rows, np.stack((table.rise_units, table.fall_units, table.multiplicity), axis=1))
 
 
 def test_projection_axes():
@@ -502,7 +505,7 @@ def test_smoother_matches_scipy_gaussian_filter1d():
 def test_simulated_projection_shows_at_least_five_modes(events_a, optimal_model, default_params):
     pulse, _, _ = default_params
     theta = optimal_model.angle % math.pi
-    counts, centers, _ = histogram_1d(pairs_in_ps(distinct_pairs(events_a)), theta)
+    counts, centers, _ = histogram_1d(distinct_pairs(events_a).in_ps(), theta)
     peaks = centers[cal._peak_indices_ranked(counts)[0]]
     assert peaks.size >= 5
 
@@ -641,7 +644,8 @@ def test_distinct_pair_labelling_matches_per_event_scan(sample, block, events_a,
     rise, fall = events.detected()
     n_peaks, depth, conc, theta_ref, labels = per_event_labelling(rise, fall)
 
-    pairs = pairs_in_ps(distinct_pairs(events))
+    table = distinct_pairs(events)
+    pairs = table.in_ps()
     assert pairs[2].sum() == rise.size
     assert pairs[0].size < rise.size  # delays on the tag grid repeat
     angles = np.deg2rad(np.arange(0.0, 180.0, 2.0))
@@ -650,7 +654,7 @@ def test_distinct_pair_labelling_matches_per_event_scan(sample, block, events_a,
     np.testing.assert_array_equal(got[1], depth)
     np.testing.assert_array_equal(got[2], conc)
 
-    labelled, got_theta = cal._label_events(events)
+    labelled, got_theta = cal._label_events(table)
     assert got_theta == theta_ref
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     np.testing.assert_array_equal(labelled.labels[pair_of_event], labels)
@@ -687,14 +691,15 @@ def test_distinct_pairs_are_bit_equal_to_complex_unique(kind):
     rise, fall = events.detected()
     pairs, counts = np.unique(rise + 1j * fall, return_counts=True)
     table = distinct_pairs(events)
-    assert all(a.dtype == np.int64 for a in table)
-    for a, b in zip(pairs_in_ps(table), (pairs.real, pairs.imag, counts)):
+    assert (table.detector, table.window_ps) == (events.detector, events.window_ps)
+    assert all(a.dtype == np.int64 for a in (table.rise_units, table.fall_units, table.multiplicity))
+    for a, b in zip(table.in_ps(), (pairs.real, pairs.imag, counts)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_label_moments_match_direct_projection(events_a):
     rise, fall = events_a.detected()
-    labelled, _ = cal._label_events(events_a)
+    labelled, _ = cal._label_events(distinct_pairs(events_a))
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     labels = labelled.labels[pair_of_event]
     rng = np.random.default_rng(12)
@@ -746,6 +751,15 @@ def test_models_name_the_detector_and_window_of_their_events(events_a):
         decode_events(events_a, models["optimal"])
 
 
+def test_calibrate_pairs_is_calibrate_both_of_the_table_events(events_a):
+    events_b = dataclasses.replace(events_a, detector="B", window_ps=5000.0)
+    table = distinct_pairs(events_b)
+    from_table, from_events = calibrate_pairs(table), calibrate_both(events_b)
+    for mode in ("optimal", "rising_only"):
+        assert from_table[mode].to_dict() == from_events[mode].to_dict()
+        assert (from_table[mode].detector, from_table[mode].window_ps) == (table.detector, table.window_ps)
+
+
 @pytest.mark.parametrize(
     "keywords, message",
     [
@@ -772,7 +786,7 @@ def test_model_objective_is_the_model_crosstalk(optimal_model):
 
 def test_components_are_the_label_moments(events_a, optimal_model, rising_model, default_params):
     rise, fall = events_a.detected()
-    labelled, _ = cal._label_events(events_a)
+    labelled, _ = cal._label_events(distinct_pairs(events_a))
     _, pair_of_event = np.unique(rise + 1j * fall, return_inverse=True)
     labels = labelled.labels[pair_of_event]
     pulse, _, _ = default_params
@@ -811,7 +825,7 @@ def test_fit_diagnostics_are_the_pearson_chi2_of_the_event_histogram(events_a, o
 
 def test_expected_counts_are_the_bin_integrals_of_the_mixture(events_a, optimal_model, rising_model, tmp_path):
     n = events_a.n_detections
-    pairs = pairs_in_ps(distinct_pairs(events_a))
+    pairs = distinct_pairs(events_a).in_ps()
     for model in (optimal_model, rising_model):
         _, _, edges = histogram_1d(pairs, model.angle)
         got = cal.expected_counts(n, model.components, edges)
@@ -1017,6 +1031,9 @@ WINDOW_RULE = "window must be positive and finite, not "
         ({"window_ps": "8000"}, WINDOW_RULE + "'8000'"),
         ({"window_ps": 0.0}, WINDOW_RULE + "0.0"),
         ({"window_ps": math.inf}, WINDOW_RULE + "inf"),
+        ({"detector": ["A"]}, "unknown detector ['A']"),
+        ({"window_ps": -1.0}, WINDOW_RULE + "-1.0"),
+        ({"window_ps": math.nan}, WINDOW_RULE + "nan"),
     ],
 )
 def test_model_refuses_a_detector_or_window_that_pairing_refuses(optimal_model, change, message):
@@ -1025,6 +1042,10 @@ def test_model_refuses_a_detector_or_window_that_pairing_refuses(optimal_model, 
         CalibrationModel(**fields, **{"detector": "A", "window_ps": 8000.0, **change})
     with pytest.raises(ConfigError, match=re.escape(message)):
         CalibrationModel.from_dict({**optimal_model.to_dict(), **change})
+    # a pair table is refused when it is built, before any calibration work
+    pairs = {"rise_units": np.array([100]), "fall_units": np.array([2000]), "multiplicity": np.array([1])}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PairTable(**pairs, **{"detector": "A", "window_ps": 8000.0, **change})
 
 
 @pytest.mark.parametrize("key", ["detector", "window_ps"])

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -574,10 +575,42 @@ def test_calibrate_far_out_detection_keeps_the_table_small(pipeline, tmp_path, c
     write_stream(TagBlock(channels, stamps).sorted(), path)
     code, _, err = run(capsys, "calibrate", path, "--out", tmp_path / "out", "--quiet")
     assert (code, err) == (0, None)
-    pairs = distinct_pairs(pair_edges(read_tag_block(path), 8000.0, detector="A"))
-    assert pairs[0].size == distinct_pairs(events)[0].size + 1
+    table = distinct_pairs(pair_edges(read_tag_block(path), 8000.0, detector="A"))
+    assert table.rise_units.size == distinct_pairs(events).rise_units.size + 1
     lines = (tmp_path / "out" / "histogram2d.csv").read_text().splitlines()
-    assert len(lines) == pairs[0].size + 1
+    assert len(lines) == table.rise_units.size + 1
+
+
+def test_calibrate_collapses_the_detections_once(pipeline, tmp_path, capsys, monkeypatch):
+    calls = []
+    original = pnrtiming.calibrate.distinct_pairs
+
+    def counting(events):
+        calls.append(1)
+        return original(events)
+
+    monkeypatch.setattr(pnrtiming.calibrate, "distinct_pairs", counting)
+    code, _, err = run(capsys, "calibrate", pipeline / "stream.pnrtag", "--out", tmp_path, "--quiet")
+    assert (code, err, len(calls)) == (0, None, 1)
+
+
+def test_calibrate_holds_no_events_while_it_calibrates(pipeline, tmp_path, capsys, monkeypatch):
+    paired, alive = [], []
+    original_pair, original_calibrate = pnrtiming.cli.pair_edges, pnrtiming.calibrate.calibrate_pairs
+
+    def pairing(*args, **kwargs):
+        events = original_pair(*args, **kwargs)
+        paired.append(weakref.ref(events))
+        return events
+
+    def calibrating(table):
+        alive.append(paired[0]() is not None)
+        return original_calibrate(table)
+
+    monkeypatch.setattr(pnrtiming.cli, "pair_edges", pairing)
+    monkeypatch.setattr(pnrtiming.calibrate, "calibrate_pairs", calibrating)
+    code, _, err = run(capsys, "calibrate", pipeline / "stream.pnrtag", "--out", tmp_path, "--quiet")
+    assert (code, err, alive) == (0, None, [False])
 
 
 def test_calibrate_summary_shows_crosstalk_gain(tmp_path, capsys, pipeline):

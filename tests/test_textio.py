@@ -22,7 +22,7 @@ from pnrtiming import (
     textio,
     write_stream,
 )
-from pnrtiming.calibrate import expected_counts, histogram_1d
+from pnrtiming.calibrate import PairTable, expected_counts, histogram_1d
 from pnrtiming.cli import _write_crosstalk_csv, _write_histogram2d_csv, _write_projection_csv, main
 from pnrtiming.errors import ConfigError, StreamFormatError
 
@@ -57,7 +57,7 @@ def test_histogram2d_csv(tmp_path, rows):
     rise, fall = int64_column(rng, rows), int64_column(rng, rows)
     count = rng.integers(1, 10**9, rows, dtype=np.int64)
     path = tmp_path / "hist.csv"
-    _write_histogram2d_csv(path, (rise, fall, count))
+    _write_histogram2d_csv(path, PairTable("A", 8000.0, rise, fall, count))
     lines = [f"{r},{f},{c}\n" for r, f, c in zip(rise, fall, count)]
     assert_file_is(path, "rise_units,fall_units,count", lines)
 
