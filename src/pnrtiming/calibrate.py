@@ -19,7 +19,6 @@ projected coordinate.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import textio
 from .errors import CalibrationError, ConfigError
 from .photostat import MAX_PHOTON_NUMBER
-from .timetags import UNITS_PER_PS, _check_pairing
+from .timetags import UNITS_PER_PS, _check_pairing, _scan_workers
 
 # scipy.special is imported inside the functions that call it, so importing
 # the package loads numpy and no scipy module
@@ -47,11 +46,9 @@ _GRID_STEP_DEG = 2.0
 _GRID_ANGLES = np.deg2rad(np.arange(0.0, 180.0, _GRID_STEP_DEG))
 _SMOOTHING_SIGMA = 2.0
 _MIN_PROMINENCE = 0.05
-# reference scan: at most this many threads, since its peak search runs in
-# Python under the GIL; and pairs per block of histogram_1d's work, since what
-# a scan thread allocates stays with its malloc arena after the scan, where the
+# reference scan: pairs per block of histogram_1d's work, since what a scan
+# thread allocates stays with its malloc arena after the scan, where the
 # caller cannot reuse it (blocks of 512 KB keep that to a few MB per thread)
-_MAX_SCAN_WORKERS = 4
 _SCAN_BLOCK = 65536
 _FORMAT = "pnrtiming-calibration/1"
 
@@ -377,16 +374,6 @@ def classify(coords, boundaries) -> np.ndarray:
 def _valley(smoothed: np.ndarray, a: int, b: int) -> int:
     """Index of the lowest sample of smoothed[a..b], the first on a tie."""
     return a + int(np.argmin(smoothed[a : b + 1]))
-
-
-def _scan_workers() -> int:
-    """Threads for the reference scan: the CPUs this process may run on, at
-    most _MAX_SCAN_WORKERS."""
-    try:
-        n = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        n = os.cpu_count() or 1
-    return min(n, _MAX_SCAN_WORKERS)
 
 
 def _reference_score(pairs, theta: float):

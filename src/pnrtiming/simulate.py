@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import textio
 from .errors import ConfigError
 from .photostat import MAX_PHOTON_NUMBER, _brentq
-from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, UNITS_PER_PS, TagBlock
+from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, UNITS_PER_PS, TagBlock, _thread_map
 
 _CHUNK = 1 << 16  # triggers per RNG chunk; fixed so output is worker-count independent
 _SOURCE_KINDS = ("coherent", "spdc_pairs", "noon2")
@@ -350,8 +349,9 @@ def simulate_stream(
     index, stream), photon numbers from stream 0 and timing noise from
     stream 1, so the output is byte-identical for a given seed regardless of
     ``workers``.  Each chunk is sorted on its own and copied into the
-    stream as it is made, so the stream is built with about its own size
-    in memory; the whole stream is sorted again only when trigger jitter
+    stream as it is made, and at most ``workers`` chunks are made ahead of
+    the copy, so the stream is built with about its own size in memory;
+    the whole stream is sorted again only when trigger jitter
     makes one chunk's tags sort before the previous chunk's.  A trigger
     period no longer than the longest pulse, or a run whose n_triggers
     periods reach 2**63 timestamp units, raises ConfigError.
@@ -375,17 +375,10 @@ def simulate_stream(
         n_a, n_b = truth.true_n_a[start:stop], truth.true_n_b[start:stop]
         return _simulate_chunk(spec, pulse, jitter, seed, idx, start, stop, n_a, n_b, rise_tab, fall_tab)
 
-    def chunks():
-        if workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(run, jobs)  # in chunk order
-        else:
-            yield from map(run, jobs)
-
     # one trigger tag per trigger, and a rise and a fall per detection on each arm
     n_tags = n_triggers + 2 * int(np.count_nonzero(truth.true_n_a) + np.count_nonzero(truth.true_n_b))
     channels, stamps, n = np.empty(n_tags, np.uint8), np.empty(n_tags, np.int64), 0
-    for chunk in chunks():
+    for chunk in _thread_map(run, jobs, workers):  # in chunk order
         channels[n : n + len(chunk)] = chunk.channels
         stamps[n : n + len(chunk)] = chunk.timestamps
         n += len(chunk)

@@ -15,10 +15,13 @@ from __future__ import annotations
 import io
 import math
 import numbers
+import os
 import struct
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +51,14 @@ RECORD_SIZE = _RECORD_DTYPE.itemsize  # 16 bytes
 _CHUNK_BYTES = 1 << 22  # 4 MiB per read or write, a whole number of records
 _CHUNK_RECORDS = _CHUNK_BYTES // RECORD_SIZE
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# pairing cuts the block into parts of about this many triggers; any size
+# gives the same result.  A worker thread's malloc arena keeps what the
+# thread freed, where the caller cannot reuse it, so parts stay small: at
+# 1 << 17 the decode-2arm-2m benchmark's peak RSS rose by up to 11 MB
+_PAIR_PART = 1 << 15
+# threads for pairing and the calibration's reference scan, at most this
+# many, since the scan's peak search runs in Python under the GIL
+_MAX_SCAN_WORKERS = 4
 
 
 @dataclass(eq=False)
@@ -324,14 +335,87 @@ class EdgeEventSet:
         }
 
 
-def _gather(a: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a[idx], idx < a.size); clamps ``idx`` in place, and out-of-range
-    entries get an arbitrary value."""
-    inside = idx < a.size
-    if not a.size:
-        return np.zeros(idx.size, a.dtype), inside
-    np.minimum(idx, a.size - 1, out=idx)
-    return a[idx], inside
+def _scan_workers() -> int:
+    """Threads for pairing and the reference scan: the CPUs this process
+    may run on, at most _MAX_SCAN_WORKERS."""
+    try:
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        n = os.cpu_count() or 1
+    return min(n, _MAX_SCAN_WORKERS)
+
+
+def _thread_map(fn, items: Sequence, workers: int) -> Iterator:
+    """Yield fn(item) for each item, in item order, computed on up to
+    ``workers`` threads.  At most ``workers`` items are in flight, so the
+    results that wait for the caller are bounded by the thread count, not
+    by the number of items.  One worker, or one item, runs in the caller's
+    thread."""
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(fn, item) for item in items[:workers])
+        for item in items[workers:]:
+            result = pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+            yield result
+        while pending:
+            yield pending.popleft().result()
+
+
+def _part_starts(trig: np.ndarray, units: int) -> list[int]:
+    """Trigger indices at which pair_edges cuts the block, 0 first: in each
+    run of _PAIR_PART triggers after the first, the first trigger whose
+    predecessor's window ends before it.  A timestamp tie is never cut."""
+    starts = [0]
+    for s in range(_PAIR_PART, trig.size, _PAIR_PART):
+        e = min(s + _PAIR_PART, trig.size)
+        end = np.minimum(trig[s - 1 : e - 1], _INT64_MAX - units)
+        end += units
+        cut = np.flatnonzero(trig[s:e] > end)
+        if cut.size:
+            starts.append(s + int(cut[0]))
+    return starts
+
+
+def _pair_part(ch, ts, trig, ch_rise, ch_fall, units, det, r, f) -> tuple[int, int]:
+    """Pair one trigger-aligned part: tags ``ch``/``ts`` and their triggers
+    ``trig``.  ``det``, ``r`` and ``f`` are int64 arrays of len(trig) that
+    serve as scratch; the part's detections end in their first entries, as
+    trigger indices within the part and rise and fall delays after their
+    triggers.  Returns (detections, detector tags)."""
+    rise = ts[ch == ch_rise]
+    n_edges = rise.size + int(np.count_nonzero(ch == ch_fall))
+    if not (trig.size and rise.size and n_edges > rise.size):  # no trigger, rise or fall
+        return 0, n_edges
+    j = np.searchsorted(rise, trig)  # first rise at or after each trigger
+    ok = j < rise.size
+    np.take(rise, j, out=r, mode="clip")
+    ok[:-1] &= r[:-1] < trig[1:]  # the next trigger owns a rise at or after it
+    j += 1
+    np.take(rise, j, out=det, mode="clip")  # the rise after r ...
+    np.putmask(det, j >= rise.size, _INT64_MAX)  # ... or none
+    del j, rise
+    fall = ts[ch == ch_fall]
+    first_fall = np.searchsorted(fall, r, side="right")  # first fall after r
+    ok &= first_fall < fall.size
+    np.take(fall, first_fall, out=f, mode="clip")
+    del first_fall, fall
+    ok &= det >= f  # f belongs to r: no other rise lies in [r, f)
+    # the window end saturates at the clock's last tick, neither wrapping nor reaching inf
+    np.minimum(trig, _INT64_MAX - units, out=det)
+    det += units
+    ok &= r <= det
+    ok &= f <= det
+    idx = np.flatnonzero(ok)
+    del ok
+    n = idx.size
+    t = np.take(trig, idx, out=det[:n])
+    np.subtract(r[idx], t, out=r[:n])
+    np.subtract(f[idx], t, out=f[:n])
+    det[:n] = idx
+    return n, n_edges
 
 
 def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEventSet:
@@ -347,50 +431,47 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     no end.  Every detector tag not paired into a detection is counted
     under ``orphan_edges``.  An unknown detector, or a window that is not a
     positive, finite real number, raises ConfigError.
+
+    The block is paired in trigger-aligned parts of about _PAIR_PART
+    triggers, on up to four threads (_scan_workers: at most one per CPU
+    the process may run on).  A part starts at a trigger whose
+    predecessor's window ends before it, so no detection reaches across a
+    cut, and the parts are gathered in order: the result does not depend
+    on the part size or the CPU count.  When no trigger qualifies, e.g.
+    for windows longer than the trigger period, the block is one part.
     """
     _check_pairing(detector, window_ps)
     if not tags.is_sorted():
         raise DataError("tags must be sorted by (timestamp, channel) before pairing")
 
     ch_rise, ch_fall = DETECTOR_CHANNELS[detector]
-    trig = tags.timestamps[tags.channels == CH_TRIGGER]
-    rise = tags.timestamps[tags.channels == ch_rise]
-    fall = tags.timestamps[tags.channels == ch_fall]
-    n_edges = rise.size + fall.size
-    # Each rise's own fall: the first fall after it, when no other rise lies
-    # before that fall, i.e. when the next rise's first later fall is a later
-    # one.  Found per rise, so the fall column is freed before the
-    # trigger-sized gathers; each array is freed after its last use.
-    first_fall = np.searchsorted(fall, rise, side="right")
-    owns_fall = first_fall < fall.size
-    owns_fall[:-1] &= first_fall[:-1] < first_fall[1:]
-    own_fall, _ = _gather(fall, first_fall)
-    del fall, first_fall
-
-    j = np.searchsorted(rise, trig)  # first rise at or after each trigger
-    r, ok = _gather(rise, j)
-    del rise
-    ok[:-1] &= r[:-1] < trig[1:]  # the next trigger owns a rise at or after it
-    ok &= _gather(owns_fall, j)[0]
-    f, _ = _gather(own_fall, j)
-    del own_fall, owns_fall, j
-    # the window end saturates at the clock's last tick, neither wrapping nor reaching inf
+    ch, ts = tags.channels, tags.timestamps
+    trig = ts[ch == CH_TRIGGER]
     units = min(int(round(min(window_ps * UNITS_PER_PS, 2.0**63))), _INT64_MAX)
-    end = np.minimum(trig, _INT64_MAX - units)
-    end += units
-    ok &= r <= end
-    ok &= f <= end
-    del end
+    starts = _part_starts(trig, units)
+    # a cut trigger is the first tag at its timestamp: its predecessor is earlier
+    tag_starts = [0, *np.searchsorted(ts, trig[starts[1:]]).tolist(), ts.size]
+    starts.append(trig.size)
+    detection, rise_units, fall_units = (np.empty(trig.size, np.int64) for _ in range(3))
 
-    detection = np.flatnonzero(ok)
-    del ok
-    rise_units = r[detection]
-    del r
-    fall_units = f[detection]
-    del f
-    t = trig[detection]
-    rise_units -= t
-    fall_units -= t
+    def run(k):
+        a, b = starts[k], starts[k + 1]
+        p, q = tag_starts[k], tag_starts[k + 1]
+        return _pair_part(
+            ch[p:q], ts[p:q], trig[a:b], ch_rise, ch_fall, units, detection[a:b], rise_units[a:b], fall_units[a:b]
+        )
+
+    n, n_edges = 0, 0
+    for k, (m, edges) in enumerate(_thread_map(run, range(len(starts) - 1), _scan_workers())):
+        a = starts[k]
+        detection[a : a + m] += a
+        if n < a:  # close up behind the earlier parts
+            for out in (detection, rise_units, fall_units):
+                out[n : n + m] = out[a : a + m]
+        n += m
+        n_edges += edges
+    for out in (detection, rise_units, fall_units):
+        out.resize(n, refcheck=False)  # in place: no view of it is left
     return EdgeEventSet(
         detector=detector,
         window_ps=float(window_ps),
@@ -398,5 +479,5 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
         detection=detection,
         rise_units=rise_units,
         fall_units=fall_units,
-        orphan_edges=n_edges - 2 * detection.size,
+        orphan_edges=n_edges - 2 * n,
     )

@@ -1,6 +1,8 @@
 """Pulse-model oracle checks and statistical validation of the generator."""
 
+import io
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -19,6 +21,7 @@ from pnrtiming import (
     pair_edges,
     sample_source,
     simulate_stream,
+    write_stream,
 )
 from pnrtiming.errors import ConfigError, StreamFormatError
 from pnrtiming.simulate import edge_delay_table, pulse_peak, pulse_value
@@ -277,6 +280,32 @@ def test_simulated_streams_are_seed_deterministic_and_worker_invariant():
     np.testing.assert_array_equal(a.timestamps, b.timestamps)
     c, _ = simulate_stream(spec, pulse, jitter, 150_000, seed=14)
     assert not np.array_equal(a.timestamps, c.timestamps)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_four_workers_hold_a_few_chunks_more_than_one(monkeypatch):
+    # 19 chunks, so a pool that ran ahead of the copy would hold most of them
+    monkeypatch.setattr(sim, "_CHUNK", 1 << 14)
+    spec, pulse, jitter = SourceSpec(), PulseModelParams(), JitterParams()
+    _, chunk_peak = traced_peak(lambda: simulate_stream(spec, pulse, jitter, sim._CHUNK, seed=8))
+    streams, peaks = [], []
+    for workers in (1, 4):
+        (tags, _), peak = traced_peak(lambda: simulate_stream(spec, pulse, jitter, 300_000, seed=8, workers=workers))
+        buf = io.BytesIO()
+        write_stream(tags, buf)
+        streams.append(buf.getvalue())
+        peaks.append(peak)
+        del tags
+    assert streams[0] == streams[1]
+    assert peaks[1] < peaks[0] + 3 * chunk_peak
 
 
 @pytest.mark.parametrize("workers", [1, 4])

@@ -156,6 +156,111 @@ def test_pairing_invariants_on_random_streams():
         assert events.orphan_edges == rise.size + fall.size - consumed
 
 
+# ---------------------------------------------------------------- pairing in parts
+
+def pair_in_parts(monkeypatch, part, workers):
+    """Make pair_edges cut every ``part`` triggers where it may, and pair
+    the parts on ``workers`` threads."""
+    monkeypatch.setattr(timetags, "_PAIR_PART", part)
+    monkeypatch.setattr(timetags, "_scan_workers", lambda: workers)
+
+
+SMALL_PARTS = [(part, workers) for part in (1, 7) for workers in (1, 2, 4)]
+
+
+@pytest.fixture(params=SMALL_PARTS, ids=[f"part{p}-threads{w}" for p, w in SMALL_PARTS])
+def small_parts(request, monkeypatch):
+    pair_in_parts(monkeypatch, *request.param)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pairing_in_small_parts_matches_brute_force_on_dense_streams(small_parts, seed):
+    test_pairing_matches_brute_force_on_dense_streams(seed)
+
+
+def test_pairing_in_small_parts_matches_brute_force_on_sparse_stream(small_parts):
+    test_pairing_matches_brute_force_on_sparse_stream()
+
+
+def assert_same_events(a, b):
+    assert (a.detector, a.window_ps, a.orphan_edges) == (b.detector, b.window_ps, b.orphan_edges)
+    for name in ("trigger_time", "detection", "rise_units", "fall_units"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def cut_stream(rng):
+    """A stream on both detectors whose trigger gaps sit on, next to and
+    far from a 500 ps window, ties included, with edges on and next to the
+    window ends, and some anywhere."""
+    trig = np.cumsum(rng.choice([0, 1, 4999, 5000, 5001, 20_000], int(rng.integers(1, 40))))
+    channels, stamps = [np.zeros(trig.size, int)], [trig]
+    for channel in range(1, 5):
+        size = int(rng.integers(0, 50))
+        channels.append(np.full(size + size // 4, channel))
+        stamps.append(rng.choice(trig, size) + rng.choice([0, 1, 2500, 4999, 5000, 5001], size))
+        stamps.append(rng.integers(-10, trig[-1] + 10, size // 4))
+    return TagBlock(np.concatenate(channels), np.concatenate(stamps)).sorted()
+
+
+def test_small_parts_are_bit_identical_to_one_part(monkeypatch):
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        block = cut_stream(rng) if seed % 2 else random_stream(rng, 40, 50, 50, 200_000)[0]
+        for window_ps, detector in zip((100.0, 499.9, 500.0, 500.1, 1500.0, 1e300), "ABABAB"):
+            pair_in_parts(monkeypatch, len(block) + 1, 1)
+            whole = pair_edges(block, window_ps, detector)
+            for part, workers in SMALL_PARTS:
+                pair_in_parts(monkeypatch, part, workers)
+                assert_same_events(pair_edges(block, window_ps, detector), whole)
+
+
+def test_a_trigger_tied_with_its_predecessor_is_never_cut(monkeypatch):
+    # triggers 1 and 2 share a timestamp; the rise after it is trigger 2's
+    block = block_of((0, 0), (1, 10), (2, 20), (0, 5000), (0, 5000), (1, 5010), (2, 5020), (0, 10_000))
+    pair_in_parts(monkeypatch, 1, 2)
+    assert timetags._part_starts(np.array([0, 5000, 5000, 10_000]), 1000) == [0, 1, 3]
+    events = pair_edges(block, 100.0)
+    assert paired(events) == [(10, 20), None, (10, 20), None]
+    assert events.orphan_edges == 0
+
+
+def test_a_window_past_the_trigger_period_pairs_the_block_as_one_part(monkeypatch):
+    pair_in_parts(monkeypatch, 1, 4)
+    trig = np.arange(50, dtype=np.int64) * 5000
+    assert timetags._part_starts(trig, 5000) == [0]
+    assert timetags._part_starts(trig, 4999) == list(range(50))
+    # every fall lies past the next trigger, so a cut there would lose it
+    block, trig, rise, fall = stream_of(trig, trig + 1000, trig + 6000)
+    events = pair_edges(block, 800.0)
+    assert paired(events) == oracle_delays(trig, rise, fall, 800.0) == [(1000, 6000)] * 50
+
+
+@pytest.mark.parametrize(
+    "block", [block_of(), block_of((1, 5), (2, 9), (2, 12), (1, 20))], ids=["empty", "no triggers"]
+)
+def test_a_block_without_triggers_pairs_nothing(small_parts, block):
+    events = pair_edges(block, 1000.0)
+    assert len(events) == 0 and events.n_detections == 0
+    assert events.orphan_edges == len(block)
+
+
+def test_thread_map_yields_in_order_with_at_most_workers_items_ahead():
+    started = []
+
+    def fn(i):
+        started.append(i)
+        return i
+
+    for workers in (1, 2, 4):
+        started.clear()
+        got = []
+        for i in timetags._thread_map(fn, list(range(20)), workers):
+            # the items up to the one in the caller's hands, and at most ``workers`` more
+            assert len(started) <= i + 1 + workers
+            got.append(i)
+        assert got == list(range(20))
+
+
 # ---------------------------------------------------------------- pairing basics
 
 def test_single_event_example():
@@ -577,4 +682,17 @@ def test_pair_edges_peaks_below_seven_trigger_arrays():
     events, peak = traced_peak(lambda: pair_edges(block, 50_000.0))
     assert events.n_detections == n and events.orphan_edges == 0
     # 5.5 int64 arrays of n; a gather per trigger of every column took 9.4
+    assert peak < 7 * 8 * n
+
+
+def test_pair_edges_in_many_parts_peaks_below_seven_trigger_arrays(monkeypatch):
+    # the stream above in 200 parts, so the preallocated outputs, not one
+    # part's working arrays, set the peak
+    monkeypatch.setattr(timetags, "_PAIR_PART", 1000)
+    n = 200_000
+    trig = np.arange(n, dtype=np.int64) * 1_000_000
+    block = TagBlock(np.tile(np.array([0, 1, 2], np.uint8), n), (trig[:, None] + [0, 100_000, 300_000]).ravel())
+    events, peak = traced_peak(lambda: pair_edges(block, 50_000.0))
+    assert events.n_detections == n and events.orphan_edges == 0
+    np.testing.assert_array_equal(events.detection, np.arange(n))
     assert peak < 7 * 8 * n
