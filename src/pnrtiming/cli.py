@@ -75,6 +75,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     stream_path = out / "stream.pnrtag"
     n_bytes = write_stream(tags, stream_path)
+    del tags  # the stream is on disk: the truth's formatting does not stack on it
     truth.to_csv(out / "truth.csv")
 
     _emit(
@@ -95,7 +96,7 @@ def cmd_simulate(args) -> int:
 
 def _write_histogram2d_csv(path, table) -> None:
     columns = table.rise_units, table.fall_units, table.multiplicity
-    textio.write_csv(path, "rise_units,fall_units,count", "{},{},{}", *columns)
+    textio.write_int_csv(path, "rise_units,fall_units,count", *columns)
 
 
 def _write_projection_csv(path, pairs, model) -> None:

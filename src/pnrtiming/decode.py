@@ -22,7 +22,7 @@ from . import textio
 from .calibrate import CalibrationModel, classify, project
 from .errors import ConfigError, DataError, StreamFormatError
 from .photostat import MAX_PHOTON_NUMBER, joint_counts
-from .timetags import DETECTOR_CHANNELS, _check_pairing
+from .timetags import _CHUNK_BYTES, DETECTOR_CHANNELS, _check_pairing
 
 _REC_MAGIC = b"PNRREC01"
 _REC_VERSION = 1
@@ -36,6 +36,7 @@ _REC_DTYPE = np.dtype(
         ("trigger_time", "<i8"),
     ]
 )
+_CHUNK_RECORDS = _CHUNK_BYTES // _REC_DTYPE.itemsize  # records per 4 MiB write
 
 
 @dataclass(eq=False)
@@ -84,19 +85,21 @@ class PhotonRecordSet:
             raise DataError(".pnrec stores trigger_index as u32; this set reaches beyond [0, 2**32)")
 
     def to_binary(self, path) -> None:
+        """Write the set as ``.pnrec``: the header, then one 16-byte record
+        per trigger.  The records go out through one reused 4 MiB buffer, so
+        writing needs at most that much memory beyond the set."""
         self.check_binary()
-        arr = np.empty(len(self), dtype=_REC_DTYPE)
-        arr["trigger_index"] = self.trigger_index
-        arr["n"] = self.n
-        arr["flags"] = 0
-        arr["reserved"] = 0
-        arr["trigger_time"] = self.trigger_time
-        header = _REC_HEADER.pack(
-            _REC_MAGIC, _REC_VERSION, ord(self.detector[0]), 0, len(self), float(self.window_ps)
-        )
+        n = len(self)
+        header = _REC_HEADER.pack(_REC_MAGIC, _REC_VERSION, ord(self.detector[0]), 0, n, float(self.window_ps))
+        records = np.zeros(min(n, _CHUNK_RECORDS), dtype=_REC_DTYPE)  # flags and reserved stay 0
         with textio.open_output(path, "wb") as f:
             f.write(header)
-            f.write(arr)
+            for start in range(0, n, _CHUNK_RECORDS):
+                part = records[: min(n - start, _CHUNK_RECORDS)]
+                part["trigger_index"] = self.trigger_index[start : start + part.size]
+                part["n"] = self.n[start : start + part.size]
+                part["trigger_time"] = self.trigger_time[start : start + part.size]
+                f.write(part)  # the buffer itself, not a copy of it
 
     @classmethod
     def from_binary(cls, path) -> "PhotonRecordSet":

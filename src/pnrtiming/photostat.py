@@ -299,7 +299,7 @@ class JointDistribution:
     def to_csv(self, path) -> None:
         size = self.matrix.shape[0]
         header = "n_a\\n_b," + ",".join(map(str, range(size)))
-        textio.write_csv(path, header, "{}" + ",{}" * size, np.arange(size), *self.matrix.T)
+        textio.write_int_csv(path, header, np.arange(size), *self.matrix.T)
 
 
 def joint_counts(index_a, n_a, index_b, n_b, n_max: int | None = None, sides=("A", "B")) -> np.ndarray:

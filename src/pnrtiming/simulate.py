@@ -217,7 +217,7 @@ class TruthBlock:
 
     def to_csv(self, path) -> None:
         header = "trigger_index,true_n_a,true_n_b"
-        textio.write_csv(path, header, "{},{},{}", self.trigger_index, self.true_n_a, self.true_n_b)
+        textio.write_int_csv(path, header, self.trigger_index, self.true_n_a, self.true_n_b)
 
     @classmethod
     def from_csv(cls, path) -> "TruthBlock":

@@ -1,6 +1,11 @@
 """The text dialect of every sidecar: UTF-8 CSV tables with ``\\n`` line
 ends, and JSON documents with two-space indent, sorted keys and a trailing
-newline."""
+newline.
+
+Tables are written a chunk of rows at a time.  A table of integer columns
+(``write_int_csv``) is formatted in bulk by numpy, byte for byte as Python
+prints its ints; a table with a float or str column (``write_csv``) goes
+through ``str.format``."""
 
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, StreamFormatError
 
 _CHUNK_ROWS = 65_536  # rows formatted per write, so memory does not grow with the table
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 10**0 .. 10**19: a uint64 has at most 20 digits
 
 
 def open_output(path, mode: str):
@@ -39,12 +45,75 @@ def write_csv(path, header: str, row_format: str, *columns) -> None:
     """Write ``header`` (lines without the last line end), then row i as
     ``row_format.format(*(c[i] for c in columns))``.  The columns are 1-D
     arrays of one length; their values are formatted as Python ints, floats
-    and strs."""
+    and strs.  This is the writer of tables with a float or str column; an
+    integer table goes through ``write_int_csv``."""
     line = row_format + "\n"
     with open_output(path, "w") as f:
         f.write(header + "\n")
         for i in range(0, len(columns[0]), _CHUNK_ROWS):
             f.write("".join(map(line.format, *(c[i : i + _CHUNK_ROWS].tolist() for c in columns))))
+
+
+def write_int_csv(path, header: str, *columns) -> None:
+    """Write ``header`` (lines without the last line end), then row i as
+    ``",".join(str(int(c[i])) for c in columns) + "\\n"``, byte for byte.
+    The columns are 1-D integer arrays of one length; a bool, float or
+    object column raises TypeError, since ``str`` would print it as "True"
+    or "3.0"."""
+    columns = [np.asarray(c) for c in columns]
+    for c in columns:
+        if c.dtype.kind not in "iu":
+            raise TypeError(f"write_int_csv formats integer columns, not {c.dtype}")
+    with open_output(path, "wb") as f:
+        f.write(header.encode("utf-8") + b"\n")
+        for i in range(0, len(columns[0]), _CHUNK_ROWS):
+            f.write(_int_rows([c[i : i + _CHUNK_ROWS] for c in columns]))
+
+
+def _int_rows(columns) -> np.ndarray:
+    """The CSV rows of non-empty integer columns, as a uint8 array of their
+    UTF-8 bytes."""
+    rows = columns[0].size
+    fields, row_len = [], np.full(rows, len(columns), np.int64)  # one separator per field
+    for c in columns:
+        # cast to uint64, a negative v wraps to 2**64 + v, and negating that
+        # gives |v|, also for int64's minimum
+        neg = c < 0
+        mag = c.astype(np.uint64)
+        np.negative(mag, out=mag, where=neg)
+        top = len(str(int(mag.max())))  # the column's most digits
+        width = neg.astype(np.int64) + 1
+        for power in _POW10[1:top]:
+            width += mag >= power
+        row_len += width
+        fields.append((neg, mag, width, top))
+    ends = np.cumsum(row_len)
+    out = np.empty(int(ends[-1]) + 1, np.uint8)  # out[0] is a spare byte before the first row
+    start = ends - row_len + 1  # each row's first byte in out
+    separators, pos = [], np.empty(rows, np.int64)
+    for neg, mag, width, top in fields:
+        end = start + width  # the field's separator
+        # the digits, least significant first, right-aligned before the
+        # separator; a row with fewer digits than the column's longest puts
+        # its leading zeros on its sign's byte and on the separator before
+        # its field, which are both written after
+        spare = start - 1
+        value = mag
+        for j in range(1, top + 1):
+            quotient = value // np.uint64(10)
+            digit = value.astype(np.uint8)  # value - 10 * quotient, in the low bytes
+            digit -= quotient.astype(np.uint8) * np.uint8(10)
+            digit += ord("0")
+            np.maximum(end - j, spare, out=pos)
+            out[pos] = digit
+            value = quotient
+        out[start[neg]] = ord("-")
+        separators.append(end)
+        start = end + 1
+    for end in separators[:-1]:
+        out[end] = ord(",")
+    out[separators[-1]] = ord("\n")
+    return out[1:]
 
 
 def read_csv(path, header_rows: int, ncols: int) -> tuple[list, np.ndarray]:

@@ -238,10 +238,10 @@ def read_tag_block(source) -> TagBlock:
     """Load a whole stream into one TagBlock, filled chunk by chunk from
     iter_tag_blocks.
 
-    The columns are sized, at the first chunk, for the records the source
-    says remain, and grow by doubling when it yields more (or cannot say),
-    so reading a file needs about the block itself plus one 4 MiB chunk.
-    Errors are those of iter_tag_blocks.
+    The columns are allocated, not zero-filled, at the first chunk, sized
+    for the records the source says remain; they grow in place by doubling
+    when it yields more (or cannot say), so reading a file needs about the
+    block itself plus one 4 MiB chunk.  Errors are those of iter_tag_blocks.
     """
     f, should_close = _open_source(source)
     channels, timestamps, n = np.empty(0, np.uint8), np.empty(0, np.int64), 0
@@ -250,9 +250,13 @@ def read_tag_block(source) -> TagBlock:
             m = len(chunk)
             if n + m > channels.size:
                 size = max(n + m + _bytes_left(f) // RECORD_SIZE, 2 * channels.size)
-                # in place: no view of either column exists here
-                channels.resize(size, refcheck=False)
-                timestamps.resize(size, refcheck=False)
+                if not n:
+                    channels, timestamps = np.empty(size, np.uint8), np.empty(size, np.int64)
+                else:
+                    # in place, so a source that cannot say its size never
+                    # holds two copies: no view of either column exists here
+                    channels.resize(size, refcheck=False)
+                    timestamps.resize(size, refcheck=False)
             channels[n : n + m] = chunk.channels
             timestamps[n : n + m] = chunk.timestamps
             n += m

@@ -1,8 +1,10 @@
 """Decoding edge events into photon-number records."""
 
 import math
+import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from pnrtiming import (
     PhotonRecordSet,
     VoigtComponent,
     confusion_report,
+    decode,
     decode_events,
     pair_edges,
     simulate_stream,
@@ -342,6 +345,40 @@ def test_binary_round_trip(tmp_path):
     assert_array_equal(back.trigger_index, records.trigger_index)
     assert_array_equal(back.trigger_time, records.trigger_time)
     assert_array_equal(back.n, records.n)
+
+
+def whole_array_pnrec(records):
+    """A .pnrec file as one header plus one whole-set record array."""
+    header = struct.pack("<8sHBBId", b"PNRREC01", 1, ord(records.detector), 0, len(records), records.window_ps)
+    arr = np.zeros(len(records), dtype=[("i", "<u4"), ("n", "u1"), ("flags", "u1"), ("res", "<u2"), ("t", "<i8")])
+    arr["i"], arr["n"], arr["t"] = records.trigger_index, records.n, records.trigger_time
+    return header + arr.tobytes()
+
+
+@pytest.mark.parametrize("buffer", [1, 7])
+@pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 29])
+def test_binary_through_a_small_buffer_equals_the_whole_array(tmp_path, monkeypatch, buffer, rows):
+    monkeypatch.setattr(decode, "_CHUNK_RECORDS", buffer)
+    rng = np.random.default_rng(rows)
+    index, time, n = rng.integers(0, 2**32, rows), rng.integers(-(2**63), 2**63 - 1, rows), rng.integers(0, 256, rows)
+    records = PhotonRecordSet("B", 1234.5, index, time, n)
+    path = tmp_path / "records.pnrec"
+    records.to_binary(path)
+    assert path.read_bytes() == whole_array_pnrec(records)
+
+
+def test_binary_needs_one_record_buffer_beyond_its_set():
+    n = 600_000  # 2.3 buffers of records
+    rng = np.random.default_rng(11)
+    records = PhotonRecordSet("A", 8000.0, np.arange(n), rng.integers(0, 2**40, n), rng.integers(0, 7, n))
+    tracemalloc.start()
+    try:
+        records.to_binary(os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a record copy of the whole set took 9.2 MiB here
+    assert peak <= (1 << 22) + (1 << 16)
 
 
 def test_binary_refuses_trigger_index_beyond_u32(tmp_path):

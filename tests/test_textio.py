@@ -1,6 +1,7 @@
 """Text sidecars: every CSV writer against a per-row f-string reference,
-the integer CSV reader's errors, the JSON reader's errors, the memory of a
-chunked write, and how every output file is overwritten."""
+the bulk integer writer at the ends of every integer dtype and at chunk
+edges, the integer CSV reader's errors, the JSON reader's errors, the
+memory of a chunked write, and how every output file is overwritten."""
 
 import json
 import math
@@ -10,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnrtiming import (
     JointDistribution,
@@ -154,6 +157,78 @@ def test_chunked_write_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     # one join over all rows traces ~90 MB of Python values and text
     assert peak < 16e6
+
+
+# ---- integer tables
+
+
+def int_rows(*columns):
+    """The rows of integer columns as per-row f-strings print them."""
+    return [",".join(f"{v}" for v in row) + "\n" for row in zip(*(c.tolist() for c in columns))]
+
+
+INT64, UINT64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+
+
+def test_int_csv_formats_the_ends_of_every_dtype(tmp_path):
+    path = tmp_path / "ints.csv"
+    columns = [
+        np.array([INT64.min, INT64.max, INT64.min + 1, -1, 0, 10**18, -(10**18)], np.int64),
+        np.array([2**63, UINT64.max, 2**63 + 1, 0, 1, 10**19, 10**19 - 1], np.uint64),
+        np.array([-128, 127, -1, 0, 1, -10, 10], np.int8),
+        np.array([0, 255, 1, 9, 10, 99, 100], np.uint8),
+        np.array([0, 65_535, 9_999, 10_000, 1, 2, 3], np.uint16),
+    ]
+    textio.write_int_csv(path, "a,b,c,d,e", *columns)
+    assert_file_is(path, "a,b,c,d,e", int_rows(*columns))
+    assert path.read_text().splitlines()[1] == "-9223372036854775808,9223372036854775808,-128,0,0"
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 14, 15, 22])
+def test_int_csv_at_chunk_edges(tmp_path, monkeypatch, chunk, rows):
+    monkeypatch.setattr(textio, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(rows)
+    # every chunk mixes signs and digit counts, so rows of one chunk differ in length
+    columns = rng.integers(-(10 ** rng.integers(1, 19, (2, rows))), 10 ** rng.integers(1, 19, (2, rows)))
+    path = tmp_path / "ints.csv"
+    textio.write_int_csv(path, "x,y", *columns)
+    assert_file_is(path, "x,y", int_rows(*columns))
+
+
+DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def int_columns(draw):
+    """1 to 4 columns of one length, each of any integer dtype and holding
+    values anywhere in its range."""
+    rows = draw(st.integers(0, 20))
+    columns = []
+    for dtype in draw(st.lists(st.sampled_from(DTYPES), min_size=1, max_size=4)):
+        info = np.iinfo(dtype)
+        values = draw(st.lists(st.integers(int(info.min), int(info.max)), min_size=rows, max_size=rows))
+        columns.append(np.array(values, dtype=dtype))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_columns(), st.sampled_from([1, 3, 65_536]))
+def test_int_csv_matches_per_row_f_strings(tmp_path_factory, columns, chunk):
+    path = tmp_path_factory.mktemp("ints") / "ints.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textio, "_CHUNK_ROWS", chunk)
+        textio.write_int_csv(path, "h", *columns)
+    assert_file_is(path, "h", int_rows(*columns))
+
+
+@pytest.mark.parametrize("column", [np.array([True, False]), np.array([3.0, 2.5]), np.array([1, "a"], object)])
+def test_int_csv_refuses_columns_that_are_not_integers(tmp_path, column):
+    # str() would print them as "True" or "3.0"
+    path = tmp_path / "ints.csv"
+    with pytest.raises(TypeError, match="integer columns"):
+        textio.write_int_csv(path, "n,x", np.arange(2), column)
+    assert not path.exists()
 
 
 # ---- reading
