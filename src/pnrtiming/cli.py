@@ -52,6 +52,11 @@ def _checked_object(data, known, context: str) -> dict:
 
 def _from_mapping(cls, data, context: str):
     data = _checked_object(data, {f.name for f in dataclasses.fields(cls)}, context)
+    # such an integer passes the range checks as a number below inf, then
+    # fails where it meets float arithmetic
+    for key, value in data.items():
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"invalid {context}: {key} lies past the range of a double")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

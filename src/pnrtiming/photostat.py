@@ -4,6 +4,11 @@ Covers the single-channel truncated-Poisson fit, joint photon-number
 distributions across two detectors sharing a trigger stream, Klyshko-style
 efficiency estimates from split pairs, and the coincidence-suppression
 contrast between interfering and split-pair configurations.
+
+The module needs numpy only: the Poisson pmf is scipy.stats.poisson.pmf's
+formula on a transcription of cephes' ``lgam``, bit for bit, and the upper
+tail is a finite sum that agrees with scipy.special.pdtrc within 1e-12
+relative, underflow to 0 included.
 """
 
 from __future__ import annotations
@@ -17,22 +22,30 @@ import numpy as np
 from . import textio
 from .errors import ConfigError, DataError, InsufficientDataError
 
-# scipy.special is imported inside the functions that call it, so importing
-# the package loads numpy and no scipy module
-
 # the largest photon number a record set, .pnrec, a truth CSV and a calibration hold
 MAX_PHOTON_NUMBER = 255
 
 _BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
+def _divide(num: float, den: float) -> float:
+    """num / den as C divides doubles: a zero den gives +-inf, or NaN for a
+    zero or NaN num, where Python raises ZeroDivisionError."""
+    if den != 0.0:
+        return num / den
+    if num == 0.0 or math.isnan(num):
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
 def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENTQ_RTOL, maxiter: int = 100) -> float:
     """Root of f in [a, b], step for step scipy.optimize.brentq (its
     Zeros/brentq.c, with the same defaults), so it returns the same double.
 
-    A bracket without a sign change, a NaN value of f, xtol <= 0 or rtol
-    below 4 eps raises ValueError; no convergence within maxiter iterations
-    raises RuntimeError.
+    Its steps divide as C does, so a step whose denominator is 0 gets an
+    inf or NaN trial step, and bisects.  A bracket without a sign change, a
+    NaN value of f, xtol <= 0 or rtol below 4 eps raises ValueError; no
+    convergence within maxiter iterations raises RuntimeError.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -68,12 +81,12 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENTQ_RT
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                stry = _divide(-fcur * (xcur - xpre), fcur - fpre)
             else:
                 # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                dpre = _divide(fpre - fcur, xpre - xcur)
+                dblk = _divide(fblk - fcur, xblk - xcur)
+                stry = _divide(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -141,11 +154,86 @@ class NumberDistribution:
         textio.write_csv(path, "n,count,probability", "{},{},{:.9g}", n, self.counts, self.probabilities())
 
 
-def _poisson_pmf(k, mu):
-    """Poisson pmf at integer k >= 0 and mu >= 0, computed as scipy.stats.poisson.pmf computes it."""
-    from scipy.special import gammaln, xlogy
+# cephes' lgam (scipy.special.gammaln): its Stirling-series coefficients,
+# log(sqrt(2 pi)), and igam's underflow limit log(DBL_MAX) and MACHEP
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178
+_MAXLOG = 7.09782712893383996843e2
+_MACHEP = 1.11022302462515654042e-16
 
-    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+def _lgam(x: int) -> float:
+    """log Gamma(x) at an integer x >= 1, as cephes' lgam computes it (so
+    bit for bit scipy.special.gammaln): the exact product below 13, the
+    Stirling series above."""
+    if x < 13:
+        z = 1.0
+        for u in range(x - 1, 1, -1):
+            z *= u
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    else:
+        series = _LGAM_A[0]
+        for a in _LGAM_A[1:]:
+            series = series * p + a
+    return q + series / x
+
+
+def _log(mu: float) -> float:
+    return math.log(mu) if mu > 0 else -math.inf
+
+
+def _poisson_pmf(k, mu: float):
+    """Poisson pmf at integers k >= 0 (scalar or array) and a scalar mu >= 0,
+    bit for bit scipy.stats.poisson.pmf: exp(xlogy(k, mu) - gammaln(k + 1) - mu)."""
+    if isinstance(k, (int, np.integer)):  # the fit's hazard, in Python floats for speed
+        return np.exp((k * _log(mu) if k else 0.0) - _lgam(k + 1) - mu)
+    k = np.asarray(k)
+    xlogy = np.multiply(k, _log(mu), out=np.zeros(k.shape), where=k != 0)
+    log_factorial = np.fromiter((_lgam(j + 1) for j in k.ravel().tolist()), float, k.size).reshape(k.shape)
+    return np.exp(xlogy - log_factorial - mu)
+
+
+def _poisson_sf(k: int, mu: float) -> float:
+    """P(X > k) for X ~ Poisson(mu), within 1e-12 relative of
+    scipy.special.pdtrc(k, mu), and 0 where pdtrc underflows to 0.
+
+    Both sums start from pmf(k + 1) = exp(log_fac) / (k + 1).  Below mu = k + 1
+    it is cephes' igam series, pmf(k + 1) (1 + mu/(k + 2) + mu^2/((k + 2)(k + 3))
+    + ...); above, 1 - sum_{j<=k} pmf(j), with the sum run down from
+    pmf(k) = pmf(k + 1) (k + 1)/mu as pmf(k) (1 + k/mu + k(k - 1)/mu^2 + ...).
+    The difference is at least about 1/2 there, so it loses no digits that
+    matter.  Each sum stops at the first term below MACHEP of its total.
+    """
+    a = k + 1
+    log_fac = a * _log(mu) - mu - _lgam(a)  # log(a pmf(a))
+    if mu < a and log_fac < -_MAXLOG:
+        return 0.0
+    c = total = 1.0
+    if mu < a:
+        r = float(a)
+        while c / total > _MACHEP:
+            r += 1.0
+            c *= mu / r
+            total += c
+        return total * math.exp(log_fac) / a
+    for j in range(k, 0, -1):
+        c *= j / mu
+        total += c
+        if not c / total > _MACHEP:
+            break
+    return 1.0 - total * math.exp(log_fac) / mu
 
 
 def _category_probs(mu: float, tail_from: int) -> np.ndarray:
@@ -200,8 +288,6 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
     mu = 0 exactly; all counts in the tail category leave mu unbounded.  A
     tail_from below 1 raises ConfigError.
     """
-    from scipy.special import pdtrc
-
     if tail_from < 1:
         raise ConfigError(f"tail_from must be at least 1, not {tail_from}")
     counts = dist.folded(tail_from).astype(float)
@@ -222,7 +308,7 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
             # dNLL/dmu; d log pmf(n)/dmu = n/mu - 1 and d log sf/dmu = the hazard
             # pmf(tail_from - 1) / sf, so the NLL is convex with a single root
             head = -float(head_counts @ (head_n / mu - 1.0))
-            sf = float(pdtrc(tail_from - 1, mu))
+            sf = _poisson_sf(tail_from - 1, mu)
             tail = 0.0
             if counts[-1] > 0 and sf > 0:
                 tail = -counts[-1] * float(_poisson_pmf(tail_from - 1, mu)) / sf
@@ -244,7 +330,7 @@ def fit_poisson_mu(dist: NumberDistribution, tail_from: int = 4) -> PoissonFit:
 
         # stderr from the observed information d2NLL/dmu2, in closed form: the
         # hazard h = pmf(tail_from - 1) / sf has dh/dmu = h ((tail_from - 1)/mu - 1 - h)
-        sf = float(pdtrc(tail_from - 1, mu))
+        sf = _poisson_sf(tail_from - 1, mu)
         h = float(_poisson_pmf(tail_from - 1, mu)) / sf if sf > 0 else tail_from / mu
         info = float(head_counts @ head_n) / mu**2 - counts[-1] * h * ((tail_from - 1) / mu - 1.0 - h)
         stderr = 1.0 / math.sqrt(info) if info > 0 else float("nan")

@@ -31,6 +31,7 @@ from .timetags import CH_TRIGGER, DETECTOR_CHANNELS, UNITS_PER_PS, TagBlock, _th
 
 _CHUNK = 1 << 16  # triggers per RNG chunk; fixed so output is worker-count independent
 _SOURCE_KINDS = ("coherent", "spdc_pairs", "noon2")
+_TIMESTAMP_SPAN_PS = 2.0**63 / UNITS_PER_PS
 
 
 def pulse_amplitude(n: int, params: "PulseModelParams") -> float:
@@ -100,6 +101,8 @@ class PulseModelParams:
         # checked before the loop below, which runs once per photon number
         if not 1 <= self.max_photons <= MAX_PHOTON_NUMBER:
             raise ConfigError(f"max_photons must be at least 1 and at most {MAX_PHOTON_NUMBER}, not {self.max_photons}")
+        if not self.hotspot_rise_scale_ps / self.max_photons > 0:
+            raise ValueError("hotspot_rise_scale_ps / max_photons, the fastest rise constant, underflows to 0")
         for n in range(1, self.max_photons + 1):
             _, v_peak = pulse_peak(n, self)
             if v_peak <= self.threshold:
@@ -113,7 +116,8 @@ def edge_delays(n: int, params: PulseModelParams) -> tuple[float, float]:
 
     The rise delay is the first upward threshold crossing, the fall delay
     the last downward crossing, both located by bracketed root finding on
-    the single-peaked waveform.
+    the single-peaked waveform.  A pulse that stays above the threshold
+    past the span of 64-bit timestamps raises ConfigError.
     """
     if not 1 <= n <= params.max_photons:
         raise ValueError(f"n must lie in [1, {params.max_photons}]")
@@ -123,11 +127,16 @@ def edge_delays(n: int, params: PulseModelParams) -> tuple[float, float]:
     def over(t):
         return float(pulse_value(t, n, params)) - thr
 
-    rise = _brentq(over, 0.0, t_peak, xtol=1e-9)
     tau_f = 1000.0 * params.kinetic_inductance_time_ns
     hi = t_peak + tau_f * math.log(v_peak / thr) + 1.0
-    while over(hi) >= 0.0:
+    while hi <= _TIMESTAMP_SPAN_PS and over(hi) >= 0.0:
         hi *= 2.0
+    if not hi <= _TIMESTAMP_SPAN_PS:
+        raise ConfigError(
+            f"the n={n} pulse stays above the threshold until about {hi:.3g} ps, "
+            f"past the {_TIMESTAMP_SPAN_PS:.3g} ps that 64-bit timestamps span"
+        )
+    rise = _brentq(over, 0.0, t_peak, xtol=1e-9)
     fall = _brentq(over, t_peak, hi, xtol=1e-9)
     return rise, fall
 
@@ -264,7 +273,8 @@ def _sample_counts_chunk(spec: SourceSpec, m: int, rng) -> tuple[np.ndarray, np.
 def sample_source(spec: SourceSpec, n_triggers: int, seed: int) -> TruthBlock:
     """Draw per-trigger photon numbers (post-loss) for both detector arms;
     n_triggers and seed must be non-negative integers, and a draw above
-    MAX_PHOTON_NUMBER raises ConfigError naming its trigger."""
+    MAX_PHOTON_NUMBER, or a mean too large for numpy's Poisson sampler,
+    raises ConfigError (the former naming its trigger)."""
     for name, value in (("n_triggers", n_triggers), ("seed", seed)):
         if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
             raise ConfigError(f"{name} must be a non-negative integer, not {value!r}")
@@ -272,7 +282,10 @@ def sample_source(spec: SourceSpec, n_triggers: int, seed: int) -> TruthBlock:
     n_b = np.zeros(n_triggers, dtype=np.int64)
     for idx, start, stop in _chunk_ranges(n_triggers):
         rng = np.random.default_rng([seed, idx, 0])
-        a, b = _sample_counts_chunk(spec, stop - start, rng)
+        try:
+            a, b = _sample_counts_chunk(spec, stop - start, rng)
+        except ValueError as exc:  # numpy's Poisson sampler refuses a mean above about 2**63 - 3e10
+            raise ConfigError(f"cannot draw photon numbers at the source's mean {spec.mu:g}: {exc}") from exc
         over = np.flatnonzero((a > MAX_PHOTON_NUMBER) | (b > MAX_PHOTON_NUMBER))
         if over.size:
             i = int(over[0])
@@ -354,7 +367,8 @@ def simulate_stream(
     the whole stream is sorted again only when trigger jitter
     makes one chunk's tags sort before the previous chunk's.  A trigger
     period no longer than the longest pulse, or a run whose n_triggers
-    periods reach 2**63 timestamp units, raises ConfigError.
+    periods, plus the propagation delay, the pulse and the timing noise,
+    reach 2**63 timestamp units, raises ConfigError.
     """
     truth = sample_source(spec, n_triggers, seed)
     rise_tab, fall_tab = edge_delay_table(pulse)
@@ -364,9 +378,16 @@ def simulate_stream(
             f"trigger period {period_ps:.4g} ps is not longer than the {fall_tab.max():.4g} ps pulse; "
             "pulses would pile up, which the pulse model does not describe"
         )
-    if not max(n_triggers, 1) * period_ps * UNITS_PER_PS < 2.0**63:
+    # the furthest a tag lands from its trigger's nominal time: the delay, the
+    # longest pulse and 100 standard deviations of each timing noise, further
+    # than numpy's normal sampler draws (under 14)
+    noise_ps = spec.trigger_channel_jitter_ps + max(jitter.detector_rms, jitter.detector_b_rms)
+    noise_ps += 2 * jitter.tagger_rms_per_channel
+    reach_ps = pulse.propagation_delay_ps + float(fall_tab.max()) + 100.0 * noise_ps
+    if not (max(n_triggers, 1) * period_ps + reach_ps) * UNITS_PER_PS < 2.0**63:
         raise ConfigError(
-            f"a trigger period of {period_ps:.4g} ps over {n_triggers} triggers overflows the 64-bit timestamps"
+            f"a trigger period of {period_ps:.4g} ps over {n_triggers} triggers, with tags up to "
+            f"{reach_ps:.4g} ps from their trigger, overflows the 64-bit timestamps"
         )
     jobs = list(_chunk_ranges(n_triggers))
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files, summaries, exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -436,6 +437,36 @@ def test_calibration_pairing_fields_exit_cleanly(pipeline, tmp_path_factory, mut
         assert not (directory / "out").exists()
 
 
+# JSON texts for a config value: 1e400 parses to inf, 2**70 to an int past
+# int64 and 10**400 to one past the doubles
+CONFIG_VALUES = (
+    *("null", '"x"', "-1", "0", "5e-324", "1e-300", "1e308", "1e400"),
+    *(str(2**70), str(10**400), "true", "[1]"),
+)
+
+
+@pytest.mark.parametrize("value", CONFIG_VALUES, ids=lambda text: "10**400" if text == str(10**400) else text)
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (section, field.name)
+        for section, cls in (("source", SourceSpec), ("pulse", PulseModelParams), ("jitter", JitterParams))
+        for field in dataclasses.fields(cls)
+    ],
+)
+def test_simulate_config_fields_exit_cleanly(tmp_path, section, key, value):
+    """Any value of any source, pulse or jitter key simulates, or is refused
+    with one ConfigError before any output, never a traceback."""
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{section}": {{"{key}": {value}}}, "n_triggers": 2000}}')
+    code, error = exit_cleanly("simulate", "--config", config, "--out", tmp_path / "out")
+    if code:
+        assert (code, error["error"]) == (2, "ConfigError")
+        assert not (tmp_path / "out").exists()
+    else:
+        assert (tmp_path / "out" / "stream.pnrtag").exists()
+
+
 # offset and struct format of each .pnrec header field after the magic
 PNREC_FIELDS = {"version": (8, "<H"), "detector": (10, "B"), "count": (12, "<I"), "window_ps": (16, "<d")}
 
@@ -498,23 +529,29 @@ def test_csv_cell_mutations_exit_cleanly(pipeline, tmp_path_factory, column, row
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def test_import_simulate_and_decode_load_no_scipy_stats_only_special(pipeline, tmp_path):
-    """Importing the package and running simulate and decode load no scipy
-    module; stats then loads what importing scipy.special loads, and nothing
-    more (which scipy.special itself pulls in varies with the scipy version)."""
+def test_only_calibrate_loads_scipy_and_only_scipy_special(pipeline, tmp_path):
+    """Importing the package and running simulate, decode, stats and jpnd
+    load no scipy module; calibrate then loads what importing scipy.special
+    loads, and nothing more (which scipy.special itself pulls in varies with
+    the scipy version)."""
     src = Path(pnrtiming.__file__).resolve().parents[1]
     out = tmp_path / "run"
+    records = str(out / "records_A.pnrec")
     script = f"""
 import json, sys
 import pnrtiming, pnrtiming.cli
 seen = [{SCIPY_MODULES}]
 main = pnrtiming.cli.main
-assert main(["simulate", "--n-triggers", "2000", "--seed", "5", "--out", {str(out)!r}, "--quiet"]) == 0
-assert main(["decode", {str(out / "stream.pnrtag")!r}, {str(pipeline / "calibration_optimal.json")!r},
-             "--truth", {str(out / "truth.csv")!r}, "--out", {str(out)!r}, "--quiet"]) == 0
-seen.append({SCIPY_MODULES})
-assert main(["stats", {str(out / "records_A.pnrec")!r}, "--out", {str(out)!r}, "--quiet"]) == 0
-seen.append({SCIPY_MODULES})
+for argv in (
+    ["simulate", "--n-triggers", "2000", "--seed", "5", "--out", {str(out)!r}],
+    ["decode", {str(out / "stream.pnrtag")!r}, {str(pipeline / "calibration_optimal.json")!r},
+     "--truth", {str(out / "truth.csv")!r}, "--out", {str(out)!r}],
+    ["stats", {records!r}, "--out", {str(out)!r}],
+    ["jpnd", {records!r}, {records!r}, "--out", {str(out)!r}],
+    ["calibrate", {str(pipeline / "stream.pnrtag")!r}, "--out", {str(out / "calibration")!r}],
+):
+    assert main([*argv, "--quiet"]) == 0, argv
+    seen.append({SCIPY_MODULES})
 print(json.dumps(seen))
 """
 
@@ -523,10 +560,10 @@ print(json.dumps(seen))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         return json.loads(done.stdout)
 
-    after_import, after_decode, after_stats = run(script)
-    assert after_import == [] and after_decode == []
-    assert "scipy.special" in after_stats
-    assert after_stats == run(f"import json, sys, scipy.special; print(json.dumps({SCIPY_MODULES}))")
+    *before_calibrate, after_calibrate = run(script)
+    assert before_calibrate == [[]] * 5
+    assert "scipy.special" in after_calibrate
+    assert after_calibrate == run(f"import json, sys, scipy.special; print(json.dumps({SCIPY_MODULES}))")
 
 
 # ---- calibrate

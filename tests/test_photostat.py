@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import brentq
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc
 from scipy.stats import poisson
 
 from pnrtiming import (
@@ -24,7 +24,8 @@ from pnrtiming import (
 )
 from pnrtiming.errors import ConfigError, DataError, InsufficientDataError
 import pnrtiming.photostat as ps
-from pnrtiming.photostat import MAX_PHOTON_NUMBER, _brentq, _poisson_pmf, joint_counts
+from pnrtiming.photostat import MAX_PHOTON_NUMBER, _brentq, _lgam, _poisson_pmf, _poisson_sf, joint_counts
+from pnrtiming.simulate import PulseModelParams, pulse_value
 
 # ---- helpers
 
@@ -163,6 +164,29 @@ def test_brentq_ends_and_errors_match_scipy():
             solver(lambda x: x**3 - 2.0, 0.0, 3.0, maxiter=2)
 
 
+def test_brentq_steps_past_a_zero_denominator_as_scipy_does():
+    """Values near 1e-300 underflow the extrapolation's denominator to 0,
+    where C divides to inf or NaN and bisects; Python would raise."""
+    tiny = lambda x: 1e-300 * (x**3 - 2.0)
+    assert _brentq(tiny, 0.0, 3.0) == brentq(tiny, 0.0, 3.0)
+    # the fall of the n=1 pulse at threshold 1e-300, on edge_delays' bracket
+    pulse = PulseModelParams(threshold=1e-300)
+    fall = lambda t: float(pulse_value(t, 1, pulse)) - pulse.threshold
+    bracket = (479.57905455967415, 2762722.870873637)
+    assert _brentq(fall, *bracket, xtol=1e-9) == brentq(fall, *bracket, xtol=1e-9) == 1381551.055796427
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 3.0), (-1.0, 2.5), (0.2, 5.0)])
+def test_brentq_bisects_flat_steps_as_scipy_does(a, b):
+    """Piecewise-constant functions, where f(xcur) == f(xpre) on a plateau."""
+    for f in (
+        lambda x: -1.0 if x < 0.4 else 1.0,
+        lambda x: math.floor(4.0 * x) - 1.5,
+        lambda x: -2.0 if x < 1.3 else (2.0 if x > 1.9 else -1.0),
+    ):
+        assert outcome(_brentq, f, a, b) == outcome(brentq, f, a, b)
+
+
 def test_fit_poisson_mu_roots_as_scipy_brentq_does(monkeypatch):
     rng = np.random.default_rng(37)
     cases = []
@@ -184,20 +208,72 @@ def test_fit_poisson_mu_roots_as_scipy_brentq_does(monkeypatch):
 # ---- fit_poisson_mu
 
 
-def test_poisson_pmf_and_sf_match_scipy_stats_bit_for_bit():
-    # the fit uses _poisson_pmf and pdtrc in place of scipy.stats.poisson,
-    # which would cost every command its import
-    k = np.arange(250)
-    underflow = 0
-    for mu in (0.0, 1e-300, 2e-4, 0.0125, 0.3, 1.0, 3.43, 12.0, 150.0, 700.0):
+POISSON_MUS = (0.0, 1e-300, 2e-4, 0.0125, 0.3, 1.0, 3.43, 12.0, 150.0, 700.0)
+
+
+def test_lgam_matches_gammaln_bit_for_bit():
+    # the exact product below 13, the Stirling series up to 1000 and above
+    for x in [*range(1, 2000), 10**8, 10**8 + 1, 2**40]:
+        assert _lgam(x) == gammaln(x), x
+
+
+def test_poisson_pmf_matches_scipy_stats_bit_for_bit():
+    # every photon number a record holds, since --tail-from 255 is legal
+    k = np.arange(MAX_PHOTON_NUMBER + 1)
+    for mu in POISSON_MUS:
         assert_array_equal(_poisson_pmf(k, mu), poisson.pmf(k, mu))
-        assert_array_equal(pdtrc(k, mu), poisson.sf(k, mu))
-        for j in (0, 3, 99, 249):
+        for j in (0, 3, 99, 255):
             assert _poisson_pmf(j, mu) == poisson.pmf(j, mu)
-            assert pdtrc(j, mu) == poisson.sf(j, mu)
-        underflow += np.count_nonzero(pdtrc(k, mu) == 0.0)
     assert _poisson_pmf(0, 0.0) == 1.0
+
+
+def test_poisson_sf_matches_scipy_stats_to_1e_12():
+    """The tail the fit uses in place of scipy.special.pdtrc: within 1e-12
+    relative of scipy.stats.poisson.sf, and 0 exactly where it underflows."""
+    k = np.arange(MAX_PHOTON_NUMBER + 1)
+    underflow = 0
+    for mu in POISSON_MUS:
+        got = np.array([_poisson_sf(j, mu) for j in k.tolist()])
+        want = poisson.sf(k, mu)
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert_array_equal(got == 0.0, want == 0.0)
+        underflow += np.count_nonzero(want == 0.0)
     assert underflow > 0  # the grid reaches tails that underflow to zero
+
+
+def fit_cases():
+    """Random small distributions at tail_from 1..8, then Poisson samples
+    whose means reach 200 fitted at every tail_from 1..255."""
+    rng = np.random.default_rng(37)
+    for _ in range(150):
+        tail_from = int(rng.integers(1, 9))
+        poisson_counts = np.bincount(rng.poisson(rng.uniform(0.05, 12.0), int(rng.integers(100, 5000))))
+        for counts in (poisson_counts, rng.uniform(0.0, 1e4, int(rng.integers(2, 12)))):
+            dist = NumberDistribution(counts)
+            if dist.total >= 100 and dist.folded(tail_from)[-1] < dist.total:
+                yield "random", dist, tail_from
+    for mu in (0.05, 3.43, 30.0, 120.0, 200.0):
+        dist = NumberDistribution(rng.poisson(mu, 20_000).clip(max=MAX_PHOTON_NUMBER))
+        for tail_from in range(1, MAX_PHOTON_NUMBER + 1):
+            if dist.folded(tail_from)[-1] < dist.total:
+                yield "sweep", dist, tail_from
+
+
+def test_fit_poisson_mu_matches_a_fit_on_scipys_tail(monkeypatch):
+    """The fit on _poisson_sf against the same fit on scipy.special.pdtrc.
+    The random cases agree to 1e-15.  The sweep agrees to the root finder's
+    own tolerance, 2 (xtol + rtol mu): where mu reaches 200, xtol = 1e-12 is
+    5e-15 of mu, and a tail one ulp off can end the search elsewhere inside it."""
+    cases = [(kind, dist, tail_from, fit_poisson_mu(dist, tail_from)) for kind, dist, tail_from in fit_cases()]
+    assert sum(kind == "sweep" for kind, *_ in cases) > 1000
+    monkeypatch.setattr(ps, "_poisson_sf", lambda k, mu: float(pdtrc(k, mu)))
+    for kind, dist, tail_from, got in cases:
+        want = fit_poisson_mu(dist, tail_from)
+        if kind == "random":
+            assert_allclose(got.mu, want.mu, rtol=1e-15, atol=0.0)
+        else:
+            assert abs(got.mu - want.mu) <= 2 * (1e-12 + 8.9e-16 * want.mu)
+        assert_allclose(got.stderr, want.stderr, rtol=1e-12)
 
 
 def test_all_zero_counts_give_mu_zero_exactly():
