@@ -363,8 +363,22 @@ def crosstalk_matrix(components, boundaries) -> np.ndarray:
 
 def classify(coords, boundaries) -> np.ndarray:
     """Bucket index per coordinate; a value exactly on a boundary goes to
-    the lower bucket."""
-    return np.searchsorted(np.asarray(boundaries, dtype=float), np.asarray(coords, dtype=float), side="left")
+    the lower bucket.
+
+    For ascending boundaries without NaN this is
+    ``np.searchsorted(boundaries, coords, side="left")``, with -inf in the
+    lowest bucket and +inf and NaN in the highest, but it runs one
+    ``coords <= b`` pass per boundary b in place of a binary search per
+    coordinate: a coordinate's bucket is the number of boundaries less the
+    number at or above it.  The buckets come in the smallest unsigned type
+    that holds the boundary count, so they cannot wrap.
+    """
+    boundaries = np.asarray(boundaries, dtype=float)
+    coords = np.asarray(coords, dtype=float)
+    at_or_above = np.zeros(coords.shape, np.min_scalar_type(boundaries.size))
+    for b in boundaries.tolist():
+        at_or_above += coords <= b
+    return np.subtract(boundaries.size, at_or_above, out=at_or_above)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +507,7 @@ def _label_events(table):
     cut = centers[[_valley(smoothed, a, b) for a, b in zip(idx[:-1], idx[1:])]]
     if n_events < 50 * k:
         raise CalibrationError(f"need at least {50 * k} detected events, got {n_events}")
-    return _LabelledEvents(pairs, np.searchsorted(cut, coords), k), theta_ref
+    return _LabelledEvents(pairs, classify(coords, cut), k), theta_ref
 
 
 # ---------------------------------------------------------------------------

@@ -46,15 +46,25 @@ def pulse_value(t, n: int, params: "PulseModelParams"):
     t = np.asarray(t, dtype=float)
     tau_r = params.hotspot_rise_scale_ps / n
     tau_f = 1000.0 * params.kinetic_inductance_time_ns
-    v = pulse_amplitude(n, params) * (1.0 - np.exp(-t / tau_r)) * np.exp(-t / tau_f)
+    with np.errstate(over="ignore"):  # t / tau_r may reach inf, where the rise is complete
+        v = pulse_amplitude(n, params) * (1.0 - np.exp(-t / tau_r)) * np.exp(-t / tau_f)
     return np.where(t > 0, v, 0.0)
 
 
 def pulse_peak(n: int, params: "PulseModelParams") -> tuple[float, float]:
-    """(time, value) of the pulse maximum, from the closed-form turning point."""
+    """(time, value) of the pulse maximum, from the closed-form turning point.
+
+    The peak lies at tau_r * log1p(tau_f / tau_r); where that ratio
+    overflows (a subnormal rise constant) the log is taken as
+    log(tau_f) - log(tau_r) + log1p(tau_r / tau_f), which does not form it.
+    """
     tau_r = params.hotspot_rise_scale_ps / n
     tau_f = 1000.0 * params.kinetic_inductance_time_ns
-    t_peak = tau_r * math.log1p(tau_f / tau_r)
+    ratio = tau_f / tau_r
+    if ratio < math.inf:
+        t_peak = tau_r * math.log1p(ratio)
+    else:
+        t_peak = tau_r * (math.log(tau_f) - math.log(tau_r) + math.log1p(tau_r / tau_f))
     u = tau_r / (tau_r + tau_f)
     v_peak = pulse_amplitude(n, params) * (1.0 - u) * u ** (tau_r / tau_f)
     return t_peak, v_peak

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.ndimage import gaussian_filter1d
 from scipy.optimize import brentq
@@ -332,6 +334,24 @@ def test_crosstalk_cells_never_go_negative():
 def test_classify_ties_go_to_the_lower_class():
     bounds = np.array([1.0, 2.0])
     np.testing.assert_array_equal(classify([0.5, 1.0, 1.5, 2.0, 2.5], bounds), [0, 0, 1, 1, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    boundaries=st.lists(st.floats(allow_nan=False), max_size=254).map(sorted),
+    coords=st.lists(st.floats(), max_size=40),
+)
+@example(boundaries=[], coords=[0.0])
+@example(boundaries=[-math.inf, 0.0, 0.0, 1.0, math.inf], coords=[-1.0, -0.0, 0.5, 2.0])
+@example(boundaries=list(np.linspace(-1e3, 1e3, 254)), coords=[2e3])
+def test_classify_is_searchsorted_left(boundaries, coords):
+    # every boundary is also a coordinate, so ties are always tried, with
+    # both infinities and NaN; 254 boundaries, the most a model holds, put
+    # +inf and NaN in bucket 254, which the unsigned result must hold
+    coords = coords + boundaries + [-math.inf, math.inf, math.nan]
+    got = classify(coords, boundaries)
+    assert got.dtype.kind == "u"
+    np.testing.assert_array_equal(got, np.searchsorted(np.asarray(boundaries, dtype=float), coords, side="left"))
 
 
 # ---------------------------------------------------------------- histograms, peaks

@@ -467,6 +467,15 @@ def test_simulate_config_fields_exit_cleanly(tmp_path, section, key, value):
         assert (tmp_path / "out" / "stream.pnrtag").exists()
 
 
+def test_simulate_with_a_subnormal_rise_constant_writes_its_stream(tmp_path):
+    # the peak time once overflowed to inf here, and simulate refused the
+    # pulse as one that "stays above the threshold until about inf ps"
+    config = tmp_path / "config.json"
+    config.write_text('{"pulse": {"hotspot_rise_scale_ps": 1e-320}, "n_triggers": 2000}')
+    assert exit_cleanly("simulate", "--config", config, "--out", tmp_path / "out") == (0, None)
+    assert read_tag_block(tmp_path / "out" / "stream.pnrtag").is_sorted()
+
+
 # offset and struct format of each .pnrec header field after the magic
 PNREC_FIELDS = {"version": (8, "<H"), "detector": (10, "B"), "count": (12, "<I"), "window_ps": (16, "<d")}
 

@@ -4,6 +4,7 @@ import io
 import math
 import tracemalloc
 from dataclasses import fields
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -74,6 +75,30 @@ def test_pulse_peak_matches_grid_argmax():
         t_peak, v_peak = pulse_peak(n, params)
         assert abs(t_peak - t[np.argmax(v)]) < 0.02
         assert v_peak == pytest.approx(v.max(), rel=1e-8)
+
+
+def test_a_subnormal_rise_constant_peaks_at_once_and_falls_as_a_step():
+    # tau_f / tau_r overflows to inf for these rise constants
+    params = PulseModelParams(hotspot_rise_scale_ps=1e-320)
+    tau_f = 1000.0 * params.kinetic_inductance_time_ns
+    for n in range(1, params.max_photons + 1):
+        tau_r = params.hotspot_rise_scale_ps / n
+        assert tau_f / tau_r == math.inf
+        t_peak, v_peak = pulse_peak(n, params)
+        # tau_r * ln(1 + tau_f / tau_r), to 40 digits from the stored tau_r
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ratio = Decimal(tau_f) / Decimal(tau_r)
+            want = float(Decimal(tau_r) * (1 + ratio).ln())
+        assert t_peak == pytest.approx(want, rel=1e-5)
+        assert v_peak == pytest.approx(sim.pulse_amplitude(n, params), rel=1e-12)
+        rise, fall = edge_delays(n, params)
+        # the pulse is a step that decays with tau_f
+        assert 0.0 <= rise <= t_peak
+        assert fall == pytest.approx(tau_f * math.log(v_peak / params.threshold), rel=1e-9)
+    tags, truth = simulate_stream(SourceSpec(), params, NO_JITTER, 2000, 5)
+    events = pair_edges(tags, 8000.0)
+    assert events.n_detections == np.count_nonzero(truth.true_n_a)
 
 
 # ---------------------------------------------------------------- edge delays

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnrtiming import (
@@ -259,6 +259,30 @@ def test_thread_map_yields_in_order_with_at_most_workers_items_ahead():
             assert len(started) <= i + 1 + workers
             got.append(i)
         assert got == list(range(20))
+
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# ascending int64 columns: a small pool of values makes runs of ties common
+# within and across the two, and the clock's ends are in it
+ascending_int64 = st.lists(
+    st.one_of(st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+              st.integers(-20, 20), st.integers(INT64_MIN, INT64_MAX)),
+    max_size=60,
+).map(lambda values: np.array(sorted(values), dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=ascending_int64, needles=ascending_int64)
+@example(keys=np.array([], np.int64), needles=np.array([3, 3, INT64_MAX], np.int64))
+@example(keys=np.array([INT64_MIN, 3, 3, INT64_MAX], np.int64), needles=np.array([], np.int64))
+def test_merge_ranks_are_searchsorted_ranks(keys, needles):
+    for block in (1, 7, timetags._RANK_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timetags, "_RANK_BLOCK", block)
+            for side in ("left", "right"):
+                got = timetags._merge_ranks(keys, needles, side)
+                want = np.searchsorted(keys, needles, side)
+                assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes(), (block, side)
 
 
 # ---------------------------------------------------------------- pairing basics
@@ -682,6 +706,19 @@ def test_pair_edges_peaks_below_seven_trigger_arrays():
     events, peak = traced_peak(lambda: pair_edges(block, 50_000.0))
     assert events.n_detections == n and events.orphan_edges == 0
     # 5.5 int64 arrays of n; a gather per trigger of every column took 9.4
+    assert peak < 7 * 8 * n
+
+
+def test_pair_edges_in_one_part_peaks_below_seven_trigger_arrays():
+    # the stream above with a window past the trigger period, so no trigger
+    # may start a part and one part's working arrays set the peak
+    n = 200_000
+    trig = np.arange(n, dtype=np.int64) * 1_000_000
+    block = TagBlock(np.tile(np.array([0, 1, 2], np.uint8), n), (trig[:, None] + [0, 100_000, 300_000]).ravel())
+    assert timetags._part_starts(trig, 150_000 * UNITS_PER_PS) == [0]
+    events, peak = traced_peak(lambda: pair_edges(block, 150_000.0))
+    assert events.n_detections == n and events.orphan_edges == 0
+    # 6.3 int64 arrays of n; a binary search per trigger took 6.25
     assert peak < 7 * 8 * n
 
 
