@@ -50,6 +50,8 @@ _MIN_PROMINENCE = 0.05
 # thread allocates stays with its malloc arena after the scan, where the
 # caller cannot reuse it (blocks of 512 KB keep that to a few MB per thread)
 _SCAN_BLOCK = 65536
+# project: coordinates per block, small enough that a block's steps run in cache
+_PROJECT_BLOCK = 8192
 _FORMAT = "pnrtiming-calibration/1"
 
 
@@ -159,8 +161,19 @@ def project(events, angle: float) -> np.ndarray:
     """
     if not 0.0 <= angle < 2.0 * math.pi:
         raise ValueError("angle must lie in [0, 2*pi)")
-    rise, fall = events.detected()
-    return rise * math.cos(angle) + fall * math.sin(angle)
+    c, s = math.cos(angle), math.sin(angle)
+    rise, fall = events.rise_units, events.fall_units
+    out = np.empty(rise.size)
+    scratch = np.empty(min(rise.size, _PROJECT_BLOCK))
+    # rise / UNITS_PER_PS * c + fall / UNITS_PER_PS * s, the steps of
+    # events.detected() and the sum in their order, one cached block at a time
+    for i in range(0, rise.size, _PROJECT_BLOCK):
+        coords = np.divide(rise[i : i + _PROJECT_BLOCK], UNITS_PER_PS, out=out[i : i + _PROJECT_BLOCK])
+        coords *= c
+        term = np.divide(fall[i : i + _PROJECT_BLOCK], UNITS_PER_PS, out=scratch[: coords.size])
+        term *= s
+        coords += term
+    return out
 
 
 def histogram_1d(pairs, angle: float):
@@ -645,6 +658,15 @@ def _angle_scan(labelled):
 # Calibration model container
 
 
+def _number(value) -> float:
+    """A JSON number as a float: a string raises TypeError, and an integer
+    past the doubles OverflowError, where it would pass a comparison and
+    overflow later."""
+    if isinstance(value, str):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 @dataclass(eq=False)
 class CalibrationModel:
     """Projection angle, cluster components, boundaries, and crosstalk.
@@ -723,7 +745,7 @@ class CalibrationModel:
             raise ConfigError(f"calibration format must be {_FORMAT!r}")
         try:
             comps = [
-                VoigtComponent(d["center_ps"], d["sigma_ps"], d["gamma_ps"], d["weight"])
+                VoigtComponent(*(_number(d[key]) for key in ("center_ps", "sigma_ps", "gamma_ps", "weight")))
                 for d in data["components"]
             ]
             return cls(
@@ -736,7 +758,7 @@ class CalibrationModel:
                 window_ps=data["window_ps"],
                 diagnostics=data.get("diagnostics", {}),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid calibration ({type(exc).__name__}: {exc})") from exc
 
     def save_json(self, path) -> None:

@@ -177,9 +177,14 @@ def _lgam(x: int) -> float:
         for u in range(x - 1, 1, -1):
             z *= u
         return math.log(z)
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    return (x - 0.5) * math.log(x) - x + _LS2PI + _stirling(x)
+
+
+def _stirling(x: int) -> float:
+    """lgam(x) - ((x - 0.5) log x - x + log sqrt(2 pi)) for an integer x >= 13:
+    cephes' Stirling series, 0 above 1e8."""
     if x > 1e8:
-        return q
+        return 0.0
     p = 1.0 / (x * x)
     if x >= 1000:
         series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
@@ -187,7 +192,22 @@ def _lgam(x: int) -> float:
         series = _LGAM_A[0]
         for a in _LGAM_A[1:]:
             series = series * p + a
-    return q + series / x
+    return series / x
+
+
+def _log1pmx(x: float) -> float:
+    """log(1 + x) - x, as cephes' log1pmx: by its power series for |x| < 1/2,
+    so that no two terms of similar size cancel."""
+    if abs(x) >= 0.5:
+        return math.log1p(x) - x
+    power, total = x, 0.0
+    for n in range(2, 500):
+        power *= -x
+        term = power / n
+        total += term
+        if abs(term) < _MACHEP * abs(total):
+            break
+    return total
 
 
 def _log(mu: float) -> float:
@@ -215,9 +235,17 @@ def _poisson_sf(k: int, mu: float) -> float:
     pmf(k) = pmf(k + 1) (k + 1)/mu as pmf(k) (1 + k/mu + k(k - 1)/mu^2 + ...).
     The difference is at least about 1/2 there, so it loses no digits that
     matter.  Each sum stops at the first term below MACHEP of its total.
+    Within 0.4 (k + 1) of mu = k + 1 the log of the prefactor is taken through
+    log1pmx, as cephes' igam_fac takes it, which keeps the tail within about
+    1e-14 of pdtrc there.
     """
     a = k + 1
-    log_fac = a * _log(mu) - mu - _lgam(a)  # log(a pmf(a))
+    if a >= 13 and abs(mu - a) <= 0.4 * a:
+        # a log(mu/a) - (mu - a) is a log1pmx; a log(mu) - mu - lgam(a) would
+        # cancel terms of size a
+        log_fac = a * _log1pmx((mu - a) / a) - _stirling(a) + 0.5 * math.log(a) - _LS2PI
+    else:
+        log_fac = a * _log(mu) - mu - _lgam(a)  # log(a pmf(a))
     if mu < a and log_fac < -_MAXLOG:
         return 0.0
     c = total = 1.0

@@ -376,6 +376,29 @@ def test_histogram_rejects_empty_input():
         distinct_pairs(make_events([], []))
 
 
+INT64 = st.integers(int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    delays=st.lists(st.tuples(st.one_of(st.integers(-(10**6), 10**6), INT64), INT64), max_size=40),
+    angle=st.one_of(
+        st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        st.floats(math.pi, 2.0 * math.pi, exclude_max=True),
+        st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2, math.nextafter(2 * math.pi, 0.0)]),
+    ),
+)
+def test_projection_is_the_delays_in_ps_rotated_bit_for_bit(delays, angle):
+    rise, fall = (np.array([d[i] for d in delays], dtype=np.int64) for i in (0, 1))
+    events = EdgeEventSet("A", 10_000.0, np.zeros(rise.size, np.int64), np.arange(rise.size), rise, fall)
+    want = rise / UNITS_PER_PS * math.cos(angle) + fall / UNITS_PER_PS * math.sin(angle)
+    for block in (1, 7, cal._PROJECT_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cal, "_PROJECT_BLOCK", block)
+            got = project(events, angle)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), block
+
+
 def test_histogram_csv_has_header_and_rows(events_a, tmp_path):
     table = distinct_pairs(events_a)
     out = tmp_path / "h.csv"

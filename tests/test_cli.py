@@ -467,6 +467,35 @@ def test_simulate_config_fields_exit_cleanly(tmp_path, section, key, value):
         assert (tmp_path / "out" / "stream.pnrtag").exists()
 
 
+# the path of keys to a calibration field: the first component's, then the model's
+CALIBRATION_FIELDS = [
+    *(("components", 0, key) for key in ("center_ps", "sigma_ps", "gamma_ps", "weight")),
+    *((key,) for key in ("angle_rad", "boundaries_ps", "crosstalk")),
+]
+
+
+@pytest.mark.parametrize("value", CONFIG_VALUES, ids=lambda text: "10**400" if text == str(10**400) else text)
+@pytest.mark.parametrize("path", CALIBRATION_FIELDS, ids=lambda path: path[-1])
+def test_calibration_fields_exit_cleanly(pipeline, tmp_path, path, value):
+    """Any value of a component's fields, the angle, the boundaries or the
+    crosstalk decodes into records_A.pnrec, or is refused with one
+    ConfigError before any output, never a traceback."""
+    model = json.loads((pipeline / "calibration_optimal.json").read_text())
+    parent = model
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "VALUE"
+    (tmp_path / "calibration.json").write_text(json.dumps(model).replace('"VALUE"', value))
+    code, error = exit_cleanly(
+        "decode", pipeline / "stream.pnrtag", tmp_path / "calibration.json", "--out", tmp_path / "out"
+    )
+    if code:
+        assert (code, error["error"]) == (2, "ConfigError")
+        assert not (tmp_path / "out").exists()
+    else:
+        assert (tmp_path / "out" / "records_A.pnrec").exists()
+
+
 def test_simulate_with_a_subnormal_rise_constant_writes_its_stream(tmp_path):
     # the peak time once overflowed to inf here, and simulate refused the
     # pulse as one that "stays above the threshold until about inf ps"

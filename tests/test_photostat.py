@@ -241,6 +241,16 @@ def test_poisson_sf_matches_scipy_stats_to_1e_12():
     assert underflow > 0  # the grid reaches tails that underflow to zero
 
 
+def test_poisson_sf_near_its_median_matches_pdtrc_to_5e_14():
+    """Where mu lies near k + 1, the tail's prefactor goes through log1pmx;
+    taken as exp((k + 1) log mu - mu - lgam(k + 1)) it was off by up to 4.4e-13."""
+    rng = np.random.default_rng(41)
+    k = rng.integers(21, 301, 2000)
+    mu = (k + 1) * (1.0 + rng.uniform(-0.3, 0.3, k.size))
+    got = np.array([_poisson_sf(j, m) for j, m in zip(k.tolist(), mu.tolist())])
+    assert_allclose(got, pdtrc(k, mu), rtol=5e-14, atol=0.0)
+
+
 def fit_cases():
     """Random small distributions at tail_from 1..8, then Poisson samples
     whose means reach 200 fitted at every tail_from 1..255."""

@@ -214,6 +214,45 @@ def test_small_parts_are_bit_identical_to_one_part(monkeypatch):
                 assert_same_events(pair_edges(block, window_ps, detector), whole)
 
 
+def in_order(block):
+    """Whether every tag sorts at or after its predecessor, tag by tag."""
+    pairs = list(zip(block.timestamps.tolist(), block.channels.tolist()))
+    return all(a <= b for a, b in zip(pairs, pairs[1:]))
+
+
+def one_inversion(block, i):
+    """Copies of a block with tags i - 1 and i swapped, and with tag i
+    moved to just before tag i - 1's timestamp."""
+    ch, ts = block.channels.copy(), block.timestamps.copy()
+    ch[[i - 1, i]], ts[[i - 1, i]] = ch[[i, i - 1]], ts[[i, i - 1]]
+    yield TagBlock(ch, ts)
+    ts = block.timestamps.copy()
+    ts[i] = ts[i - 1] - 1
+    yield TagBlock(block.channels, ts)
+
+
+@pytest.mark.parametrize("part", [1, 7, timetags._PAIR_PART])
+def test_pairing_refuses_a_block_out_of_order_at_any_tag(monkeypatch, part):
+    # the order is checked part by part; an inversion at a part's first
+    # tag, at its last or across a cut raises as one anywhere else does
+    monkeypatch.setattr(timetags, "_PAIR_PART", part)
+    for seed in (5, 6):  # streams of 88 and 80 tags
+        block = cut_stream(np.random.default_rng(seed))
+        trig = block.timestamps[block.channels == 0]
+        if part == 1:
+            assert len(timetags._part_starts(trig, 5000)) > 5  # the 500 ps window cuts the stream
+        for i in range(1, len(block)):
+            for inverted in one_inversion(block, i):
+                for workers in (1, 2, 4):
+                    pair_in_parts(monkeypatch, part, workers)
+                    if in_order(inverted):
+                        pair_edges(inverted, 500.0)
+                    else:
+                        message = r"^tags must be sorted by \(timestamp, channel\) before pairing$"
+                        with pytest.raises(DataError, match=message):
+                            pair_edges(inverted, 500.0)
+
+
 def test_a_trigger_tied_with_its_predecessor_is_never_cut(monkeypatch):
     # triggers 1 and 2 share a timestamp; the rise after it is trigger 2's
     block = block_of((0, 0), (1, 10), (2, 20), (0, 5000), (0, 5000), (1, 5010), (2, 5020), (0, 10_000))
@@ -609,6 +648,48 @@ def test_read_tag_block_is_the_chunks_joined_from_any_source(monkeypatch, source
             read(source(raw[:-5]))
         offsets.append(err.value.byte_offset)
     assert offsets[0] == offsets[1] == len(raw) - RECORD_SIZE
+
+
+class OneByteReadinto(io.BytesIO):
+    """A source whose every readinto fills at most one byte."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[:1])
+
+
+def joined_chunks(source):
+    chunks = list(iter_tag_blocks(source))
+    return TagBlock(*(np.concatenate([getattr(c, name) for c in chunks]) for name in ("channels", "timestamps")))
+
+
+@pytest.mark.parametrize("source", [OneByteReadinto, NoSeekReader], ids=["one-byte readinto", "read only"])
+def test_reads_by_readinto_or_read_give_the_same_block_and_truncation_offset(monkeypatch, source):
+    monkeypatch.setattr(timetags, "_CHUNK_BYTES", 1 << 10)  # 64 records
+    block = sorted_random_block(29, 300)
+    buf = io.BytesIO()
+    write_stream(block, buf)
+    raw = with_note(buf.getvalue(), b"readinto")
+    for read in (read_tag_block, joined_chunks):
+        back = read(source(raw))
+        assert back.channels.tobytes() == block.channels.tobytes()
+        assert back.timestamps.tobytes() == block.timestamps.tobytes()
+        with pytest.raises(StreamFormatError) as err:
+            read(source(raw[:-5]))
+        assert err.value.byte_offset == len(raw) - RECORD_SIZE
+
+
+def test_a_chunk_keeps_its_values_after_the_next_read(monkeypatch):
+    monkeypatch.setattr(timetags, "_CHUNK_BYTES", 1 << 10)  # 64 records
+    block = sorted_random_block(31, 200)
+    buf = io.BytesIO()
+    write_stream(block, buf)
+    chunks = iter_tag_blocks(io.BytesIO(buf.getvalue()))
+    first = next(chunks)
+    rest = list(chunks)  # three more reads into the record buffer
+    assert [len(c) for c in (first, *rest)] == [64, 64, 64, 8]
+    assert first.channels.tobytes() == block.channels[:64].tobytes()
+    assert first.timestamps.tobytes() == block.timestamps[:64].tobytes()
+    assert first.timestamps.flags.owndata and first.channels.flags.owndata
 
 
 def test_write_reports_the_first_out_of_order_record():
