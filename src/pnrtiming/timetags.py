@@ -51,7 +51,7 @@ RECORD_SIZE = _RECORD_DTYPE.itemsize  # 16 bytes
 _CHUNK_BYTES = 1 << 22  # 4 MiB per read or write, a whole number of records
 _CHUNK_RECORDS = _CHUNK_BYTES // RECORD_SIZE
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# pairing cuts the block into parts of about this many triggers; any size
+# triggers per pairing part, before those in its last one's window; any size
 # gives the same result.  A worker thread's malloc arena keeps what the
 # thread freed, where the caller cannot reuse it, so parts stay small: at
 # 1 << 17 the decode-2arm-2m benchmark's peak RSS rose by up to 11 MB
@@ -399,21 +399,6 @@ def _thread_map(fn, items: Sequence, workers: int) -> Iterator:
             yield pending.popleft().result()
 
 
-def _part_starts(trig: np.ndarray, units: int) -> list[int]:
-    """Trigger indices at which pair_edges cuts the block, 0 first: in each
-    run of _PAIR_PART triggers after the first, the first trigger whose
-    predecessor's window ends before it.  A timestamp tie is never cut."""
-    starts = [0]
-    for s in range(_PAIR_PART, trig.size, _PAIR_PART):
-        e = min(s + _PAIR_PART, trig.size)
-        end = np.minimum(trig[s - 1 : e - 1], _INT64_MAX - units)
-        end += units
-        cut = np.flatnonzero(trig[s:e] > end)
-        if cut.size:
-            starts.append(s + int(cut[0]))
-    return starts
-
-
 def _gather(ch: np.ndarray, ts: np.ndarray, channel: int) -> np.ndarray:
     """``ts[ch == channel]``, the timestamps of one channel's tags, taken by
     index one chunk of tags at a time, as ``np.compress`` takes them but
@@ -466,29 +451,31 @@ def _merge_ranks(keys: np.ndarray, needles: np.ndarray, side: str) -> np.ndarray
     return out
 
 
-def _pair_part(ch, ts, trig, ch_rise, ch_fall, units, det, r, f) -> tuple[int, int]:
-    """Pair one trigger-aligned part: tags ``ch``/``ts`` and their triggers
-    ``trig``.  ``det``, ``r`` and ``f`` are int64 arrays of len(trig) that
-    serve as scratch; the part's detections end in their first entries, as
-    trigger indices within the part and rise and fall delays after their
-    triggers.  Returns (detections, detector tags).
+def _pair_part(ch, ts, trig, nxt, ch_rise, ch_fall, units, det, r, f) -> int:
+    """Pair one part: triggers ``trig``, with ``nxt`` the trigger after each
+    where there is one, against the tags ``ch``/``ts`` up to the last
+    trigger's window end.  ``det``, ``r`` and ``f`` are int64 arrays of
+    len(trig) that serve as scratch; the part's detections end in their
+    first entries, as trigger indices within the part and rise and fall
+    delays after their triggers.  Returns their number.
 
     The first rise at or after each trigger and the first fall after each
     rise are ranks of one ascending column in another, taken by
     _merge_ranks; they equal np.searchsorted's bit for bit."""
     rise = _gather(ch, ts, ch_rise)
-    n_edges = rise.size + int(np.count_nonzero(ch == ch_fall))
-    if not (trig.size and rise.size and n_edges > rise.size):  # no trigger, rise or fall
-        return 0, n_edges
+    if not (trig.size and rise.size):
+        return 0
     j = _merge_ranks(rise, trig, "left")  # first rise at or after each trigger
     ok = j < rise.size
     np.take(rise, j, out=r, mode="clip")
-    ok[:-1] &= r[:-1] < trig[1:]  # the next trigger owns a rise at or after it
+    ok[: nxt.size] &= r[: nxt.size] < nxt  # the next trigger owns a rise at or after it
     j += 1
     np.take(rise, j, out=det, mode="clip")  # the rise after r ...
     np.putmask(det, j >= rise.size, _INT64_MAX)  # ... or none
     del j, rise
     fall = _gather(ch, ts, ch_fall)
+    if not fall.size:
+        return 0
     first_fall = _merge_ranks(fall, r, "right")  # first fall after r
     ok &= first_fall < fall.size
     np.take(fall, first_fall, out=f, mode="clip")
@@ -506,7 +493,7 @@ def _pair_part(ch, ts, trig, ch_rise, ch_fall, units, det, r, f) -> tuple[int, i
     np.subtract(r[idx], t, out=r[:n])
     np.subtract(f[idx], t, out=f[:n])
     det[:n] = idx
-    return n, n_edges
+    return n
 
 
 _UNSORTED = "tags must be sorted by (timestamp, channel) before pairing"
@@ -526,21 +513,21 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     under ``orphan_edges``.  An unknown detector, or a window that is not a
     positive, finite real number, raises ConfigError.
 
-    The block is paired in trigger-aligned parts of about _PAIR_PART
-    triggers, on up to four threads (_scan_workers: at most one per CPU
-    the process may run on).  A part starts at a trigger whose
-    predecessor's window ends before it, so no detection reaches across a
-    cut, and the parts are gathered in order: the result does not depend
-    on the part size or the CPU count.  When no trigger qualifies, e.g.
-    for windows longer than the trigger period, the block is one part.
-    Within a part the owning rises and falls are found as ranks by stable
-    merges (_merge_ranks) in linear time; they equal np.searchsorted's, so
-    the result is that of a binary search per trigger.
+    The block is paired in parts on up to four threads (_scan_workers: at
+    most one per CPU the process may run on).  A part takes _PAIR_PART
+    (32,768) triggers and the later ones at or before the last one's window
+    end, and pairs them against the tags from its first trigger to its last
+    trigger's window end: neighbouring parts share up to one window of
+    tags, and no tag lies in more than two parts.  The parts are gathered
+    in order, so the result does not depend on the part size or the CPU
+    count.  Within a part the owning rises and falls are found as ranks by
+    stable merges (_merge_ranks) in linear time; they equal
+    np.searchsorted's, so the result is that of a binary search per trigger.
 
     Tags out of (timestamp, channel) order raise DataError.  The check runs
-    in the parts, on their threads: each part checks its own tags and the
-    tag before its first, and the cut positions must ascend.  The parts
-    tile the block, so together that checks every tag against its
+    in the parts, on their threads: each part checks the tags from its
+    first trigger to the next part's, and the tag before them, and the
+    part starts must ascend.  Together that checks every tag against its
     predecessor.
     """
     _check_pairing(detector, window_ps)
@@ -549,11 +536,22 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
     ch, ts = tags.channels, tags.timestamps
     trig = _gather(ch, ts, CH_TRIGGER)
     units = min(int(round(min(window_ps * UNITS_PER_PS, 2.0**63))), _INT64_MAX)
-    starts = _part_starts(trig, units)
-    # a cut trigger is the first tag at its timestamp: its predecessor is earlier
+
+    def window_end(i: int) -> int:  # saturates at the clock's last tick
+        return min(int(trig[i]), _INT64_MAX - units) + units
+
+    starts = [0]
+    while starts[-1] + _PAIR_PART < trig.size:
+        last = starts[-1] + _PAIR_PART - 1
+        b = last + 1 + int(np.searchsorted(trig[last + 1 :], window_end(last), "right"))
+        if b == trig.size:
+            break
+        starts.append(b)
+    # a part's first trigger is the first tag at its timestamp, as the trigger
+    # before it is earlier; from it to the next part's, the parts tile the block
     tag_starts = [0, *np.searchsorted(ts, trig[starts[1:]]).tolist(), ts.size]
     if any(q < p for p, q in zip(tag_starts, tag_starts[1:])):
-        raise DataError(_UNSORTED)  # only an unsorted block cuts out of order
+        raise DataError(_UNSORTED)  # only an unsorted block puts them out of order
     starts.append(trig.size)
     detection, rise_units, fall_units = (np.empty(trig.size, np.int64) for _ in range(3))
 
@@ -562,9 +560,10 @@ def pair_edges(tags: TagBlock, window_ps: float, detector: str = "A") -> EdgeEve
         p, q = tag_starts[k], tag_starts[k + 1]
         if _first_out_of_order(ch[max(p - 1, 0) : q], ts[max(p - 1, 0) : q]) is not None:
             raise DataError(_UNSORTED)
-        return _pair_part(
-            ch[p:q], ts[p:q], trig[a:b], ch_rise, ch_fall, units, detection[a:b], rise_units[a:b], fall_units[a:b]
-        )
+        stop = int(np.searchsorted(ts, window_end(b - 1), "right")) if b > a else q
+        out = detection[a:b], rise_units[a:b], fall_units[a:b]
+        m = _pair_part(ch[p:stop], ts[p:stop], trig[a:b], trig[a + 1 : b + 1], ch_rise, ch_fall, units, *out)
+        return m, int(np.count_nonzero(ch[p:q] == ch_rise)) + int(np.count_nonzero(ch[p:q] == ch_fall))
 
     n, n_edges = 0, 0
     for k, (m, edges) in enumerate(_thread_map(run, range(len(starts) - 1), _scan_workers())):

@@ -544,6 +544,54 @@ def test_pnrec_header_mutations_exit_cleanly(pipeline, tmp_path_factory, mutatio
     assert code == (0 if readable else 2), error
 
 
+def set_u16(offset, value):
+    """A .pnrtag edit: the header's u16 at ``offset`` set to ``value``."""
+    def edit(raw):
+        data = bytearray(raw)
+        struct.pack_into("<H", data, offset, value)
+        return bytes(data)
+
+    return edit
+
+
+def first_records_at(byte):
+    """A .pnrtag edit: its first four records' bytes all set to ``byte``."""
+    size = 4 * _RECORD_DTYPE.itemsize
+    return lambda raw: raw[: _HEADER_FIXED.size] + bytes([byte]) * size + raw[_HEADER_FIXED.size + size :]
+
+
+# byte edits of a .pnrtag and the exit code of calibrate and decode on it
+PNRTAG_MUTATIONS = {
+    "magic": (lambda raw: b"PNRTAG02" + raw[8:], 2),
+    "version 0": (set_u16(8, 0), 2),
+    "version 65535": (set_u16(8, 0xFFFF), 2),
+    "resolution 0": (set_u16(10, 0), 2),
+    "resolution 65535": (set_u16(10, 0xFFFF), 2),
+    "channels 0": (set_u16(12, 0), 2),  # every channel lies out of range
+    "channels 65535": (set_u16(12, 0xFFFF), 0),  # the format's 5 channels still bound them
+    "note length 1": (set_u16(14, 1), 2),  # the records lose their first byte
+    "note length 65535": (set_u16(14, 0xFFFF), 2),
+    "first records at 0": (first_records_at(0), 0),  # four triggers at time 0
+    "first records at 255": (first_records_at(255), 2),
+    "cut in the header": (lambda raw: raw[:10], 2),
+    "cut in a record": (lambda raw: raw[:-7], 2),
+    "5 bytes appended": (lambda raw: raw + bytes(5), 2),
+}
+
+
+@pytest.mark.parametrize("mutation", PNRTAG_MUTATIONS)
+def test_pnrtag_byte_mutations_exit_cleanly(pipeline, tmp_path, mutation):
+    """A .pnrtag with one header field, its first records or its length
+    changed is read, or refused with the exit-code contract, by calibrate
+    and by decode."""
+    edit, want = PNRTAG_MUTATIONS[mutation]
+    stream = tmp_path / "stream.pnrtag"
+    stream.write_bytes(edit((pipeline / "stream.pnrtag").read_bytes()))
+    for argv in (("calibrate", stream), ("decode", stream, pipeline / "calibration_optimal.json")):
+        code, error = exit_cleanly(*argv, "--out", tmp_path / argv[0])
+        assert code == want, (argv[0], error)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["index", "n"]), st.integers(0, 4), st.sampled_from([-1, 256, 10**8, 2**70]))
 def test_csv_cell_mutations_exit_cleanly(pipeline, tmp_path_factory, column, row, value):

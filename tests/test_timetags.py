@@ -182,6 +182,21 @@ def test_pairing_in_small_parts_matches_brute_force_on_sparse_stream(small_parts
     test_pairing_matches_brute_force_on_sparse_stream()
 
 
+def pairing_parts(block, window_ps, detector="A"):
+    """pair_edges' result, and its parts in trigger order: each part's
+    triggers and the timestamps of the tags it pairs them against."""
+    parts, pair_part = [], timetags._pair_part
+
+    def spy(ch, ts, trig, *rest):
+        parts.append((trig.copy(), ts.copy()))
+        return pair_part(ch, ts, trig, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timetags, "_pair_part", spy)
+        events = pair_edges(block, window_ps, detector)
+    return events, sorted(parts, key=lambda part: part[0][:1].tolist())
+
+
 def assert_same_events(a, b):
     assert (a.detector, a.window_ps, a.orphan_edges) == (b.detector, b.window_ps, b.orphan_edges)
     for name in ("trigger_time", "detection", "rise_units", "fall_units"):
@@ -206,7 +221,8 @@ def test_small_parts_are_bit_identical_to_one_part(monkeypatch):
     for seed in range(200):
         rng = np.random.default_rng(seed)
         block = cut_stream(rng) if seed % 2 else random_stream(rng, 40, 50, 50, 200_000)[0]
-        for window_ps, detector in zip((100.0, 499.9, 500.0, 500.1, 1500.0, 1e300), "ABABAB"):
+        # 2e4 ps spans several trigger gaps, so parts take in later triggers
+        for window_ps, detector in zip((100.0, 499.9, 500.0, 500.1, 1500.0, 1e300, 2e4), "ABABABA"):
             pair_in_parts(monkeypatch, len(block) + 1, 1)
             whole = pair_edges(block, window_ps, detector)
             for part, workers in SMALL_PARTS:
@@ -238,9 +254,8 @@ def test_pairing_refuses_a_block_out_of_order_at_any_tag(monkeypatch, part):
     monkeypatch.setattr(timetags, "_PAIR_PART", part)
     for seed in (5, 6):  # streams of 88 and 80 tags
         block = cut_stream(np.random.default_rng(seed))
-        trig = block.timestamps[block.channels == 0]
         if part == 1:
-            assert len(timetags._part_starts(trig, 5000)) > 5  # the 500 ps window cuts the stream
+            assert len(pairing_parts(block, 500.0)[1]) > 5  # the 500 ps window cuts the stream
         for i in range(1, len(block)):
             for inverted in one_inversion(block, i):
                 for workers in (1, 2, 4):
@@ -253,25 +268,65 @@ def test_pairing_refuses_a_block_out_of_order_at_any_tag(monkeypatch, part):
                             pair_edges(inverted, 500.0)
 
 
-def test_a_trigger_tied_with_its_predecessor_is_never_cut(monkeypatch):
+def test_a_trigger_tied_with_the_last_of_a_part_joins_the_part(monkeypatch):
     # triggers 1 and 2 share a timestamp; the rise after it is trigger 2's
     block = block_of((0, 0), (1, 10), (2, 20), (0, 5000), (0, 5000), (1, 5010), (2, 5020), (0, 10_000))
     pair_in_parts(monkeypatch, 1, 2)
-    assert timetags._part_starts(np.array([0, 5000, 5000, 10_000]), 1000) == [0, 1, 3]
-    events = pair_edges(block, 100.0)
+    events, parts = pairing_parts(block, 100.0)
+    assert [trig.tolist() for trig, _ in parts] == [[0], [5000, 5000], [10_000]]
     assert paired(events) == [(10, 20), None, (10, 20), None]
     assert events.orphan_edges == 0
 
 
-def test_a_window_past_the_trigger_period_pairs_the_block_as_one_part(monkeypatch):
+def test_a_window_past_the_trigger_period_takes_the_next_trigger_into_each_part(monkeypatch):
     pair_in_parts(monkeypatch, 1, 4)
     trig = np.arange(50, dtype=np.int64) * 5000
-    assert timetags._part_starts(trig, 5000) == [0]
-    assert timetags._part_starts(trig, 4999) == list(range(50))
-    # every fall lies past the next trigger, so a cut there would lose it
+    # every fall lies past the next trigger, so a part whose tags ended there would lose it
     block, trig, rise, fall = stream_of(trig, trig + 1000, trig + 6000)
-    events = pair_edges(block, 800.0)
+    for window_ps, size in ((500.0, 2), (499.9, 1)):
+        parts = pairing_parts(block, window_ps)[1]
+        assert [t.tolist() for t, _ in parts] == [trig[i : i + size].tolist() for i in range(0, 50, size)]
+    events, parts = pairing_parts(block, 800.0)
+    assert [t.size for t, _ in parts] == [2] * 25
+    assert [ts[-1] for _, ts in parts] == (trig[1::2] + 6000).tolist()  # its last trigger's fall
     assert paired(events) == oracle_delays(trig, rise, fall, 800.0) == [(1000, 6000)] * 50
+
+
+def test_a_200_mhz_stream_at_the_default_window_pairs_in_parts(monkeypatch):
+    # an 8 ns window over a 5 ns trigger period: every window reaches the next trigger
+    pulse, jitter, spec = default_params()
+    spec = dataclasses.replace(spec, coherent_channel="both", repetition_rate_hz=2e8)
+    block, _ = simulate_stream(spec, pulse, jitter, 100_000, seed=11)
+    part = timetags._PAIR_PART
+    for detector in "AB":
+        pair_in_parts(monkeypatch, len(block) + 1, 1)
+        whole = pair_edges(block, 8000.0, detector)
+        for workers in (1, 2, 4):
+            pair_in_parts(monkeypatch, part, workers)
+            events, parts = pairing_parts(block, 8000.0, detector)
+            assert len(parts) > 1
+            assert_same_events(events, whole)
+
+
+def test_a_window_over_several_parts_puts_each_tag_in_at_most_two(monkeypatch):
+    # a 20 ns window over a 500 ps trigger period spans 40 triggers, several
+    # parts of 7: each part takes in the triggers of its last one's window
+    rng = np.random.default_rng(8)
+    trig = np.arange(400, dtype=np.int64) * 5000
+    block = stream_of(trig, *(np.sort(rng.choice(trig, 300) + rng.integers(0, 250_000, 300)) for _ in range(2)))[0]
+    pair_in_parts(monkeypatch, len(block) + 1, 1)
+    whole = {window_ps: pair_edges(block, window_ps) for window_ps in (2e4, 1e300)}
+    pair_in_parts(monkeypatch, 7, 2)
+    events, parts = pairing_parts(block, 2e4)
+    assert len(parts) > 2
+    ts = block.timestamps
+    cover = sum((ts >= part_ts[0]) & (ts <= part_ts[-1]) for _, part_ts in parts)
+    assert sum(part_ts.size for _, part_ts in parts) == cover.sum()  # each part's tags are one run of the block
+    assert cover.max() == 2
+    assert_same_events(events, whole[2e4])
+    events, parts = pairing_parts(block, 1e300)
+    assert len(parts) == 1
+    assert_same_events(events, whole[1e300])
 
 
 @pytest.mark.parametrize(
@@ -791,15 +846,15 @@ def test_pair_edges_peaks_below_seven_trigger_arrays():
 
 
 def test_pair_edges_in_one_part_peaks_below_seven_trigger_arrays():
-    # the stream above with a window past the trigger period, so no trigger
-    # may start a part and one part's working arrays set the peak
+    # the stream above with a window past the block, so it is one part,
+    # whose working arrays set the peak
     n = 200_000
     trig = np.arange(n, dtype=np.int64) * 1_000_000
     block = TagBlock(np.tile(np.array([0, 1, 2], np.uint8), n), (trig[:, None] + [0, 100_000, 300_000]).ravel())
-    assert timetags._part_starts(trig, 150_000 * UNITS_PER_PS) == [0]
-    events, peak = traced_peak(lambda: pair_edges(block, 150_000.0))
+    assert len(pairing_parts(block, 1e300)[1]) == 1
+    events, peak = traced_peak(lambda: pair_edges(block, 1e300))
     assert events.n_detections == n and events.orphan_edges == 0
-    # 6.3 int64 arrays of n; a binary search per trigger took 6.25
+    # 6.4 int64 arrays of n; a binary search per trigger took 6.25
     assert peak < 7 * 8 * n
 
 
